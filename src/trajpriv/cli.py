@@ -3,33 +3,30 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .core import group_trajectories, parse_stays, serialize_stays, \
     stays_to_jsonl
-from .colocation import CoLocationConfig, extract_coevents, coevents_to_jsonl
+from .colocation import CoLocationConfig, extract_coevents
 from .features import cell_visit_entropy, compute_features, features_to_csv
-from .anonymize import AnonymityPolicy, k_anonymize
-from .harness import (World, WorldConfig, fit_world_models, generate_world,
+from .anonymize import AnonymityPolicy
+from .harness import (World, WorldConfig, fit_world_models,
+                      fit_world_semantic, generate_world, k_anonymize_world,
                       publish_synthetic, report_json, report_rows_csv,
                       run_attack, run_defense)
-from .mobility import fit_mobility_model
 from .publish import similarity_report
 
 
 def _load_world(world_dir):
     world_dir = Path(world_dir)
     stays = parse_stays((world_dir / "stays.csv").read_text())
-    edges = set()
-    for line in (world_dir / "edges.csv").read_text().splitlines()[1:]:
-        if line.strip():
-            a, b = line.split(",")
-            edges.add(tuple(sorted((a.strip(), b.strip()))))
+    with open(world_dir / "edges.csv", newline="") as f:
+        rows = [row for row in csv.reader(f) if row][1:]     # skip the header
+    edges = {tuple(sorted((a.strip(), b.strip()))) for a, b in rows}
     cfg = WorldConfig(**json.loads((world_dir / "config.json").read_text()))
     from .core import GridSpec
     grid = GridSpec(cfg.origin_lat, cfg.origin_lon, cfg.cell_size_m,
@@ -105,11 +102,10 @@ def cmd_anonymize(args):
     policy = AnonymityPolicy(k=args.k, l=args.l,
                              stats=tuple(args.stats.split(",")))
     models = fit_world_models(world, seed=args.seed)
+    sets = k_anonymize_world(world, models, policy, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, u in enumerate(world.users):
-        aset = k_anonymize(world.trajectories[u], models[u], policy,
-                           world.grid, seed=args.seed + i)
+    for u, aset in sets.items():
         (out / f"{u}.jsonl").write_text(aset.to_jsonl())
         (out / f"{u}.audit.json").write_text(report_json(aset.audit))
     print(f"anonymized {len(world.users)} users (k={args.k}, l={args.l})")
@@ -118,21 +114,15 @@ def cmd_anonymize(args):
 
 def cmd_publish(args):
     world = _load_world(args.world)
+    published, _ = publish_synthetic(world, seed=args.seed)
     if args.action == "synth":
-        published, _ = publish_synthetic(world, seed=args.seed)
         records = [s for u in sorted(published) for s in published[u]]
         Path(args.out).write_text(serialize_stays(records))
         print(f"wrote {len(records)} synthetic stays")
     else:
-        from .features import cell_visit_entropy as _ent
-        from .publish import fit_semantic, stay_feature
-        published, _ = publish_synthetic(world, seed=args.seed)
-        ent = _ent(world.trajectories, world.grid)
-        V = np.array([stay_feature(s, world.grid, ent)
-                      for u in world.users for s in world.trajectories[u]])
-        sem = fit_semantic(V, n_purposes=4, seed=args.seed)
         rep = similarity_report(world.trajectories, published, world.grid,
-                                sem, CoLocationConfig())
+                                fit_world_semantic(world, seed=args.seed),
+                                CoLocationConfig())
         Path(args.out).write_text(report_json(rep))
         print(report_json(rep), end="")
     return 0

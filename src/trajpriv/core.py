@@ -208,19 +208,32 @@ def stays_to_jsonl(records):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _parse_iso(text):
+    """ISO-8601 -> UTC epoch seconds; a time without an offset is UTC."""
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
 def stays_from_jsonl(text):
+    """Inverse of stays_to_jsonl. A malformed line raises StayParseError
+    with its 1-based line number."""
     records = []
-    for line in text.splitlines():
+    for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        d = json.loads(line)
-        records.append(StayRecord(
-            user_id=d["user_id"],
-            start_time=int(datetime.fromisoformat(d["start_time"]).timestamp()),
-            stop_time=int(datetime.fromisoformat(d["stop_time"]).timestamp()),
-            start_lat=d["start_lat"], start_lon=d["start_lon"],
-            stop_lat=d["stop_lat"], stop_lon=d["stop_lon"],
-        ))
+        try:
+            d = json.loads(line)
+            records.append(StayRecord(
+                user_id=d["user_id"],
+                start_time=_parse_iso(d["start_time"]),
+                stop_time=_parse_iso(d["stop_time"]),
+                start_lat=d["start_lat"], start_lon=d["start_lon"],
+                stop_lat=d["stop_lat"], stop_lon=d["stop_lon"],
+            ))
+        except (KeyError, TypeError, ValueError) as e:
+            raise StayParseError(i, f"{type(e).__name__}: {e}") from e
     return records
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import (Cell, GridSpec, StayRecord, Trajectory, cell_center,
-                   time_slot)
+from .core import (Cell, GridSpec, OutOfGridError, StayRecord, Trajectory,
+                   cell_center, to_cell)
 from .colocation import CoLocationConfig, extract_coevents, interval_gap_s
 from .features import (FEATURE_NAMES, Standardizer, cell_visit_entropy,
                        compute_features, project, resolve_subset)
@@ -25,9 +25,10 @@ from .fusion import DenseNet, TrainConfig, evaluate, train
 from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
                        label_social, social_influence, temporal_influence)
 from .anonymize import AnonymityPolicy, k_anonymize
-from .publish import (embed_trajectory, decode_embedding, fit_semantic,
-                      flatten_embeddings, gan_sample, purpose_posterior,
-                      similarity_report, stay_feature, train_toy_gan)
+from .publish import (StayEmbedding, embed_trajectory, decode_embedding,
+                      fit_semantic, flatten_embeddings, gan_sample,
+                      purpose_posteriors, semantic_feature, similarity_report,
+                      stay_feature, train_toy_gan)
 
 EPOCH_MONDAY = 1568592000  # 2019-09-16 00:00:00 UTC, a Monday
 
@@ -286,20 +287,22 @@ def sample_negative_pairs(users, edges, n, rng):
     return sorted(out)
 
 
-def _semantic_pair_vector(events, sem_model, grid, cell_entropy):
+def _semantic_pair_vector(events, sem_model, cell_entropy):
     """Mean purpose posterior over a pair's co-event overlap intervals."""
-    from datetime import datetime, timezone
     if not events:
         return np.zeros(sem_model.n_purposes)
-    post = np.zeros(sem_model.n_purposes)
-    for e in events:
-        dt = datetime.fromtimestamp(e.overlap_start, tz=timezone.utc)
-        v = np.array([e.overlap_s / 3600.0,
-                      dt.hour + dt.minute / 60.0,
-                      1.0 if dt.weekday() >= 5 else 0.0,
-                      cell_entropy.get(e.cell, 0.0)])
-        post += purpose_posterior(sem_model, v)
-    return post / len(events)
+    V = np.array([semantic_feature(e.overlap_start, e.overlap_s,
+                                   cell_entropy.get(e.cell, 0.0))
+                  for e in events])
+    return purpose_posteriors(sem_model, V).mean(axis=0)
+
+
+def fit_world_semantic(world, seed=0):
+    """Four-purpose semantic mixture over the stay features of every user."""
+    ent = cell_visit_entropy(world.trajectories, world.grid)
+    V = np.array([stay_feature(s, world.grid, ent)
+                  for u in world.users for s in world.trajectories[u]])
+    return fit_semantic(V, n_purposes=4, seed=seed)
 
 
 def build_pair_dataset(world, coloc_cfg=None, neg_seed=13, semantic=False,
@@ -319,12 +322,10 @@ def build_pair_dataset(world, coloc_cfg=None, neg_seed=13, semantic=False,
             for p, lab in zip(pairs, labels)]
     sem_vectors = None
     if semantic:
-        V = np.array([stay_feature(s, world.grid, ent)
-                      for u in world.users for s in world.trajectories[u]])
-        sem_model = fit_semantic(V, n_purposes=4, seed=semantic_seed)
+        sem_model = fit_world_semantic(world, seed=semantic_seed)
         sem_vectors = np.array([
-            _semantic_pair_vector(events[tuple(sorted(p))], sem_model,
-                                  world.grid, ent) for p in pairs])
+            _semantic_pair_vector(events[tuple(sorted(p))], sem_model, ent)
+            for p in pairs])
     return rows, sem_vectors
 
 
@@ -375,7 +376,6 @@ def coevent_participation(world, coloc_cfg=None):
     Approximated by same-cell bucketing, which matches the planted venues.
     """
     cfg = coloc_cfg or CoLocationConfig()
-    from .core import to_cell, OutOfGridError
     index = {}
     stays_by_user = {}
     for u in world.users:
@@ -479,7 +479,6 @@ def _sanitize_overlaps(traj):
 
 def unflatten_vector(vec, cells, K, grid, user_id):
     """Inverse of flatten_embeddings for one generated vector."""
-    from .publish import StayEmbedding
     entries = {}
     for c, (x, y) in enumerate(cells):
         items = []
@@ -512,20 +511,15 @@ def publish_synthetic(world, top_n=16, gan_steps=500, seed=0):
     The generator is trained over per-day embedding slices; each user's
     published trajectory is rebuilt from freshly sampled day vectors.
     """
-    from .core import to_cell
     slices = []
     per_user = {}
     for u in world.users:
         per_user[u] = _day_slices(world.trajectories[u], world.cfg.n_days)
         slices.extend(per_user[u])
-    K = 1
-    for sl in slices:
-        counts = {}
-        for s in sl:
-            c = to_cell(s.lat, s.lon, world.grid)
-            counts[(c.x, c.y)] = counts.get((c.x, c.y), 0) + 1
-        K = max(K, max(counts.values()))
-    embs = [embed_trajectory(sl, world.grid, K=K) for sl in slices]
+    # K is the most stays any slice holds in one cell
+    wide = [embed_trajectory(sl, world.grid, K=len(sl)) for sl in slices]
+    K = max([1] + [k + 1 for emb in wide for (_, _, k) in emb.entries])
+    embs = [StayEmbedding(world.grid, K, emb.entries) for emb in wide]
     vecs, cells = flatten_embeddings(embs, top_n=top_n)
     gen, scaler, trace = train_toy_gan(vecs, steps=gan_steps, seed=seed)
     published = {}
@@ -567,12 +561,9 @@ def run_defense(world, defense="k_anonymity", policy=None, subsets=("all",),
         published = publish_with_kanon(world, sets, seed=seed)
     elif defense == "publish_synthetic":
         published, _ = publish_synthetic(world, seed=seed)
-        ent = cell_visit_entropy(world.trajectories, world.grid)
-        V = np.array([stay_feature(s, world.grid, ent)
-                      for u in world.users for s in world.trajectories[u]])
-        sem = fit_semantic(V, n_purposes=4, seed=seed)
         similarity = similarity_report(world.trajectories, published,
-                                       world.grid, sem,
+                                       world.grid,
+                                       fit_world_semantic(world, seed=seed),
                                        coloc_cfg or CoLocationConfig())
     else:
         raise ValueError(f"unknown defense {defense}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,26 +43,105 @@ class LocalProjection:
         return lat, lon
 
 
-def _floor_cov(cov, floor):
-    """Clip covariance eigenvalues from below; keeps SPD."""
-    cov = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.maximum(vals, floor)
-    return vecs @ np.diag(vals) @ vecs.T
+# Result of em_mixture: the fitted parameters, the log-likelihood trace, and
+# the log-joint and total log-likelihood at the returned parameters.
+MixtureFit = namedtuple("MixtureFit",
+                        "means covs weights trace log_joint loglik")
 
 
-def _log_gauss(X, mean, cov):
+def mixture_log_joint(X, weights, means, covs):
+    """(n, m) matrix of log w_m + log N(x_n | mu_m, Sigma_m).
+
+    Arrays: `weights` (m,), `means` (m, d), and `covs` either full (m, d, d)
+    covariances or (m, d) diagonal variances.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     d = X.shape[1]
-    L = np.linalg.cholesky(cov)
-    diff = (X - mean) @ np.linalg.inv(L).T
-    return (-0.5 * d * np.log(2 * np.pi)
-            - np.sum(np.log(np.diag(L)))
-            - 0.5 * np.sum(diff * diff, axis=1))
+    diff = X[None, :, :] - means[:, None, :]            # (m, n, d)
+    if covs.ndim == 2:
+        log_norm = 0.5 * np.sum(np.log(2 * np.pi * covs), axis=1)
+        maha = np.sum(diff ** 2 / covs[:, None, :], axis=2)
+    else:
+        L = np.linalg.cholesky(covs)
+        log_norm = (0.5 * d * np.log(2 * np.pi)
+                    + np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1))
+        z = diff @ np.linalg.inv(L).transpose(0, 2, 1)
+        maha = np.sum(z * z, axis=2)
+    log_pdf = -log_norm[:, None] - 0.5 * maha
+    # row-major (n, m), so that the M-step sums over points in point order
+    return np.log(weights + 1e-300) + np.ascontiguousarray(log_pdf.T)
+
+
+def _floor_cov(covs, floor):
+    """Floor a batch of covariances from below: per dimension for diagonal
+    (m, d) variances, by eigenvalue for full (m, d, d) ones (keeps SPD)."""
+    if covs.ndim == 2:
+        return np.maximum(covs, floor)
+    vals, vecs = np.linalg.eigh(0.5 * (covs + covs.transpose(0, 2, 1)))
+    vals = np.maximum(vals, floor)
+    return (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+
+
+def em_mixture(X, m, seed, cov0, floor, max_iter, tol):
+    """EM fit of an m-component Gaussian mixture, all components at once.
+
+    Starts every component from a seeded data point, equal weight and the
+    floored `cov0`: a (d, d) covariance for a full-covariance mixture, or a
+    (d,) variance vector for a diagonal one. The trace is the per-point mean
+    log-likelihood at the parameters entering each iteration; the floored
+    covariance update is the constrained maximizer, so it never decreases.
+    """
+    n = X.shape[0]
+    if m < 1 or m > n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    rng = np.random.default_rng(seed)
+    means = X[rng.choice(n, size=m, replace=False)].astype(float)
+    covs = np.repeat(_floor_cov(np.asarray(cov0, dtype=float)[None], floor),
+                     m, axis=0)
+    weights = np.full(m, 1.0 / m)
+    trace = []
+    while True:
+        log_joint = mixture_log_joint(X, weights, means, covs)
+        mx = log_joint.max(axis=1, keepdims=True)
+        lse = mx[:, 0] + np.log(np.exp(log_joint - mx).sum(axis=1))
+        if len(trace) == max_iter:      # parameters after the last M-step
+            break
+        trace.append(float(lse.mean()))
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
+            break
+        R = np.exp(log_joint - lse[:, None]).T          # (m, n)
+        nk = R.sum(axis=1) + 1e-12
+        weights = nk / n
+        means = (R @ X) / nk[:, None]
+        diff = X[None, :, :] - means[:, None, :]
+        if covs.ndim == 2:
+            covs = np.sum(R[:, :, None] * diff ** 2, axis=1) / nk[:, None]
+        else:
+            covs = ((R[:, :, None] * diff).transpose(0, 2, 1) @ diff
+                    / nk[:, None, None])
+        covs = _floor_cov(covs, floor)
+    return MixtureFit(means, covs, weights, trace, log_joint, float(lse.sum()))
 
 
 def gaussian_pdf(x, mean, cov):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.exp(_log_gauss(x, np.asarray(mean), np.asarray(cov)))
+    return np.exp(mixture_log_joint(x, np.ones(1), np.asarray(mean)[None],
+                                    np.asarray(cov, dtype=float)[None])[:, 0])
+
+
+def _fit_spatial(points, m, seed=0, m_range=range(1, 7), max_iter=200,
+                 tol=1e-6, var_floor=VAR_FLOOR_M2):
+    """Full-covariance 2D mixture with m components, or, for m="auto", the
+    fit of lowest BIC over the m in m_range that do not exceed the points."""
+    X = np.asarray(points, dtype=float)
+    n = X.shape[0]
+    if m == "auto":
+        fits = [_fit_spatial(X, k, seed, max_iter=max_iter, tol=tol,
+                             var_floor=var_floor) for k in m_range if k <= n]
+        # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
+        return min(fits, key=lambda f: (6 * len(f.weights) - 1) * np.log(n)
+                   - 2.0 * f.loglik)
+    cov0 = np.cov(X.T) if n > 1 else np.eye(2)
+    return em_mixture(X, m, seed, cov0, var_floor, max_iter, tol)
 
 
 def fit_gmm(points, m, seed=0, max_iter=200, tol=1e-6, var_floor=VAR_FLOOR_M2):
@@ -72,62 +152,13 @@ def fit_gmm(points, m, seed=0, max_iter=200, tol=1e-6, var_floor=VAR_FLOOR_M2):
     iteration, so it is non-decreasing by the EM guarantee (the variance
     floor binds only on degenerate clusters).
     """
-    X = np.asarray(points, dtype=float)
-    n = X.shape[0]
-    if m < 1 or m > n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
-    means = X[rng.choice(n, size=m, replace=False)].astype(float)
-    base_cov = _floor_cov(np.cov(X.T) if n > 1 else np.eye(2), var_floor)
-    covs = np.array([base_cov.copy() for _ in range(m)])
-    weights = np.full(m, 1.0 / m)
-    trace = []
-    for _ in range(max_iter):
-        log_r = np.stack([np.log(weights[j] + 1e-300)
-                          + _log_gauss(X, means[j], covs[j])
-                          for j in range(m)], axis=1)
-        mx = log_r.max(axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.exp(log_r - mx).sum(axis=1))
-        ll = float(lse.mean())
-        trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
-            break
-        R = np.exp(log_r - lse[:, None])
-        nk = R.sum(axis=0) + 1e-12
-        weights = nk / n
-        means = (R.T @ X) / nk[:, None]
-        for j in range(m):
-            diff = X - means[j]
-            cov = (R[:, j, None] * diff).T @ diff / nk[j]
-            covs[j] = _floor_cov(cov, var_floor)
-    return means, covs, weights, trace
-
-
-def gmm_bic(points, means, covs, weights):
-    X = np.asarray(points, dtype=float)
-    m = len(weights)
-    log_r = np.stack([np.log(weights[j] + 1e-300)
-                      + _log_gauss(X, means[j], covs[j])
-                      for j in range(m)], axis=1)
-    mx = log_r.max(axis=1, keepdims=True)
-    ll = float((mx[:, 0] + np.log(np.exp(log_r - mx).sum(axis=1))).sum())
-    # per component: 2 mean + 3 cov + 1 weight, minus the simplex constraint
-    n_params = 6 * m - 1
-    return n_params * np.log(X.shape[0]) - 2.0 * ll
+    return _fit_spatial(points, m, seed, max_iter=max_iter, tol=tol,
+                        var_floor=var_floor)[:4]
 
 
 def fit_gmm_auto(points, seed=0, m_range=range(1, 7), **kw):
     """BIC model selection over component counts."""
-    best = None
-    n = len(points)
-    for m in m_range:
-        if m > n:
-            break
-        fit = fit_gmm(points, m, seed=seed, **kw)
-        bic = gmm_bic(points, *fit[:3])
-        if best is None or bic < best[0]:
-            best = (bic, m, fit)
-    return best[2]
+    return _fit_spatial(points, "auto", seed, m_range, **kw)[:4]
 
 
 @dataclass(frozen=True)
@@ -217,16 +248,10 @@ def fit_mobility_model(traj, grid, m="auto", seed=0):
     lons = np.array([s.lon for s in traj])
     proj = LocalProjection(float(lats.mean()), float(lons.mean()))
     X = proj.to_xy(lats, lons)
-    if m == "auto":
-        means, covs, weights, trace = fit_gmm_auto(X, seed=seed)
-    else:
-        means, covs, weights, trace = fit_gmm(X, m, seed=seed)
+    means, covs, weights, trace, log_joint, _ = _fit_spatial(X, m, seed)
     mm = len(weights)
     # hard-assign each stay for the profile and visit counts
-    log_r = np.stack([np.log(weights[j] + 1e-300)
-                      + _log_gauss(X, means[j], covs[j])
-                      for j in range(mm)], axis=1)
-    assign = log_r.argmax(axis=1)
+    assign = log_joint.argmax(axis=1)
     n_slots = grid.slots_per_day
     profile = np.zeros((n_slots, mm))
     counts = np.zeros(mm, dtype=int)
@@ -244,12 +269,9 @@ def fit_mobility_model(traj, grid, m="auto", seed=0):
 
 def location_density(model, point_xy, slot):
     """Slot-conditioned mixture density at a planar point."""
-    point = np.asarray(point_xy, dtype=float).reshape(1, 2)
-    dens = 0.0
-    for j in range(model.n_components):
-        dens += (float(gaussian_pdf(point, model.means[j], model.covs[j])[0])
-                 * model.temporal_profile[slot, j])
-    return dens
+    log_joint = mixture_log_joint(point_xy, model.temporal_profile[slot],
+                                  model.means, model.covs)
+    return float(np.exp(log_joint).sum())
 
 
 def label_social(model, coevent_fraction, tau_soc):

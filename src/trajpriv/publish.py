@@ -10,14 +10,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import (StayRecord, Trajectory, abs_slot, cell_center, time_slot,
-                   to_cell)
+from .core import (OutOfGridError, StayRecord, Trajectory, abs_slot,
+                   cell_center, time_slot, to_cell)
 from .colocation import extract_coevents
 from .features import shannon_entropy
 from .fusion import DenseNet, _hidden_deriv, backprop_grads, loss_value
+from .mobility import em_mixture, mixture_log_joint
 
 
 class CellOverflowError(ValueError):
@@ -52,11 +54,15 @@ class StayEmbedding:
 
 
 def embed_trajectory(traj, grid, K=2):
-    """Build the stay-embedding matrix of one trajectory."""
+    """Build the stay-embedding matrix of one trajectory; stays outside the
+    grid are skipped."""
     counts = {}
     entries = {}
     for s in traj:
-        cell = to_cell(s.lat, s.lon, grid)
+        try:
+            cell = to_cell(s.lat, s.lon, grid)
+        except OutOfGridError:
+            continue
         key = (cell.x, cell.y)
         k = counts.get(key, 0)
         if k >= K:
@@ -93,20 +99,21 @@ def decode_embedding(emb, user_id="decoded"):
     return Trajectory(user_id, stays)
 
 
+def semantic_feature(start_time, duration_s, entropy):
+    """(duration hours, start hour-of-day, weekend flag, cell popularity
+    entropy) of a presence interval."""
+    dt = datetime.fromtimestamp(start_time, tz=timezone.utc)
+    return [duration_s / 3600.0, dt.hour + dt.minute / 60.0,
+            1.0 if dt.weekday() >= 5 else 0.0, entropy]
+
+
 def stay_feature(stay, grid, cell_entropy):
-    """v(s): (duration hours, start hour-of-day, weekend flag, cell
-    popularity entropy)."""
-    from datetime import datetime, timezone
-    dt = datetime.fromtimestamp(stay.start_time, tz=timezone.utc)
+    """v(s): the semantic feature of a stay; 0 entropy outside the grid."""
     try:
-        cell = to_cell(stay.lat, stay.lon, grid)
-        ent = cell_entropy.get(cell, 0.0)
-    except Exception:
+        ent = cell_entropy.get(to_cell(stay.lat, stay.lon, grid), 0.0)
+    except OutOfGridError:
         ent = 0.0
-    return np.array([stay.duration_s / 3600.0,
-                     dt.hour + dt.minute / 60.0,
-                     1.0 if dt.weekday() >= 5 else 0.0,
-                     ent])
+    return np.array(semantic_feature(stay.start_time, stay.duration_s, ent))
 
 
 @dataclass
@@ -136,11 +143,6 @@ class SemanticModel:
                    np.array(d["variances"]))
 
 
-def _diag_log_gauss(X, mean, var):
-    return (-0.5 * np.sum(np.log(2 * np.pi * var))
-            - 0.5 * np.sum((X - mean) ** 2 / var, axis=1))
-
-
 def fit_semantic(V, n_purposes=4, seed=0, max_iter=200, tol=1e-8,
                  restarts=5):
     """EM fit of the diagonal GMM over stay-feature vectors.
@@ -150,9 +152,6 @@ def fit_semantic(V, n_purposes=4, seed=0, max_iter=200, tol=1e-8,
     nearby clusters.
     """
     X = np.asarray(V, dtype=float)
-    n, d = X.shape
-    if n_purposes < 1 or n_purposes > n:
-        raise ValueError("need 1 <= n_purposes <= n")
     best = None
     for r in range(max(1, restarts)):
         model = _fit_semantic_once(X, n_purposes, seed + 7919 * r,
@@ -163,45 +162,22 @@ def fit_semantic(V, n_purposes=4, seed=0, max_iter=200, tol=1e-8,
 
 
 def _fit_semantic_once(X, n_purposes, seed, max_iter, tol):
-    n, d = X.shape
-    rng = np.random.default_rng(seed)
-    L = n_purposes
-    means = X[rng.choice(n, size=L, replace=False)].astype(float)
-    floor = 1e-6 + 1e-4 * X.var(axis=0)
-    variances = np.tile(np.maximum(X.var(axis=0), floor), (L, 1))
-    weights = np.full(L, 1.0 / L)
-    trace = []
-    for _ in range(max_iter):
-        log_r = np.stack([np.log(weights[j] + 1e-300)
-                          + _diag_log_gauss(X, means[j], variances[j])
-                          for j in range(L)], axis=1)
-        mx = log_r.max(axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.exp(log_r - mx).sum(axis=1))
-        ll = float(lse.mean())
-        trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
-            break
-        R = np.exp(log_r - lse[:, None])
-        nk = R.sum(axis=0) + 1e-12
-        weights = nk / n
-        means = (R.T @ X) / nk[:, None]
-        for j in range(L):
-            diff = X - means[j]
-            variances[j] = np.maximum((R[:, j, None] * diff ** 2).sum(axis=0)
-                                      / nk[j], floor)
-    return SemanticModel(weights, means, variances, trace)
+    var = X.var(axis=0)
+    fit = em_mixture(X, n_purposes, seed, var, 1e-6 + 1e-4 * var, max_iter,
+                     tol)
+    return SemanticModel(fit.weights, fit.means, fit.covs, fit.trace)
+
+
+def purpose_posteriors(model, V):
+    """(n, L) normalized responsibilities of stay-feature vectors."""
+    log_p = mixture_log_joint(V, model.weights, model.means, model.variances)
+    p = np.exp(log_p - log_p.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def purpose_posterior(model, v):
     """Normalized responsibilities of a stay-feature vector (log-space)."""
-    v = np.asarray(v, dtype=float).reshape(1, -1)
-    log_p = np.array([np.log(model.weights[j] + 1e-300)
-                      + _diag_log_gauss(v, model.means[j],
-                                        model.variances[j])[0]
-                      for j in range(model.n_purposes)])
-    log_p -= log_p.max()
-    p = np.exp(log_p)
-    return p / p.sum()
+    return purpose_posteriors(model, np.reshape(v, (1, -1)))[0]
 
 
 # --- node embeddings -------------------------------------------------------
@@ -424,8 +400,11 @@ def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg,
         ent = cell_visit_entropy(trajs, grid)
         for traj in trajs.values():
             for s in traj:
-                c = to_cell(s.lat, s.lon, grid)
-                cells[(c.x, c.y)] = cells.get((c.x, c.y), 0) + 1
+                try:
+                    c = to_cell(s.lat, s.lon, grid)
+                    cells[(c.x, c.y)] = cells.get((c.x, c.y), 0) + 1
+                except OutOfGridError:
+                    pass
                 slot, _ = time_slot(s.start_time, grid)
                 slots[slot] = slots.get(slot, 0) + 1
                 lam = int(np.argmax(purpose_posterior(

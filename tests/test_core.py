@@ -1,7 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import trajpriv
 
 from trajpriv.core import (GridSpec, StayParseError, StayRecord, Trajectory,
                            cell_center, haversine_m, parse_stays,
@@ -83,6 +90,36 @@ class TestParse:
     def test_roundtrip_jsonl(self):
         recs = parse_stays(SAMPLE_CSV)
         assert stays_from_jsonl(stays_to_jsonl(recs)) == recs
+
+    def test_jsonl_naive_timestamps_are_utc_in_any_host_zone(self):
+        line = json.dumps({"user_id": "u",
+                           "start_time": "2019-09-16T00:00:00",
+                           "stop_time": "2019-09-16T09:00:00+08:00",
+                           "start_lat": 28.0, "start_lon": 112.9,
+                           "stop_lat": 28.0, "stop_lon": 112.9})
+        code = ("import sys; from trajpriv.core import stays_from_jsonl; "
+                "r = stays_from_jsonl(sys.stdin.read())[0]; "
+                "print(r.start_time, r.stop_time)")
+        src = str(Path(trajpriv.__file__).resolve().parents[1])
+        env = dict(os.environ, TZ="Asia/Shanghai",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], input=line,
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        # naive -> UTC midnight; an explicit +08:00 offset is honoured
+        assert out.stdout.split() == ["1568592000", "1568595600"]
+
+    def test_jsonl_malformed_line_reports_line_number(self):
+        good = stays_to_jsonl(parse_stays(SAMPLE_CSV))
+        fields = json.loads(good)
+        bad_lines = ["{not json", json.dumps({"user_id": "u"}),
+                     json.dumps(dict(fields, start_time="16/09/2019")),
+                     json.dumps(dict(fields, start_lat=123.0))]
+        for bad in bad_lines:
+            with pytest.raises(StayParseError) as info:
+                stays_from_jsonl(good + "\n" + bad + "\n")
+            assert info.value.row == 3
 
 
 class TestHaversine:

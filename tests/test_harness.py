@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
-from trajpriv.cli import main as cli_main
+from trajpriv.anonymize import AnonymityPolicy
+from trajpriv.cli import _load_world, main as cli_main
 from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
-from trajpriv.harness import (World, WorldConfig, build_pair_dataset,
-                              generate_world, report_rows_csv, run_attack,
+from trajpriv.core import Cell, GridSpec, StayRecord, Trajectory, cell_center
+from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
+                              build_pair_dataset, fit_world_models,
+                              fit_world_semantic, generate_world,
+                              k_anonymize_world, publish_synthetic,
+                              report_json, report_rows_csv, run_attack,
                               run_defense, sample_negative_pairs)
+from trajpriv.publish import embed_trajectory, similarity_report
 
 
 def small_cfg(**kw):
@@ -132,7 +138,70 @@ class TestDefense:
             run_defense(small_world, defense="bogus", epochs=10)
 
 
+def hand_built_world(stays_by_user, edges):
+    """World from {user: [((x, y), start hour, stop hour), ...]}; a cell of
+    None puts the stay about 1 km south of the grid."""
+    cfg = WorldConfig(n_users=len(stays_by_user), n_days=2, seed=0)
+    grid = GridSpec(cfg.origin_lat, cfg.origin_lon, cfg.cell_size_m,
+                    cfg.grid_n, cfg.grid_n, cfg.time_slot_minutes)
+    trajs = {}
+    for u, stays in stays_by_user.items():
+        records = []
+        for cell, h0, h1 in stays:
+            if cell is None:
+                lat, lon = cfg.origin_lat - 0.009, cfg.origin_lon + 0.01
+            else:
+                lat, lon = cell_center(Cell(*cell), grid)
+            records.append(StayRecord(u, EPOCH_MONDAY + h0 * 3600,
+                                      EPOCH_MONDAY + h1 * 3600,
+                                      lat, lon, lat, lon))
+        trajs[u] = Trajectory(u, records)
+    return World(cfg, grid, trajs, set(edges))
+
+
+def test_publish_synthetic_skips_stays_outside_grid():
+    world = hand_built_world(
+        {"u0": [((1, 1), 0, 8), ((5, 5), 9, 17), ((1, 1), 24, 30)],
+         "u1": [((2, 2), 0, 8), ((5, 5), 9, 17), (None, 30, 32)]},
+        [("u0", "u1")])
+    published, _ = publish_synthetic(world, gan_steps=20, seed=0)
+    assert sorted(published) == ["u0", "u1"]
+    u1 = world.trajectories["u1"]
+    in_grid = Trajectory("u1", u1.stays[:2])
+    assert (embed_trajectory(u1, world.grid).entries
+            == embed_trajectory(in_grid, world.grid).entries)
+    rep = similarity_report(world.trajectories, published, world.grid,
+                            fit_world_semantic(world), CoLocationConfig())
+    assert all(0.0 <= v <= 1.0 for v in rep.values())
+
+
 class TestCli:
+    def test_anonymize_matches_library(self, tmp_path):
+        d = tmp_path / "w"
+        cli_main(["--seed", "9", "simulate", "--users", "16", "--days", "5",
+                  "--out", str(d)])
+        out = tmp_path / "anon"
+        assert cli_main(["--seed", "3", "anonymize", "--world", str(d),
+                         "--out", str(out)]) == 0
+        world = _load_world(d)
+        sets = k_anonymize_world(world, fit_world_models(world, seed=3),
+                                 AnonymityPolicy(k=5, l=0.3), seed=3)
+        for u in world.users:
+            assert ((out / f"{u}.audit.json").read_text()
+                    == report_json(sets[u].audit))
+            assert (out / f"{u}.jsonl").read_text() == sets[u].to_jsonl()
+
+    def test_load_world_round_trips_ids_with_commas(self, tmp_path):
+        world = hand_built_world({"a,b": [((1, 1), 0, 2)],
+                                  "c": [((2, 2), 0, 2)]}, [("a,b", "c")])
+        (tmp_path / "stays.csv").write_text(world.stays_csv())
+        (tmp_path / "edges.csv").write_text(world.edges_csv())
+        (tmp_path / "config.json").write_text(
+            report_json(dataclasses.asdict(world.cfg)))
+        loaded = _load_world(tmp_path)
+        assert loaded.friend_edges == {("a,b", "c")}
+        assert loaded.users == ["a,b", "c"]
+
     def test_simulate_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "w1", tmp_path / "w2"
         for d in (d1, d2):
