@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (StayRecord, Trajectory, cell_center, haversine_m, time_slot,
-                   to_cell, OutOfGridError)
+from .core import (StayRecord, Trajectory, cell_center, time_slot, to_cell,
+                   OutOfGridError)
 from .mobility import LocalProjection, sample_location
 
 STATISTICS = ("stay_count", "total_duration_h", "radius_of_gyration_m",

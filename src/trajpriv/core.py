@@ -283,11 +283,15 @@ def cell_center(cell, grid):
     return lat, lon
 
 
+def weekday(t):
+    """Day of the week of a UTC epoch second, Monday = 0 (day 0 of the
+    epoch, 1970-01-01, was a Thursday)."""
+    return (t // 86400 + 3) % 7
+
+
 def time_slot(t, grid):
-    """(slot index within the day, weekend flag) of a UTC instant."""
-    dt = datetime.fromtimestamp(t, tz=timezone.utc)
-    minutes = dt.hour * 60 + dt.minute
-    return minutes // grid.time_slot_minutes, dt.weekday() >= 5
+    """(slot index within the day, weekend flag) of a UTC epoch second."""
+    return t % 86400 // 60 // grid.time_slot_minutes, weekday(t) >= 5
 
 
 def abs_slot(t, grid):

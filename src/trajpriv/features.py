@@ -6,11 +6,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import to_cell, OutOfGridError
+from .core import to_cell, weekday, OutOfGridError
 
 FEATURE_NAMES = ("f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol")
 
@@ -82,8 +81,8 @@ def cell_visit_entropy(trajectories, grid):
 
 
 def default_holiday(t):
-    """Weekend predicate on a UTC instant."""
-    return datetime.fromtimestamp(t, tz=timezone.utc).weekday() >= 5
+    """Weekend predicate on a UTC epoch second."""
+    return weekday(t) >= 5
 
 
 def compute_features(events, cell_entropy, holiday=default_holiday,

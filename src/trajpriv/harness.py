@@ -16,16 +16,16 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import (Cell, GridSpec, OutOfGridError, StayRecord, Trajectory,
-                   cell_center, to_cell)
-from .colocation import CoLocationConfig, extract_coevents, interval_gap_s
-from .features import (FEATURE_NAMES, Standardizer, cell_visit_entropy,
-                       compute_features, project, resolve_subset)
+from .core import Cell, GridSpec, StayRecord, Trajectory, cell_center
+from .colocation import (CoLocationConfig, extract_coevents,
+                         stay_participation)
+from .features import (Standardizer, cell_visit_entropy, compute_features,
+                       project, resolve_subset)
 from .fusion import DenseNet, TrainConfig, evaluate, train
 from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
                        label_social, social_influence, temporal_influence)
 from .anonymize import AnonymityPolicy, k_anonymize
-from .publish import (StayEmbedding, embed_trajectory, decode_embedding,
+from .publish import (StayEmbedding, _decoded_stays, embed_trajectory,
                       fit_semantic, flatten_embeddings, gan_sample,
                       purpose_posteriors, semantic_feature, similarity_report,
                       stay_feature, train_toy_gan)
@@ -371,35 +371,9 @@ def run_attack(world, subsets=("all",), split=0.7, seed=7, semantic=False,
 
 
 def coevent_participation(world, coloc_cfg=None):
-    """Per-stay flag: does any other user's stay co-occur with it?
-
-    Approximated by same-cell bucketing, which matches the planted venues.
-    """
-    cfg = coloc_cfg or CoLocationConfig()
-    index = {}
-    stays_by_user = {}
-    for u in world.users:
-        stays_by_user[u] = list(world.trajectories[u])
-        for s in stays_by_user[u]:
-            try:
-                c = to_cell(s.lat, s.lon, world.grid)
-            except OutOfGridError:
-                continue
-            index.setdefault((c.x, c.y), []).append(s)
-    out = {}
-    for u in world.users:
-        flags = []
-        for s in stays_by_user[u]:
-            try:
-                c = to_cell(s.lat, s.lon, world.grid)
-            except OutOfGridError:
-                flags.append(False)
-                continue
-            hit = any(o.user_id != u and interval_gap_s(s, o) <= cfg.alpha_t_s
-                      for o in index.get((c.x, c.y), []))
-            flags.append(hit)
-        out[u] = flags
-    return out
+    """Per-stay flag: does any other user's stay co-occur with it?"""
+    return stay_participation(world.trajectories,
+                              coloc_cfg or CoLocationConfig())
 
 
 def fit_world_models(world, tau_soc=0.25, seed=0, m="auto"):
@@ -466,19 +440,20 @@ def publish_with_kanon(world, sets, seed=0):
     return published
 
 
-def _sanitize_overlaps(traj):
-    """Drop later-starting stays that overlap an accepted one."""
-    stays = []
-    last_stop = None
-    for s in sorted(traj.stays, key=lambda x: (x.start_time, x.stop_time)):
+def _drop_overlaps(stays):
+    """The stays in (start, stop) order, without each one that overlaps an
+    earlier kept stay."""
+    kept, last_stop = [], None
+    for s in sorted(stays, key=lambda x: (x.start_time, x.stop_time)):
         if last_stop is None or s.start_time >= last_stop:
-            stays.append(s)
+            kept.append(s)
             last_stop = s.stop_time
-    return Trajectory(traj.user_id, stays)
+    return kept
 
 
 def unflatten_vector(vec, cells, K, grid, user_id):
-    """Inverse of flatten_embeddings for one generated vector."""
+    """Inverse of flatten_embeddings for one generated vector; stays that
+    overlap an earlier one are dropped."""
     entries = {}
     for c, (x, y) in enumerate(cells):
         items = []
@@ -492,8 +467,8 @@ def unflatten_vector(vec, cells, K, grid, user_id):
             if k > 0 and t <= items[k - 1][0]:
                 continue
             entries[(x, y, k)] = (t, d)
-    emb = StayEmbedding(grid, K, entries)
-    return _sanitize_overlaps(decode_embedding(emb, user_id=user_id))
+    stays = _decoded_stays(StayEmbedding(grid, K, entries), user_id)
+    return Trajectory(user_id, _drop_overlaps(stays))
 
 
 def _day_slices(traj, n_days):
@@ -531,12 +506,7 @@ def publish_synthetic(world, top_n=16, gan_steps=500, seed=0):
         stays = []
         for vec in samples:
             stays.extend(unflatten_vector(vec, cells, K, world.grid, u).stays)
-        raw = sorted(stays, key=lambda s: (s.start_time, s.stop_time))
-        kept, last_stop = [], None
-        for s in raw:
-            if last_stop is None or s.start_time >= last_stop:
-                kept.append(s)
-                last_stop = s.stop_time
+        kept = _drop_overlaps(stays)
         if not kept:              # degenerate sample: fall back to one stay
             lat, lon = cell_center(Cell(*cells[0]), world.grid)
             s0 = world.trajectories[u].stays[0]

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (OutOfGridError, StayRecord, Trajectory, abs_slot,
                    cell_center, time_slot, to_cell)
 from .colocation import extract_coevents
-from .features import shannon_entropy
 from .fusion import DenseNet, _hidden_deriv, backprop_grads, loss_value
 from .mobility import em_mixture, mixture_log_joint
 
@@ -77,6 +76,12 @@ def embed_trajectory(traj, grid, K=2):
 def decode_embedding(emb, user_id="decoded"):
     """Quantized trajectory back from an embedding (cell centers, slot
     boundaries)."""
+    return Trajectory(user_id, _decoded_stays(emb, user_id))
+
+
+def _decoded_stays(emb, user_id):
+    """The stays of an embedding in start order, before the trajectory's
+    no-overlap check."""
     from .core import Cell
     by_cell = {}
     for (x, y, k), (t, d) in emb.entries.items():
@@ -96,7 +101,7 @@ def decode_embedding(emb, user_id="decoded"):
             stays.append(StayRecord(user_id, t * slot_s, (t + d) * slot_s,
                                     lat, lon, lat, lon))
     stays.sort(key=lambda s: s.start_time)
-    return Trajectory(user_id, stays)
+    return stays
 
 
 def semantic_feature(start_time, duration_s, entropy):

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trajpriv.core import GridSpec, StayRecord, Trajectory, cell_center, Cell
+from trajpriv.core import (EARTH_RADIUS_M, GridSpec, StayRecord, Trajectory,
+                           cell_center, Cell, haversine_m)
 from trajpriv.colocation import (CoLocationConfig, coevent_score,
-                                 extract_pair_coevents, interval_gap_s)
+                                 extract_coevents, extract_pair_coevents,
+                                 interval_gap_s, stay_participation)
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
 T0 = 1568592000
@@ -139,3 +144,156 @@ def test_interval_gap():
     assert interval_gap_s(a, b) == 0
     assert interval_gap_s(a, c) == 60
     assert interval_gap_s(c, a) == 60
+
+
+# --- the spatial-hash engine against the nested-loop definition ------------
+
+def destination(lat, lon, bearing_deg, dist_m):
+    """Point dist_m from (lat, lon) along a great circle at a bearing."""
+    p1, l1, th = math.radians(lat), math.radians(lon), math.radians(bearing_deg)
+    delta = dist_m / EARTH_RADIUS_M
+    p2 = math.asin(math.sin(p1) * math.cos(delta)
+                   + math.cos(p1) * math.sin(delta) * math.cos(th))
+    l2 = l1 + math.atan2(math.sin(th) * math.sin(delta) * math.cos(p1),
+                         math.cos(delta) - math.sin(p1) * math.sin(p2))
+    lon2 = (math.degrees(l2) + 180.0) % 360.0 - 180.0
+    return math.degrees(p2), lon2
+
+
+def oracle_events(traj_a, traj_b, cfg, grid):
+    """(user_a, user_b, cell, start, end, weight) of a pair from the
+    definition: every stay of traj_a against every stay of traj_b, stably
+    sorted by (start, end, weight)."""
+    from trajpriv.core import OutOfGridError, haversine_m, to_cell
+    out = []
+    for sa in traj_a.stays:
+        for sb in traj_b.stays:
+            d = haversine_m(sa.lat, sa.lon, sb.lat, sb.lon)
+            gap = max(0, max(sa.start_time, sb.start_time)
+                      - min(sa.stop_time, sb.stop_time))
+            w = cfg.spatial_weight(d) * cfg.temporal_weight(gap)
+            if w > 0:
+                hi = min(sa.stop_time, sb.stop_time)
+                lo = min(max(sa.start_time, sb.start_time), hi)
+                try:
+                    cell = to_cell(sa.lat, sa.lon, grid)
+                except OutOfGridError:
+                    cell = None
+                out.append((traj_a.user_id, traj_b.user_id, cell, lo, hi, w))
+    return sorted(out, key=lambda e: (e[3], e[4], e[5]))
+
+
+def as_tuples(events):
+    return [(e.user_a, e.user_b, e.cell, e.overlap_start, e.overlap_end,
+             e.weight) for e in events]
+
+
+def edge_world(rng, n_users, centers, reach_m):
+    """Users whose stays sit at anchors around the given centers, displaced
+    by distances at, just inside and just outside the spatial reach, so
+    that stay pairs straddle the reach and lie across the edges of
+    reach-sized bins. Times on a 10-minute raster with gaps at the temporal
+    reach make events with equal (start, end, weight) common."""
+    anchors = [p for lat, lon in centers for p in (
+        (lat, lon), destination(lat, lon, float(rng.uniform(0, 360)),
+                                float(rng.uniform(0, 3)) * reach_m))]
+    factors = (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.5, 1.0)
+    gaps = (0, 0, 600, 1800, 1801, 5400, 5401)
+    trajs = {}
+    for i in range(n_users):
+        u = f"u{i}"
+        t = T0 + 600 * int(rng.integers(0, 12))
+        stays = []
+        for _ in range(int(rng.integers(1, 9))):
+            dur = 600 * int(rng.integers(1, 9))
+            base = anchors[int(rng.integers(len(anchors)))]
+            dist = factors[int(rng.integers(len(factors)))] * reach_m
+            lat, lon = destination(*base, float(rng.uniform(0, 360)), dist)
+            stays.append(stay(u, t, t + dur, lat, lon))
+            t += dur + gaps[int(rng.integers(len(gaps)))]
+        trajs[u] = Trajectory(u, stays)
+    return trajs
+
+
+lats = st.floats(-80.0, 80.0)
+lons = st.one_of(st.floats(-180.0, 180.0),
+                 st.sampled_from([-180.0, 179.9999, 180.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(2, 6),
+       kernel=st.sampled_from(["indicator", "exponential"]),
+       centers=st.lists(st.tuples(lats, lons), min_size=1, max_size=2))
+def test_engine_matches_nested_loop_definition(seed, n_users, kernel, centers):
+    rng = np.random.default_rng(seed)
+    cfg = CoLocationConfig(spatial_kernel=kernel, temporal_kernel=kernel)
+    trajs = edge_world(rng, n_users, centers, cfg.spatial_reach_m)
+    lat0, lon0 = centers[0]
+    grid = GridSpec(lat0 - 0.01, max(-180.0, lon0 - 0.01), 250.0, 8, 8, 60)
+    users = sorted(trajs)
+    all_pairs = [(a, b) for i, a in enumerate(users) for b in users[i + 1:]]
+
+    got = extract_coevents(trajs, cfg, grid)
+    assert list(got) == all_pairs
+    for a, b in all_pairs:
+        want = oracle_events(trajs[a], trajs[b], cfg, grid)
+        assert as_tuples(got[(a, b)]) == want
+
+    asked = [all_pairs[int(k)] for k in rng.integers(len(all_pairs), size=3)]
+    asked = [p[::-1] if rng.random() < 0.5 else p for p in asked]
+    got = extract_coevents(trajs, cfg, grid, pairs=asked)
+    assert list(got) == list(dict.fromkeys(tuple(sorted(p)) for p in asked))
+    for a, b in got:
+        assert as_tuples(got[(a, b)]) == oracle_events(trajs[a], trajs[b],
+                                                       cfg, grid)
+
+    flags = stay_participation(trajs, cfg)
+    for u in users:
+        assert flags[u] == [
+            any(cfg.spatial_weight(haversine_m(s.lat, s.lon, o.lat, o.lon))
+                * cfg.temporal_weight(interval_gap_s(s, o)) > 0
+                for v in users if v != u for o in trajs[v].stays)
+            for s in trajs[u].stays]
+
+
+def test_tied_events_keep_nested_loop_order():
+    """Two zero-length events at the same instant and weight come in the
+    order of a's stays: a's first stay with b's second, then a's second
+    stay with b's first."""
+    lat, lon = cell_center(Cell(3, 3), GRID)
+    lat2, lon2 = cell_center(Cell(3, 4), GRID)     # 250 m north
+    a = Trajectory("a", [stay("a", T0, T0 + 600, lat, lon),
+                         stay("a", T0 + 1200, T0 + 1800, lat2, lon2)])
+    b = Trajectory("b", [stay("b", T0, T0 + 600, lat2, lon2),
+                         stay("b", T0 + 900, T0 + 1500, lat, lon)])
+    ties = [(e.overlap_start, e.overlap_end, e.cell)
+            for e in extract_pair_coevents(a, b, CoLocationConfig(), GRID)
+            if e.overlap_s == 0]
+    assert ties == [(T0 + 600, T0 + 600, Cell(3, 3)),
+                    (T0 + 600, T0 + 600, Cell(3, 4))]
+
+
+def test_pair_without_events_is_listed():
+    a = Trajectory("a", [stay("a", T0, T0 + 600, 28.01, 112.91)])
+    b = Trajectory("b", [stay("b", T0, T0 + 600, 28.2, 112.91)])
+    c = Trajectory("c", [stay("c", T0, T0 + 600, 28.01, 112.91)])
+    got = extract_coevents({"a": a, "b": b, "c": c}, CoLocationConfig(), GRID,
+                           pairs=[("c", "a"), ("b", "a")])
+    assert list(got) == [("a", "c"), ("a", "b")]
+    assert len(got[("a", "c")]) == 1 and got[("a", "b")] == []
+
+
+@pytest.mark.parametrize("bearing", [0.0, 45.0, 90.0])
+def test_just_inside_reach_across_bins_at_70_degrees(bearing):
+    """Stays 0.999 alpha_d apart at 70 degrees north co-occur wherever the
+    pair sits: shifting it through two reach-sized bin widths in latitude
+    and longitude puts it across bin edges whatever the edge positions."""
+    cfg = CoLocationConfig(alpha_d_m=250.0)
+    step_lat = math.degrees(250.0 / EARTH_RADIUS_M) / 10.0
+    step_lon = step_lat / math.cos(math.radians(70.0))
+    for k in range(20):
+        lat, lon = 70.0 + k * step_lat, 10.0 + k * step_lon
+        lat2, lon2 = destination(lat, lon, bearing, 0.999 * 250.0)
+        a = Trajectory("a", [stay("a", T0, T0 + 600, lat, lon)])
+        b = Trajectory("b", [stay("b", T0, T0 + 600, lat2, lon2)])
+        assert len(extract_pair_coevents(a, b, cfg, GRID)) == 1

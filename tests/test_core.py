@@ -209,6 +209,21 @@ class TestTimeSlot:
         _, weekend = time_slot(parse_timestamp("21/09/2019 12:00:00"), GRID)
         assert weekend is True
 
+    def test_matches_datetime_over_weeks(self):
+        from datetime import datetime, timezone
+        from trajpriv.features import default_holiday
+        grids = [GridSpec(28.0, 112.9, 250.0, 40, 40, m) for m in (15, 60)]
+        step = 3 * 3600 + 7 * 60 + 13      # walks through every weekday
+        for t in [*range(-3 * 604800, 3 * 604800, step),
+                  *range(1568592000 - 604800, 1568592000 + 604800, step),
+                  -1, 0, 86399, 86400]:
+            dt = datetime.fromtimestamp(t, tz=timezone.utc)
+            minutes = dt.hour * 60 + dt.minute
+            for g in grids:
+                assert time_slot(t, g) == (minutes // g.time_slot_minutes,
+                                           dt.weekday() >= 5)
+            assert default_holiday(t) == (dt.weekday() >= 5)
+
 
 class TestTrajectory:
     def test_sorts_and_rejects_overlap(self):

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,16 @@ def finite_difference(net, X, Y, loss, h=1e-5):
             g[idx] = (up - down) / (2 * h)
         grads[name] = g
     return grads
+
+
+def near_relu_kink(net, X, h=1e-5):
+    """Whether one finite-difference step of size h on a first-layer
+    parameter can move a hidden pre-activation across 0, where a central
+    difference is not the derivative: W1[i, j] moves it by h * X[n, i] and
+    b1[j] by h."""
+    Z = X @ net.W1 + net.b1
+    step = h * np.maximum(1.0, np.abs(X).max(axis=1, keepdims=True))
+    return bool((np.abs(Z) <= step).any())
 
 
 def assert_grads_close(analytic, numeric, rel=1e-4):
@@ -85,11 +97,17 @@ class TestGradients:
         ("sigmoid", "cross_entropy"), ("softmax", "cross_entropy"),
         ("sigmoid", "gan_minimax")])
     def test_matches_finite_differences(self, hidden_act, output_act, loss):
-        rng = np.random.default_rng(hash((hidden_act, output_act)) % 2**32)
+        seed = zlib.crc32(f"{hidden_act}/{output_act}/{loss}".encode())
+        rng = np.random.default_rng(seed)
+        ran = 0
         for _ in range(3):
             net, X, Y = random_case(rng, hidden_act, output_act, loss)
+            if hidden_act == "relu" and near_relu_kink(net, X):
+                continue
             assert_grads_close(backprop_grads(net, X, Y, loss),
                                finite_difference(net, X, Y, loss))
+            ran += 1
+        assert ran >= 2
 
     def test_zero_at_minimum(self):
         # saturate the 1-unit net toward its own targets

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from trajpriv.anonymize import AnonymityPolicy
 from trajpriv.cli import _load_world, main as cli_main
 from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
-from trajpriv.core import Cell, GridSpec, StayRecord, Trajectory, cell_center
+from trajpriv.core import (EARTH_RADIUS_M, Cell, GridSpec, StayRecord,
+                           Trajectory, cell_center, to_cell)
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
-                              build_pair_dataset, fit_world_models,
-                              fit_world_semantic, generate_world,
-                              k_anonymize_world, publish_synthetic,
-                              report_json, report_rows_csv, run_attack,
-                              run_defense, sample_negative_pairs)
+                              build_pair_dataset, coevent_participation,
+                              fit_world_models, fit_world_semantic,
+                              generate_world, k_anonymize_world,
+                              publish_synthetic, report_json, report_rows_csv,
+                              run_attack, run_defense, sample_negative_pairs,
+                              unflatten_vector)
 from trajpriv.publish import embed_trajectory, similarity_report
 
 
@@ -173,6 +176,46 @@ def test_publish_synthetic_skips_stays_outside_grid():
     rep = similarity_report(world.trajectories, published, world.grid,
                             fit_world_semantic(world), CoLocationConfig())
     assert all(0.0 <= v <= 1.0 for v in rep.values())
+
+
+def grid_point(grid, x_m, y_m):
+    """(lat, lon) at x_m east and y_m north of the grid origin."""
+    lat = grid.origin_lat + math.degrees(y_m / EARTH_RADIUS_M)
+    lon = grid.origin_lon + math.degrees(
+        x_m / (EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat))))
+    return lat, lon
+
+
+def test_participation_uses_the_cooccurrence_distance():
+    """50 m apart across a cell edge co-occurs; opposite corners of one
+    cell, about 340 m apart, do not (alpha_d = 250 m)."""
+    base = hand_built_world({"u0": [], "u1": [], "u2": [], "u3": []}, [])
+    places = {"u0": (1375, 1490), "u1": (1375, 1540),
+              "u2": (1255, 1255), "u3": (1495, 1495)}
+    trajs = {}
+    for u, (x, y) in places.items():
+        lat, lon = grid_point(base.grid, x, y)
+        h0 = 0 if u in ("u0", "u1") else 3
+        trajs[u] = Trajectory(u, [StayRecord(
+            u, EPOCH_MONDAY + h0 * 3600, EPOCH_MONDAY + (h0 + 1) * 3600,
+            lat, lon, lat, lon)])
+    world = World(base.cfg, base.grid, trajs, set())
+    cells = {u: to_cell(t.stays[0].lat, t.stays[0].lon, world.grid)
+             for u, t in trajs.items()}
+    assert cells["u0"] != cells["u1"] and cells["u2"] == cells["u3"]
+    assert coevent_participation(world) == {
+        "u0": [True], "u1": [True], "u2": [False], "u3": [False]}
+
+
+def test_unflatten_drops_overlapping_stays():
+    grid = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
+    t = EPOCH_MONDAY // 3600
+    vec = np.array([t, 3, t + 1, 1], dtype=float)   # (t, 3) and (t + 1, 1)
+    traj = unflatten_vector(vec, [(1, 1), (2, 2)], 1, grid, "u")
+    assert [(s.start_time, s.stop_time) for s in traj] == \
+        [(t * 3600, (t + 3) * 3600)]
+    assert (traj.stays[0].lat, traj.stays[0].lon) == \
+        cell_center(Cell(1, 1), grid)
 
 
 class TestCli:
