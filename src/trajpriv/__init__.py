@@ -2,7 +2,7 @@
 3D-mobility-model k-anonymity, and generative trajectory publishing."""
 
 from .core import (Cell, GridSpec, StayRecord, Trajectory, cell_center,
-                   group_trajectories, haversine_m, parse_stays,
+                   cell_of, group_trajectories, haversine_m, parse_stays,
                    serialize_stays, time_slot, to_cell)
 from .colocation import CoEvent, CoLocationConfig, coevent_score, \
     extract_coevents, extract_pair_coevents
@@ -17,9 +17,10 @@ from .anonymize import (AnonymityPolicy, AnonymitySet, audit_anonymity_set,
                         generate_dummy, k_anonymize, trajectory_stats)
 from .publish import (SemanticModel, StayEmbedding, decode_embedding,
                       embed_trajectory, fit_semantic, purpose_posterior,
-                      similarity_report, train_node_embeddings, train_toy_gan)
+                      similarity_report, train_toy_gan)
 from .harness import (World, WorldConfig, build_pair_dataset,
                       fit_world_models, generate_world, publish_synthetic,
-                      run_attack, run_defense, sample_negative_pairs)
+                      release_similarity, run_attack, run_defense,
+                      sample_negative_pairs)
 
 __version__ = "0.1.0"

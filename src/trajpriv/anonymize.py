@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (StayRecord, Trajectory, cell_center, time_slot, to_cell,
-                   OutOfGridError)
+from .core import (Cell, StayRecord, Trajectory, _grid_xy_m, cell_center,
+                   time_slot)
 from .mobility import LocalProjection, sample_location
 
 STATISTICS = ("stay_count", "total_duration_h", "radius_of_gyration_m",
@@ -90,17 +90,12 @@ def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
 
 
 def snap_to_grid(lat, lon, grid):
-    """Cell-center coordinate of the containing cell, clamping to the grid."""
-    try:
-        cell = to_cell(lat, lon, grid)
-    except OutOfGridError:
-        from .core import _grid_xy_m
-        x_m, y_m = _grid_xy_m(lat, lon, grid)
-        x = min(max(int(math.floor(x_m / grid.cell_size_m)), 0), grid.n_x - 1)
-        y = min(max(int(math.floor(y_m / grid.cell_size_m)), 0), grid.n_y - 1)
-        from .core import Cell
-        cell = Cell(x, y)
-    return cell_center(cell, grid)
+    """Cell-center coordinate of the containing cell, clamping to the grid:
+    a point off the grid snaps to the nearest edge cell."""
+    x_m, y_m = _grid_xy_m(lat, lon, grid)
+    x = min(max(math.floor(x_m / grid.cell_size_m), 0), grid.n_x - 1)
+    y = min(max(math.floor(y_m / grid.cell_size_m), 0), grid.n_y - 1)
+    return cell_center(Cell(x, y), grid)
 
 
 def generate_dummy(model, template, grid, rng, influence=None):

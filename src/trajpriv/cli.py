@@ -14,11 +14,9 @@ from .core import group_trajectories, parse_stays, serialize_stays, \
 from .colocation import CoLocationConfig, extract_coevents
 from .features import cell_visit_entropy, compute_features, features_to_csv
 from .anonymize import AnonymityPolicy
-from .harness import (World, WorldConfig, fit_world_models,
-                      fit_world_semantic, generate_world, k_anonymize_world,
-                      publish_synthetic, report_json, report_rows_csv,
-                      run_attack, run_defense)
-from .publish import similarity_report
+from .harness import (World, WorldConfig, fit_world_models, generate_world,
+                      k_anonymize_world, publish_synthetic, release_similarity,
+                      report_json, report_rows_csv, run_attack, run_defense)
 
 
 def _load_world(world_dir):
@@ -28,10 +26,7 @@ def _load_world(world_dir):
         rows = [row for row in csv.reader(f) if row][1:]     # skip the header
     edges = {tuple(sorted((a.strip(), b.strip()))) for a, b in rows}
     cfg = WorldConfig(**json.loads((world_dir / "config.json").read_text()))
-    from .core import GridSpec
-    grid = GridSpec(cfg.origin_lat, cfg.origin_lon, cfg.cell_size_m,
-                    cfg.grid_n, cfg.grid_n, cfg.time_slot_minutes)
-    return World(cfg, grid, group_trajectories(stays), edges)
+    return World(cfg, group_trajectories(stays), edges)
 
 
 def cmd_simulate(args):
@@ -120,9 +115,7 @@ def cmd_publish(args):
         Path(args.out).write_text(serialize_stays(records))
         print(f"wrote {len(records)} synthetic stays")
     else:
-        rep = similarity_report(world.trajectories, published, world.grid,
-                                fit_world_semantic(world, seed=args.seed),
-                                CoLocationConfig())
+        rep = release_similarity(world, published, seed=args.seed)
         Path(args.out).write_text(report_json(rep))
         print(report_json(rep), end="")
     return 0

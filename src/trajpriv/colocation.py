@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EARTH_RADIUS_M, haversine_m, to_cell, OutOfGridError
+from .core import EARTH_RADIUS_M, cell_of, haversine_m
 
 KERNELS = ("indicator", "exponential")
 
@@ -101,7 +100,9 @@ def _weight(sa, sb, cfg):
     return cfg.spatial_weight(d) * cfg.temporal_weight(interval_gap_s(sa, sb))
 
 
-def _event_for(sa, sb, pair, cfg, grid):
+def _event_for(sa, sb, pair, cell, cfg):
+    """The event of user_a's stay `sa`, in `cell`, with user_b's stay `sb`,
+    or None when their kernel weight is 0."""
     w = _weight(sa, sb, cfg)
     if w <= 0.0:
         return None
@@ -109,11 +110,6 @@ def _event_for(sa, sb, pair, cfg, grid):
     hi = min(sa.stop_time, sb.stop_time)
     if lo > hi:          # disjoint stays within temporal reach
         lo = hi
-    first = sa if pair[0] == sa.user_id else sb
-    try:
-        cell = to_cell(first.lat, first.lon, grid)
-    except OutOfGridError:
-        cell = None
     return CoEvent(pair[0], pair[1], cell, lo, hi, w)
 
 
@@ -222,11 +218,13 @@ def extract_coevents(trajectories, cfg, grid, pairs=None):
         wanted = [index[x] * len(users) + index[y] for x, y in keys]
         keep = np.isin(owner[a] * len(users) + owner[b], wanted)
         a, b = a[keep], b[keep]
+    cells = {i: cell_of(stays[i].lat, stays[i].lon, grid)
+             for i in np.unique(a).tolist()}
     found = {}
     order = np.lexsort((b, a))        # the nested-loop order within a pair
     for ia, ib in zip(a[order].tolist(), b[order].tolist()):
         pair = (users[owner[ia]], users[owner[ib]])
-        ev = _event_for(stays[ia], stays[ib], pair, cfg, grid)
+        ev = _event_for(stays[ia], stays[ib], pair, cells[ia], cfg)
         if ev is not None:
             found.setdefault(pair, []).append(ev)
     for events in found.values():
@@ -262,15 +260,3 @@ def stay_participation(trajectories, cfg):
 def coevent_score(events):
     """Kernel-weighted co-occurrence score: sum of event weights."""
     return float(sum(e.weight for e in events))
-
-
-def coevents_to_jsonl(events):
-    lines = []
-    for e in events:
-        lines.append(json.dumps({
-            "user_a": e.user_a, "user_b": e.user_b,
-            "cell": None if e.cell is None else [e.cell.x, e.cell.y],
-            "overlap_start": e.overlap_start, "overlap_end": e.overlap_end,
-            "weight": e.weight,
-        }, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")

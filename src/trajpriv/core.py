@@ -273,6 +273,15 @@ def to_cell(lat, lon, grid):
     return Cell(x, y)
 
 
+def cell_of(lat, lon, grid):
+    """The grid cell of a coordinate, or None when it lies outside the
+    grid: a stay off the grid has no cell."""
+    try:
+        return to_cell(lat, lon, grid)
+    except OutOfGridError:
+        return None
+
+
 def cell_center(cell, grid):
     """(lat, lon) of a cell's center point."""
     x_m = (cell.x + 0.5) * grid.cell_size_m

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import to_cell, weekday, OutOfGridError
+from .core import cell_of, weekday
 
 FEATURE_NAMES = ("f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol")
 
@@ -71,9 +71,8 @@ def cell_visit_entropy(trajectories, grid):
     visits = {}
     for traj in trajectories.values():
         for s in traj:
-            try:
-                cell = to_cell(s.lat, s.lon, grid)
-            except OutOfGridError:
+            cell = cell_of(s.lat, s.lon, grid)
+            if cell is None:
                 continue
             visits.setdefault(cell, {}).setdefault(traj.user_id, 0)
             visits[cell][traj.user_id] += 1

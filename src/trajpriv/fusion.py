@@ -64,7 +64,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     loss: str = "cross_entropy"
-    init_scale: float | None = None  # default 1/sqrt(fan_in)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -100,13 +99,12 @@ class DenseNet:
             self.b2 = np.zeros(d_out)
 
     @classmethod
-    def init(cls, sizes, hidden_act="sigmoid", output_act="sigmoid",
-             seed=0, scale=None):
-        """Seeded uniform init in +-scale, scale defaulting to 1/sqrt(fan_in)."""
+    def init(cls, sizes, hidden_act="sigmoid", output_act="sigmoid", seed=0):
+        """Seeded uniform init in +-1/sqrt(fan_in)."""
         rng = np.random.default_rng(seed)
         d_in, d_h, d_out = sizes
-        s1 = scale if scale is not None else 1.0 / np.sqrt(d_in)
-        s2 = scale if scale is not None else 1.0 / np.sqrt(d_h)
+        s1 = 1.0 / np.sqrt(d_in)
+        s2 = 1.0 / np.sqrt(d_h)
         net = cls(tuple(sizes), hidden_act, output_act)
         net.W1 = rng.uniform(-s1, s1, (d_in, d_h))
         net.b1 = rng.uniform(-s1, s1, d_h)

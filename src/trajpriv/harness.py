@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import Cell, GridSpec, StayRecord, Trajectory, cell_center
+from .core import (Cell, GridSpec, StayRecord, Trajectory, cell_center,
+                   serialize_stays)
 from .colocation import (CoLocationConfig, extract_coevents,
                          stay_participation)
 from .features import (Standardizer, cell_visit_entropy, compute_features,
@@ -67,21 +68,29 @@ class WorldConfig:
             if not (0.0 <= p <= 1.0):
                 raise ValueError("probabilities must lie in [0, 1]")
 
+    @property
+    def grid(self):
+        """The square grid of the world, grid_n cells of cell_size_m a side
+        from the origin."""
+        return GridSpec(self.origin_lat, self.origin_lon, self.cell_size_m,
+                        self.grid_n, self.grid_n, self.time_slot_minutes)
+
 
 @dataclass
 class World:
     cfg: WorldConfig
-    grid: GridSpec
     trajectories: dict               # user -> Trajectory
     friend_edges: set                # ordered (a, b) tuples
-    social_venue_cells: list = field(default_factory=list)
+
+    @property
+    def grid(self):
+        return self.cfg.grid
 
     @property
     def users(self):
         return sorted(self.trajectories)
 
     def stays_csv(self):
-        from .core import serialize_stays
         records = [s for u in self.users for s in self.trajectories[u]]
         return serialize_stays(records)
 
@@ -152,8 +161,7 @@ def _weekend_schedule(n_slots):
 def generate_world(cfg):
     """Simulate stays for every user over the configured horizon."""
     rng = np.random.default_rng(cfg.seed)
-    grid = GridSpec(cfg.origin_lat, cfg.origin_lon, cfg.cell_size_m,
-                    cfg.grid_n, cfg.grid_n, cfg.time_slot_minutes)
+    grid = cfg.grid
     users = [f"u{i:03d}" for i in range(cfg.n_users)]
 
     if cfg.graph_model == "ring-rewire":
@@ -266,8 +274,7 @@ def generate_world(cfg):
                     u, day_start + s0 * slot_s, day_start + s1 * slot_s,
                     float(jlat), float(jlon), float(jlat), float(jlon)))
         trajectories[u] = Trajectory(u, stays)
-    return World(cfg, grid, trajectories, edges,
-                 [center(c) for c in venue_cells])
+    return World(cfg, trajectories, edges)
 
 
 def sample_negative_pairs(users, edges, n, rng):
@@ -516,6 +523,14 @@ def publish_synthetic(world, top_n=16, gan_steps=500, seed=0):
     return published, trace
 
 
+def release_similarity(world, published, seed=0, coloc_cfg=None):
+    """Similarity report of a published view against the real world, with
+    the world's semantic mixture fitted from `seed`."""
+    return similarity_report(world.trajectories, published, world.grid,
+                             fit_world_semantic(world, seed=seed),
+                             coloc_cfg or CoLocationConfig())
+
+
 def run_defense(world, defense="k_anonymity", policy=None, subsets=("all",),
                 seed=7, coloc_cfg=None, **attack_kw):
     """Attack the raw world and the defended view; report both."""
@@ -531,14 +546,10 @@ def run_defense(world, defense="k_anonymity", policy=None, subsets=("all",),
         published = publish_with_kanon(world, sets, seed=seed)
     elif defense == "publish_synthetic":
         published, _ = publish_synthetic(world, seed=seed)
-        similarity = similarity_report(world.trajectories, published,
-                                       world.grid,
-                                       fit_world_semantic(world, seed=seed),
-                                       coloc_cfg or CoLocationConfig())
+        similarity = release_similarity(world, published, seed, coloc_cfg)
     else:
         raise ValueError(f"unknown defense {defense}")
-    defended_world = World(world.cfg, world.grid, published,
-                           world.friend_edges, world.social_venue_cells)
+    defended_world = World(world.cfg, published, world.friend_edges)
     defended_rows = run_attack(defended_world, subsets, seed=seed,
                                coloc_cfg=coloc_cfg, **attack_kw)
     out = {"defense": defense, "raw": raw_rows, "defended": defended_rows}

@@ -1,8 +1,8 @@
 """Privacy-preserving trajectory publishing.
 
 Stay-embedding matrices M(x,y,k)=(t,d), a visit-purpose semantic mixture,
-skip-gram style user/location node embeddings, a toy adversarial generator
-over flattened embeddings, and multi-dimensional similarity reporting.
+a toy adversarial generator over flattened embeddings, and
+multi-dimensional similarity reporting.
 """
 
 from __future__ import annotations
@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import (OutOfGridError, StayRecord, Trajectory, abs_slot,
-                   cell_center, time_slot, to_cell)
-from .colocation import extract_coevents
+from .core import (Cell, StayRecord, Trajectory, abs_slot, cell_center,
+                   cell_of, time_slot, weekday)
+from .colocation import coevent_score, extract_coevents
+from .features import cell_visit_entropy
 from .fusion import DenseNet, _hidden_deriv, backprop_grads, loss_value
 from .mobility import em_mixture, mixture_log_joint
 
@@ -58,9 +58,8 @@ def embed_trajectory(traj, grid, K=2):
     counts = {}
     entries = {}
     for s in traj:
-        try:
-            cell = to_cell(s.lat, s.lon, grid)
-        except OutOfGridError:
+        cell = cell_of(s.lat, s.lon, grid)
+        if cell is None:
             continue
         key = (cell.x, cell.y)
         k = counts.get(key, 0)
@@ -82,7 +81,6 @@ def decode_embedding(emb, user_id="decoded"):
 def _decoded_stays(emb, user_id):
     """The stays of an embedding in start order, before the trajectory's
     no-overlap check."""
-    from .core import Cell
     by_cell = {}
     for (x, y, k), (t, d) in emb.entries.items():
         by_cell.setdefault((x, y), []).append((k, t, d))
@@ -106,18 +104,15 @@ def _decoded_stays(emb, user_id):
 
 def semantic_feature(start_time, duration_s, entropy):
     """(duration hours, start hour-of-day, weekend flag, cell popularity
-    entropy) of a presence interval."""
-    dt = datetime.fromtimestamp(start_time, tz=timezone.utc)
-    return [duration_s / 3600.0, dt.hour + dt.minute / 60.0,
-            1.0 if dt.weekday() >= 5 else 0.0, entropy]
+    entropy) of a presence interval, in UTC."""
+    hour = start_time % 86400 // 3600 + start_time % 3600 // 60 / 60.0
+    return [duration_s / 3600.0, hour,
+            1.0 if weekday(start_time) >= 5 else 0.0, entropy]
 
 
 def stay_feature(stay, grid, cell_entropy):
     """v(s): the semantic feature of a stay; 0 entropy outside the grid."""
-    try:
-        ent = cell_entropy.get(to_cell(stay.lat, stay.lon, grid), 0.0)
-    except OutOfGridError:
-        ent = 0.0
+    ent = cell_entropy.get(cell_of(stay.lat, stay.lon, grid), 0.0)
     return np.array(semantic_feature(stay.start_time, stay.duration_s, ent))
 
 
@@ -183,83 +178,6 @@ def purpose_posteriors(model, V):
 def purpose_posterior(model, v):
     """Normalized responsibilities of a stay-feature vector (log-space)."""
     return purpose_posteriors(model, np.reshape(v, (1, -1)))[0]
-
-
-# --- node embeddings -------------------------------------------------------
-
-@dataclass
-class EmbeddingSpace:
-    nodes: list
-    vectors: np.ndarray      # (|nodes|, d2)
-    index: dict = None
-    objective_trace: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.index is None:
-            self.index = {n: i for i, n in enumerate(self.nodes)}
-        if self.vectors.shape[1] < 2:
-            raise ValueError("embedding dimension must be >= 2")
-
-    def vector(self, node):
-        return self.vectors[self.index[node]]
-
-
-def _log_sigmoid(x):
-    return -np.logaddexp(0.0, -x)
-
-
-def train_node_embeddings(edges, dim=32, epochs=30, lr=0.05, neg_k=5, seed=0):
-    """Skip-gram-with-negative-sampling over the visit/friend graph.
-
-    Positives are the graph edges; negatives are drawn per positive from the
-    degree-proportional unigram distribution. Returns the embedding space
-    with a per-epoch objective trace evaluated on that epoch's sample set.
-    """
-    if not edges:
-        raise ValueError("graph must be nonempty")
-    nodes = sorted({n for e in edges for n in e}, key=str)
-    index = {n: i for i, n in enumerate(nodes)}
-    deg = np.zeros(len(nodes))
-    pos = []
-    for a, b in edges:
-        pos.append((index[a], index[b]))
-        deg[index[a]] += 1
-        deg[index[b]] += 1
-    unigram = deg / deg.sum()
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(0, 0.1, (len(nodes), dim))
-    trace = []
-    for _ in range(epochs):
-        order = rng.permutation(len(pos))
-        samples = []
-        for t in order:
-            i, j = pos[t]
-            negs = rng.choice(len(nodes), size=neg_k, p=unigram)
-            samples.append((i, j, negs))
-        for i, j, negs in samples:
-            # positive pair: ascend log sigma(theta_i . theta_j)
-            s = 1.0 / (1.0 + np.exp(-theta[i] @ theta[j]))
-            gi = (1.0 - s) * theta[j]
-            gj = (1.0 - s) * theta[i]
-            theta[i] += lr * gi
-            theta[j] += lr * gj
-            for nidx in negs:
-                if nidx == i or nidx == j:
-                    continue
-                s = 1.0 / (1.0 + np.exp(-theta[i] @ theta[nidx]))
-                theta[i] += lr * (-s) * theta[nidx]
-                theta[nidx] += lr * (-s) * theta[i]
-        obj = 0.0
-        for i, j, negs in samples:
-            obj += float(_log_sigmoid(theta[i] @ theta[j]))
-            for nidx in negs:
-                if nidx == i or nidx == j:
-                    continue
-                obj += float(_log_sigmoid(-theta[i] @ theta[nidx]))
-        if not np.isfinite(obj):
-            raise RuntimeError("embedding objective diverged")
-        trace.append(obj)
-    return EmbeddingSpace(nodes, theta, index, trace)
 
 
 # --- toy adversarial generator --------------------------------------------
@@ -388,7 +306,6 @@ def _jsd_bits(p, q):
 
 
 def _edge_set(trajectories, grid, cfg, threshold=1.0):
-    from .colocation import coevent_score
     events = extract_coevents(trajectories, cfg, grid)
     return {pair for pair, evs in events.items()
             if coevent_score(evs) >= threshold}
@@ -398,18 +315,14 @@ def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg,
                       edge_threshold=1.0):
     """Spatial/temporal/semantic JSD plus social Jaccard between two
     trajectory sets. All four values lie in [0, 1]."""
-    from .features import cell_visit_entropy
-
     def dists(trajs):
         cells, slots, purposes = {}, {}, {}
         ent = cell_visit_entropy(trajs, grid)
         for traj in trajs.values():
             for s in traj:
-                try:
-                    c = to_cell(s.lat, s.lon, grid)
+                c = cell_of(s.lat, s.lon, grid)
+                if c is not None:
                     cells[(c.x, c.y)] = cells.get((c.x, c.y), 0) + 1
-                except OutOfGridError:
-                    pass
                 slot, _ = time_slot(s.start_time, grid)
                 slots[slot] = slots.get(slot, 0) + 1
                 lam = int(np.argmax(purpose_posterior(

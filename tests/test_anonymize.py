@@ -3,8 +3,10 @@ import pytest
 
 from trajpriv.anonymize import (AnonymityPolicy, InsufficientCandidatesError,
                                 audit_anonymity_set, generate_dummy,
-                                k_anonymize, trajectory_stats)
-from trajpriv.core import GridSpec, StayRecord, Trajectory, cell_center, Cell
+                                k_anonymize, snap_to_grid,
+                                trajectory_stats)
+from trajpriv.core import (GridSpec, StayRecord, Trajectory, cell_center, Cell,
+                           to_cell)
 from trajpriv.mobility import LocalProjection, MobilityModel3D
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
@@ -112,6 +114,26 @@ class TestGenerateDummy:
             clat, clon = cell_center(c, GRID)
             assert s.lat == pytest.approx(clat, abs=1e-9)
             assert s.lon == pytest.approx(clon, abs=1e-9)
+
+
+class TestSnapToGrid:
+    def test_off_grid_points_snap_to_nearest_edge_cell(self):
+        lat, lon = cell_center(Cell(17, 23), GRID)
+        south, west = GRID.origin_lat - 0.01, GRID.origin_lon - 0.01
+        north, east = GRID.origin_lat + 0.2, GRID.origin_lon + 0.2
+        cases = {(south, lon): Cell(17, 0), (north, lon): Cell(17, 39),
+                 (lat, west): Cell(0, 23), (lat, east): Cell(39, 23),
+                 (south, west): Cell(0, 0), (north, east): Cell(39, 39)}
+        for (plat, plon), cell in cases.items():
+            assert snap_to_grid(plat, plon, GRID) == cell_center(cell, GRID)
+
+    def test_on_grid_point_snaps_to_its_cell_center(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            plat = GRID.origin_lat + rng.uniform(0.0, 0.089)
+            plon = GRID.origin_lon + rng.uniform(0.0, 0.101)
+            assert snap_to_grid(plat, plon, GRID) == \
+                cell_center(to_cell(plat, plon, GRID), GRID)
 
 
 class TestKAnonymize:

@@ -11,7 +11,7 @@ import pytest
 import trajpriv
 
 from trajpriv.core import (GridSpec, StayParseError, StayRecord, Trajectory,
-                           cell_center, haversine_m, parse_stays,
+                           cell_center, cell_of, haversine_m, parse_stays,
                            serialize_stays, stays_from_jsonl, stays_to_jsonl,
                            time_slot, to_cell, OutOfGridError)
 
@@ -168,6 +168,10 @@ class TestGrid:
     def test_out_of_grid(self):
         with pytest.raises(OutOfGridError):
             to_cell(27.0, 112.9, GRID)
+
+    def test_cell_of_is_none_only_off_the_grid(self):
+        assert cell_of(27.0, 112.9, GRID) is None
+        assert cell_of(28.0, 112.9, GRID) == to_cell(28.0, 112.9, GRID)
 
     def test_partition_against_containment_oracle(self):
         rng = np.random.default_rng(3)

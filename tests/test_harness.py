@@ -145,8 +145,7 @@ def hand_built_world(stays_by_user, edges):
     """World from {user: [((x, y), start hour, stop hour), ...]}; a cell of
     None puts the stay about 1 km south of the grid."""
     cfg = WorldConfig(n_users=len(stays_by_user), n_days=2, seed=0)
-    grid = GridSpec(cfg.origin_lat, cfg.origin_lon, cfg.cell_size_m,
-                    cfg.grid_n, cfg.grid_n, cfg.time_slot_minutes)
+    grid = cfg.grid
     trajs = {}
     for u, stays in stays_by_user.items():
         records = []
@@ -159,7 +158,7 @@ def hand_built_world(stays_by_user, edges):
                                       EPOCH_MONDAY + h1 * 3600,
                                       lat, lon, lat, lon))
         trajs[u] = Trajectory(u, records)
-    return World(cfg, grid, trajs, set(edges))
+    return World(cfg, trajs, set(edges))
 
 
 def test_publish_synthetic_skips_stays_outside_grid():
@@ -199,7 +198,7 @@ def test_participation_uses_the_cooccurrence_distance():
         trajs[u] = Trajectory(u, [StayRecord(
             u, EPOCH_MONDAY + h0 * 3600, EPOCH_MONDAY + (h0 + 1) * 3600,
             lat, lon, lat, lon)])
-    world = World(base.cfg, base.grid, trajs, set())
+    world = World(base.cfg, trajs, set())
     cells = {u: to_cell(t.stays[0].lat, t.stays[0].lon, world.grid)
              for u, t in trajs.items()}
     assert cells["u0"] != cells["u1"] and cells["u2"] == cells["u3"]
@@ -233,6 +232,17 @@ class TestCli:
             assert ((out / f"{u}.audit.json").read_text()
                     == report_json(sets[u].audit))
             assert (out / f"{u}.jsonl").read_text() == sets[u].to_jsonl()
+
+    def test_similarity_matches_run_defense(self, tmp_path):
+        d = tmp_path / "w"
+        cli_main(["--seed", "9", "simulate", "--users", "16", "--days", "5",
+                  "--out", str(d)])
+        out = tmp_path / "similarity.json"
+        assert cli_main(["--seed", "3", "publish", "similarity", "--world",
+                         str(d), "--out", str(out)]) == 0
+        rep = run_defense(_load_world(d), defense="publish_synthetic",
+                          seed=3, epochs=10)
+        assert out.read_text() == report_json(rep["similarity"])
 
     def test_load_world_round_trips_ids_with_commas(self, tmp_path):
         world = hand_built_world({"a,b": [((1, 1), 0, 2)],

@@ -1,3 +1,5 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from trajpriv.core import Cell, GridSpec, StayRecord, Trajectory, cell_center
 from trajpriv.publish import (CellOverflowError, MinMaxScaler, decode_embedding,
                               embed_trajectory, fit_semantic,
                               flatten_embeddings, gan_sample,
-                              purpose_posterior, similarity_report,
-                              stay_feature, train_node_embeddings,
-                              train_toy_gan, _jsd_bits)
+                              purpose_posterior, semantic_feature,
+                              similarity_report, stay_feature, train_toy_gan,
+                              _jsd_bits)
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
 SLOT_S = 3600
@@ -155,54 +157,6 @@ class TestSemantic:
                            purpose_posterior(permuted, v))
 
 
-class TestNodeEmbeddings:
-    def test_single_edge_dot_increases(self):
-        space = train_node_embeddings([("a", "b")], dim=4, epochs=20,
-                                      neg_k=0, seed=0)
-        # re-run with growing epoch counts: dot product grows monotonically
-        dots = []
-        for ep in (1, 5, 20):
-            s = train_node_embeddings([("a", "b")], dim=4, epochs=ep,
-                                      neg_k=0, seed=0)
-            dots.append(float(s.vector("a") @ s.vector("b")))
-        assert dots[0] < dots[1] < dots[2]
-
-    def test_planted_communities_separate(self):
-        wins = 0
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            edges = []
-            for c in range(2):
-                nodes = [f"c{c}n{i}" for i in range(8)]
-                for i in range(8):
-                    for j in range(i + 1, 8):
-                        if rng.random() < 0.8:
-                            edges.append((nodes[i], nodes[j]))
-            edges.append(("c0n0", "c1n0"))      # single bridge
-            space = train_node_embeddings(edges, dim=8, epochs=20, seed=seed)
-            intra, inter = [], []
-            for c in range(2):
-                for i in range(8):
-                    for j in range(i + 1, 8):
-                        intra.append(space.vector(f"c{c}n{i}")
-                                     @ space.vector(f"c{c}n{j}"))
-            for i in range(8):
-                for j in range(8):
-                    inter.append(space.vector(f"c0n{i}")
-                                 @ space.vector(f"c1n{j}"))
-            wins += np.mean(intra) > np.mean(inter)
-        assert wins >= 9
-
-    def test_zero_epochs_random_init(self):
-        s = train_node_embeddings([("a", "b")], dim=4, epochs=0, seed=1)
-        assert s.objective_trace == []
-        assert s.vectors.shape == (2, 4)
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            train_node_embeddings([])
-
-
 class TestToyGan:
     def toy_vectors(self, rng, n=300):
         vecs = np.zeros((n, 4))
@@ -325,3 +279,12 @@ def test_stay_feature_vector():
     from trajpriv.core import to_cell
     v = stay_feature(s, GRID, {to_cell(lat, lon, GRID): 1.3})
     assert v.tolist() == [2.0, 15.0, 0.0, 1.3]
+
+
+def test_semantic_feature_matches_datetime_over_weeks():
+    step = 3 * 3600 + 7 * 60 + 13      # walks through every weekday
+    for t in [*range(-3 * 604800, 3 * 604800, step), -1, 0, 59, 86399]:
+        dt = datetime.fromtimestamp(t, tz=timezone.utc)
+        assert semantic_feature(t, 5400, 0.7) == [
+            1.5, dt.hour + dt.minute / 60.0,
+            1.0 if dt.weekday() >= 5 else 0.0, 0.7]
