@@ -9,14 +9,13 @@ relative tolerance l of the real trajectory's value.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (Cell, StayRecord, Trajectory, _grid_xy_m, cell_center,
                    time_slot)
-from .mobility import LocalProjection, sample_location
+from .mobility import LocalProjection, LocationSampler
 
 STATISTICS = ("stay_count", "total_duration_h", "radius_of_gyration_m",
               "social_visit_fraction")
@@ -45,12 +44,15 @@ class AnonymityPolicy:
 
 
 class InsufficientCandidatesError(RuntimeError):
-    def __init__(self, accepted, needed, attempts):
+    """Too few dummies of one user's trajectory passed the policy."""
+
+    def __init__(self, accepted, needed, attempts, user_id=None):
         rate = accepted / attempts if attempts else 0.0
         super().__init__(
-            f"accepted {accepted}/{needed} dummies in {attempts} attempts "
-            f"(acceptance rate {rate:.3f})")
+            f"user {user_id}: accepted {accepted}/{needed} dummies in "
+            f"{attempts} attempts (acceptance rate {rate:.3f})")
         self.acceptance_rate = rate
+        self.user_id = user_id
 
 
 def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
@@ -78,12 +80,10 @@ def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
             if len(centers) == 0:
                 out[name] = 0.0
                 continue
-            hits = 0
-            for s in traj:
-                xy = model.projection.to_xy(s.lat, s.lon)
-                if np.min(np.linalg.norm(centers - xy, axis=1)) <= alpha_d_m:
-                    hits += 1
-            out[name] = hits / len(traj)
+            xy = model.projection.to_xy([s.lat for s in traj],
+                                        [s.lon for s in traj])
+            dist = np.linalg.norm(xy[:, None, :] - centers[None], axis=2)
+            out[name] = int(np.sum(dist.min(axis=1) <= alpha_d_m)) / len(traj)
         else:
             raise ValueError(f"unknown statistic {name}")
     return out
@@ -91,26 +91,41 @@ def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
 
 def snap_to_grid(lat, lon, grid):
     """Cell-center coordinate of the containing cell, clamping to the grid:
-    a point off the grid snaps to the nearest edge cell."""
-    x_m, y_m = _grid_xy_m(lat, lon, grid)
-    x = min(max(math.floor(x_m / grid.cell_size_m), 0), grid.n_x - 1)
-    y = min(max(math.floor(y_m / grid.cell_size_m), 0), grid.n_y - 1)
-    return cell_center(Cell(x, y), grid)
+    a point off the grid snaps to the nearest edge cell. Takes a point, or
+    arrays of points for arrays of centers."""
+    x_m, y_m = _grid_xy_m(np.asarray(lat), np.asarray(lon), grid)
+    x = np.clip(np.floor(x_m / grid.cell_size_m), 0, grid.n_x - 1).astype(int)
+    y = np.clip(np.floor(y_m / grid.cell_size_m), 0, grid.n_y - 1).astype(int)
+    if x.ndim == 0:
+        return cell_center(Cell(int(x), int(y)), grid)
+    # each distinct cell's center once
+    keys, inverse = np.unique(x * grid.n_y + y, return_inverse=True)
+    centers = np.array([cell_center(Cell(*divmod(key, grid.n_y)), grid)
+                        for key in keys.tolist()]).reshape(-1, 2)
+    return centers[inverse, 0], centers[inverse, 1]
+
+
+def _dummy_sampler(model, template, grid, influence=None):
+    """Draw function of dummies over the template's time skeleton: the
+    per-slot weights and Cholesky factors are prepared once."""
+    if len(template) == 0:
+        raise ValueError("template trajectory is empty")
+    sampler = LocationSampler(model, influence)
+    slots = np.array([time_slot(s.start_time, grid)[0] for s in template])
+
+    def draw(rng):
+        lat, lon = model.projection.to_latlon(sampler.draw(slots, rng))
+        lat, lon = snap_to_grid(lat, lon, grid)
+        return Trajectory(template.user_id, [
+            StayRecord(template.user_id, s.start_time, s.stop_time,
+                       a, b, a, b)
+            for s, a, b in zip(template, lat.tolist(), lon.tolist())])
+    return draw
 
 
 def generate_dummy(model, template, grid, rng, influence=None):
     """Synthesize one dummy trajectory over the template's time skeleton."""
-    if len(template) == 0:
-        raise ValueError("template trajectory is empty")
-    stays = []
-    for s in template:
-        slot, _ = time_slot(s.start_time, grid)
-        xy = sample_location(model, slot, rng, influence=influence)
-        lat, lon = model.projection.to_latlon(xy)
-        lat, lon = snap_to_grid(float(lat), float(lon), grid)
-        stays.append(StayRecord(template.user_id, s.start_time, s.stop_time,
-                                lat, lon, lat, lon))
-    return Trajectory(template.user_id, stays)
+    return _dummy_sampler(model, template, grid, influence)(rng)
 
 
 @dataclass
@@ -157,18 +172,20 @@ def k_anonymize(real, model, policy, grid, seed=0, influence=None,
     """Rejection-sample k-1 accepted dummies and shuffle the set."""
     rng = np.random.default_rng(seed)
     real_stats = trajectory_stats(real, policy.stats, model, alpha_d_m)
+    draw = _dummy_sampler(model, real, grid, influence)
     dummies, deviations = [], []
     attempts = 0
     while len(dummies) < policy.k - 1 and attempts < policy.max_attempts:
         attempts += 1
-        cand = generate_dummy(model, real, grid, rng, influence=influence)
+        cand = draw(rng)
         cand_stats = trajectory_stats(cand, policy.stats, model, alpha_d_m)
         dev = _deviations(real_stats, cand_stats)
         if all(v <= policy.l for v in dev.values()):
             dummies.append(cand)
             deviations.append(dev)
     if len(dummies) < policy.k - 1:
-        raise InsufficientCandidatesError(len(dummies), policy.k - 1, attempts)
+        raise InsufficientCandidatesError(len(dummies), policy.k - 1, attempts,
+                                          real.user_id)
     order = list(rng.permutation(policy.k).astype(int))
     audit = {
         "real_position": order.index(0),

@@ -255,11 +255,16 @@ def haversine_m(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
+_DEG_TO_RAD = math.pi / 180.0        # the factor math.radians multiplies by
+
+
 def _grid_xy_m(lat, lon, grid):
-    # local equirectangular projection around the grid origin
-    x = (math.radians(lon - grid.origin_lon) * EARTH_RADIUS_M
+    # local equirectangular projection around the grid origin; written
+    # with one multiply in place of math.radians so that it also takes
+    # numpy arrays, with the same floats
+    x = ((lon - grid.origin_lon) * _DEG_TO_RAD * EARTH_RADIUS_M
          * math.cos(math.radians(grid.origin_lat)))
-    y = math.radians(lat - grid.origin_lat) * EARTH_RADIUS_M
+    y = (lat - grid.origin_lat) * _DEG_TO_RAD * EARTH_RADIUS_M
     return x, y
 
 

@@ -307,16 +307,41 @@ def combined_influence(si, ti, params):
     return params.omega_s * si + params.omega_t * ti
 
 
-def sample_location(model, slot, rng, influence=None):
-    """Draw a planar point for a slot: cluster from the temporal profile
-    (social clusters reweighted by 1 + influence), then the cluster Gaussian.
+class LocationSampler:
+    """Slot-conditioned location draws from one mobility model.
+
+    Per slot, the cluster comes from the temporal profile with social
+    clusters reweighted by 1 + influence, then the point from that
+    cluster's Gaussian. Each draw takes the same generator values, in the
+    same order and with the same arithmetic, as `rng.choice(m, p=w)`
+    followed by `cholesky(cov) @ rng.standard_normal(2)`: one uniform
+    searched in the slot's normalized cumulative weights, then two normals.
     """
-    w = model.temporal_profile[slot].copy()
-    if influence:
-        for j, inf in influence.items():
+
+    def __init__(self, model, influence=None):
+        w = model.temporal_profile.copy()
+        for j, inf in (influence or {}).items():
             if model.social_flags[j]:
-                w[j] *= 1.0 + inf
-    w /= w.sum()
-    j = int(rng.choice(model.n_components, p=w))
-    L = np.linalg.cholesky(model.covs[j])
-    return model.means[j] + L @ rng.standard_normal(2)
+                w[:, j] *= 1.0 + inf
+        w /= w.sum(axis=1, keepdims=True)
+        self.cdf = np.cumsum(w, axis=1)
+        self.cdf /= self.cdf[:, -1:]
+        self.means = model.means
+        self.chol = np.linalg.cholesky(model.covs)
+
+    def draw(self, slots, rng):
+        """(n, 2) planar points, one per slot, in order."""
+        n = len(slots)
+        u = np.empty(n)
+        z = np.empty((n, 2))
+        for i in range(n):             # the generator's order: u, then z
+            u[i] = rng.random()
+            rng.standard_normal(out=z[i])
+        # searchsorted(cdf[slot], u, side="right") of each draw
+        j = np.sum(self.cdf[slots] <= u[:, None], axis=1)
+        return self.means[j] + (self.chol[j] @ z[:, :, None])[:, :, 0]
+
+
+def sample_location(model, slot, rng, influence=None):
+    """Draw a planar point for a slot (see `LocationSampler`)."""
+    return LocationSampler(model, influence).draw([slot], rng)[0]

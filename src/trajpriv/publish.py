@@ -318,6 +318,7 @@ def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg,
     def dists(trajs):
         cells, slots, purposes = {}, {}, {}
         ent = cell_visit_entropy(trajs, grid)
+        V = []
         for traj in trajs.values():
             for s in traj:
                 c = cell_of(s.lat, s.lon, grid)
@@ -325,9 +326,13 @@ def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg,
                     cells[(c.x, c.y)] = cells.get((c.x, c.y), 0) + 1
                 slot, _ = time_slot(s.start_time, grid)
                 slots[slot] = slots.get(slot, 0) + 1
-                lam = int(np.argmax(purpose_posterior(
-                    semantic_model, stay_feature(s, grid, ent))))
-                purposes[lam] = purposes.get(lam, 0) + 1
+                # stay_feature(s, grid, ent), with the cell looked up above
+                V.append(semantic_feature(s.start_time, s.duration_s,
+                                          ent.get(c, 0.0)))
+        post = purpose_posteriors(semantic_model, np.reshape(
+            V, (-1, semantic_model.means.shape[1])))
+        for lam in np.argmax(post, axis=1).tolist():
+            purposes[lam] = purposes.get(lam, 0) + 1
         return cells, slots, purposes
 
     rc, rs, rp = dists(real_trajs)

@@ -162,6 +162,11 @@ class TestKAnonymize:
         with pytest.raises(InsufficientCandidatesError) as exc:
             k_anonymize(real, model, policy, GRID, seed=2)
         assert 0.0 <= exc.value.acceptance_rate < 1.0
+        # the failing user and the rate, for a run over a whole world
+        assert exc.value.user_id == "u"
+        assert str(exc.value).startswith("user u: accepted ")
+        assert (f"acceptance rate {exc.value.acceptance_rate:.3f}"
+                in str(exc.value))
 
     def test_deterministic(self):
         model = simple_model([[0.0, 0.0], [800.0, 400.0]])

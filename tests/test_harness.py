@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
-from trajpriv.anonymize import AnonymityPolicy
+from trajpriv.anonymize import AnonymityPolicy, InsufficientCandidatesError
 from trajpriv.cli import _load_world, main as cli_main
 from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
@@ -232,6 +232,23 @@ class TestCli:
             assert ((out / f"{u}.audit.json").read_text()
                     == report_json(sets[u].audit))
             assert (out / f"{u}.jsonl").read_text() == sets[u].to_jsonl()
+
+    def test_anonymize_failure_names_the_user(self, tmp_path, capsys):
+        d = tmp_path / "w"
+        cli_main(["--seed", "2", "simulate", "--users", "16", "--days", "5",
+                  "--out", str(d)])
+        assert cli_main(["--seed", "3", "anonymize", "--world", str(d),
+                         "--l", "0.003", "--out", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err
+        world = _load_world(d)
+        with pytest.raises(InsufficientCandidatesError) as exc:
+            k_anonymize_world(world, fit_world_models(world, seed=3),
+                              AnonymityPolicy(k=5, l=0.003), seed=3)
+        # not the first user, so the name comes from the failing one
+        assert exc.value.user_id not in (None, world.users[0])
+        assert err == f"error: {exc.value}\n"
+        assert err.startswith(f"error: user {exc.value.user_id}: accepted ")
+        assert "acceptance rate" in err
 
     def test_similarity_matches_run_defense(self, tmp_path):
         d = tmp_path / "w"
