@@ -390,11 +390,9 @@ def fit_world_models(world, tau_soc=0.25, seed=0, m="auto"):
     for i, u in enumerate(world.users):
         model, assign = fit_mobility_model(world.trajectories[u], world.grid,
                                            m=m, seed=seed + i)
-        frac = np.zeros(model.n_components)
-        tot = np.zeros(model.n_components)
-        for j, hit in zip(assign, participation[u]):
-            tot[j] += 1
-            frac[j] += 1 if hit else 0
+        hits = np.asarray(participation[u], dtype=float)
+        tot = np.bincount(assign, minlength=model.n_components)
+        frac = np.bincount(assign, weights=hits, minlength=model.n_components)
         frac = np.where(tot > 0, frac / np.maximum(tot, 1), 0.0)
         label_social(model, frac, tau_soc)
         models[u] = model
@@ -406,17 +404,12 @@ def compute_influence_map(model, friend_models, slot, params=None):
     params = params or InfluenceParams()
     if not friend_models:
         return {}
-    out = {}
-    for j in range(model.n_components):
-        lat, lon = model.projection.to_latlon(model.means[j])
-        vals = []
-        for fm in friend_models:
-            xy = fm.projection.to_xy(lat, lon)
-            si = social_influence(fm, xy, slot, params)
-            ti = temporal_influence(fm, slot)
-            vals.append(combined_influence(si, ti, params))
-        out[j] = float(np.mean(vals))
-    return out
+    lat, lon = model.projection.to_latlon(model.means)
+    # (m, friends): each friend's influence on every cluster center
+    vals = np.stack([combined_influence(
+        social_influence(fm, fm.projection.to_xy(lat, lon), slot, params),
+        temporal_influence(fm, slot), params) for fm in friend_models], axis=1)
+    return {j: float(v) for j, v in enumerate(vals.mean(axis=1))}
 
 
 def k_anonymize_world(world, models, policy, seed=0, influence_slot=19,

@@ -43,84 +43,174 @@ class LocalProjection:
         return lat, lon
 
 
-# Result of em_mixture: the fitted parameters, the log-likelihood trace, and
-# the log-joint and total log-likelihood at the returned parameters.
+# One fit of em_mixtures: the fitted parameters, the log-likelihood trace,
+# and the log-joint and total log-likelihood at the returned parameters.
 MixtureFit = namedtuple("MixtureFit",
                         "means covs weights trace log_joint loglik")
+
+
+def _check_2x2(covs):
+    if covs.ndim != 3 or covs.shape[1:] != (2, 2):
+        raise ValueError(f"full covariances must be (m, 2, 2), got "
+                         f"{covs.shape}")
+
+
+def _sym2(a, b, c):
+    """(m, 2, 2) symmetric matrices [[a, b], [b, c]] from (m,) entries."""
+    out = np.empty((len(a), 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, b, c
+    return out
+
+
+def _chol2(covs):
+    """Closed-form Cholesky factors (l00, l10, l11), each (m,), of (m, 2, 2)
+    covariances (lower triangle); ValueError unless all are positive
+    definite."""
+    _check_2x2(covs)
+    a = covs[:, 0, 0]
+    if not (a > 0).all():
+        raise ValueError("covariances must be positive definite")
+    l00 = np.sqrt(a)
+    l10 = covs[:, 1, 0] / l00
+    v = covs[:, 1, 1] - l10 * l10
+    if not (v > 0).all():
+        raise ValueError("covariances must be positive definite")
+    return l00, l10, np.sqrt(v)
+
+
+def _component_log_joint(X, weights, means, covs):
+    """(m, n) matrix of log w_m + log N(x_n | mu_m, Sigma_m), one row per
+    component (see `mixture_log_joint`)."""
+    if covs.ndim == 2:
+        diff = X[None, :, :] - means[:, None, :]        # (m, n, d)
+        log_norm = 0.5 * np.sum(np.log(2 * np.pi * covs), axis=1)
+        maha = np.sum(diff ** 2 / covs[:, None, :], axis=2)
+    else:
+        if X.shape[1] != 2:
+            raise ValueError(f"full covariances need 2-D points, got "
+                             f"d={X.shape[1]}")
+        l00, l10, l11 = _chol2(covs)
+        # two triangular solves of L z = x - mu, one row of L at a time
+        z0 = (X[:, 0] - means[:, :1]) / l00[:, None]
+        z1 = (X[:, 1] - means[:, 1:] - l10[:, None] * z0) / l11[:, None]
+        log_norm = np.log(2 * np.pi) + (np.log(l00) + np.log(l11))
+        maha = z0 * z0 + z1 * z1
+    return np.log(weights + 1e-300)[:, None] + (-log_norm[:, None]
+                                                - 0.5 * maha)
 
 
 def mixture_log_joint(X, weights, means, covs):
     """(n, m) matrix of log w_m + log N(x_n | mu_m, Sigma_m).
 
-    Arrays: `weights` (m,), `means` (m, d), and `covs` either full (m, d, d)
-    covariances or (m, d) diagonal variances.
+    Arrays: `weights` (m,), `means` (m, d), and `covs` either full (m, 2, 2)
+    planar covariances (d = 2 only) or (m, d) diagonal variances.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = X.shape[1]
-    diff = X[None, :, :] - means[:, None, :]            # (m, n, d)
-    if covs.ndim == 2:
-        log_norm = 0.5 * np.sum(np.log(2 * np.pi * covs), axis=1)
-        maha = np.sum(diff ** 2 / covs[:, None, :], axis=2)
-    else:
-        L = np.linalg.cholesky(covs)
-        log_norm = (0.5 * d * np.log(2 * np.pi)
-                    + np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1))
-        z = diff @ np.linalg.inv(L).transpose(0, 2, 1)
-        maha = np.sum(z * z, axis=2)
-    log_pdf = -log_norm[:, None] - 0.5 * maha
-    # row-major (n, m), so that the M-step sums over points in point order
-    return np.log(weights + 1e-300) + np.ascontiguousarray(log_pdf.T)
+    return np.ascontiguousarray(
+        _component_log_joint(X, weights, means, covs).T)
 
 
 def _floor_cov(covs, floor):
     """Floor a batch of covariances from below: per dimension for diagonal
-    (m, d) variances, by eigenvalue for full (m, d, d) ones (keeps SPD)."""
+    (m, d) variances, by eigenvalue for full (m, 2, 2) ones (keeps SPD).
+
+    The full case uses the closed-form 2x2 eigen-decomposition of the
+    symmetrized matrix S, with eigenvalues lo <= hi. Raising each to the
+    floor adds d = max(eigenvalue, floor) - eigenvalue along its
+    eigenvector: S + d_hi I + (d_lo - d_hi) P_lo, where
+    P_lo = (hi I - S) / (hi - lo) projects onto lo's eigenvector. Equal
+    eigenvalues (S = lo I) have d_lo = d_hi and need no P_lo. A matrix
+    that needs no floor is returned unchanged."""
     if covs.ndim == 2:
         return np.maximum(covs, floor)
-    vals, vecs = np.linalg.eigh(0.5 * (covs + covs.transpose(0, 2, 1)))
-    vals = np.maximum(vals, floor)
-    return (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+    _check_2x2(covs)
+    a, c = covs[:, 0, 0], covs[:, 1, 1]
+    b = 0.5 * (covs[:, 0, 1] + covs[:, 1, 0])
+    r = np.hypot(0.5 * (a - c), b)      # half the eigenvalue gap
+    lo = 0.5 * (a + c) - r
+    if (lo >= floor).all():
+        return _sym2(a, b, c)
+    hi = lo + 2 * r
+    d_lo = np.maximum(lo, floor) - lo
+    d_hi = np.maximum(hi, floor) - hi
+    t = (d_lo - d_hi) / np.where(r > 0, 2 * r, 1.0)     # 0 when r = 0
+    return _sym2(a + d_hi + t * (hi - a), b - t * b, c + d_hi + t * (hi - c))
 
 
-def em_mixture(X, m, seed, cov0, floor, max_iter, tol):
-    """EM fit of an m-component Gaussian mixture, all components at once.
+def em_mixtures(X, starts, cov0, floor, max_iter, tol):
+    """EM fits of several Gaussian mixtures of X, stacked in one run.
 
-    Starts every component from a seeded data point, equal weight and the
-    floored `cov0`: a (d, d) covariance for a full-covariance mixture, or a
-    (d,) variance vector for a diagonal one. The trace is the per-point mean
+    `starts` lists (m, seed) pairs. Each start seeds its m means with data
+    points drawn by `default_rng(seed)`, with equal weights and the floored
+    `cov0`: a (2, 2) covariance for a full-covariance mixture, or a (d,)
+    variance vector for a diagonal one. The components of all running
+    starts share each E- and M-step; the log-sum-exp, the trace and the
+    stop rule are per start. The trace is the per-point mean
     log-likelihood at the parameters entering each iteration; the floored
     covariance update is the constrained maximizer, so it never decreases.
+    A start stops after `max_iter` M-steps or once its trace moves by less
+    than `tol`; it is returned at its current parameters, with their
+    log-joint and total log-likelihood, and leaves the stack. Returns one
+    MixtureFit per start, in order; a single fit is the one-start case.
     """
     n = X.shape[0]
-    if m < 1 or m > n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
-    means = X[rng.choice(n, size=m, replace=False)].astype(float)
+    sizes = np.array([m for m, _ in starts], dtype=int)
+    if len(sizes) == 0 or sizes.min() < 1 or sizes.max() > n:
+        raise ValueError(f"need starts with 1 <= m <= n, got "
+                         f"m={sizes.tolist()}, n={n}")
+    means = np.concatenate([
+        X[np.random.default_rng(seed).choice(n, size=m, replace=False)]
+        for m, seed in starts]).astype(float)
     covs = np.repeat(_floor_cov(np.asarray(cov0, dtype=float)[None], floor),
-                     m, axis=0)
-    weights = np.full(m, 1.0 / m)
-    trace = []
+                     len(means), axis=0)
+    weights = np.repeat(1.0 / sizes, sizes)
+    traces = [[] for _ in starts]
+    fits = [None] * len(starts)
+    live = np.arange(len(starts))       # the starts still running
+    running = np.ones(len(live), dtype=bool)
     while True:
-        log_joint = mixture_log_joint(X, weights, means, covs)
-        mx = log_joint.max(axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.exp(log_joint - mx).sum(axis=1))
-        if len(trace) == max_iter:      # parameters after the last M-step
-            break
-        trace.append(float(lse.mean()))
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol:
-            break
-        R = np.exp(log_joint - lse[:, None]).T          # (m, n)
+        if not running.all():           # drop the stopped starts
+            live, running = live[running], running[running]
+        first = np.cumsum(sizes[live]) - sizes[live]
+        seg = np.repeat(np.arange(len(live)), sizes[live])
+        # (k, n), one row per component and a run of rows per start
+        log_joint = _component_log_joint(X, weights, means, covs)
+        mx = np.maximum.reduceat(log_joint, first, axis=0)
+        lse = mx + np.log(np.add.reduceat(np.exp(log_joint - mx[seg]),
+                                          first, axis=0))   # (starts, n)
+        mean_ll = lse.sum(axis=1) / n       # as lse.mean() per start
+        for i, s in enumerate(live):
+            trace = traces[s]
+            if len(trace) < max_iter:
+                trace.append(float(mean_ll[i]))
+                if len(trace) < 2 or abs(trace[-1] - trace[-2]) >= tol:
+                    continue
+            comp = slice(first[i], first[i] + sizes[s])
+            fits[s] = MixtureFit(
+                means[comp], covs[comp], weights[comp], trace,
+                np.ascontiguousarray(log_joint[comp].T), float(lse[i].sum()))
+            running[i] = False
+        if not running.any():
+            return fits
+        # (k, n) responsibilities of the running starts. Each reduction
+        # below sees one component's row, so a start gets the same numbers
+        # in any stack as alone.
+        R = np.exp(log_joint - lse[seg])
+        if not running.all():
+            R = R[running[seg]]
         nk = R.sum(axis=1) + 1e-12
         weights = nk / n
-        means = (R @ X) / nk[:, None]
-        diff = X[None, :, :] - means[:, None, :]
+        means = (R[:, None, :] @ X)[:, 0] / nk[:, None]
         if covs.ndim == 2:
+            diff = X[None, :, :] - means[:, None, :]
             covs = np.sum(R[:, :, None] * diff ** 2, axis=1) / nk[:, None]
         else:
-            covs = ((R[:, :, None] * diff).transpose(0, 2, 1) @ diff
-                    / nk[:, None, None])
+            dx, dy = X[:, 0] - means[:, :1], X[:, 1] - means[:, 1:]
+            Rdx = R * dx
+            covs = _sym2((Rdx * dx).sum(axis=1) / nk,
+                         (Rdx * dy).sum(axis=1) / nk,
+                         (R * dy * dy).sum(axis=1) / nk)
         covs = _floor_cov(covs, floor)
-    return MixtureFit(means, covs, weights, trace, log_joint, float(lse.sum()))
 
 
 def gaussian_pdf(x, mean, cov):
@@ -131,17 +221,17 @@ def gaussian_pdf(x, mean, cov):
 def _fit_spatial(points, m, seed=0, m_range=range(1, 7), max_iter=200,
                  tol=1e-6, var_floor=VAR_FLOOR_M2):
     """Full-covariance 2D mixture with m components, or, for m="auto", the
-    fit of lowest BIC over the m in m_range that do not exceed the points."""
+    fit of lowest BIC over the m in m_range that do not exceed the points,
+    all fitted in one stacked EM run from the same seed."""
     X = np.asarray(points, dtype=float)
     n = X.shape[0]
-    if m == "auto":
-        fits = [_fit_spatial(X, k, seed, max_iter=max_iter, tol=tol,
-                             var_floor=var_floor) for k in m_range if k <= n]
-        # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
-        return min(fits, key=lambda f: (6 * len(f.weights) - 1) * np.log(n)
-                   - 2.0 * f.loglik)
+    ms = [k for k in m_range if k <= n] if m == "auto" else [m]
     cov0 = np.cov(X.T) if n > 1 else np.eye(2)
-    return em_mixture(X, m, seed, cov0, var_floor, max_iter, tol)
+    fits = em_mixtures(X, [(k, seed) for k in ms], cov0, var_floor,
+                       max_iter, tol)
+    # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
+    return min(fits, key=lambda f: (6 * len(f.weights) - 1) * np.log(n)
+               - 2.0 * f.loglik)
 
 
 def fit_gmm(points, m, seed=0, max_iter=200, tol=1e-6, var_floor=VAR_FLOOR_M2):
@@ -252,13 +342,10 @@ def fit_mobility_model(traj, grid, m="auto", seed=0):
     mm = len(weights)
     # hard-assign each stay for the profile and visit counts
     assign = log_joint.argmax(axis=1)
-    n_slots = grid.slots_per_day
-    profile = np.zeros((n_slots, mm))
-    counts = np.zeros(mm, dtype=int)
-    for s, j in zip(traj, assign):
-        slot, _ = time_slot(s.start_time, grid)
-        profile[slot, j] += 1
-        counts[j] += 1
+    slots, _ = time_slot(np.array([s.start_time for s in traj]), grid)
+    profile = np.zeros((grid.slots_per_day, mm))
+    np.add.at(profile, (slots, assign), 1)
+    counts = np.bincount(assign, minlength=mm)
     empty = profile.sum(axis=1) == 0
     profile[empty] = weights            # fall back to the global mixture
     profile /= profile.sum(axis=1, keepdims=True)
@@ -288,14 +375,19 @@ def social_influence(friend_model, point_xy, slot, params):
 
     Decays with the candidate's distance to the friend's top cluster center,
     scaled by how far that center sits from the friend's expected center at
-    this time slot.
+    this time slot. `point_xy` is one (2,) point, giving a float, or
+    (..., 2) points, giving an array of that leading shape.
     """
     c1 = friend_model.means[int(np.argmax(friend_model.weights))]
     c_slot = friend_model.temporal_profile[slot] @ friend_model.means
-    point = np.asarray(point_xy, dtype=float)
-    num = float(np.linalg.norm(point - c1))
+    d = np.asarray(point_xy, dtype=float) - c1
+    # |d| per point; the stacked 1x2 @ 2x1 product is the dot product that
+    # np.linalg.norm takes of one point
+    num = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
     den = max(float(np.linalg.norm(c1 - c_slot)), params.epsilon_d)
-    return params.pi1 * math.exp(-params.pi2 * num / den)
+    # math.exp per value: np.exp differs from it in the last bit
+    si = [params.pi1 * math.exp(x) for x in np.ravel(-params.pi2 * num / den)]
+    return si[0] if num.ndim == 0 else np.reshape(si, num.shape)
 
 
 def temporal_influence(friend_model, slot):

@@ -18,7 +18,7 @@ from .core import (Cell, StayRecord, Trajectory, abs_slot, cell_center,
 from .colocation import coevent_score, extract_coevents
 from .features import cell_visit_entropy
 from .fusion import DenseNet, _hidden_deriv, backprop_grads, loss_value
-from .mobility import em_mixture, mixture_log_joint
+from .mobility import em_mixtures, mixture_log_joint
 
 
 class CellOverflowError(ValueError):
@@ -147,25 +147,17 @@ def fit_semantic(V, n_purposes=4, seed=0, max_iter=200, tol=1e-8,
                  restarts=5):
     """EM fit of the diagonal GMM over stay-feature vectors.
 
-    Runs several seeded restarts and keeps the fit with the best final
-    log-likelihood, since a single random initialization can merge
-    nearby clusters.
+    Runs several seeded restarts, stacked in one EM run, and keeps the fit
+    with the best final log-likelihood (the first on a tie), since a single
+    random initialization can merge nearby clusters.
     """
     X = np.asarray(V, dtype=float)
-    best = None
-    for r in range(max(1, restarts)):
-        model = _fit_semantic_once(X, n_purposes, seed + 7919 * r,
-                                   max_iter, tol)
-        if best is None or model.ll_trace[-1] > best.ll_trace[-1]:
-            best = model
-    return best
-
-
-def _fit_semantic_once(X, n_purposes, seed, max_iter, tol):
     var = X.var(axis=0)
-    fit = em_mixture(X, n_purposes, seed, var, 1e-6 + 1e-4 * var, max_iter,
-                     tol)
-    return SemanticModel(fit.weights, fit.means, fit.covs, fit.trace)
+    fits = em_mixtures(X, [(n_purposes, seed + 7919 * r)
+                           for r in range(max(1, restarts))],
+                       var, 1e-6 + 1e-4 * var, max_iter, tol)
+    best = max(fits, key=lambda f: f.trace[-1])
+    return SemanticModel(best.weights, best.means, best.covs, best.trace)
 
 
 def purpose_posteriors(model, V):

@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from trajpriv.fusion import (DenseNet, DivergenceError, TrainConfig,
+from trajpriv.fusion import (DenseNet, DivergenceError, TrainConfig, _sigmoid,
                              backprop_grads, evaluate, loss_value, train)
 
 
@@ -238,3 +238,26 @@ def test_json_roundtrip():
     clone = DenseNet.from_json(net.to_json())
     X = np.random.default_rng(4).normal(0, 1, (5, 3))
     assert np.array_equal(net.forward(X), clone.forward(X))
+
+
+def masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (32, 16), (179, 16), (3, 5, 4)])
+def test_sigmoid_equals_masked_definition_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    z = rng.normal(0, 1, shape) * 10.0 ** rng.integers(-3, 4, shape)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 711.0, -711.0, 1e4, -1e4]
+    flat = z.reshape(-1)
+    flat[rng.choice(flat.size, min(len(special), flat.size), replace=False)] \
+        = special[:flat.size]
+    got, want = _sigmoid(z), masked_sigmoid(z)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # equal bit patterns, so NaN == NaN and -0.0 != 0.0
+    assert got.tobytes() == want.tobytes()

@@ -14,11 +14,14 @@ from trajpriv.core import (EARTH_RADIUS_M, Cell, GridSpec, StayRecord,
                            Trajectory, cell_center, to_cell)
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
-                              fit_world_models, fit_world_semantic,
-                              generate_world, k_anonymize_world,
-                              publish_synthetic, report_json, report_rows_csv,
+                              compute_influence_map, fit_world_models,
+                              fit_world_semantic, generate_world,
+                              k_anonymize_world, publish_synthetic,
+                              report_json, report_rows_csv,
                               run_attack, run_defense, sample_negative_pairs,
                               unflatten_vector)
+from trajpriv.mobility import (InfluenceParams, combined_influence,
+                               fit_mobility_model, temporal_influence)
 from trajpriv.publish import embed_trajectory, similarity_report
 
 
@@ -183,6 +186,58 @@ def grid_point(grid, x_m, y_m):
     lon = grid.origin_lon + math.degrees(
         x_m / (EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat))))
     return lat, lon
+
+
+@pytest.fixture(scope="module")
+def small_models(small_world):
+    return fit_world_models(small_world, seed=3)
+
+
+def test_social_flags_are_the_per_stay_participation_fractions(small_world,
+                                                                 small_models):
+    participation = coevent_participation(small_world)
+    flagged = 0
+    for i, u in enumerate(small_world.users):
+        model, assign = fit_mobility_model(small_world.trajectories[u],
+                                           small_world.grid, seed=3 + i)
+        hits = np.zeros(model.n_components)
+        tot = np.zeros(model.n_components)
+        for j, hit in zip(assign, participation[u]):
+            tot[j] += 1
+            hits[j] += 1 if hit else 0
+        frac = np.where(tot > 0, hits / np.maximum(tot, 1), 0.0)
+        assert small_models[u].social_flags.tolist() == (frac >= 0.25).tolist()
+        flagged += int(small_models[u].social_flags.sum())
+    assert flagged > 0
+
+
+def scalar_social_influence(fm, point, slot, params):
+    c1 = fm.means[int(np.argmax(fm.weights))]
+    c_slot = fm.temporal_profile[slot] @ fm.means
+    num = float(np.linalg.norm(np.asarray(point) - c1))
+    den = max(float(np.linalg.norm(c1 - c_slot)), params.epsilon_d)
+    return params.pi1 * math.exp(-params.pi2 * num / den)
+
+
+@pytest.mark.parametrize("params", [None, InfluenceParams(
+    pi1=1.3, pi2=0.7, omega_s=0.4, omega_t=0.6, epsilon_d=50.0)])
+def test_influence_map_equals_the_cluster_by_friend_loop(small_world,
+                                                         small_models, params):
+    users = small_world.users
+    p = params or InfluenceParams()
+    for i, u in enumerate(users):
+        model = small_models[u]
+        # 0 to 12 friends, so the mean runs over short and long rows
+        friends = [small_models[v] for v in (users[i + 1:] + users)[:i % 13]]
+        for slot in (0, 8, 19):
+            want = {}
+            for j in range(model.n_components * bool(friends)):
+                lat, lon = model.projection.to_latlon(model.means[j])
+                want[j] = float(np.mean([combined_influence(
+                    scalar_social_influence(fm, fm.projection.to_xy(lat, lon),
+                                            slot, p),
+                    temporal_influence(fm, slot), p) for fm in friends]))
+            assert compute_influence_map(model, friends, slot, params) == want
 
 
 def test_participation_uses_the_cooccurrence_distance():
