@@ -10,9 +10,9 @@ from .features import (FEATURE_NAMES, PairFeatures, Standardizer,
                        cell_visit_entropy, compute_features, project)
 from .fusion import DenseNet, TrainConfig, backprop_grads, evaluate, train
 from .mobility import (InfluenceParams, LocalProjection, MobilityModel3D,
-                       combined_influence, fit_gmm, fit_gmm_auto,
-                       fit_mobility_model, label_social, location_density,
-                       sample_location, social_influence, temporal_influence)
+                       combined_influence, fit_gmm, fit_mobility_model,
+                       label_social, location_density, sample_location,
+                       social_influence, temporal_influence)
 from .anonymize import (AnonymityPolicy, AnonymitySet, audit_anonymity_set,
                         generate_dummy, k_anonymize, trajectory_stats)
 from .publish import (SemanticModel, StayEmbedding, decode_embedding,

@@ -3,7 +3,9 @@
 Dummies keep the real trajectory's temporal skeleton (slots and durations)
 and redraw only space from the user's mobility model; a candidate joins the
 anonymity set only if every statistic in the policy's family stays within
-relative tolerance l of the real trajectory's value.
+tolerance l of the real trajectory's value: relative for counts, durations
+and radii, absolute for the social visit fraction, which lies in [0, 1] and
+is often 0.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Cell, StayRecord, Trajectory, _grid_xy_m, cell_center,
-                   time_slot)
+from .core import StayRecord, Trajectory, snap_to_grid, time_slot
 from .mobility import LocalProjection, LocationSampler
 
 STATISTICS = ("stay_count", "total_duration_h", "radius_of_gyration_m",
               "social_visit_fraction")
 _REL_EPS = 1e-9
+# statistics whose deviation is |c - r|, not |c - r| / |r|
+_ABSOLUTE = ("social_visit_fraction",)
 
 
 @dataclass(frozen=True)
@@ -89,22 +92,6 @@ def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
     return out
 
 
-def snap_to_grid(lat, lon, grid):
-    """Cell-center coordinate of the containing cell, clamping to the grid:
-    a point off the grid snaps to the nearest edge cell. Takes a point, or
-    arrays of points for arrays of centers."""
-    x_m, y_m = _grid_xy_m(np.asarray(lat), np.asarray(lon), grid)
-    x = np.clip(np.floor(x_m / grid.cell_size_m), 0, grid.n_x - 1).astype(int)
-    y = np.clip(np.floor(y_m / grid.cell_size_m), 0, grid.n_y - 1).astype(int)
-    if x.ndim == 0:
-        return cell_center(Cell(int(x), int(y)), grid)
-    # each distinct cell's center once
-    keys, inverse = np.unique(x * grid.n_y + y, return_inverse=True)
-    centers = np.array([cell_center(Cell(*divmod(key, grid.n_y)), grid)
-                        for key in keys.tolist()]).reshape(-1, 2)
-    return centers[inverse, 0], centers[inverse, 1]
-
-
 def _dummy_sampler(model, template, grid, influence=None):
     """Draw function of dummies over the template's time skeleton: the
     per-slot weights and Cholesky factors are prepared once."""
@@ -161,10 +148,9 @@ class AnonymitySet:
 
 
 def _deviations(real_stats, cand_stats):
-    out = {}
-    for name, rv in real_stats.items():
-        out[name] = abs(cand_stats[name] - rv) / max(abs(rv), _REL_EPS)
-    return out
+    return {name: abs(cand_stats[name] - rv)
+            / (1.0 if name in _ABSOLUTE else max(abs(rv), _REL_EPS))
+            for name, rv in real_stats.items()}
 
 
 def k_anonymize(real, model, policy, grid, seed=0, influence=None,

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+import numpy as np
+
 EARTH_RADIUS_M = 6_371_000.0
 TIME_FORMAT = "%d/%m/%Y %H:%M:%S"
 CSV_HEADER = ["ID", "Start time", "Start lat", "Start lon",
@@ -285,6 +287,22 @@ def cell_of(lat, lon, grid):
         return to_cell(lat, lon, grid)
     except OutOfGridError:
         return None
+
+
+def snap_to_grid(lat, lon, grid):
+    """Cell-center coordinate of the containing cell, clamping to the grid:
+    a point off the grid snaps to the nearest edge cell. Takes a point, or
+    arrays of points for arrays of centers."""
+    x_m, y_m = _grid_xy_m(np.asarray(lat), np.asarray(lon), grid)
+    x = np.clip(np.floor(x_m / grid.cell_size_m), 0, grid.n_x - 1).astype(int)
+    y = np.clip(np.floor(y_m / grid.cell_size_m), 0, grid.n_y - 1).astype(int)
+    if x.ndim == 0:
+        return cell_center(Cell(int(x), int(y)), grid)
+    # each distinct cell's center once
+    keys, inverse = np.unique(x * grid.n_y + y, return_inverse=True)
+    centers = np.array([cell_center(Cell(*divmod(key, grid.n_y)), grid)
+                        for key in keys.tolist()]).reshape(-1, 2)
+    return centers[inverse, 0], centers[inverse, 1]
 
 
 def cell_center(cell, grid):

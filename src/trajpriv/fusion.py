@@ -166,29 +166,39 @@ def loss_value(net, X, Y, loss="cross_entropy"):
     raise ValueError(f"unknown loss {loss}")
 
 
+def backward(net, X, H, dZ2):
+    """One backward pass through the net.
+
+    Given the input X, the hidden activations H of its forward pass and a
+    loss's gradient dZ2 at the output pre-activation, returns the gradients
+    of that loss w.r.t. every parameter and w.r.t. X."""
+    dZ1 = (dZ2 @ net.W2.T) * _hidden_deriv(H, net.hidden_act)
+    grads = {"W1": X.T @ dZ1, "b1": dZ1.sum(axis=0),
+             "W2": H.T @ dZ2, "b2": dZ2.sum(axis=0)}
+    return grads, dZ1 @ net.W1.T
+
+
+def sgd_step(net, grads, lr):
+    """One in-place gradient-descent step on the net's parameters."""
+    for name, g in grads.items():
+        p = getattr(net, name)
+        p -= lr * g
+
+
 def backprop_grads(net, X, Y, loss="cross_entropy"):
     """Analytic gradients of the mean batch loss w.r.t. all parameters."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    n = X.shape[0]
-    P, H = net.forward(X, return_hidden=True)
-    if loss in ("cross_entropy", "gan_minimax"):
-        if net.output_act not in ("sigmoid", "softmax"):
-            raise ValueError("cross-entropy requires sigmoid or softmax output")
-        # both cases reduce to (p - y) at the pre-activation, modulo the
-        # sigmoid case using the per-unit Bernoulli form
-        dZ2 = (P - Y) / n
-    else:
+    if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss}")
-    gW2 = H.T @ dZ2
-    gb2 = dZ2.sum(axis=0)
-    dH = dZ2 @ net.W2.T
-    dZ1 = dH * _hidden_deriv(H, net.hidden_act)
-    gW1 = X.T @ dZ1
-    gb1 = dZ1.sum(axis=0)
-    return {"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}
+    if net.output_act not in ("sigmoid", "softmax"):
+        raise ValueError("cross-entropy requires sigmoid or softmax output")
+    P, H = net.forward(X, return_hidden=True)
+    # both cases reduce to (p - y) at the pre-activation, modulo the
+    # sigmoid case using the per-unit Bernoulli form
+    return backward(net, X, H, (P - Y) / X.shape[0])[0]
 
 
 class DivergenceError(RuntimeError):
@@ -210,11 +220,8 @@ def train(net, X, Y, cfg):
         order = rng.permutation(X.shape[0])
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            grads = backprop_grads(net, X[idx], Y[idx], cfg.loss)
-            net.W1 -= cfg.learning_rate * grads["W1"]
-            net.b1 -= cfg.learning_rate * grads["b1"]
-            net.W2 -= cfg.learning_rate * grads["W2"]
-            net.b2 -= cfg.learning_rate * grads["b2"]
+            sgd_step(net, backprop_grads(net, X[idx], Y[idx], cfg.loss),
+                     cfg.learning_rate)
         ep_loss = loss_value(net, X, Y, cfg.loss)
         if not np.isfinite(ep_loss):
             raise DivergenceError(epoch)

@@ -26,10 +26,10 @@ from .fusion import DenseNet, TrainConfig, evaluate, train
 from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
                        label_social, social_influence, temporal_influence)
 from .anonymize import AnonymityPolicy, k_anonymize
-from .publish import (StayEmbedding, _decoded_stays, embed_trajectory,
-                      fit_semantic, flatten_embeddings, gan_sample,
-                      purpose_posteriors, semantic_feature, similarity_report,
-                      stay_feature, train_toy_gan)
+from .publish import (StayEmbedding, embed_trajectory, fit_semantic,
+                      flatten_embeddings, gan_sample, purpose_posteriors,
+                      semantic_feature, similarity_report, stay_feature,
+                      train_toy_gan, unflatten_vectors)
 
 EPOCH_MONDAY = 1568592000  # 2019-09-16 00:00:00 UTC, a Monday
 
@@ -440,37 +440,6 @@ def publish_with_kanon(world, sets, seed=0):
     return published
 
 
-def _drop_overlaps(stays):
-    """The stays in (start, stop) order, without each one that overlaps an
-    earlier kept stay."""
-    kept, last_stop = [], None
-    for s in sorted(stays, key=lambda x: (x.start_time, x.stop_time)):
-        if last_stop is None or s.start_time >= last_stop:
-            kept.append(s)
-            last_stop = s.stop_time
-    return kept
-
-
-def unflatten_vector(vec, cells, K, grid, user_id):
-    """Inverse of flatten_embeddings for one generated vector; stays that
-    overlap an earlier one are dropped."""
-    entries = {}
-    for c, (x, y) in enumerate(cells):
-        items = []
-        for k in range(K):
-            t = int(round(vec[(c * K + k) * 2]))
-            d = int(round(vec[(c * K + k) * 2 + 1]))
-            if d >= 1 and t > 0:
-                items.append((t, d))
-        items.sort()
-        for k, (t, d) in enumerate(items):
-            if k > 0 and t <= items[k - 1][0]:
-                continue
-            entries[(x, y, k)] = (t, d)
-    stays = _decoded_stays(StayEmbedding(grid, K, entries), user_id)
-    return Trajectory(user_id, _drop_overlaps(stays))
-
-
 def _day_slices(traj, n_days):
     """Per-day sub-trajectories (stays bucketed by their start day)."""
     out = [[] for _ in range(n_days)]
@@ -503,10 +472,7 @@ def publish_synthetic(world, top_n=16, gan_steps=500, seed=0):
         n = len(per_user[u])
         samples = gan_sample(gen, scaler, n, seed=seed + 1 + offset)
         offset += n
-        stays = []
-        for vec in samples:
-            stays.extend(unflatten_vector(vec, cells, K, world.grid, u).stays)
-        kept = _drop_overlaps(stays)
+        kept = unflatten_vectors(samples, cells, K, world.grid, u).stays
         if not kept:              # degenerate sample: fall back to one stay
             lat, lon = cell_center(Cell(*cells[0]), world.grid)
             s0 = world.trajectories[u].stays[0]

@@ -213,11 +213,6 @@ def em_mixtures(X, starts, cov0, floor, max_iter, tol):
         covs = _floor_cov(covs, floor)
 
 
-def gaussian_pdf(x, mean, cov):
-    return np.exp(mixture_log_joint(x, np.ones(1), np.asarray(mean)[None],
-                                    np.asarray(cov, dtype=float)[None])[:, 0])
-
-
 def _fit_spatial(points, m, seed=0, m_range=range(1, 7), max_iter=200,
                  tol=1e-6, var_floor=VAR_FLOOR_M2):
     """Full-covariance 2D mixture with m components, or, for m="auto", the
@@ -235,7 +230,8 @@ def _fit_spatial(points, m, seed=0, m_range=range(1, 7), max_iter=200,
 
 
 def fit_gmm(points, m, seed=0, max_iter=200, tol=1e-6, var_floor=VAR_FLOOR_M2):
-    """Full-covariance 2D GMM by EM.
+    """Full-covariance 2D GMM by EM; m="auto" selects the component count
+    of lowest BIC in 1..6.
 
     Returns (means, covs, weights, log-likelihood trace). The trace is the
     per-point mean log-likelihood evaluated at the parameters entering each
@@ -244,11 +240,6 @@ def fit_gmm(points, m, seed=0, max_iter=200, tol=1e-6, var_floor=VAR_FLOOR_M2):
     """
     return _fit_spatial(points, m, seed, max_iter=max_iter, tol=tol,
                         var_floor=var_floor)[:4]
-
-
-def fit_gmm_auto(points, seed=0, m_range=range(1, 7), **kw):
-    """BIC model selection over component counts."""
-    return _fit_spatial(points, "auto", seed, m_range, **kw)[:4]
 
 
 @dataclass(frozen=True)

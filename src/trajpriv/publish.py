@@ -17,7 +17,7 @@ from .core import (Cell, StayRecord, Trajectory, abs_slot, cell_center,
                    cell_of, time_slot, weekday)
 from .colocation import coevent_score, extract_coevents
 from .features import cell_visit_entropy
-from .fusion import DenseNet, _hidden_deriv, backprop_grads, loss_value
+from .fusion import DenseNet, backprop_grads, backward, loss_value, sgd_step
 from .mobility import em_mixtures, mixture_log_joint
 
 
@@ -214,14 +214,39 @@ def flatten_embeddings(embeddings, top_n=16):
     return vecs, cells
 
 
-def _disc_input_grad(disc, X, target):
-    """d(mean BCE(disc(X), target)) / dX."""
-    n = X.shape[0]
-    P, H = disc.forward(X, return_hidden=True)
-    dZ2 = (P - target) / n
-    dH = dZ2 @ disc.W2.T
-    dZ1 = dH * _hidden_deriv(H, disc.hidden_act)
-    return dZ1 @ disc.W1.T
+def _drop_overlaps(stays):
+    """The stays in (start, stop) order, without each one that overlaps an
+    earlier kept stay."""
+    kept, last_stop = [], None
+    for s in sorted(stays, key=lambda x: (x.start_time, x.stop_time)):
+        if last_stop is None or s.start_time >= last_stop:
+            kept.append(s)
+            last_stop = s.stop_time
+    return kept
+
+
+def unflatten_vectors(vecs, cells, K, grid, user_id):
+    """Inverse of flatten_embeddings: one trajectory from generated vectors.
+    The stays of each vector that overlap an earlier one are dropped, then
+    those that overlap a kept stay of another vector."""
+    stays = []
+    for vec in vecs:
+        entries = {}
+        for c, (x, y) in enumerate(cells):
+            items = []
+            for k in range(K):
+                t = int(round(vec[(c * K + k) * 2]))
+                d = int(round(vec[(c * K + k) * 2 + 1]))
+                if d >= 1 and t > 0:
+                    items.append((t, d))
+            items.sort()
+            for k, (t, d) in enumerate(items):
+                if k > 0 and t <= items[k - 1][0]:
+                    continue
+                entries[(x, y, k)] = (t, d)
+        stays.extend(_drop_overlaps(
+            _decoded_stays(StayEmbedding(grid, K, entries), user_id)))
+    return Trajectory(user_id, _drop_overlaps(stays))
 
 
 def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
@@ -244,25 +269,20 @@ def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
         z = rng.standard_normal((len(idx), z_dim))
         fake = gen.forward(z)
         Xd = np.vstack([R[idx], fake])
-        Yd = np.vstack([np.ones((len(idx), 1)), np.zeros((len(idx), 1))])
-        gd = backprop_grads(disc, Xd, Yd, "gan_minimax")
-        for p, g in gd.items():
-            setattr(disc, p, getattr(disc, p) - lr * g)
+        ones = np.ones((len(idx), 1))
+        Yd = np.vstack([ones, np.zeros_like(ones)])
+        sgd_step(disc, backprop_grads(disc, Xd, Yd, "gan_minimax"), lr)
         d_loss = loss_value(disc, Xd, Yd, "gan_minimax")
-        # generator step: push disc(fake) toward 1
+        # generator step: push disc(fake) toward 1, backpropagating the
+        # discriminator's loss through its input into the generator
         z = rng.standard_normal((len(idx), z_dim))
-        Zg = np.atleast_2d(z)
-        fake, Hg = gen.forward(Zg, return_hidden=True)
-        dfake = _disc_input_grad(disc, fake, np.ones((len(idx), 1)))
-        dZ2g = dfake * fake * (1.0 - fake)     # sigmoid output of gen
-        gen.W2 -= lr * (Hg.T @ dZ2g)
-        gen.b2 -= lr * dZ2g.sum(axis=0)
-        dH = dZ2g @ gen.W2.T
-        dZ1 = dH * _hidden_deriv(Hg, gen.hidden_act)
-        gen.W1 -= lr * (Zg.T @ dZ1)
-        gen.b1 -= lr * dZ1.sum(axis=0)
-        g_loss = loss_value(disc, gen.forward(Zg), np.ones((len(idx), 1)),
-                            "gan_minimax")
+        fake, Hg = gen.forward(z, return_hidden=True)
+        P, Hd = disc.forward(fake, return_hidden=True)
+        _, dfake = backward(disc, fake, Hd, (P - ones) / len(idx))
+        # the generator's output is a sigmoid
+        sgd_step(gen, backward(gen, z, Hg, dfake * fake * (1.0 - fake))[0],
+                 lr)
+        g_loss = loss_value(disc, gen.forward(z), ones, "gan_minimax")
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
             raise RuntimeError(f"non-finite adversarial loss at step {step}")
         trace["disc_loss"].append(d_loss)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from trajpriv.anonymize import (AnonymityPolicy, InsufficientCandidatesError,
-                                audit_anonymity_set, generate_dummy,
-                                k_anonymize, snap_to_grid,
-                                trajectory_stats)
+                                _deviations, audit_anonymity_set,
+                                generate_dummy, k_anonymize, trajectory_stats)
 from trajpriv.core import (GridSpec, StayRecord, Trajectory, cell_center, Cell,
-                           to_cell)
+                           snap_to_grid, to_cell)
+from trajpriv.harness import (WorldConfig, fit_world_models, generate_world,
+                              k_anonymize_world)
 from trajpriv.mobility import LocalProjection, MobilityModel3D
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
@@ -197,6 +198,30 @@ class TestKAnonymize:
         for seed in range(20):
             aset = k_anonymize(real, model, policy, GRID, seed=seed)
             assert audit_anonymity_set(aset, policy, model)
+
+
+class TestTolerance:
+    def test_fraction_deviates_absolutely_the_rest_relatively(self):
+        real = {"social_visit_fraction": 0.0, "radius_of_gyration_m": 200.0}
+        cand = {"social_visit_fraction": 0.25, "radius_of_gyration_m": 150.0}
+        assert _deviations(real, cand) == {"social_visit_fraction": 0.25,
+                                           "radius_of_gyration_m": 0.25}
+
+    def test_small_and_zero_social_fractions_are_anonymizable(self):
+        # on world seed 30, u025 visits a social cluster in 2 of 87 stays
+        # and u026 in none; relative to such a fraction nearly every dummy
+        # deviated by more than l, and only 2 of 200 passed
+        world = generate_world(WorldConfig(seed=30))
+        models = fit_world_models(world, seed=7)
+        stats = ("stay_count", "radius_of_gyration_m",
+                 "social_visit_fraction")
+        for l in (0.3, 0.5, 0.9):
+            policy = AnonymityPolicy(k=4, l=l, stats=stats)
+            sets = k_anonymize_world(world, models, policy, seed=7)
+            for u in ("u025", "u026"):
+                assert sets[u].audit["acceptance_rate"] == 1.0
+            assert all(audit_anonymity_set(sets[u], policy, models[u])
+                       for u in sets)
 
 
 class TestPolicy:

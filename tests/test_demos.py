@@ -1,4 +1,5 @@
-"""The demos that call the location sampler run to completion."""
+"""The demos that call the location sampler or train the GAN run to
+completion."""
 
 import os
 import subprocess
@@ -12,7 +13,8 @@ import trajpriv
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["03_mobility_model.py", "04_k_anonymity.py"])
+@pytest.mark.parametrize("demo", ["03_mobility_model.py", "04_k_anonymity.py",
+                                  "05_synthetic_publishing.py"])
 def test_demo_runs(demo):
     src = str(Path(trajpriv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

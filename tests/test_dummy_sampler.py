@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from trajpriv.anonymize import (AnonymityPolicy, InsufficientCandidatesError,
                                 audit_anonymity_set, generate_dummy,
-                                k_anonymize, snap_to_grid, trajectory_stats)
-from trajpriv.core import GridSpec, StayRecord, Trajectory, time_slot
+                                k_anonymize, trajectory_stats)
+from trajpriv.core import (GridSpec, StayRecord, Trajectory, snap_to_grid,
+                           time_slot)
 from trajpriv.mobility import (LocalProjection, LocationSampler,
                                MobilityModel3D, sample_location)
 

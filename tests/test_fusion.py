@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from trajpriv.fusion import (DenseNet, DivergenceError, TrainConfig, _sigmoid,
-                             backprop_grads, evaluate, loss_value, train)
+                             backprop_grads, backward, evaluate, loss_value,
+                             train)
 
 
 def finite_difference(net, X, Y, loss, h=1e-5):
-    """Central-difference gradient oracle over every parameter entry."""
+    """Central-difference gradient oracle over every parameter entry and,
+    as "X", every input entry."""
     grads = {}
-    for name in ("W1", "b1", "W2", "b2"):
-        p = getattr(net, name)
+    for name in ("W1", "b1", "W2", "b2", "X"):
+        p = X if name == "X" else getattr(net, name)
         g = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
@@ -30,8 +32,8 @@ def finite_difference(net, X, Y, loss, h=1e-5):
 def near_relu_kink(net, X, h=1e-5):
     """Whether one finite-difference step of size h on a first-layer
     parameter can move a hidden pre-activation across 0, where a central
-    difference is not the derivative: W1[i, j] moves it by h * X[n, i] and
-    b1[j] by h."""
+    difference is not the derivative: W1[i, j] moves it by h * X[n, i],
+    b1[j] by h and X[n, i] by h * W1[i, j], no more than h at init."""
     Z = X @ net.W1 + net.b1
     step = h * np.maximum(1.0, np.abs(X).max(axis=1, keepdims=True))
     return bool((np.abs(Z) <= step).any())
@@ -104,7 +106,9 @@ class TestGradients:
             net, X, Y = random_case(rng, hidden_act, output_act, loss)
             if hidden_act == "relu" and near_relu_kink(net, X):
                 continue
-            assert_grads_close(backprop_grads(net, X, Y, loss),
+            P, H = net.forward(X, return_hidden=True)
+            _, dX = backward(net, X, H, (P - Y) / len(X))
+            assert_grads_close({**backprop_grads(net, X, Y, loss), "X": dX},
                                finite_difference(net, X, Y, loss))
             ran += 1
         assert ran >= 2

@@ -18,11 +18,11 @@ from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               fit_world_semantic, generate_world,
                               k_anonymize_world, publish_synthetic,
                               report_json, report_rows_csv,
-                              run_attack, run_defense, sample_negative_pairs,
-                              unflatten_vector)
+                              run_attack, run_defense, sample_negative_pairs)
 from trajpriv.mobility import (InfluenceParams, combined_influence,
                                fit_mobility_model, temporal_influence)
-from trajpriv.publish import embed_trajectory, similarity_report
+from trajpriv.publish import (embed_trajectory, similarity_report,
+                              unflatten_vectors)
 
 
 def small_cfg(**kw):
@@ -265,11 +265,16 @@ def test_unflatten_drops_overlapping_stays():
     grid = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
     t = EPOCH_MONDAY // 3600
     vec = np.array([t, 3, t + 1, 1], dtype=float)   # (t, 3) and (t + 1, 1)
-    traj = unflatten_vector(vec, [(1, 1), (2, 2)], 1, grid, "u")
+    traj = unflatten_vectors([vec], [(1, 1), (2, 2)], 1, grid, "u")
     assert [(s.start_time, s.stop_time) for s in traj] == \
         [(t * 3600, (t + 3) * 3600)]
     assert (traj.stays[0].lat, traj.stays[0].lon) == \
         cell_center(Cell(1, 1), grid)
+    # a second vector's (t + 2, 2) drops its own (t + 3, 1) and is then
+    # dropped itself for overlapping the first vector's (t, 3)
+    other = np.array([t + 3, 1, t + 2, 2], dtype=float)
+    both = unflatten_vectors([vec, other], [(1, 1), (2, 2)], 1, grid, "u")
+    assert both.stays == traj.stays
 
 
 class TestCli:

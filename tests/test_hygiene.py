@@ -1,5 +1,5 @@
-"""Source hygiene of the package: every import at module level, and every
-import used."""
+"""Source hygiene of the package: every import at module level, every
+import used, and no module importing another's private names."""
 
 import ast
 from pathlib import Path
@@ -44,6 +44,16 @@ def test_no_unused_import(path):
     assert sorted(set(bound) - used) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_import_from_another_module(path):
+    private = [f"{node.module}.{a.name}:{node.lineno}"
+               for node in ast.walk(parse(path))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.split(".")[0] == "trajpriv")
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
 def test_checks_catch_what_they_look_for(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("import json\nimport math\n\n\ndef f():\n"
@@ -52,3 +62,6 @@ def test_checks_catch_what_they_look_for(tmp_path):
         test_no_function_local_import(path)
     with pytest.raises(AssertionError):
         test_no_unused_import(path)
+    path.write_text("from .core import _grid_xy_m\n")
+    with pytest.raises(AssertionError):
+        test_no_private_import_from_another_module(path)

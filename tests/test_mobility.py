@@ -6,9 +6,16 @@ from scipy.stats import chisquare
 
 from trajpriv.mobility import (InfluenceParams, LocalProjection,
                                MobilityModel3D, combined_influence, fit_gmm,
-                               fit_gmm_auto, gaussian_pdf, label_social,
-                               location_density, sample_location,
+                               label_social, location_density,
+                               mixture_log_joint, sample_location,
                                social_influence, temporal_influence)
+
+
+def gaussian_pdf(x, mean, cov):
+    """Density of one Gaussian at each row of x."""
+    return np.exp(mixture_log_joint(np.atleast_2d(x), np.ones(1),
+                                    np.asarray(mean)[None],
+                                    np.asarray(cov, dtype=float)[None])[:, 0])
 
 
 def make_model(means, covs, weights, profile, flags=None):
@@ -68,7 +75,7 @@ class TestFitGMM:
         rng = np.random.default_rng(9)
         X = np.vstack([rng.normal([0, 0], 100, (120, 2)),
                        rng.normal([6000, 0], 100, (120, 2))])
-        means, _, weights, _ = fit_gmm_auto(X, seed=2)
+        means, _, weights, _ = fit_gmm(X, "auto", seed=2)
         assert len(weights) == 2
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from trajpriv.colocation import CoLocationConfig
 from trajpriv.core import Cell, GridSpec, StayRecord, Trajectory, cell_center
+from trajpriv.fusion import DenseNet, backprop_grads, loss_value, sgd_step
 from trajpriv.publish import (CellOverflowError, MinMaxScaler, decode_embedding,
                               embed_trajectory, fit_semantic,
                               flatten_embeddings, gan_sample,
@@ -176,7 +177,6 @@ class TestToyGan:
         assert len(trace["disc_loss"]) == 10
 
     def test_discriminator_separable_fixture(self):
-        from trajpriv.fusion import DenseNet, backprop_grads
         rng = np.random.default_rng(1)
         real = rng.normal(0.8, 0.05, (200, 4))
         noise = rng.normal(0.2, 0.05, (200, 4))
@@ -185,11 +185,43 @@ class TestToyGan:
         disc = DenseNet.init((4, 32, 1), "tanh", "sigmoid", seed=1)
         for _ in range(500):
             idx = rng.choice(400, 32, replace=False)
-            g = backprop_grads(disc, X[idx], Y[idx], "gan_minimax")
-            for p, gr in g.items():
-                setattr(disc, p, getattr(disc, p) - 0.05 * gr)
+            sgd_step(disc, backprop_grads(disc, X[idx], Y[idx], "gan_minimax"),
+                     0.05)
         acc = np.mean((disc.forward(X) >= 0.5) == Y)
         assert acc > 0.9
+
+    def test_generator_step_is_minus_lr_times_loss_gradient(self):
+        real = np.random.default_rng(0).uniform(0, 10, (40, 3))
+        z_dim, hidden, batch, lr, seed = 2, 4, 8, 0.05, 3
+        stepped, scaler, _ = train_toy_gan(real, z_dim, hidden, steps=1,
+                                           batch=batch, lr=lr, seed=seed)
+        # replay the first step's draws and discriminator step
+        rng = np.random.default_rng(seed)
+        disc = DenseNet.init((3, hidden, 1), "tanh", "sigmoid", seed=seed + 1)
+        gen = DenseNet.init((z_dim, hidden, 3), "tanh", "sigmoid",
+                            seed=seed + 2)
+        idx = rng.choice(40, size=batch, replace=False)
+        fake = gen.forward(rng.standard_normal((batch, z_dim)))
+        Xd = np.vstack([scaler.transform(real)[idx], fake])
+        Yd = np.vstack([np.ones((batch, 1)), np.zeros((batch, 1))])
+        sgd_step(disc, backprop_grads(disc, Xd, Yd, "gan_minimax"), lr)
+        z = rng.standard_normal((batch, z_dim))
+        ones = np.ones((batch, 1))
+        h = 1e-5
+        for name, p in gen.params().items():
+            grad = np.zeros_like(p)
+            for i in np.ndindex(p.shape):
+                orig = p[i]
+                loss = []
+                for v in (orig + h, orig - h):
+                    p[i] = v
+                    loss.append(loss_value(disc, gen.forward(z), ones,
+                                           "gan_minimax"))
+                p[i] = orig
+                grad[i] = (loss[0] - loss[1]) / (2 * h)
+            step = getattr(stepped, name) - p
+            assert np.max(np.abs(step + lr * grad)) \
+                <= 1e-5 * np.max(np.abs(lr * grad)), name
 
     def test_marginal_means_recovered(self):
         rng = np.random.default_rng(42)
