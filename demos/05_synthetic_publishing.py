@@ -1,9 +1,11 @@
 """Generative trajectory publishing and similarity audit.
 
-Embeds real trajectories as sparse stay matrices, trains the toy GAN on
-the flattened vectors, rebuilds a fully synthetic dataset, and scores
-how well it preserves spatial, temporal, semantic, and social structure.
-Finally re-runs the link attack on the synthetic release.
+Encodes each user-day as dense stay rows (presence, start slot, duration,
+one-hot of the stay's cell among the user's own top cells), trains the toy
+GAN on them, decodes sampled days onto each user's real days to rebuild a
+fully synthetic dataset, and scores how well it preserves spatial,
+temporal, semantic, and social structure. Finally re-runs the link attack
+on the synthetic release.
 """
 
 from trajpriv import WorldConfig, generate_world, run_defense
@@ -18,7 +20,7 @@ def main():
     print(f"attack F1 on synthetic data: {defended['f1']:.3f}")
 
     print("similarity of synthetic release to the real data "
-          "(divergences, 0 = identical):")
+          "(JSDs: 0 = identical; social Jaccard: 1 = identical):")
     for key, val in sorted(out["similarity"].items()):
         print(f"  {key:15s} {val:.3f}")
 

@@ -32,32 +32,34 @@ class CoLocationConfig:
             raise ValueError(f"kernel must be one of {KERNELS}")
 
     def spatial_weight(self, dist_m):
-        if self.spatial_kernel == "indicator":
-            return 1.0 if dist_m <= self.alpha_d_m else 0.0
-        if dist_m > 3.0 * self.alpha_d_m:
-            return 0.0
-        return math.exp(-dist_m / self.alpha_d_m)
+        return _kernel_weight(dist_m, self.alpha_d_m, self.spatial_kernel)
 
     def temporal_weight(self, gap_s):
-        if self.temporal_kernel == "indicator":
-            return 1.0 if gap_s <= self.alpha_t_s else 0.0
-        if gap_s > 3.0 * self.alpha_t_s:
-            return 0.0
-        return math.exp(-gap_s / self.alpha_t_s)
+        return _kernel_weight(gap_s, self.alpha_t_s, self.temporal_kernel)
 
     @property
     def spatial_reach_m(self):
         """Largest distance that can still yield a nonzero weight."""
-        if self.spatial_kernel == "indicator":
-            return self.alpha_d_m
-        return 3.0 * self.alpha_d_m
+        return _kernel_reach(self.alpha_d_m, self.spatial_kernel)
 
     @property
     def temporal_reach_s(self):
         """Largest interval gap that can still yield a nonzero weight."""
-        if self.temporal_kernel == "indicator":
-            return self.alpha_t_s
-        return 3.0 * self.alpha_t_s
+        return _kernel_reach(self.alpha_t_s, self.temporal_kernel)
+
+
+def _kernel_weight(x, alpha, kind):
+    """Kernel weight of a distance or gap x >= 0 under threshold alpha."""
+    if kind == "indicator":
+        return 1.0 if x <= alpha else 0.0
+    if x > 3.0 * alpha:
+        return 0.0
+    return math.exp(-x / alpha)
+
+
+def _kernel_reach(alpha, kind):
+    """Largest x that still has a nonzero kernel weight."""
+    return alpha if kind == "indicator" else 3.0 * alpha
 
 
 @dataclass(frozen=True)

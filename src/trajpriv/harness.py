@@ -26,10 +26,9 @@ from .fusion import DenseNet, TrainConfig, evaluate, train
 from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
                        label_social, social_influence, temporal_influence)
 from .anonymize import AnonymityPolicy, k_anonymize
-from .publish import (StayEmbedding, embed_trajectory, fit_semantic,
-                      flatten_embeddings, gan_sample, purpose_posteriors,
-                      semantic_feature, similarity_report, stay_feature,
-                      train_toy_gan, unflatten_vectors)
+from .publish import (decode_days, fit_semantic, gan_sample,
+                      purpose_posteriors, semantic_feature, similarity_report,
+                      stay_feature, stay_rows, top_cells, train_toy_gan)
 
 EPOCH_MONDAY = 1568592000  # 2019-09-16 00:00:00 UTC, a Monday
 
@@ -133,26 +132,16 @@ def planted_partition_graph(n, groups, p_in, p_out, rng):
     return edges
 
 
-def _weekday_schedule(n_slots):
-    # slot -> "home" | "work" | "free", for a 24-slot day scaled to n_slots
+def _day_schedule(n_slots, weekend):
+    # slot -> "home" | "work" | "free", for a 24-slot day scaled to n_slots;
+    # weekends have no work and an hour longer at home in the morning
     sched = []
     for slot in range(n_slots):
         hour = slot * 24 // n_slots
-        if hour <= 7 or hour >= 21:
+        if hour <= (8 if weekend else 7) or hour >= 21:
             sched.append("home")
-        elif 9 <= hour <= 17:
+        elif not weekend and 9 <= hour <= 17:
             sched.append("work")
-        else:
-            sched.append("free")
-    return sched
-
-
-def _weekend_schedule(n_slots):
-    sched = []
-    for slot in range(n_slots):
-        hour = slot * 24 // n_slots
-        if hour <= 8 or hour >= 21:
-            sched.append("home")
         else:
             sched.append("free")
     return sched
@@ -173,6 +162,7 @@ def generate_world(cfg):
     else:
         raise ValueError(f"unknown graph model {cfg.graph_model}")
     edges = {(users[a], users[b]) for a, b in idx_edges}
+    sorted_edges = sorted(edges)
 
     # distinct anchor cells: workplaces, social venues, then homes
     n_anchor = cfg.n_workplaces + cfg.n_social_venues + cfg.n_users
@@ -193,30 +183,28 @@ def generate_world(cfg):
 
     pair_meet_p = {}
     pair_venues = {}
-    for e in sorted(edges):
+    for e in sorted_edges:
         pair_meet_p[e] = float(rng.uniform(cfg.p_meet_lo, cfg.p_meet_hi))
         vsel = rng.choice(cfg.n_social_venues, size=cfg.venues_per_pair,
                          replace=False)
         pair_venues[e] = [center(venue_cells[v]) for v in vsel]
 
     n_slots = grid.slots_per_day
-    weekday_sched = _weekday_schedule(n_slots)
-    weekend_sched = _weekend_schedule(n_slots)
+    schedule = {weekend: _day_schedule(n_slots, weekend)
+                for weekend in (False, True)}
 
     # anchors[user][day] is a per-slot location list
     anchors = {u: [] for u in users}
     for day in range(cfg.n_days):
         weekend = (day % 7) >= 5
-        sched = weekend_sched if weekend else weekday_sched
+        sched = schedule[weekend]
         day_anchor = {}
         for u in users:
             day_anchor[u] = [home[u] if kind == "home"
                              else work[u] if kind == "work"
                              else None for kind in sched]
         # friend meetings at shared venues, in deterministic shuffled order
-        order = rng.permutation(len(sorted(edges)))
-        sorted_edges = sorted(edges)
-        for t in order:
+        for t in rng.permutation(len(sorted_edges)):
             a, b = sorted_edges[t]
             p = pair_meet_p[(a, b)]
             if weekend:
@@ -440,45 +428,43 @@ def publish_with_kanon(world, sets, seed=0):
     return published
 
 
-def _day_slices(traj, n_days):
-    """Per-day sub-trajectories (stays bucketed by their start day)."""
-    out = [[] for _ in range(n_days)]
+def _day_slices(traj):
+    """A trajectory's stays bucketed by the UTC day of their start (epoch
+    seconds // 86400), in day order."""
+    days = {}
     for s in traj:
-        day = min((s.start_time - EPOCH_MONDAY) // 86400, n_days - 1)
-        out[int(day)].append(s)
-    return [Trajectory(traj.user_id, stays) for stays in out if stays]
+        days.setdefault(s.start_time // 86400, []).append(s)
+    return days
 
 
 def publish_synthetic(world, top_n=16, gan_steps=500, seed=0):
     """Adversarially generated published view of the whole world.
 
-    The generator is trained over per-day embedding slices; each user's
-    published trajectory is rebuilt from freshly sampled day vectors.
+    Each user-day is L dense stay rows (publish.stay_rows) over the user's
+    own top_n cells, L being the most rows any user-day holds. One
+    generator is trained over all user-days; each user's published
+    trajectory decodes freshly sampled days onto the user's real days.
     """
-    slices = []
-    per_user = {}
+    cells, days, rows = {}, {}, []
     for u in world.users:
-        per_user[u] = _day_slices(world.trajectories[u], world.cfg.n_days)
-        slices.extend(per_user[u])
-    # K is the most stays any slice holds in one cell
-    wide = [embed_trajectory(sl, world.grid, K=len(sl)) for sl in slices]
-    K = max([1] + [k + 1 for emb in wide for (_, _, k) in emb.entries])
-    embs = [StayEmbedding(world.grid, K, emb.entries) for emb in wide]
-    vecs, cells = flatten_embeddings(embs, top_n=top_n)
-    gen, scaler, trace = train_toy_gan(vecs, steps=gan_steps, seed=seed)
+        cells[u] = top_cells(world.trajectories[u], world.grid, top_n)
+        days[u] = _day_slices(world.trajectories[u])
+        rows.extend(stay_rows(stays, cells[u], world.grid, top_n)
+                    for stays in days[u].values())
+    L = max([1] + [len(r) for r in rows])
+    vecs = np.zeros((len(rows), L, 3 + top_n))
+    for i, r in enumerate(rows):
+        vecs[i, :len(r)] = r
+    gen, scaler, trace = train_toy_gan(vecs.reshape(len(rows), -1),
+                                       steps=gan_steps, seed=seed)
     published = {}
     offset = 0
     for u in world.users:
-        n = len(per_user[u])
+        n = len(days[u])
         samples = gan_sample(gen, scaler, n, seed=seed + 1 + offset)
         offset += n
-        kept = unflatten_vectors(samples, cells, K, world.grid, u).stays
-        if not kept:              # degenerate sample: fall back to one stay
-            lat, lon = cell_center(Cell(*cells[0]), world.grid)
-            s0 = world.trajectories[u].stays[0]
-            kept = [StayRecord(u, s0.start_time, s0.stop_time,
-                               lat, lon, lat, lon)]
-        published[u] = Trajectory(u, kept)
+        published[u] = decode_days(samples.reshape(n, L, -1), list(days[u]),
+                                   cells[u], world.grid, u)
     return published, trace
 
 

@@ -1,8 +1,8 @@
 """Privacy-preserving trajectory publishing.
 
-Stay-embedding matrices M(x,y,k)=(t,d), a visit-purpose semantic mixture,
-a toy adversarial generator over flattened embeddings, and
-multi-dimensional similarity reporting.
+Stay-embedding matrices M(x,y,k)=(t,d), a dense per-day stay-row codec,
+a visit-purpose semantic mixture, a toy adversarial generator over the
+day rows, and multi-dimensional similarity reporting.
 """
 
 from __future__ import annotations
@@ -75,12 +75,6 @@ def embed_trajectory(traj, grid, K=2):
 def decode_embedding(emb, user_id="decoded"):
     """Quantized trajectory back from an embedding (cell centers, slot
     boundaries)."""
-    return Trajectory(user_id, _decoded_stays(emb, user_id))
-
-
-def _decoded_stays(emb, user_id):
-    """The stays of an embedding in start order, before the trajectory's
-    no-overlap check."""
     by_cell = {}
     for (x, y, k), (t, d) in emb.entries.items():
         by_cell.setdefault((x, y), []).append((k, t, d))
@@ -98,8 +92,74 @@ def _decoded_stays(emb, user_id):
         for _, t, d in items:
             stays.append(StayRecord(user_id, t * slot_s, (t + d) * slot_s,
                                     lat, lon, lat, lon))
-    stays.sort(key=lambda s: s.start_time)
-    return stays
+    return Trajectory(user_id, stays)
+
+
+# --- dense per-day stay rows -----------------------------------------------
+
+def top_cells(traj, grid, top_n):
+    """A user's top_n most visited grid cells as (x, y), most visited
+    first, ties in cell order; stays outside the grid are not counted."""
+    freq = {}
+    for s in traj:
+        c = cell_of(s.lat, s.lon, grid)
+        if c is not None:
+            freq[(c.x, c.y)] = freq.get((c.x, c.y), 0) + 1
+    return sorted(freq, key=lambda c: (-freq[c], c))[:top_n]
+
+
+def stay_rows(stays, cells, grid, top_n):
+    """One dense row per stay whose cell is among `cells`, in start order:
+    [presence 1, start slot within its UTC day, duration in slots (at
+    least 1), one-hot of the cell's index in `cells` over top_n columns].
+    Returns an (m, 3 + top_n) array."""
+    index = {c: i for i, c in enumerate(cells)}
+    slot_s = grid.time_slot_minutes * 60
+    rows = []
+    for s in sorted(stays, key=lambda x: x.start_time):
+        c = cell_of(s.lat, s.lon, grid)
+        i = None if c is None else index.get((c.x, c.y))
+        if i is None:
+            continue
+        row = np.zeros(3 + top_n)
+        row[:3] = (1.0, time_slot(s.start_time, grid)[0],
+                   math.ceil(s.duration_s / slot_s))
+        row[3 + i] = 1.0
+        rows.append(row)
+    return np.reshape(rows, (len(rows), 3 + top_n))
+
+
+def _drop_overlaps(stays):
+    """The stays in (start, stop) order, without each one that overlaps an
+    earlier kept stay."""
+    kept, last_stop = [], None
+    for s in sorted(stays, key=lambda x: (x.start_time, x.stop_time)):
+        if last_stop is None or s.start_time >= last_stop:
+            kept.append(s)
+            last_stop = s.stop_time
+    return kept
+
+
+def decode_days(day_rows, days, cells, grid, user_id):
+    """One trajectory from per-day stay rows, the inverse of stay_rows.
+    day_rows[i] holds the (rows, 3 + top_n) rows of UTC day days[i] (epoch
+    seconds // 86400). A row with presence >= 0.5 is a stay at the center
+    of its arg-max cell among `cells`, its start slot and duration rounded
+    to whole slots (a duration of at least one slot); one greedy pass then
+    drops each stay that overlaps an earlier kept one."""
+    slot_s = grid.time_slot_minutes * 60
+    centers = [cell_center(Cell(*c), grid) for c in cells]
+    stays = []
+    for day, rows in zip(days, day_rows):
+        for row in rows:
+            if row[0] < 0.5 or not cells:
+                continue
+            lat, lon = centers[int(np.argmax(row[3:3 + len(cells)]))]
+            t = day * 86400 + int(round(row[1])) * slot_s
+            d = max(1, int(round(row[2])))
+            stays.append(StayRecord(user_id, t, t + d * slot_s,
+                                    lat, lon, lat, lon))
+    return Trajectory(user_id, _drop_overlaps(stays))
 
 
 def semantic_feature(start_time, duration_s, entropy):
@@ -193,66 +253,10 @@ class MinMaxScaler:
         return self.lo_ + Z * self.span_
 
 
-def flatten_embeddings(embeddings, top_n=16):
-    """Fixed-length vectors from sparse embeddings: the top_n most frequently
-    occupied cells, K slots of (t, d) each; absent entries are zero."""
-    freq = {}
-    for emb in embeddings:
-        for (x, y, _k) in emb.entries:
-            freq[(x, y)] = freq.get((x, y), 0) + 1
-    cells = sorted(freq, key=lambda c: (-freq[c], c))[:top_n]
-    K = embeddings[0].K
-    D = len(cells) * K * 2
-    vecs = np.zeros((len(embeddings), D))
-    for r, emb in enumerate(embeddings):
-        for c, (x, y) in enumerate(cells):
-            for k in range(K):
-                td = emb.entries.get((x, y, k))
-                if td is not None:
-                    vecs[r, (c * K + k) * 2] = td[0]
-                    vecs[r, (c * K + k) * 2 + 1] = td[1]
-    return vecs, cells
-
-
-def _drop_overlaps(stays):
-    """The stays in (start, stop) order, without each one that overlaps an
-    earlier kept stay."""
-    kept, last_stop = [], None
-    for s in sorted(stays, key=lambda x: (x.start_time, x.stop_time)):
-        if last_stop is None or s.start_time >= last_stop:
-            kept.append(s)
-            last_stop = s.stop_time
-    return kept
-
-
-def unflatten_vectors(vecs, cells, K, grid, user_id):
-    """Inverse of flatten_embeddings: one trajectory from generated vectors.
-    The stays of each vector that overlap an earlier one are dropped, then
-    those that overlap a kept stay of another vector."""
-    stays = []
-    for vec in vecs:
-        entries = {}
-        for c, (x, y) in enumerate(cells):
-            items = []
-            for k in range(K):
-                t = int(round(vec[(c * K + k) * 2]))
-                d = int(round(vec[(c * K + k) * 2 + 1]))
-                if d >= 1 and t > 0:
-                    items.append((t, d))
-            items.sort()
-            for k, (t, d) in enumerate(items):
-                if k > 0 and t <= items[k - 1][0]:
-                    continue
-                entries[(x, y, k)] = (t, d)
-        stays.extend(_drop_overlaps(
-            _decoded_stays(StayEmbedding(grid, K, entries), user_id)))
-    return Trajectory(user_id, _drop_overlaps(stays))
-
-
 def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
                   lr=0.05, seed=0):
     """Alternating minimax training of a dense generator/discriminator pair
-    over scaled embedding vectors. Returns (generator, scaler, trace)."""
+    over min-max scaled vectors. Returns (generator, scaler, trace)."""
     real = np.asarray(real_vecs, dtype=float)
     if real.shape[0] == 0:
         raise ValueError("real set must be nonempty")
@@ -291,7 +295,7 @@ def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
 
 
 def gan_sample(gen, scaler, n, seed=0):
-    """Seeded generator samples in original (t, d) units."""
+    """Seeded generator samples in the real vectors' units."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, gen.sizes[0]))
     return scaler.inverse(gen.forward(z))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trajpriv
 
@@ -22,6 +23,21 @@ SAMPLE_CSV = (
 )
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
+
+
+@st.composite
+def stay_records(draw):
+    """Valid stay records: ids without surrounding whitespace (the CSV
+    reader strips it), whole-second times from 1970 to 2100, any in-range
+    coordinates."""
+    user = draw(st.text(st.characters(blacklist_categories=("Cc", "Cs")),
+                        min_size=1, max_size=8).filter(
+                            lambda u: u == u.strip()))
+    t0 = draw(st.integers(0, 4_102_444_800))
+    lat = st.floats(-90.0, 90.0)
+    lon = st.floats(-180.0, 180.0)
+    return StayRecord(user, t0, t0 + draw(st.integers(1, 10 * 86400)),
+                      draw(lat), draw(lon), draw(lat), draw(lon))
 
 
 def _slc_oracle(lat1, lon1, lat2, lon2):
@@ -89,6 +105,16 @@ class TestParse:
 
     def test_roundtrip_jsonl(self):
         recs = parse_stays(SAMPLE_CSV)
+        assert stays_from_jsonl(stays_to_jsonl(recs)) == recs
+
+    @settings(max_examples=40, deadline=None)
+    @given(recs=st.lists(stay_records(), max_size=8))
+    def test_csv_roundtrip_property(self, recs):
+        assert parse_stays(serialize_stays(recs)) == recs
+
+    @settings(max_examples=40, deadline=None)
+    @given(recs=st.lists(stay_records(), max_size=8))
+    def test_jsonl_roundtrip_property(self, recs):
         assert stays_from_jsonl(stays_to_jsonl(recs)) == recs
 
     def test_jsonl_naive_timestamps_are_utc_in_any_host_zone(self):

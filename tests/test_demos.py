@@ -1,5 +1,4 @@
-"""The demos that call the location sampler or train the GAN run to
-completion."""
+"""Every demo script runs to completion."""
 
 import os
 import subprocess
@@ -11,14 +10,18 @@ import pytest
 import trajpriv
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", ["03_mobility_model.py", "04_k_anonymity.py",
-                                  "05_synthetic_publishing.py"])
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     src = str(Path(trajpriv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    out = subprocess.run([sys.executable, str(demo)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr

@@ -10,19 +10,20 @@ from trajpriv.anonymize import AnonymityPolicy, InsufficientCandidatesError
 from trajpriv.cli import _load_world, main as cli_main
 from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
-from trajpriv.core import (EARTH_RADIUS_M, Cell, GridSpec, StayRecord,
-                           Trajectory, cell_center, to_cell)
+from trajpriv.core import (EARTH_RADIUS_M, Cell, StayRecord, Trajectory,
+                           cell_center, to_cell)
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
                               compute_influence_map, fit_world_models,
                               fit_world_semantic, generate_world,
                               k_anonymize_world, publish_synthetic,
-                              report_json, report_rows_csv,
-                              run_attack, run_defense, sample_negative_pairs)
+                              release_similarity, report_json,
+                              report_rows_csv, run_attack, run_defense,
+                              sample_negative_pairs, _day_slices)
 from trajpriv.mobility import (InfluenceParams, combined_influence,
                                fit_mobility_model, temporal_influence)
 from trajpriv.publish import (embed_trajectory, similarity_report,
-                              unflatten_vectors)
+                              top_cells)
 
 
 def small_cfg(**kw):
@@ -261,20 +262,30 @@ def test_participation_uses_the_cooccurrence_distance():
         "u0": [True], "u1": [True], "u2": [False], "u3": [False]}
 
 
-def test_unflatten_drops_overlapping_stays():
-    grid = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
-    t = EPOCH_MONDAY // 3600
-    vec = np.array([t, 3, t + 1, 1], dtype=float)   # (t, 3) and (t + 1, 1)
-    traj = unflatten_vectors([vec], [(1, 1), (2, 2)], 1, grid, "u")
-    assert [(s.start_time, s.stop_time) for s in traj] == \
-        [(t * 3600, (t + 3) * 3600)]
-    assert (traj.stays[0].lat, traj.stays[0].lon) == \
-        cell_center(Cell(1, 1), grid)
-    # a second vector's (t + 2, 2) drops its own (t + 3, 1) and is then
-    # dropped itself for overlapping the first vector's (t, 3)
-    other = np.array([t + 3, 1, t + 2, 2], dtype=float)
-    both = unflatten_vectors([vec, other], [(1, 1), (2, 2)], 1, grid, "u")
-    assert both.stays == traj.stays
+def test_a_stay_before_the_world_epoch_keeps_its_own_day():
+    world = hand_built_world({"u0": [((1, 1), -24, -20), ((2, 2), 0, 8),
+                                     ((1, 1), 30, 32)], "u1": []}, [])
+    days = _day_slices(world.trajectories["u0"])
+    first = EPOCH_MONDAY // 86400
+    assert {d: [s.start_time for s in st] for d, st in days.items()} == {
+        first - 1: [EPOCH_MONDAY - 24 * 3600], first: [EPOCH_MONDAY],
+        first + 1: [EPOCH_MONDAY + 30 * 3600]}
+
+
+def test_synthetic_release_publishes_trajectories():
+    world = generate_world(WorldConfig(n_users=64, seed=42))
+    published, _ = publish_synthetic(world, seed=7)
+    real = sum(len(t) for t in world.trajectories.values())
+    assert sorted(published) == world.users
+    assert all(len(published[u]) > 0 for u in world.users)
+    assert sum(len(t) for t in published.values()) >= 0.4 * real
+    for u in world.users:
+        own = set(top_cells(world.trajectories[u], world.grid, 16))
+        assert {(c.x, c.y) for s in published[u]
+                for c in [to_cell(s.lat, s.lon, world.grid)]} <= own
+    rep = release_similarity(world, published, seed=7)
+    assert rep["spatial_jsd"] <= 0.3
+    assert rep["temporal_jsd"] <= 0.62
 
 
 class TestCli:

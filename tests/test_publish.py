@@ -2,16 +2,17 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajpriv.colocation import CoLocationConfig
-from trajpriv.core import Cell, GridSpec, StayRecord, Trajectory, cell_center
+from trajpriv.core import (Cell, GridSpec, StayRecord, Trajectory,
+                           cell_center, cell_of)
 from trajpriv.fusion import DenseNet, backprop_grads, loss_value, sgd_step
-from trajpriv.publish import (CellOverflowError, MinMaxScaler, decode_embedding,
-                              embed_trajectory, fit_semantic,
-                              flatten_embeddings, gan_sample,
-                              purpose_posterior, semantic_feature,
-                              similarity_report, stay_feature, train_toy_gan,
-                              _jsd_bits)
+from trajpriv.publish import (CellOverflowError, MinMaxScaler, decode_days,
+                              decode_embedding, embed_trajectory, fit_semantic,
+                              gan_sample, purpose_posterior, semantic_feature,
+                              similarity_report, stay_feature, stay_rows,
+                              top_cells, train_toy_gan, _jsd_bits)
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
 SLOT_S = 3600
@@ -86,6 +87,92 @@ class TestEmbedding:
         t = Trajectory("u", [quantized_stay("u", Cell(1, 2), base, 2)])
         text = embed_trajectory(t, GRID, K=2).to_json()
         assert '"K": 2' in text and str(base) in text
+
+
+POOL = [Cell(1, 1), Cell(2, 2), Cell(7, 3), Cell(0, 39), None]
+
+
+@st.composite
+def day_of_stays(draw):
+    """(day, stays, vocabulary): back-to-back stays on slot boundaries
+    within one UTC day, each somewhere inside a cell of POOL (None: 1 km
+    south of the grid), and a vocabulary of POOL cells."""
+    day = draw(st.integers(-5, 20_000))
+    slot, stays = draw(st.integers(0, 23)), []
+    while slot < 24 and len(stays) < 8:
+        cell = draw(st.sampled_from(POOL))
+        dx, dy = draw(st.tuples(st.floats(-100, 100), st.floats(-100, 100)))
+        if cell is None:
+            lat, lon = GRID.origin_lat - 0.009, GRID.origin_lon + 0.01
+        else:
+            lat, lon = cell_center(cell, GRID)
+            lat += dy / 111_194.9
+            lon += dx / (111_194.9 * np.cos(np.radians(GRID.origin_lat)))
+        d = draw(st.integers(1, 6))
+        t = day * 86400 + slot * SLOT_S
+        stays.append(StayRecord("u", t, t + d * SLOT_S, lat, lon, lat, lon))
+        slot += d + draw(st.integers(0, 2))
+    cells = draw(st.lists(st.sampled_from([(c.x, c.y) for c in POOL[:4]]),
+                          unique=True, max_size=4))
+    return day, stays, cells
+
+
+class TestStayRows:
+    @settings(max_examples=40, deadline=None)
+    @given(case=day_of_stays())
+    def test_exact_rows_decode_to_the_in_vocabulary_stays(self, case):
+        day, stays, cells = case
+        rows = stay_rows(stays, cells, GRID, top_n=6)
+        decoded = decode_days([rows], [day], cells, GRID, "u")
+        want = []
+        for s in stays:
+            c = cell_of(s.lat, s.lon, GRID)
+            if c is not None and (c.x, c.y) in cells:
+                lat, lon = cell_center(c, GRID)
+                want.append((s.start_time, s.stop_time, lat, lon))
+        assert rows.shape == (len(want), 9)
+        assert [(s.start_time, s.stop_time, s.lat, s.lon)
+                for s in decoded] == want
+
+    def test_one_greedy_pass_over_all_rows(self):
+        # two cells, (t, 3 | t + 1, 1) and (t + 3, 1 | t + 2, 2): a drop
+        # within each set first would lose (t + 3, 1) to (t + 2, 2)
+        t, day = 5, 18_155
+
+        def rows(*stays):
+            out = np.zeros((len(stays), 5))
+            for r, (c, slot, d) in enumerate(stays):
+                out[r, :3] = (1.0, slot, d)
+                out[r, 3 + c] = 1.0
+            return out
+
+        traj = decode_days([rows((0, t, 3), (1, t + 1, 1)),
+                            rows((0, t + 3, 1), (1, t + 2, 2))], [day, day],
+                           [(1, 1), (2, 2)], GRID, "u")
+        start = day * 86400
+        assert [(s.start_time, s.stop_time) for s in traj] == [
+            (start + t * SLOT_S, start + (t + 3) * SLOT_S),
+            (start + (t + 3) * SLOT_S, start + (t + 4) * SLOT_S)]
+        assert [(s.lat, s.lon) for s in traj] == [cell_center(Cell(1, 1),
+                                                              GRID)] * 2
+
+    def test_generated_rows_round_and_threshold(self):
+        row = np.array([[0.5, 2.4, 0.2, 0.1, 0.7, 0.9],
+                        [0.49, 9.0, 1.0, 1.0, 0.0, 0.0]])
+        # the third one-hot column lies past the user's two cells
+        traj = decode_days([row], [0], [(1, 1), (2, 2)], GRID, "u")
+        assert [(s.start_time, s.stop_time) for s in traj] == \
+            [(2 * SLOT_S, 3 * SLOT_S)]
+        assert (traj.stays[0].lat, traj.stays[0].lon) == \
+            cell_center(Cell(2, 2), GRID)
+        # a user with no cell in the grid publishes nothing
+        assert len(decode_days([row], [0], [], GRID, "u")) == 0
+
+    def test_top_cells_most_visited_first(self):
+        stays = [quantized_stay("u", Cell(*c), 3 * i, 1) for i, c in
+                 enumerate([(4, 4), (2, 2), (4, 4), (1, 1), (2, 2), (3, 3)])]
+        assert top_cells(Trajectory("u", stays), GRID, 3) == \
+            [(2, 2), (4, 4), (1, 1)]
 
 
 def planted_purposes(rng, n_per=80):
