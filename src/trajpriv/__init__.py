@@ -11,12 +11,12 @@ from .features import (FEATURE_NAMES, PairFeatures, Standardizer,
 from .fusion import DenseNet, TrainConfig, backprop_grads, evaluate, train
 from .mobility import (InfluenceParams, LocalProjection, MobilityModel3D,
                        combined_influence, fit_gmm, fit_mobility_model,
-                       label_social, location_density, sample_location,
-                       social_influence, temporal_influence)
+                       label_social, sample_location, social_influence,
+                       temporal_influence)
 from .anonymize import (AnonymityPolicy, AnonymitySet, audit_anonymity_set,
                         generate_dummy, k_anonymize, trajectory_stats)
 from .publish import (SemanticModel, StayEmbedding, decode_embedding,
-                      embed_trajectory, fit_semantic, purpose_posterior,
+                      embed_trajectory, fit_semantic, purpose_posteriors,
                       similarity_report, train_toy_gan)
 from .harness import (World, WorldConfig, build_pair_dataset,
                       fit_world_models, generate_world, publish_synthetic,

@@ -153,18 +153,17 @@ def _deviations(real_stats, cand_stats):
             for name, rv in real_stats.items()}
 
 
-def k_anonymize(real, model, policy, grid, seed=0, influence=None,
-                alpha_d_m=250.0):
+def k_anonymize(real, model, policy, grid, seed=0, influence=None):
     """Rejection-sample k-1 accepted dummies and shuffle the set."""
     rng = np.random.default_rng(seed)
-    real_stats = trajectory_stats(real, policy.stats, model, alpha_d_m)
+    real_stats = trajectory_stats(real, policy.stats, model)
     draw = _dummy_sampler(model, real, grid, influence)
     dummies, deviations = [], []
     attempts = 0
     while len(dummies) < policy.k - 1 and attempts < policy.max_attempts:
         attempts += 1
         cand = draw(rng)
-        cand_stats = trajectory_stats(cand, policy.stats, model, alpha_d_m)
+        cand_stats = trajectory_stats(cand, policy.stats, model)
         dev = _deviations(real_stats, cand_stats)
         if all(v <= policy.l for v in dev.values()):
             dummies.append(cand)
@@ -183,26 +182,24 @@ def k_anonymize(real, model, policy, grid, seed=0, influence=None,
     return AnonymitySet(real, dummies, order, audit)
 
 
-def audit_anonymity_set(aset, policy, model=None, alpha_d_m=250.0,
-                        slot_seconds=3600):
+def audit_anonymity_set(aset, policy, model=None):
     """Independent post-hoc audit of a published set.
 
     Recomputes every statistic from scratch and checks size, time-window
-    alignment (within one slot) and the deviation bound.
+    alignment (within one hour) and the deviation bound.
     """
     if aset.k != policy.k:
         return False
     if sorted(aset.order) != list(range(policy.k)):
         return False
-    real_stats = trajectory_stats(aset.real, policy.stats, model, alpha_d_m)
+    real_stats = trajectory_stats(aset.real, policy.stats, model)
     r0, r1 = aset.real.stays[0].start_time, aset.real.stays[-1].stop_time
     for dummy in aset.dummies:
         d0, d1 = dummy.stays[0].start_time, dummy.stays[-1].stop_time
-        if abs(d0 - r0) > slot_seconds or abs(d1 - r1) > slot_seconds:
+        if abs(d0 - r0) > 3600 or abs(d1 - r1) > 3600:
             return False
         dev = _deviations(real_stats,
-                          trajectory_stats(dummy, policy.stats, model,
-                                           alpha_d_m))
+                          trajectory_stats(dummy, policy.stats, model))
         if any(v > policy.l for v in dev.values()):
             return False
     return True

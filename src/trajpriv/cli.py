@@ -21,12 +21,30 @@ from .harness import (World, WorldConfig, fit_world_models, generate_world,
 
 def _load_world(world_dir):
     world_dir = Path(world_dir)
-    stays = parse_stays((world_dir / "stays.csv").read_text())
+    trajectories = group_trajectories(
+        parse_stays((world_dir / "stays.csv").read_text()))
+    edges = set()
     with open(world_dir / "edges.csv", newline="") as f:
-        rows = [row for row in csv.reader(f) if row][1:]     # skip the header
-    edges = {tuple(sorted((a.strip(), b.strip()))) for a, b in rows}
-    cfg = WorldConfig(**json.loads((world_dir / "config.json").read_text()))
-    return World(cfg, group_trajectories(stays), edges)
+        reader = csv.reader(f)
+        next(reader, None)                                  # the header
+        for i, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"edges.csv row {i}: expected 2 fields, "
+                                 f"got {len(row)}")
+            pair = tuple(sorted(u.strip() for u in row))
+            for u in pair:
+                if u not in trajectories:
+                    raise ValueError(f"edges.csv row {i}: user {u} has no "
+                                     f"stays in stays.csv")
+            edges.add(pair)
+    config = json.loads((world_dir / "config.json").read_text())
+    unknown = sorted(set(config) - {f.name for f in
+                                    dataclasses.fields(WorldConfig)})
+    if unknown:
+        raise ValueError(f"config.json: unknown keys {unknown}")
+    return World(WorldConfig(**config), trajectories, edges)
 
 
 def cmd_simulate(args):

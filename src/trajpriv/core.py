@@ -258,6 +258,7 @@ def haversine_m(lat1, lon1, lat2, lon2):
 
 
 _DEG_TO_RAD = math.pi / 180.0        # the factor math.radians multiplies by
+_RAD_TO_DEG = 180.0 / math.pi        # the factor math.degrees multiplies by
 
 
 def _grid_xy_m(lat, lon, grid):
@@ -298,20 +299,18 @@ def snap_to_grid(lat, lon, grid):
     y = np.clip(np.floor(y_m / grid.cell_size_m), 0, grid.n_y - 1).astype(int)
     if x.ndim == 0:
         return cell_center(Cell(int(x), int(y)), grid)
-    # each distinct cell's center once
-    keys, inverse = np.unique(x * grid.n_y + y, return_inverse=True)
-    centers = np.array([cell_center(Cell(*divmod(key, grid.n_y)), grid)
-                        for key in keys.tolist()]).reshape(-1, 2)
-    return centers[inverse, 0], centers[inverse, 1]
+    return cell_center(Cell(x, y), grid)
 
 
 def cell_center(cell, grid):
-    """(lat, lon) of a cell's center point."""
+    """(lat, lon) of a cell's center point; a Cell of index arrays gives
+    arrays of centers."""
     x_m = (cell.x + 0.5) * grid.cell_size_m
     y_m = (cell.y + 0.5) * grid.cell_size_m
-    lat = grid.origin_lat + math.degrees(y_m / EARTH_RADIUS_M)
-    lon = grid.origin_lon + math.degrees(
-        x_m / (EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat))))
+    # one multiply in place of math.degrees, so that arrays work too
+    lat = grid.origin_lat + y_m / EARTH_RADIUS_M * _RAD_TO_DEG
+    lon = grid.origin_lon + x_m / (
+        EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat))) * _RAD_TO_DEG
     return lat, lon
 
 

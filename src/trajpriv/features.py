@@ -38,10 +38,6 @@ class PairFeatures:
     f_hol: float
     label: bool | None = None
 
-    def vector(self):
-        return np.array([self.f_fre, self.f_pop, self.f_div,
-                         self.f_int, self.f_stay, self.f_hol])
-
 
 def resolve_subset(subset):
     """Subset name or explicit metric tuple -> canonical metric tuple."""
@@ -79,14 +75,9 @@ def cell_visit_entropy(trajectories, grid):
     return {cell: shannon_entropy(c.values()) for cell, c in visits.items()}
 
 
-def default_holiday(t):
-    """Weekend predicate on a UTC epoch second."""
-    return weekday(t) >= 5
-
-
-def compute_features(events, cell_entropy, holiday=default_holiday,
-                     pair=None, label=None):
-    """Quantify one pair's co-occurrence events into the six metrics.
+def compute_features(events, cell_entropy, pair=None, label=None):
+    """Quantify one pair's co-occurrence events into the six metrics; the
+    holiday ratio counts events that start on a UTC weekend.
 
     With zero events every metric is 0 (including f_int, by convention).
     """
@@ -110,7 +101,8 @@ def compute_features(events, cell_entropy, holiday=default_holiday,
         gaps_h = [(b - a) / 3600.0 for a, b in zip(starts, starts[1:])]
         f_int = 1.0 / (1.0 + sum(gaps_h) / len(gaps_h))
     f_stay = sum(e.overlap_s for e in events) / 3600.0
-    f_hol = sum(1 for e in events if holiday(e.overlap_start)) / len(events)
+    f_hol = (sum(1 for e in events if weekday(e.overlap_start) >= 5)
+             / len(events))
     return PairFeatures(pair[0], pair[1], f_fre, float(f_pop), f_div,
                         f_int, float(f_stay), f_hol, label)
 
@@ -134,9 +126,6 @@ class Standardizer:
 
     def transform(self, X):
         return (np.asarray(X, dtype=float) - self.mean_) / self.std_
-
-    def fit_transform(self, X):
-        return self.fit(X).transform(X)
 
 
 def features_to_csv(rows):

@@ -7,7 +7,6 @@ gradients are checked against finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,27 +125,6 @@ class DenseNet:
             return Y, H
         return Y
 
-    def params(self):
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
-
-    def to_json(self):
-        return json.dumps({
-            "sizes": list(self.sizes),
-            "hidden_act": self.hidden_act, "output_act": self.output_act,
-            "W1": self.W1.tolist(), "b1": self.b1.tolist(),
-            "W2": self.W2.tolist(), "b2": self.b2.tolist(),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        net = cls(tuple(d["sizes"]), d["hidden_act"], d["output_act"])
-        net.W1 = np.array(d["W1"])
-        net.b1 = np.array(d["b1"])
-        net.W2 = np.array(d["W2"])
-        net.b2 = np.array(d["b2"])
-        return net
-
 
 _EPS = 1e-12
 
@@ -229,13 +207,14 @@ def train(net, X, Y, cfg):
     return net, trace
 
 
-def evaluate(scores, labels, threshold=0.5):
-    """Precision / recall / F1 at a threshold plus rank-statistic AUC."""
+def evaluate(scores, labels):
+    """Precision / recall / F1 at score threshold 0.5 plus rank-statistic
+    AUC."""
     scores = np.asarray(scores, dtype=float).ravel()
     labels = np.asarray(labels).astype(bool).ravel()
     if scores.size == 0 or scores.size != labels.size:
         raise ValueError("scores and labels must be equal-length, nonempty")
-    pred = scores >= threshold
+    pred = scores >= 0.5
     tp = int(np.sum(pred & labels))
     fp = int(np.sum(pred & ~labels))
     fn = int(np.sum(~pred & labels))

@@ -31,6 +31,9 @@ from .publish import (decode_days, fit_semantic, gan_sample,
                       stay_feature, stay_rows, top_cells, train_toy_gan)
 
 EPOCH_MONDAY = 1568592000  # 2019-09-16 00:00:00 UTC, a Monday
+# the one co-location config of the experiments: the attack's pair features,
+# the social labelling of mobility clusters and the release's social graph
+COLOCATION = CoLocationConfig()
 
 
 @dataclass(frozen=True)
@@ -213,15 +216,11 @@ def generate_world(cfg):
                     if sched[s] == "free"
                     and day_anchor[a][s] is None and day_anchor[b][s] is None]
             for s in free:
-                if day_anchor[a][s] is not None or day_anchor[b][s] is not None:
-                    continue
                 if rng.random() >= p:
                     continue
                 venue = pair_venues[(a, b)][rng.integers(cfg.venues_per_pair)]
                 length = 2 if (rng.random() < cfg.p_two_slot_meeting
-                               and s + 1 in free
-                               and day_anchor[a][s + 1] is None
-                               and day_anchor[b][s + 1] is None) else 1
+                               and s + 1 in free) else 1
                 for ds in range(length):
                     day_anchor[a][s + ds] = venue
                     day_anchor[b][s + ds] = venue
@@ -300,59 +299,61 @@ def fit_world_semantic(world, seed=0):
     return fit_semantic(V, n_purposes=4, seed=seed)
 
 
-def build_pair_dataset(world, coloc_cfg=None, neg_seed=13, semantic=False,
-                       semantic_seed=0):
+def build_pair_dataset(world, semantic=False):
     """Labeled pair features for the attack: friend edges vs sampled
     non-edges at 1:1."""
-    cfg = coloc_cfg or CoLocationConfig()
-    rng = np.random.default_rng(neg_seed)
+    rng = np.random.default_rng(13)
     positives = sorted(world.friend_edges)
     negatives = sample_negative_pairs(world.users, world.friend_edges,
                                       len(positives), rng)
     pairs = positives + negatives
     labels = [True] * len(positives) + [False] * len(negatives)
-    events = extract_coevents(world.trajectories, cfg, world.grid, pairs=pairs)
+    events = extract_coevents(world.trajectories, COLOCATION, world.grid,
+                              pairs=pairs)
     ent = cell_visit_entropy(world.trajectories, world.grid)
     rows = [compute_features(events[tuple(sorted(p))], ent, pair=p, label=lab)
             for p, lab in zip(pairs, labels)]
     sem_vectors = None
     if semantic:
-        sem_model = fit_world_semantic(world, seed=semantic_seed)
+        sem_model = fit_world_semantic(world)
         sem_vectors = np.array([
             _semantic_pair_vector(events[tuple(sorted(p))], sem_model, ent)
             for p in pairs])
     return rows, sem_vectors
 
 
-def run_attack(world, subsets=("all",), split=0.7, seed=7, semantic=False,
-               coloc_cfg=None, epochs=400, hidden=16, lr=0.1,
+def run_attack(world, subsets=("all",), seed=7, semantic=False, epochs=400,
                dataset=None):
     """Train/evaluate the fusion classifier per feature subset.
 
     Returns one report row (precision/recall/f1/auc) per subset. A
     precomputed dataset (from build_pair_dataset) may be passed to share
-    extraction across calls.
+    extraction across calls; a semantic attack needs one built with
+    semantic=True.
     """
     if dataset is None:
-        dataset = build_pair_dataset(world, coloc_cfg, semantic=semantic)
+        dataset = build_pair_dataset(world, semantic=semantic)
     rows_feat, sem_vectors = dataset
+    if semantic and sem_vectors is None:
+        raise ValueError("semantic attack on a dataset built without "
+                         "semantic vectors")
     labels = np.array([bool(f.label) for f in rows_feat])
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(rows_feat))
-    n_train = int(round(split * len(rows_feat)))
+    n_train = int(round(0.7 * len(rows_feat)))
     train_idx, test_idx = order[:n_train], order[n_train:]
     if labels[test_idx].sum() == 0 or (~labels[test_idx]).sum() == 0:
         raise ValueError("degenerate split: test set lacks a class")
     report = []
     for subset in subsets:
         X = np.array([project(f, subset) for f in rows_feat])
-        if semantic and sem_vectors is not None:
+        if semantic:
             X = np.hstack([X, sem_vectors])
         std = Standardizer().fit(X[train_idx])
         Xs = std.transform(X)
-        net = DenseNet.init((X.shape[1], hidden, 1), "sigmoid", "sigmoid",
+        net = DenseNet.init((X.shape[1], 16, 1), "sigmoid", "sigmoid",
                             seed=seed)
-        cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=32,
+        cfg = TrainConfig(learning_rate=0.1, epochs=epochs, batch_size=32,
                           seed=seed)
         net, _ = train(net, Xs[train_idx],
                        labels[train_idx].astype(float)[:, None], cfg)
@@ -365,13 +366,12 @@ def run_attack(world, subsets=("all",), split=0.7, seed=7, semantic=False,
     return report
 
 
-def coevent_participation(world, coloc_cfg=None):
+def coevent_participation(world):
     """Per-stay flag: does any other user's stay co-occur with it?"""
-    return stay_participation(world.trajectories,
-                              coloc_cfg or CoLocationConfig())
+    return stay_participation(world.trajectories, COLOCATION)
 
 
-def fit_world_models(world, tau_soc=0.25, seed=0, m="auto"):
+def fit_world_models(world, seed=0, m="auto"):
     """Fit and socially label a mobility model per user."""
     participation = coevent_participation(world)
     models = {}
@@ -382,7 +382,7 @@ def fit_world_models(world, tau_soc=0.25, seed=0, m="auto"):
         tot = np.bincount(assign, minlength=model.n_components)
         frac = np.bincount(assign, weights=hits, minlength=model.n_components)
         frac = np.where(tot > 0, frac / np.maximum(tot, 1), 0.0)
-        label_social(model, frac, tau_soc)
+        label_social(model, frac, tau_soc=0.25)
         models[u] = model
     return models
 
@@ -400,9 +400,9 @@ def compute_influence_map(model, friend_models, slot, params=None):
     return {j: float(v) for j, v in enumerate(vals.mean(axis=1))}
 
 
-def k_anonymize_world(world, models, policy, seed=0, influence_slot=19,
-                      params=None):
-    """AnonymitySet per user; deterministic given the seed."""
+def k_anonymize_world(world, models, policy, seed=0):
+    """AnonymitySet per user, with social clusters reweighted by the
+    friends' influence at slot 19; deterministic given the seed."""
     friends_of = {u: [] for u in world.users}
     for a, b in world.friend_edges:
         friends_of[a].append(b)
@@ -410,8 +410,7 @@ def k_anonymize_world(world, models, policy, seed=0, influence_slot=19,
     sets = {}
     for i, u in enumerate(world.users):
         inf = compute_influence_map(
-            models[u], [models[f] for f in sorted(friends_of[u])],
-            influence_slot, params)
+            models[u], [models[f] for f in sorted(friends_of[u])], slot=19)
         sets[u] = k_anonymize(world.trajectories[u], models[u], policy,
                               world.grid, seed=seed + i, influence=inf)
     return sets
@@ -437,14 +436,15 @@ def _day_slices(traj):
     return days
 
 
-def publish_synthetic(world, top_n=16, gan_steps=500, seed=0):
+def publish_synthetic(world, gan_steps=500, seed=0):
     """Adversarially generated published view of the whole world.
 
     Each user-day is L dense stay rows (publish.stay_rows) over the user's
-    own top_n cells, L being the most rows any user-day holds. One
+    own top 16 cells, L being the most rows any user-day holds. One
     generator is trained over all user-days; each user's published
     trajectory decodes freshly sampled days onto the user's real days.
     """
+    top_n = 16
     cells, days, rows = {}, {}, []
     for u in world.users:
         cells[u] = top_cells(world.trajectories[u], world.grid, top_n)
@@ -468,19 +468,17 @@ def publish_synthetic(world, top_n=16, gan_steps=500, seed=0):
     return published, trace
 
 
-def release_similarity(world, published, seed=0, coloc_cfg=None):
+def release_similarity(world, published, seed=0):
     """Similarity report of a published view against the real world, with
     the world's semantic mixture fitted from `seed`."""
     return similarity_report(world.trajectories, published, world.grid,
-                             fit_world_semantic(world, seed=seed),
-                             coloc_cfg or CoLocationConfig())
+                             fit_world_semantic(world, seed=seed), COLOCATION)
 
 
-def run_defense(world, defense="k_anonymity", policy=None, subsets=("all",),
-                seed=7, coloc_cfg=None, **attack_kw):
+def run_defense(world, defense="k_anonymity", policy=None, seed=7,
+                **attack_kw):
     """Attack the raw world and the defended view; report both."""
-    raw_rows = run_attack(world, subsets, seed=seed, coloc_cfg=coloc_cfg,
-                          **attack_kw)
+    raw_rows = run_attack(world, seed=seed, **attack_kw)
     similarity = None
     if defense == "none":
         published = world.trajectories
@@ -491,12 +489,11 @@ def run_defense(world, defense="k_anonymity", policy=None, subsets=("all",),
         published = publish_with_kanon(world, sets, seed=seed)
     elif defense == "publish_synthetic":
         published, _ = publish_synthetic(world, seed=seed)
-        similarity = release_similarity(world, published, seed, coloc_cfg)
+        similarity = release_similarity(world, published, seed)
     else:
         raise ValueError(f"unknown defense {defense}")
     defended_world = World(world.cfg, published, world.friend_edges)
-    defended_rows = run_attack(defended_world, subsets, seed=seed,
-                               coloc_cfg=coloc_cfg, **attack_kw)
+    defended_rows = run_attack(defended_world, seed=seed, **attack_kw)
     out = {"defense": defense, "raw": raw_rows, "defended": defended_rows}
     if similarity is not None:
         out["similarity"] = similarity

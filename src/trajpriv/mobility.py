@@ -214,7 +214,7 @@ def em_mixtures(X, starts, cov0, floor, max_iter, tol):
 
 
 def _fit_spatial(points, m, seed=0, m_range=range(1, 7), max_iter=200,
-                 tol=1e-6, var_floor=VAR_FLOOR_M2):
+                 tol=1e-6):
     """Full-covariance 2D mixture with m components, or, for m="auto", the
     fit of lowest BIC over the m in m_range that do not exceed the points,
     all fitted in one stacked EM run from the same seed."""
@@ -222,14 +222,14 @@ def _fit_spatial(points, m, seed=0, m_range=range(1, 7), max_iter=200,
     n = X.shape[0]
     ms = [k for k in m_range if k <= n] if m == "auto" else [m]
     cov0 = np.cov(X.T) if n > 1 else np.eye(2)
-    fits = em_mixtures(X, [(k, seed) for k in ms], cov0, var_floor,
+    fits = em_mixtures(X, [(k, seed) for k in ms], cov0, VAR_FLOOR_M2,
                        max_iter, tol)
     # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
     return min(fits, key=lambda f: (6 * len(f.weights) - 1) * np.log(n)
                - 2.0 * f.loglik)
 
 
-def fit_gmm(points, m, seed=0, max_iter=200, tol=1e-6, var_floor=VAR_FLOOR_M2):
+def fit_gmm(points, m, seed=0):
     """Full-covariance 2D GMM by EM; m="auto" selects the component count
     of lowest BIC in 1..6.
 
@@ -238,8 +238,7 @@ def fit_gmm(points, m, seed=0, max_iter=200, tol=1e-6, var_floor=VAR_FLOOR_M2):
     iteration, so it is non-decreasing by the EM guarantee (the variance
     floor binds only on degenerate clusters).
     """
-    return _fit_spatial(points, m, seed, max_iter=max_iter, tol=tol,
-                        var_floor=var_floor)[:4]
+    return _fit_spatial(points, m, seed)[:4]
 
 
 @dataclass(frozen=True)
@@ -343,13 +342,6 @@ def fit_mobility_model(traj, grid, m="auto", seed=0):
     return MobilityModel3D(traj.user_id, proj, means, covs, weights,
                            profile, visit_counts=counts,
                            ll_trace=trace), assign
-
-
-def location_density(model, point_xy, slot):
-    """Slot-conditioned mixture density at a planar point."""
-    log_joint = mixture_log_joint(point_xy, model.temporal_profile[slot],
-                                  model.means, model.covs)
-    return float(np.exp(log_joint).sum())
 
 
 def label_social(model, coevent_fraction, tau_soc):

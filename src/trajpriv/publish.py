@@ -7,7 +7,6 @@ day rows, and multi-dimensional similarity reporting.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,17 +38,6 @@ class StayEmbedding:
     grid: object
     K: int
     entries: dict = field(default_factory=dict)
-
-    def to_json(self):
-        g = self.grid
-        return json.dumps({
-            "grid": {"origin_lat": g.origin_lat, "origin_lon": g.origin_lon,
-                     "cell_size_m": g.cell_size_m, "n_x": g.n_x, "n_y": g.n_y,
-                     "time_slot_minutes": g.time_slot_minutes},
-            "K": self.K,
-            "entries": [[x, y, k, t, d]
-                        for (x, y, k), (t, d) in sorted(self.entries.items())],
-        }, sort_keys=True)
 
 
 def embed_trajectory(traj, grid, K=2):
@@ -189,22 +177,8 @@ class SemanticModel:
     def n_purposes(self):
         return len(self.weights)
 
-    def to_json(self):
-        return json.dumps({
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(np.array(d["weights"]), np.array(d["means"]),
-                   np.array(d["variances"]))
-
-
-def fit_semantic(V, n_purposes=4, seed=0, max_iter=200, tol=1e-8,
-                 restarts=5):
+def fit_semantic(V, n_purposes=4, seed=0, restarts=5):
     """EM fit of the diagonal GMM over stay-feature vectors.
 
     Runs several seeded restarts, stacked in one EM run, and keeps the fit
@@ -215,7 +189,7 @@ def fit_semantic(V, n_purposes=4, seed=0, max_iter=200, tol=1e-8,
     var = X.var(axis=0)
     fits = em_mixtures(X, [(n_purposes, seed + 7919 * r)
                            for r in range(max(1, restarts))],
-                       var, 1e-6 + 1e-4 * var, max_iter, tol)
+                       var, 1e-6 + 1e-4 * var, max_iter=200, tol=1e-8)
     best = max(fits, key=lambda f: f.trace[-1])
     return SemanticModel(best.weights, best.means, best.covs, best.trace)
 
@@ -225,11 +199,6 @@ def purpose_posteriors(model, V):
     log_p = mixture_log_joint(V, model.weights, model.means, model.variances)
     p = np.exp(log_p - log_p.max(axis=1, keepdims=True))
     return p / p.sum(axis=1, keepdims=True)
-
-
-def purpose_posterior(model, v):
-    """Normalized responsibilities of a stay-feature vector (log-space)."""
-    return purpose_posteriors(model, np.reshape(v, (1, -1)))[0]
 
 
 # --- toy adversarial generator --------------------------------------------
@@ -321,16 +290,15 @@ def _jsd_bits(p, q):
     return 0.5 * kl(a, m) + 0.5 * kl(b, m)
 
 
-def _edge_set(trajectories, grid, cfg, threshold=1.0):
+def _edge_set(trajectories, grid, cfg):
     events = extract_coevents(trajectories, cfg, grid)
-    return {pair for pair, evs in events.items()
-            if coevent_score(evs) >= threshold}
+    return {pair for pair, evs in events.items() if coevent_score(evs) >= 1.0}
 
 
-def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg,
-                      edge_threshold=1.0):
+def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg):
     """Spatial/temporal/semantic JSD plus social Jaccard between two
-    trajectory sets. All four values lie in [0, 1]."""
+    trajectory sets, a pair being an edge once its co-events score at
+    least 1. All four values lie in [0, 1]."""
     def dists(trajs):
         cells, slots, purposes = {}, {}, {}
         ent = cell_visit_entropy(trajs, grid)
@@ -353,8 +321,8 @@ def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg,
 
     rc, rs, rp = dists(real_trajs)
     sc, ss, sp = dists(synth_trajs)
-    er = _edge_set(real_trajs, grid, cfg, edge_threshold)
-    es = _edge_set(synth_trajs, grid, cfg, edge_threshold)
+    er = _edge_set(real_trajs, grid, cfg)
+    es = _edge_set(synth_trajs, grid, cfg)
     union = er | es
     jaccard = 1.0 if not union else len(er & es) / len(union)
     return {

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from trajpriv.anonymize import (AnonymityPolicy, InsufficientCandidatesError,
                                 _deviations, audit_anonymity_set,
                                 generate_dummy, k_anonymize, trajectory_stats)
 from trajpriv.core import (GridSpec, StayRecord, Trajectory, cell_center, Cell,
-                           snap_to_grid, to_cell)
+                           cell_of, snap_to_grid, to_cell, _grid_xy_m)
 from trajpriv.harness import (WorldConfig, fit_world_models, generate_world,
                               k_anonymize_world)
 from trajpriv.mobility import LocalProjection, MobilityModel3D
@@ -135,6 +137,24 @@ class TestSnapToGrid:
             plon = GRID.origin_lon + rng.uniform(0.0, 0.101)
             assert snap_to_grid(plat, plon, GRID) == \
                 cell_center(to_cell(plat, plon, GRID), GRID)
+
+    def test_arrays_equal_the_scalar_centers(self):
+        rng = np.random.default_rng(5)
+        # about 1 km beyond each edge of the 10 km grid
+        lat = GRID.origin_lat + rng.uniform(-0.01, 0.1, 3000)
+        lon = GRID.origin_lon + rng.uniform(-0.01, 0.113, 3000)
+        got = np.stack(snap_to_grid(lat, lon, GRID), axis=1).tolist()
+        off_grid = 0
+        for plat, plon, center in zip(lat.tolist(), lon.tolist(), got):
+            cell = cell_of(plat, plon, GRID)
+            if cell is None:            # clamped to the nearest edge cell
+                off_grid += 1
+                x_m, y_m = _grid_xy_m(plat, plon, GRID)
+                cell = Cell(
+                    min(max(math.floor(x_m / GRID.cell_size_m), 0), 39),
+                    min(max(math.floor(y_m / GRID.cell_size_m), 0), 39))
+            assert tuple(center) == cell_center(cell, GRID)
+        assert 0 < off_grid < len(got)
 
 
 class TestKAnonymize:

@@ -241,7 +241,6 @@ class TestTimeSlot:
 
     def test_matches_datetime_over_weeks(self):
         from datetime import datetime, timezone
-        from trajpriv.features import default_holiday
         grids = [GridSpec(28.0, 112.9, 250.0, 40, 40, m) for m in (15, 60)]
         step = 3 * 3600 + 7 * 60 + 13      # walks through every weekday
         for t in [*range(-3 * 604800, 3 * 604800, step),
@@ -252,7 +251,6 @@ class TestTimeSlot:
             for g in grids:
                 assert time_slot(t, g) == (minutes // g.time_slot_minutes,
                                            dt.weekday() >= 5)
-            assert default_holiday(t) == (dt.weekday() >= 5)
 
 
 class TestTrajectory:

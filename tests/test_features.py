@@ -19,7 +19,7 @@ def event(t0, overlap_h, cell):
 class TestComputeFeatures:
     def test_zero_events(self):
         f = compute_features([], {}, pair=("a", "b"))
-        assert f.vector().tolist() == [0, 0, 0, 0, 0, 0]
+        assert project(f, "all").tolist() == [0, 0, 0, 0, 0, 0]
 
     def test_single_cell_zero_diversity(self):
         evs = [event(MON + i * 7200, 0.5, Cell(1, 1)) for i in range(3)]
@@ -27,21 +27,14 @@ class TestComputeFeatures:
         assert f.f_div == 0.0
 
     def test_hand_computed_example(self):
-        # gaps 1 h and 3 h, overlaps 0.5 h, one Saturday event, cells {2, 1}
+        # gaps 1 h and 3 h, overlaps 0.5 h, cells {2, 1}: Friday 20:00 and
+        # 21:00, then Saturday 00:00, the one weekend event
         c1, c2 = Cell(0, 0), Cell(1, 0)
-        evs = [event(MON + 10 * 3600, 0.5, c1),
-               event(MON + 11 * 3600, 0.5, c1),
-               event(MON + 14 * 3600, 0.5, c2)]
-        evs[2] = CoEvent("a", "b", c2, SAT + 14 * 3600,
-                         SAT + 14 * 3600 + 1800, 1.0)
-        # keep the stated gap structure: rebuild with explicit starts
-        starts = [MON + 10 * 3600, MON + 11 * 3600, MON + 14 * 3600]
-        evs = [CoEvent("a", "b", c1, starts[0], starts[0] + 1800, 1.0),
-               CoEvent("a", "b", c1, starts[1], starts[1] + 1800, 1.0),
-               CoEvent("a", "b", c2, starts[2], starts[2] + 1800, 1.0)]
+        evs = [event(SAT - 4 * 3600, 0.5, c1),
+               event(SAT - 3 * 3600, 0.5, c1),
+               event(SAT, 0.5, c2)]
         ent = {c1: 0.0, c2: 0.0}
-        holiday = lambda t: t == starts[2]       # exactly one "holiday" event
-        f = compute_features(evs, ent, holiday=holiday)
+        f = compute_features(evs, ent)
         assert f.f_fre == 3
         assert f.f_int == pytest.approx(1.0 / 3.0)
         assert f.f_stay == pytest.approx(1.5)
@@ -82,7 +75,7 @@ class TestComputeFeatures:
             assert f.f_fre >= 0 and f.f_div >= 0 and f.f_stay >= 0
             assert 0 < f.f_int <= 1
             assert 0 <= f.f_hol <= 1
-            assert np.all(np.isfinite(f.vector()))
+            assert np.all(np.isfinite(project(f, "all")))
             n_distinct = len(set((c.x, c.y) for c in cells))
             assert f.f_div <= math.log(n_distinct) + 1e-12
 
@@ -101,7 +94,9 @@ class TestProjection:
         assert v.tolist() == [self.f.f_fre, self.f.f_pop, self.f.f_div]
 
     def test_all(self):
-        assert project(self.f, "all").tolist() == self.f.vector().tolist()
+        assert project(self.f, "all").tolist() == [
+            self.f.f_fre, self.f.f_pop, self.f.f_div,
+            self.f.f_int, self.f.f_stay, self.f.f_hol]
 
     def test_canonical_order_from_set(self):
         assert resolve_subset({"f_stay", "f_fre"}) == ("f_fre", "f_stay")
@@ -126,5 +121,5 @@ def test_standardizer_train_only():
     assert np.allclose(Z.std(axis=0), 1, atol=1e-12)
     # constant column does not divide by zero
     X[:, 0] = 7.0
-    Z = Standardizer().fit_transform(X)
+    Z = Standardizer().fit(X).transform(X)
     assert np.all(np.isfinite(Z))

@@ -237,13 +237,6 @@ class TestEvaluate:
             evaluate([0.5, 0.6], [1, 1])
 
 
-def test_json_roundtrip():
-    net = DenseNet.init((3, 4, 2), "relu", "softmax", seed=3)
-    clone = DenseNet.from_json(net.to_json())
-    X = np.random.default_rng(4).normal(0, 1, (5, 3))
-    assert np.array_equal(net.forward(X), clone.forward(X))
-
-
 def masked_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0

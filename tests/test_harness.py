@@ -126,6 +126,11 @@ class TestAttack:
             aucs.append(rows[0]["auc"])
         assert abs(np.mean(aucs) - 0.5) < 0.15
 
+    def test_semantic_attack_needs_semantic_vectors(self, small_world):
+        with pytest.raises(ValueError, match="without semantic vectors"):
+            run_attack(small_world, semantic=True,
+                       dataset=build_pair_dataset(small_world))
+
     def test_csv_report_shape(self, small_world):
         rows = run_attack(small_world, subsets=("all",), epochs=50)
         text = report_rows_csv(rows)
@@ -179,6 +184,14 @@ def test_publish_synthetic_skips_stays_outside_grid():
     rep = similarity_report(world.trajectories, published, world.grid,
                             fit_world_semantic(world), CoLocationConfig())
     assert all(0.0 <= v <= 1.0 for v in rep.values())
+
+
+def write_world_dir(world, d):
+    """The three files of a world directory, as `trajpriv simulate` writes
+    them."""
+    (d / "stays.csv").write_text(world.stays_csv())
+    (d / "edges.csv").write_text(world.edges_csv())
+    (d / "config.json").write_text(report_json(dataclasses.asdict(world.cfg)))
 
 
 def grid_point(grid, x_m, y_m):
@@ -335,13 +348,28 @@ class TestCli:
     def test_load_world_round_trips_ids_with_commas(self, tmp_path):
         world = hand_built_world({"a,b": [((1, 1), 0, 2)],
                                   "c": [((2, 2), 0, 2)]}, [("a,b", "c")])
-        (tmp_path / "stays.csv").write_text(world.stays_csv())
-        (tmp_path / "edges.csv").write_text(world.edges_csv())
-        (tmp_path / "config.json").write_text(
-            report_json(dataclasses.asdict(world.cfg)))
+        write_world_dir(world, tmp_path)
         loaded = _load_world(tmp_path)
         assert loaded.friend_edges == {("a,b", "c")}
         assert loaded.users == ["a,b", "c"]
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("edges.csv", "user_a,user_b\na,c\na,c,a\n",
+         "edges.csv row 2: expected 2 fields, got 3"),
+        ("edges.csv", "user_a,user_b\na,zz\n",
+         "edges.csv row 1: user zz has no stays in stays.csv"),
+        ("config.json", '{"n_users": 2, "seed": 0, "colour": 1, "alpha": 2}',
+         "config.json: unknown keys ['alpha', 'colour']"),
+    ], ids=["edge-fields", "edge-user", "config-key"])
+    def test_malformed_world_fails_with_row_error(self, tmp_path, capsys,
+                                                  name, text, message):
+        world = hand_built_world({"a": [((1, 1), 0, 2)],
+                                  "c": [((1, 1), 1, 3)]}, [("a", "c")])
+        write_world_dir(world, tmp_path)
+        (tmp_path / name).write_text(text)
+        assert cli_main(["features", "--world", str(tmp_path),
+                         "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_simulate_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "w1", tmp_path / "w2"

@@ -1,5 +1,6 @@
 """Source hygiene of the package: every import at module level, every
-import used, and no module importing another's private names."""
+import used, no module importing another's private names, and no public
+name that only unit tests use."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,46 @@ def test_checks_catch_what_they_look_for(tmp_path):
     path.write_text("from .core import _grid_xy_m\n")
     with pytest.raises(AssertionError):
         test_no_private_import_from_another_module(path)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# what a public name must be used by: the package itself, the demos, the
+# benchmark and the acceptance contracts, not the unit tests alone
+USERS = ([p for p in MODULES if p.name != "__init__.py"]
+         + sorted((ROOT / "demos").glob("*.py"))
+         + sorted((ROOT / "perfbench").glob("*.py"))
+         + [ROOT / "tests" / "test_acceptance.py"])
+UNUSED_ALLOWED = {
+    # reads back the JSONL that `trajpriv ingest` writes; the round trip is
+    # the format's contract, tested in test_core
+    "stays_from_jsonl",
+}
+
+
+def unreferenced(modules, users):
+    """Public module-level functions and classes of `modules` that no name
+    or attribute in `users` refers to, outside their own definition."""
+    uses = [(path, getattr(stmt, "name", None),
+             {n.id if isinstance(n, ast.Name) else n.attr
+              for n in ast.walk(stmt)
+              if isinstance(n, (ast.Name, ast.Attribute))})
+            for path in users for stmt in parse(path).body]
+    return [f"{path.stem}.{stmt.name}" for path in modules
+            for stmt in parse(path).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")
+            and stmt.name not in UNUSED_ALLOWED
+            and not any(stmt.name in names for p, owner, names in uses
+                        if (p, owner) != (path, stmt.name))]
+
+
+def test_every_public_name_has_a_user_beyond_unit_tests():
+    assert unreferenced(MODULES, USERS) == []
+
+
+def test_unreferenced_names_are_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def unused():\n    return unused()\n\n\n"
+                    "def used():\n    return 1\n\n\nclass Orphan:\n"
+                    "    size = used()\n")
+    assert unreferenced([path], [path]) == ["m.unused", "m.Orphan"]

@@ -6,16 +6,8 @@ from scipy.stats import chisquare
 
 from trajpriv.mobility import (InfluenceParams, LocalProjection,
                                MobilityModel3D, combined_influence, fit_gmm,
-                               label_social, location_density,
-                               mixture_log_joint, sample_location,
+                               label_social, sample_location,
                                social_influence, temporal_influence)
-
-
-def gaussian_pdf(x, mean, cov):
-    """Density of one Gaussian at each row of x."""
-    return np.exp(mixture_log_joint(np.atleast_2d(x), np.ones(1),
-                                    np.asarray(mean)[None],
-                                    np.asarray(cov, dtype=float)[None])[:, 0])
 
 
 def make_model(means, covs, weights, profile, flags=None):
@@ -77,52 +69,6 @@ class TestFitGMM:
                        rng.normal([6000, 0], 100, (120, 2))])
         means, _, weights, _ = fit_gmm(X, "auto", seed=2)
         assert len(weights) == 2
-
-
-class TestDensity:
-    def test_peak_of_single_gaussian(self):
-        cov = np.array([[400.0, 0.0], [0.0, 400.0]])
-        model = make_model([[0, 0]], [cov], [1.0], [[1.0]] * 24)
-        peak = 1.0 / (2 * math.pi * math.sqrt(np.linalg.det(cov)))
-        assert location_density(model, [0, 0], 0) == pytest.approx(peak)
-
-    def test_zero_profile_weight(self):
-        cov = np.eye(2) * 400
-        profile = np.array([[1.0, 0.0]] * 24)
-        model = make_model([[0, 0], [10000, 0]], [cov, cov], [0.5, 0.5],
-                           profile)
-        assert location_density(model, [10000, 0], 0) < 1e-10
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(5)
-        means = rng.normal(0, 2000, (3, 2))
-        covs = np.array([np.diag(rng.uniform(100, 1000, 2))
-                         for _ in range(3)])
-        weights = np.array([0.2, 0.5, 0.3])
-        profile = rng.dirichlet(np.ones(3), 24)
-        model = make_model(means, covs, weights, profile)
-        p = rng.normal(0, 1500, 2)
-        slot = 7
-        expected = sum(float(gaussian_pdf(p, means[j], covs[j])[0])
-                       * profile[slot, j] for j in range(3))
-        assert location_density(model, p, slot) == pytest.approx(
-            expected, rel=1e-10)
-
-    def test_integrates_to_one(self):
-        rng = np.random.default_rng(6)
-        means = np.array([[0.0, 0.0], [3000.0, 1000.0]])
-        covs = np.array([np.eye(2) * 150**2, np.eye(2) * 200**2])
-        profile = np.tile([0.4, 0.6], (24, 1))
-        model = make_model(means, covs, [0.5, 0.5], profile)
-        xs = np.linspace(-2500, 6000, 350)
-        ys = np.linspace(-2500, 4000, 300)
-        X, Y = np.meshgrid(xs, ys)
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        dens = np.zeros(len(pts))
-        for j in range(2):
-            dens += gaussian_pdf(pts, means[j], covs[j]) * profile[0, j]
-        integral = dens.sum() * (xs[1] - xs[0]) * (ys[1] - ys[0])
-        assert integral == pytest.approx(1.0, abs=0.02)
 
 
 class TestSocialLabeling:
