@@ -34,6 +34,9 @@ def _load_world(world_dir):
                 raise ValueError(f"edges.csv row {i}: expected 2 fields, "
                                  f"got {len(row)}")
             pair = tuple(sorted(u.strip() for u in row))
+            if pair[0] == pair[1]:
+                raise ValueError(f"edges.csv row {i}: self-loop on user "
+                                 f"{pair[0]}")
             for u in pair:
                 if u not in trajectories:
                     raise ValueError(f"edges.csv row {i}: user {u} has no "

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -130,8 +131,25 @@ class Cell:
     y: int
 
 
+# the zero-padded shape of TIME_FORMAT, read without strptime
+_PADDED_TIME = re.compile(
+    r"([0-9]{2})/([0-9]{2})/([0-9]{4}) ([0-9]{2}):([0-9]{2}):([0-9]{2})")
+
+
 def parse_timestamp(text):
-    """`dd/MM/yyyy HH:mm:ss` -> UTC epoch seconds."""
+    """`dd/MM/yyyy HH:mm:ss` -> UTC epoch seconds.
+
+    The zero-padded shape is read field by field; any other text, or a
+    field out of range, goes to `strptime`, which also gives the error.
+    """
+    match = _PADDED_TIME.fullmatch(text)
+    if match:
+        d, mo, y, hh, mm, ss = map(int, match.groups())
+        try:
+            return int(datetime(y, mo, d, hh, mm, ss,
+                                tzinfo=timezone.utc).timestamp())
+        except ValueError:
+            pass
     dt = datetime.strptime(text, TIME_FORMAT).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
 

@@ -24,7 +24,8 @@ from .features import (Standardizer, cell_visit_entropy, compute_features,
                        project, resolve_subset)
 from .fusion import DenseNet, TrainConfig, evaluate, train
 from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
-                       label_social, social_influence, temporal_influence)
+                       fit_spatial, label_social, project_stays,
+                       social_influence, temporal_influence)
 from .anonymize import AnonymityPolicy, k_anonymize
 from .publish import (decode_days, fit_semantic, gan_sample,
                       purpose_posteriors, semantic_feature, similarity_report,
@@ -34,6 +35,9 @@ EPOCH_MONDAY = 1568592000  # 2019-09-16 00:00:00 UTC, a Monday
 # the one co-location config of the experiments: the attack's pair features,
 # the social labelling of mobility clusters and the release's social graph
 COLOCATION = CoLocationConfig()
+# users whose spatial mixtures share one stacked EM run: bounds the run's
+# (component, point) arrays, which grow with the block's largest stay count
+MODEL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -372,18 +376,30 @@ def coevent_participation(world):
 
 
 def fit_world_models(world, seed=0, m="auto"):
-    """Fit and socially label a mobility model per user."""
+    """Fit and socially label a mobility model per user, the i-th user's
+    spatial mixture from seed + i. The spatial mixtures of each block of
+    MODEL_BLOCK users are fitted in one stacked EM run."""
     participation = coevent_participation(world)
     models = {}
-    for i, u in enumerate(world.users):
-        model, assign = fit_mobility_model(world.trajectories[u], world.grid,
-                                           m=m, seed=seed + i)
-        hits = np.asarray(participation[u], dtype=float)
-        tot = np.bincount(assign, minlength=model.n_components)
-        frac = np.bincount(assign, weights=hits, minlength=model.n_components)
-        frac = np.where(tot > 0, frac / np.maximum(tot, 1), 0.0)
-        label_social(model, frac, tau_soc=0.25)
-        models[u] = model
+    for b in range(0, len(world.users), MODEL_BLOCK):
+        block = world.users[b:b + MODEL_BLOCK]
+        projected = [project_stays(world.trajectories[u]) for u in block]
+        for u, (_, X) in zip(block, projected):
+            if m != "auto" and m > len(X):
+                raise ValueError(f"user {u}: {m} components need at least "
+                                 f"{m} stays, got {len(X)}")
+        fits = fit_spatial([X for _, X in projected], m,
+                           range(seed + b, seed + b + len(block)))
+        for u, (proj, _), fit in zip(block, projected, fits):
+            model, assign = fit_mobility_model(world.trajectories[u],
+                                               world.grid, proj, fit)
+            hits = np.asarray(participation[u], dtype=float)
+            tot = np.bincount(assign, minlength=model.n_components)
+            frac = np.bincount(assign, weights=hits,
+                               minlength=model.n_components)
+            frac = np.where(tot > 0, frac / np.maximum(tot, 1), 0.0)
+            label_social(model, frac, tau_soc=0.25)
+            models[u] = model
     return models
 
 

@@ -80,19 +80,20 @@ def _chol2(covs):
 
 def _component_log_joint(X, weights, means, covs):
     """(m, n) matrix of log w_m + log N(x_n | mu_m, Sigma_m), one row per
-    component (see `mixture_log_joint`)."""
+    component (see `mixture_log_joint`). X holds (n, d) points shared by
+    all components, or (m, n, d) points, one row of points per component."""
     if covs.ndim == 2:
-        diff = X[None, :, :] - means[:, None, :]        # (m, n, d)
+        diff = X - means[:, None, :]        # (m, n, d)
         log_norm = 0.5 * np.sum(np.log(2 * np.pi * covs), axis=1)
         maha = np.sum(diff ** 2 / covs[:, None, :], axis=2)
     else:
-        if X.shape[1] != 2:
+        if X.shape[-1] != 2:
             raise ValueError(f"full covariances need 2-D points, got "
-                             f"d={X.shape[1]}")
+                             f"d={X.shape[-1]}")
         l00, l10, l11 = _chol2(covs)
         # two triangular solves of L z = x - mu, one row of L at a time
-        z0 = (X[:, 0] - means[:, :1]) / l00[:, None]
-        z1 = (X[:, 1] - means[:, 1:] - l10[:, None] * z0) / l11[:, None]
+        z0 = (X[..., 0] - means[:, :1]) / l00[:, None]
+        z1 = (X[..., 1] - means[:, 1:] - l10[:, None] * z0) / l11[:, None]
         log_norm = np.log(2 * np.pi) + (np.log(l00) + np.log(l11))
         maha = z0 * z0 + z1 * z1
     return np.log(weights + 1e-300)[:, None] + (-log_norm[:, None]
@@ -137,75 +138,109 @@ def _floor_cov(covs, floor):
     return _sym2(a + d_hi + t * (hi - a), b - t * b, c + d_hi + t * (hi - c))
 
 
-def em_mixtures(X, starts, cov0, floor, max_iter, tol):
-    """EM fits of several Gaussian mixtures of X, stacked in one run.
+def em_mixtures(sets, starts, floor, max_iter, tol):
+    """EM fits of Gaussian mixtures of several point sets, stacked in one run.
 
-    `starts` lists (m, seed) pairs. Each start seeds its m means with data
-    points drawn by `default_rng(seed)`, with equal weights and the floored
-    `cov0`: a (2, 2) covariance for a full-covariance mixture, or a (d,)
-    variance vector for a diagonal one. The components of all running
-    starts share each E- and M-step; the log-sum-exp, the trace and the
-    stop rule are per start. The trace is the per-point mean
-    log-likelihood at the parameters entering each iteration; the floored
-    covariance update is the constrained maximizer, so it never decreases.
-    A start stops after `max_iter` M-steps or once its trace moves by less
-    than `tol`; it is returned at its current parameters, with their
-    log-joint and total log-likelihood, and leaves the stack. Returns one
-    MixtureFit per start, in order; a single fit is the one-start case.
+    `sets` lists (X, cov0) pairs: (n, d) points and the covariance every
+    start on them begins with, (2, 2) for a full-covariance mixture or a
+    (d,) variance vector for a diagonal one. `starts` lists (set, m, seed)
+    triples. Each start seeds its m means with points of its set drawn by
+    `default_rng(seed)`, with equal weights and the floored cov0. The
+    components of all running starts share each E- and M-step over a
+    (component, point) layout; the log-sum-exp, the trace and the stop
+    rule are per start. The trace is the per-point mean log-likelihood at
+    the parameters entering each iteration; the floored covariance update
+    is the constrained maximizer, so it never decreases. A start stops
+    after `max_iter` M-steps or once its trace moves by less than `tol`;
+    it is returned at its current parameters, with their log-joint and
+    total log-likelihood, and leaves the stack. Returns one MixtureFit per
+    start, in order; a single fit is the one-start case.
+
+    With several sets, each set is padded to the largest point count by
+    repeating its first point, and the padding is masked out of every sum.
+    Each log-joint entry is computed as alone, but a point sum over a
+    padded row adds in another order, so a start on a shorter set can
+    differ from its fit alone in the last bits; a start on a set of the
+    largest size gets the same floats in any stack as alone.
     """
-    n = X.shape[0]
-    sizes = np.array([m for m, _ in starts], dtype=int)
-    if len(sizes) == 0 or sizes.min() < 1 or sizes.max() > n:
+    sets = [(np.asarray(X, dtype=float), np.asarray(cov0, dtype=float))
+            for X, cov0 in sets]
+    ns = np.array([len(X) for X, _ in sets])
+    set_of = np.array([i for i, _, _ in starts], dtype=int)
+    sizes = np.array([m for _, m, _ in starts], dtype=int)
+    bad = (sizes < 1) | (sizes > ns[set_of])
+    if len(sizes) == 0 or bad.any():
         raise ValueError(f"need starts with 1 <= m <= n, got "
-                         f"m={sizes.tolist()}, n={n}")
+                         f"m={sizes[bad].tolist()}, "
+                         f"n={ns[set_of[bad]].tolist()}")
     means = np.concatenate([
-        X[np.random.default_rng(seed).choice(n, size=m, replace=False)]
-        for m, seed in starts]).astype(float)
-    covs = np.repeat(_floor_cov(np.asarray(cov0, dtype=float)[None], floor),
-                     len(means), axis=0)
+        sets[i][0][np.random.default_rng(seed).choice(ns[i], size=m,
+                                                      replace=False)]
+        for i, m, seed in starts])
+    comp_set = np.repeat(set_of, sizes)
+    covs = np.concatenate([_floor_cov(cov0[None], floor)
+                           for _, cov0 in sets])[comp_set]
     weights = np.repeat(1.0 / sizes, sizes)
-    traces = [[] for _ in starts]
+    N = ns.max()
+    padded = len(sets) > 1
+    if padded:      # (k, N, d): the points of each component's set
+        X = np.stack([np.concatenate([P, np.repeat(P[:1], N - len(P), 0)])
+                      for P, _ in sets])[comp_set]
+    else:
+        X = sets[0][0]
+    traces = np.empty((len(starts), max_iter))
+    it = 0          # the trace length of every running start
     fits = [None] * len(starts)
     live = np.arange(len(starts))       # the starts still running
-    running = np.ones(len(live), dtype=bool)
     while True:
-        if not running.all():           # drop the stopped starts
-            live, running = live[running], running[running]
         first = np.cumsum(sizes[live]) - sizes[live]
         seg = np.repeat(np.arange(len(live)), sizes[live])
-        # (k, n), one row per component and a run of rows per start
+        n = ns[set_of[live]]
+        # (k, N), one row per component and a run of rows per start
         log_joint = _component_log_joint(X, weights, means, covs)
         mx = np.maximum.reduceat(log_joint, first, axis=0)
         lse = mx + np.log(np.add.reduceat(np.exp(log_joint - mx[seg]),
-                                          first, axis=0))   # (starts, n)
-        mean_ll = lse.sum(axis=1) / n       # as lse.mean() per start
-        for i, s in enumerate(live):
-            trace = traces[s]
-            if len(trace) < max_iter:
-                trace.append(float(mean_ll[i]))
-                if len(trace) < 2 or abs(trace[-1] - trace[-2]) >= tol:
-                    continue
+                                          first, axis=0))   # (starts, N)
+        ll = lse           # per-point log-likelihoods, padding at 0
+        if padded:
+            valid = np.arange(N) < n[:, None]
+            ll = np.where(valid, lse, 0.0)
+        mean_ll = ll.sum(axis=1) / n        # as lse.mean() per start
+        if it == max_iter:
+            running = np.zeros(len(live), dtype=bool)
+        else:
+            traces[live, it] = mean_ll
+            it += 1
+            running = (np.abs(mean_ll - traces[live, it - 2]) >= tol
+                       if it > 1 else np.ones(len(live), dtype=bool))
+        for i in np.flatnonzero(~running):
+            s = live[i]
             comp = slice(first[i], first[i] + sizes[s])
             fits[s] = MixtureFit(
-                means[comp], covs[comp], weights[comp], trace,
-                np.ascontiguousarray(log_joint[comp].T), float(lse[i].sum()))
-            running[i] = False
+                means[comp], covs[comp], weights[comp],
+                traces[s, :it].tolist(),
+                np.ascontiguousarray(log_joint[comp, :n[i]].T),
+                float(ll[i].sum()))
         if not running.any():
             return fits
-        # (k, n) responsibilities of the running starts. Each reduction
-        # below sees one component's row, so a start gets the same numbers
-        # in any stack as alone.
+        # (k, N) responsibilities of the running starts. Each reduction
+        # below runs along one component's row.
         R = np.exp(log_joint - lse[seg])
+        if padded:
+            R *= valid[seg]
         if not running.all():
-            R = R[running[seg]]
+            keep = running[seg]
+            R, live = R[keep], live[running]
+            if padded:
+                X = X[keep]
         nk = R.sum(axis=1) + 1e-12
-        weights = nk / n
+        weights = nk / np.repeat(ns[set_of[live]], sizes[live])
         means = (R[:, None, :] @ X)[:, 0] / nk[:, None]
         if covs.ndim == 2:
-            diff = X[None, :, :] - means[:, None, :]
+            diff = X - means[:, None, :]
             covs = np.sum(R[:, :, None] * diff ** 2, axis=1) / nk[:, None]
         else:
-            dx, dy = X[:, 0] - means[:, :1], X[:, 1] - means[:, 1:]
+            dx, dy = X[..., 0] - means[:, :1], X[..., 1] - means[:, 1:]
             Rdx = R * dx
             covs = _sym2((Rdx * dx).sum(axis=1) / nk,
                          (Rdx * dy).sum(axis=1) / nk,
@@ -213,20 +248,28 @@ def em_mixtures(X, starts, cov0, floor, max_iter, tol):
         covs = _floor_cov(covs, floor)
 
 
-def _fit_spatial(points, m, seed=0, m_range=range(1, 7), max_iter=200,
-                 tol=1e-6):
-    """Full-covariance 2D mixture with m components, or, for m="auto", the
-    fit of lowest BIC over the m in m_range that do not exceed the points,
-    all fitted in one stacked EM run from the same seed."""
-    X = np.asarray(points, dtype=float)
-    n = X.shape[0]
-    ms = [k for k in m_range if k <= n] if m == "auto" else [m]
-    cov0 = np.cov(X.T) if n > 1 else np.eye(2)
-    fits = em_mixtures(X, [(k, seed) for k in ms], cov0, VAR_FLOOR_M2,
-                       max_iter, tol)
-    # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
-    return min(fits, key=lambda f: (6 * len(f.weights) - 1) * np.log(n)
-               - 2.0 * f.loglik)
+def fit_spatial(point_sets, m, seeds, m_range=range(1, 7), max_iter=200,
+                tol=1e-6):
+    """Full-covariance 2D mixture of each point set, all fitted in one
+    stacked EM run, the i-th set's starts from `seeds[i]`. With m="auto",
+    the fit of a set is the one of lowest BIC over the m in m_range that do
+    not exceed its points; only the chosen fits are returned, one per set.
+    """
+    sets, starts = [], []
+    for i, (points, seed) in enumerate(zip(point_sets, seeds)):
+        X = np.asarray(points, dtype=float)
+        n = len(X)
+        sets.append((X, np.cov(X.T) if n > 1 else np.eye(2)))
+        starts += [(i, k, seed) for k in
+                   ([k for k in m_range if k <= n] if m == "auto" else [m])]
+    best = {}
+    for (i, k, _), fit in zip(starts, em_mixtures(sets, starts, VAR_FLOOR_M2,
+                                                   max_iter, tol)):
+        # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
+        bic = (6 * k - 1) * np.log(len(sets[i][0])) - 2.0 * fit.loglik
+        if i not in best or bic < best[i][0]:
+            best[i] = (bic, fit)
+    return [best[i][1] for i in range(len(sets))]
 
 
 def fit_gmm(points, m, seed=0):
@@ -238,7 +281,7 @@ def fit_gmm(points, m, seed=0):
     iteration, so it is non-decreasing by the EM guarantee (the variance
     floor binds only on degenerate clusters).
     """
-    return _fit_spatial(points, m, seed)[:4]
+    return fit_spatial([points], m, [seed])[0][:4]
 
 
 @dataclass(frozen=True)
@@ -318,17 +361,24 @@ class MobilityModel3D:
         )
 
 
-def fit_mobility_model(traj, grid, m="auto", seed=0):
-    """Fit the spatial GMM and temporal profile from one user's stays.
+def project_stays(traj):
+    """The user's local projection, centred on the mean stay position, and
+    the (n, 2) planar points of the stays."""
+    lats = np.array([s.lat for s in traj])
+    lons = np.array([s.lon for s in traj])
+    proj = LocalProjection(float(lats.mean()), float(lons.mean()))
+    return proj, proj.to_xy(lats, lons)
+
+
+def fit_mobility_model(traj, grid, projection, fit):
+    """Mobility model of one user's stays from their spatial mixture `fit`
+    (a MixtureFit of `fit_spatial` on the stays' points in `projection`),
+    with the temporal profile and visit counts of the hard assignment.
 
     Social flags start all-False; call label_social once co-occurrence
     fractions are known.
     """
-    lats = np.array([s.lat for s in traj])
-    lons = np.array([s.lon for s in traj])
-    proj = LocalProjection(float(lats.mean()), float(lons.mean()))
-    X = proj.to_xy(lats, lons)
-    means, covs, weights, trace, log_joint, _ = _fit_spatial(X, m, seed)
+    means, covs, weights, trace, log_joint, _ = fit
     mm = len(weights)
     # hard-assign each stay for the profile and visit counts
     assign = log_joint.argmax(axis=1)
@@ -339,7 +389,7 @@ def fit_mobility_model(traj, grid, m="auto", seed=0):
     empty = profile.sum(axis=1) == 0
     profile[empty] = weights            # fall back to the global mixture
     profile /= profile.sum(axis=1, keepdims=True)
-    return MobilityModel3D(traj.user_id, proj, means, covs, weights,
+    return MobilityModel3D(traj.user_id, projection, means, covs, weights,
                            profile, visit_counts=counts,
                            ll_trace=trace), assign
 

@@ -187,9 +187,9 @@ def fit_semantic(V, n_purposes=4, seed=0, restarts=5):
     """
     X = np.asarray(V, dtype=float)
     var = X.var(axis=0)
-    fits = em_mixtures(X, [(n_purposes, seed + 7919 * r)
-                           for r in range(max(1, restarts))],
-                       var, 1e-6 + 1e-4 * var, max_iter=200, tol=1e-8)
+    fits = em_mixtures([(X, var)], [(0, n_purposes, seed + 7919 * r)
+                                    for r in range(max(1, restarts))],
+                       1e-6 + 1e-4 * var, max_iter=200, tol=1e-8)
     best = max(fits, key=lambda f: f.trace[-1])
     return SemanticModel(best.weights, best.means, best.covs, best.trace)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import trajpriv
 
-from trajpriv.core import (GridSpec, StayParseError, StayRecord, Trajectory,
-                           cell_center, cell_of, haversine_m, parse_stays,
-                           serialize_stays, stays_from_jsonl, stays_to_jsonl,
-                           time_slot, to_cell, OutOfGridError)
+from trajpriv.core import (TIME_FORMAT, GridSpec, StayParseError, StayRecord,
+                           Trajectory, cell_center, cell_of, haversine_m,
+                           parse_stays, parse_timestamp, serialize_stays,
+                           stays_from_jsonl, stays_to_jsonl, time_slot,
+                           to_cell, OutOfGridError)
 
 SAMPLE_CSV = (
     "ID,Start time,Start lat,Start lon,Stop time,Stop lat,Stop lon\n"
@@ -215,6 +217,53 @@ class TestGrid:
                         and y * GRID.cell_size_m <= y_m
                         < (y + 1) * GRID.cell_size_m)]
             assert hits == [(c.x, c.y)]
+
+
+def strptime_epoch(text):
+    dt = datetime.strptime(text, TIME_FORMAT).replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
+def assert_parses_as_strptime(text):
+    try:
+        want = strptime_epoch(text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            parse_timestamp(text)
+        assert str(got.value) == str(e)
+    else:
+        assert parse_timestamp(text) == want
+
+
+class TestParseTimestamp:
+    @settings(max_examples=200, deadline=None)
+    @given(st.datetimes(min_value=datetime(1, 1, 1),
+                        max_value=datetime(9999, 12, 31, 23, 59, 59)))
+    def test_valid_stamps_equal_strptime(self, dt):
+        text = (f"{dt.day:02d}/{dt.month:02d}/{dt.year:04d} "
+                f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}")
+        assert parse_timestamp(text) == strptime_epoch(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fields=st.tuples(*[st.integers(0, 99)] * 2, st.integers(0, 9999),
+                            *[st.integers(0, 99)] * 3),
+           padded=st.booleans())
+    def test_any_field_values_parse_or_fail_as_strptime(self, fields,
+                                                          padded):
+        d, mo, y, hh, mm, ss = fields
+        if padded:
+            text = f"{d:02d}/{mo:02d}/{y:04d} {hh:02d}:{mm:02d}:{ss:02d}"
+        else:
+            text = f"{d}/{mo}/{y} {hh}:{mm}:{ss}"
+        assert_parses_as_strptime(text)
+
+    @pytest.mark.parametrize("text", [
+        "31/04/2019 10:00:00", "16/09/2019 24:00:00", "16/09/2019 10:00:60",
+        "16/09/2019 10:00:61", "16/09/0000 10:00:00", "6/9/2019 1:2:3",
+        " 16/09/2019 10:00:00", "16/09/2019 10:00", "16-09-2019 10:00:00",
+        "16/09/2019 10:00:00x", ""])
+    def test_edge_cases_match_strptime(self, text):
+        assert_parses_as_strptime(text)
 
 
 class TestTimeSlot:

@@ -1,0 +1,55 @@
+"""Golden digests of three pipeline outputs on a small simulated world.
+
+A change that claims byte-identical outputs must leave these digests as
+they are; a deliberate re-baseline updates them and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from trajpriv.anonymize import AnonymityPolicy
+from trajpriv.cli import _load_world, main as cli_main
+from trajpriv.harness import (fit_world_models, k_anonymize_world,
+                              report_json, run_defense)
+
+SEED = 7
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def world_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden_world")
+    assert cli_main(["--seed", "5", "simulate", "--users", "16", "--days",
+                     "7", "--out", str(d)]) == 0
+    return d
+
+
+@pytest.fixture(scope="module")
+def world(world_dir):
+    return _load_world(world_dir)
+
+
+def test_k_anonymity_report(world):
+    report = report_json(run_defense(world, "k_anonymity", seed=SEED))
+    assert sha256(report) == (
+        "a46c101de9bba4fc0581a99527dc54105c642cfed7bf3e24bb616f99b72454c9")
+
+
+def test_anonymity_sets(world):
+    models = fit_world_models(world, seed=SEED)
+    sets = k_anonymize_world(world, models, AnonymityPolicy(), seed=SEED)
+    text = "".join(sets[u].to_jsonl() for u in world.users)
+    assert sha256(text) == (
+        "d168ba5de42c217adcf46545ffba215817ec2423cbdaaba08fbd7d538320c946")
+
+
+def test_features_csv(world_dir, tmp_path):
+    out = tmp_path / "features.csv"
+    assert cli_main(["features", "--world", str(world_dir),
+                     "--out", str(out)]) == 0
+    assert sha256(out.read_text()) == (
+        "9388ba30067e1a734b4877ffce5799c05621dc4c80d3a6bf3d73aa5afdaa2b62")

@@ -21,7 +21,8 @@ from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               report_rows_csv, run_attack, run_defense,
                               sample_negative_pairs, _day_slices)
 from trajpriv.mobility import (InfluenceParams, combined_influence,
-                               fit_mobility_model, temporal_influence)
+                               fit_mobility_model, fit_spatial, project_stays,
+                               temporal_influence)
 from trajpriv.publish import (embed_trajectory, similarity_report,
                               top_cells)
 
@@ -212,8 +213,12 @@ def test_social_flags_are_the_per_stay_participation_fractions(small_world,
     participation = coevent_participation(small_world)
     flagged = 0
     for i, u in enumerate(small_world.users):
+        # each user fitted alone; fit_world_models stacks them in blocks
+        proj, X = project_stays(small_world.trajectories[u])
+        fit, = fit_spatial([X], "auto", [3 + i])
         model, assign = fit_mobility_model(small_world.trajectories[u],
-                                           small_world.grid, seed=3 + i)
+                                           small_world.grid, proj, fit)
+        assert model.n_components == small_models[u].n_components
         hits = np.zeros(model.n_components)
         tot = np.zeros(model.n_components)
         for j, hit in zip(assign, participation[u]):
@@ -223,6 +228,14 @@ def test_social_flags_are_the_per_stay_participation_fractions(small_world,
         assert small_models[u].social_flags.tolist() == (frac >= 0.25).tolist()
         flagged += int(small_models[u].social_flags.sum())
     assert flagged > 0
+
+
+def test_fixed_m_above_a_users_stay_count_names_the_user():
+    world = hand_built_world({"a": [((1, 1), 0, 2), ((4, 4), 3, 5)],
+                              "b": [((1, 1), 0, 2)]}, [])
+    with pytest.raises(ValueError, match=r"^user b: 2 components need at "
+                                         r"least 2 stays, got 1$"):
+        fit_world_models(world, m=2)
 
 
 def scalar_social_influence(fm, point, slot, params):
@@ -358,9 +371,11 @@ class TestCli:
          "edges.csv row 2: expected 2 fields, got 3"),
         ("edges.csv", "user_a,user_b\na,zz\n",
          "edges.csv row 1: user zz has no stays in stays.csv"),
+        ("edges.csv", "user_a,user_b\na,c\nc, c\n",
+         "edges.csv row 2: self-loop on user c"),
         ("config.json", '{"n_users": 2, "seed": 0, "colour": 1, "alpha": 2}',
          "config.json: unknown keys ['alpha', 'colour']"),
-    ], ids=["edge-fields", "edge-user", "config-key"])
+    ], ids=["edge-fields", "edge-user", "edge-self-loop", "config-key"])
     def test_malformed_world_fails_with_row_error(self, tmp_path, capsys,
                                                   name, text, message):
         world = hand_built_world({"a": [((1, 1), 0, 2)],

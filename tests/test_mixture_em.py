@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_normal
 
 from trajpriv.core import GridSpec, StayRecord, Trajectory, time_slot
-from trajpriv.mobility import (_chol2, _fit_spatial, _floor_cov, em_mixtures,
-                               fit_mobility_model, mixture_log_joint)
+from trajpriv.mobility import (_chol2, _floor_cov, em_mixtures,
+                               fit_mobility_model, fit_spatial,
+                               mixture_log_joint, project_stays)
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
 BOUNDED = settings(max_examples=25, deadline=None)
@@ -80,7 +81,7 @@ def test_stacked_sweep_matches_one_run_per_m(seed, n, ms, early_stop,
     tol = 1e-6 if early_stop else -1.0
     max_iter = 200 if early_stop else max_iter
     cov0 = np.cov(X.T) if n > 1 else np.eye(2)
-    fits = em_mixtures(X, [(k, seed) for k in m_range], cov0, 25.0,
+    fits = em_mixtures([(X, cov0)], [(0, k, seed) for k in m_range], 25.0,
                        max_iter, tol)
     refs = [reference_em(X, k, seed, cov0, 25.0, max_iter, tol)
             for k in m_range]
@@ -92,7 +93,7 @@ def test_stacked_sweep_matches_one_run_per_m(seed, n, ms, early_stop,
     def bic(k, loglik):
         return (6 * k - 1) * np.log(n) - 2.0 * loglik
     want_m = min(zip(m_range, refs), key=lambda p: bic(p[0], p[1][4]))[0]
-    chosen = _fit_spatial(X, "auto", seed, m_range, max_iter=max_iter,
+    chosen, = fit_spatial([X], "auto", [seed], m_range, max_iter=max_iter,
                           tol=tol)
     assert len(chosen.weights) == want_m
 
@@ -181,7 +182,7 @@ def test_full_covariance_must_be_planar(d):
     with pytest.raises(ValueError):
         _floor_cov(covs, 1.0)
     with pytest.raises(ValueError):
-        em_mixtures(X, [(1, 0)], np.eye(d), 1.0, 10, 1e-6)
+        em_mixtures([(X, np.eye(d))], [(0, 1, 0)], 1.0, 10, 1e-6)
 
 
 def test_non_positive_definite_covariance_raises():
@@ -205,9 +206,9 @@ def test_em_loglik_never_decreases(seed, n, ms, d, diagonal, max_iter):
         cov0, floor = var, 1e-6 + 1e-4 * var
     else:
         cov0, floor = np.cov(X.T), 1e-3
-    starts = [(m, seed + i) for i, m in enumerate(ms)]
-    fits = em_mixtures(X, starts, cov0, floor, max_iter, 1e-12)
-    for (m, s), fit in zip(starts, fits):
+    starts = [(0, m, seed + i) for i, m in enumerate(ms)]
+    fits = em_mixtures([(X, cov0)], starts, floor, max_iter, 1e-12)
+    for (_, m, s), fit in zip(starts, fits):
         tr = fit.trace
         assert len(fit.weights) == m
         assert 1 <= len(tr) <= max_iter
@@ -219,10 +220,45 @@ def test_em_loglik_never_decreases(seed, n, ms, d, diagonal, max_iter):
         lse = np.logaddexp.reduce(log_joint, axis=1)
         assert np.isclose(fit.loglik, lse.sum(), rtol=1e-12)
         # a start fits as it would alone, bit for bit
-        alone, = em_mixtures(X, [(m, s)], cov0, floor, max_iter, 1e-12)
+        alone, = em_mixtures([(X, cov0)], [(0, m, s)], floor, max_iter,
+                             1e-12)
         assert alone.trace == tr and alone.loglik == fit.loglik
         for got, want in zip(fit[:3], alone[:3]):
             assert np.array_equal(got, want)
+
+
+@BOUNDED
+@given(seed=seeds, ns=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+       ms=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       diagonal=st.booleans(), early_stop=st.booleans(),
+       max_iter=st.integers(1, 60))
+def test_multi_set_starts_fit_as_on_their_set_alone(seed, ns, ms, diagonal,
+                                                     early_stop, max_iter):
+    rng = np.random.default_rng(seed)
+    sets = []
+    for n in ns:
+        X = clustered_points(rng, n, 3 if diagonal else 2) * rng.uniform(1, 500)
+        cov0 = X.var(axis=0) if diagonal else (np.cov(X.T) if n > 1
+                                                else np.eye(2))
+        sets.append((X, cov0))
+    floor = 1e-3 if diagonal else 25.0
+    tol = 1e-6 if early_stop else -1.0
+    max_iter = 200 if early_stop else max_iter
+    starts = [(j % len(ns), min(m, ns[j % len(ns)]), seed + j)
+              for j, m in enumerate(ms)]
+    fits = em_mixtures(sets, starts, floor, max_iter, tol)
+    for (i, m, s), fit in zip(starts, fits):
+        X, cov0 = sets[i]
+        alone, = em_mixtures([(X, cov0)], [(0, m, s)], floor, max_iter, tol)
+        assert len(fit.trace) == len(alone.trace)
+        for got, want in zip(fit[:3], alone[:3]):
+            assert_close_to_scale(got, want)
+        assert np.array_equal(fit.log_joint, mixture_log_joint(
+            X, fit.weights, fit.means, fit.covs))
+        if len(X) == max(ns):           # no padding: the same floats
+            assert fit.trace == alone.trace and fit.loglik == alone.loglik
+            for got, want in zip(fit[:5], alone[:5]):
+                assert np.array_equal(got, want)
 
 
 @BOUNDED
@@ -239,9 +275,9 @@ def test_mobility_assignment_is_argmax_of_log_joint(seed, n, m):
         stays.append(StayRecord("u", t, t + dur, lat, lon, lat, lon))
         t += dur + int(rng.integers(0, 3600))
     traj = Trajectory("u", stays)
-    model, assign = fit_mobility_model(
-        traj, GRID, m=m if m == "auto" else min(m, n), seed=seed % 1000)
-    X = model.projection.to_xy([s.lat for s in traj], [s.lon for s in traj])
+    proj, X = project_stays(traj)
+    fit, = fit_spatial([X], m if m == "auto" else min(m, n), [seed % 1000])
+    model, assign = fit_mobility_model(traj, GRID, proj, fit)
     log_joint = mixture_log_joint(X, model.weights, model.means, model.covs)
     assert np.array_equal(assign, log_joint.argmax(axis=1))
     # the slot profile and visit counts are the per-stay tallies
