@@ -3,6 +3,11 @@
 One hidden layer, trained by mini-batch SGD on cross-entropy (or the
 equivalent adversarial binary objective). Kept dependency-free on purpose:
 gradients are checked against finite differences in the test suite.
+
+A net may also be a stack of S nets of one shape: every parameter then
+carries a leading axis of length S (biases as (S, 1, h)) and every input,
+activation and gradient a leading axis too, so one matmul over
+(S, batch, d) runs all S nets. Forward, loss and backward serve both.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ def _sigmoid(z):
 
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _activate(z, kind):
@@ -117,8 +122,8 @@ class DenseNet:
 
     def forward(self, X, return_hidden=False):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.sizes[0]:
-            raise ValueError(f"input dim {X.shape[1]} != {self.sizes[0]}")
+        if X.shape[-1] != self.sizes[0]:
+            raise ValueError(f"input dim {X.shape[-1]} != {self.sizes[0]}")
         H = _activate(X @ self.W1 + self.b1, self.hidden_act)
         Y = _activate(H @ self.W2 + self.b2, self.output_act)
         if return_hidden:
@@ -130,18 +135,21 @@ _EPS = 1e-12
 
 
 def loss_value(net, X, Y, loss="cross_entropy"):
-    """Mean batch loss. gan_minimax shares the binary cross-entropy form:
-    the adversarial direction is encoded in the targets by the caller."""
+    """Mean batch loss, or one per net of a stack. gan_minimax shares the
+    binary cross-entropy form: the adversarial direction is encoded in the
+    targets by the caller."""
     P = net.forward(X)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if loss in ("cross_entropy", "gan_minimax"):
-        if net.output_act == "softmax":
-            return float(-np.mean(np.sum(Y * np.log(P + _EPS), axis=1)))
-        if net.output_act == "sigmoid":
-            return float(-np.mean(Y * np.log(P + _EPS)
-                                  + (1 - Y) * np.log(1 - P + _EPS)))
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss}")
+    if net.output_act == "softmax":
+        per_net = -np.mean(np.sum(Y * np.log(P + _EPS), axis=-1), axis=-1)
+    elif net.output_act == "sigmoid":
+        per_net = -np.mean(Y * np.log(P + _EPS)
+                           + (1 - Y) * np.log(1 - P + _EPS), axis=(-2, -1))
+    else:
         raise ValueError("cross-entropy requires sigmoid or softmax output")
-    raise ValueError(f"unknown loss {loss}")
+    return float(per_net) if per_net.ndim == 0 else per_net
 
 
 def backward(net, X, H, dZ2):
@@ -150,10 +158,16 @@ def backward(net, X, H, dZ2):
     Given the input X, the hidden activations H of its forward pass and a
     loss's gradient dZ2 at the output pre-activation, returns the gradients
     of that loss w.r.t. every parameter and w.r.t. X."""
-    dZ1 = (dZ2 @ net.W2.T) * _hidden_deriv(H, net.hidden_act)
-    grads = {"W1": X.T @ dZ1, "b1": dZ1.sum(axis=0),
-             "W2": H.T @ dZ2, "b2": dZ2.sum(axis=0)}
-    return grads, dZ1 @ net.W1.T
+    stacked = X.ndim == 3
+    dZ1 = (dZ2 @ _T(net.W2)) * _hidden_deriv(H, net.hidden_act)
+    grads = {"W1": _T(X) @ dZ1, "b1": dZ1.sum(axis=-2, keepdims=stacked),
+             "W2": _T(H) @ dZ2, "b2": dZ2.sum(axis=-2, keepdims=stacked)}
+    return grads, dZ1 @ _T(net.W1)
+
+
+def _T(A):
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(A, -1, -2)
 
 
 def sgd_step(net, grads, lr):
@@ -167,7 +181,7 @@ def backprop_grads(net, X, Y, loss="cross_entropy"):
     """Analytic gradients of the mean batch loss w.r.t. all parameters."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[0] == 0:
+    if X.shape[-2] == 0:
         raise ValueError("empty batch")
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss}")
@@ -176,35 +190,66 @@ def backprop_grads(net, X, Y, loss="cross_entropy"):
     P, H = net.forward(X, return_hidden=True)
     # both cases reduce to (p - y) at the pre-activation, modulo the
     # sigmoid case using the per-unit Bernoulli form
-    return backward(net, X, H, (P - Y) / X.shape[0])[0]
+    return backward(net, X, H, (P - Y) / X.shape[-2])[0]
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, epoch):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+    def __init__(self, epoch, net):
+        super().__init__(f"non-finite loss at epoch {epoch} in net {net}")
         self.epoch = epoch
+        self.net = net
 
 
-def train(net, X, Y, cfg):
-    """Mini-batch SGD; returns (trained copy, per-epoch loss trace)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+def train(nets, X, Y, cfg):
+    """Mini-batch SGD of S nets of one shape in one stacked run.
+
+    Net s learns from X[s] (rows, d_in) against the targets Y that every
+    net shares; all nets see the same batches. Returns (trained copies,
+    per-net per-epoch loss traces), each net's equal to training it alone.
+    DivergenceError names the first epoch and net whose loss is not
+    finite."""
+    # C order, and batches gathered by take, so that every net's slice has
+    # the strides of a lone net's array and numpy multiplies it the same way
+    X = np.ascontiguousarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[0] == 0:
+    if not nets or X.ndim != 3 or X.shape[0] != len(nets):
+        raise ValueError("X must stack one (rows, d_in) array per net")
+    if X.shape[1] == 0:
         raise ValueError("empty dataset")
-    net = net.copy()
+    if X.shape[1] != Y.shape[0]:
+        raise ValueError(f"{X.shape[1]} input rows but {Y.shape[0]} targets")
+    first = nets[0]
+    kind = (tuple(first.sizes), first.hidden_act, first.output_act)
+    if any((tuple(n.sizes), n.hidden_act, n.output_act) != kind
+           for n in nets):
+        raise ValueError("stacked nets must share sizes and activations")
+    # biases as (S, 1, h): an (S, h) bias would broadcast against a last
+    # batch of exactly S rows without error, and wrongly
+    stack = DenseNet(first.sizes, first.hidden_act, first.output_act,
+                     W1=np.stack([n.W1 for n in nets]),
+                     b1=np.stack([n.b1 for n in nets])[:, None],
+                     W2=np.stack([n.W2 for n in nets]),
+                     b2=np.stack([n.b2 for n in nets])[:, None])
     rng = np.random.default_rng(cfg.seed)
-    trace = []
+    traces = [[] for _ in nets]
     for epoch in range(cfg.epochs):
-        order = rng.permutation(X.shape[0])
+        order = rng.permutation(X.shape[1])
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            sgd_step(net, backprop_grads(net, X[idx], Y[idx], cfg.loss),
+            batch = X.take(idx, axis=1)
+            sgd_step(stack, backprop_grads(stack, batch, Y[idx], cfg.loss),
                      cfg.learning_rate)
-        ep_loss = loss_value(net, X, Y, cfg.loss)
-        if not np.isfinite(ep_loss):
-            raise DivergenceError(epoch)
-        trace.append(ep_loss)
-    return net, trace
+        losses = loss_value(stack, X, Y, cfg.loss)
+        diverged = np.flatnonzero(~np.isfinite(losses))
+        if diverged.size:
+            raise DivergenceError(epoch, int(diverged[0]))
+        for trace, value in zip(traces, losses.tolist()):
+            trace.append(value)
+    trained = [DenseNet(first.sizes, first.hidden_act, first.output_act,
+                        W1=stack.W1[s], b1=stack.b1[s, 0],
+                        W2=stack.W2[s], b2=stack.b2[s, 0])
+               for s in range(len(nets))]
+    return trained, traces
 
 
 def evaluate(scores, labels):

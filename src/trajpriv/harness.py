@@ -337,36 +337,69 @@ def run_attack(world, subsets=("all",), seed=7, semantic=False, epochs=400,
     """
     if dataset is None:
         dataset = build_pair_dataset(world, semantic=semantic)
-    rows_feat, sem_vectors = dataset
-    if semantic and sem_vectors is None:
+    return _attack([dataset], subsets, seed, semantic, epochs)[0]
+
+
+def _shared_labels(datasets):
+    """The labels every dataset carries, row for row: the targets that all
+    of a stacked attack's nets share."""
+    first = datasets[0][0]
+    for i, (rows, _) in enumerate(datasets[1:], 1):
+        if len(rows) != len(first):
+            raise ValueError(f"dataset {i} has {len(rows)} pairs, dataset 0 "
+                             f"has {len(first)}")
+        for a, b in zip(first, rows):
+            if bool(a.label) != bool(b.label):
+                raise ValueError(
+                    f"dataset {i} labels pair ({b.user_a}, {b.user_b}) "
+                    f"{bool(b.label)} where dataset 0 labels "
+                    f"({a.user_a}, {a.user_b}) {bool(a.label)}: stacked "
+                    "attacks need one label order")
+    return np.array([bool(f.label) for f in first])
+
+
+def _attack(datasets, subsets=("all",), seed=7, semantic=False, epochs=400):
+    """One list of report rows per dataset, one row per subset, from the
+    fusion classifier trained on every (dataset, subset) pair.
+
+    The datasets must carry the same labels in the same order, so they
+    share the train/test split and the targets; the pairs of one input
+    width train in one stacked `train` call.
+    """
+    if semantic and any(sem is None for _, sem in datasets):
         raise ValueError("semantic attack on a dataset built without "
                          "semantic vectors")
-    labels = np.array([bool(f.label) for f in rows_feat])
+    labels = _shared_labels(datasets)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rows_feat))
-    n_train = int(round(0.7 * len(rows_feat)))
+    order = rng.permutation(len(labels))
+    n_train = int(round(0.7 * len(labels)))
     train_idx, test_idx = order[:n_train], order[n_train:]
     if labels[test_idx].sum() == 0 or (~labels[test_idx]).sum() == 0:
         raise ValueError("degenerate split: test set lacks a class")
-    report = []
-    for subset in subsets:
-        X = np.array([project(f, subset) for f in rows_feat])
-        if semantic:
-            X = np.hstack([X, sem_vectors])
-        std = Standardizer().fit(X[train_idx])
-        Xs = std.transform(X)
-        net = DenseNet.init((X.shape[1], 16, 1), "sigmoid", "sigmoid",
-                            seed=seed)
-        cfg = TrainConfig(learning_rate=0.1, epochs=epochs, batch_size=32,
-                          seed=seed)
-        net, _ = train(net, Xs[train_idx],
-                       labels[train_idx].astype(float)[:, None], cfg)
-        scores = net.forward(Xs[test_idx]).ravel()
-        metrics = evaluate(scores, labels[test_idx])
-        row = {"subset": subset if isinstance(subset, str) else "+".join(
-            resolve_subset(subset)), "semantic": bool(semantic)}
-        row.update(metrics)
-        report.append(row)
+    by_width = {}      # input width -> [(dataset, subset, standardized X)]
+    for i, (rows_feat, sem_vectors) in enumerate(datasets):
+        for j, subset in enumerate(subsets):
+            X = np.array([project(f, subset) for f in rows_feat])
+            if semantic:
+                X = np.hstack([X, sem_vectors])
+            Xs = Standardizer().fit(X[train_idx]).transform(X)
+            by_width.setdefault(X.shape[1], []).append((i, j, Xs))
+    cfg = TrainConfig(learning_rate=0.1, epochs=epochs, batch_size=32,
+                      seed=seed)
+    Y = labels[train_idx].astype(float)[:, None]
+    report = [[None] * len(subsets) for _ in datasets]
+    for width, group in by_width.items():
+        net = DenseNet.init((width, 16, 1), "sigmoid", "sigmoid", seed=seed)
+        nets, _ = train([net] * len(group),
+                        [Xs[train_idx] for _, _, Xs in group], Y, cfg)
+        for (i, j, Xs), net in zip(group, nets):
+            subset = subsets[j]
+            report[i][j] = {
+                "subset": subset if isinstance(subset, str)
+                else "+".join(resolve_subset(subset)),
+                "semantic": bool(semantic),
+                **evaluate(net.forward(Xs[test_idx]).ravel(),
+                           labels[test_idx])}
     return report
 
 
@@ -493,8 +526,9 @@ def release_similarity(world, published, seed=0):
 
 def run_defense(world, defense="k_anonymity", policy=None, seed=7,
                 **attack_kw):
-    """Attack the raw world and the defended view; report both."""
-    raw_rows = run_attack(world, seed=seed, **attack_kw)
+    """Attack the raw world and the defended view; report both. Both pair
+    datasets are built before either attack trains, so the two attacks
+    train in one stacked run."""
     similarity = None
     if defense == "none":
         published = world.trajectories
@@ -508,8 +542,11 @@ def run_defense(world, defense="k_anonymity", policy=None, seed=7,
         similarity = release_similarity(world, published, seed)
     else:
         raise ValueError(f"unknown defense {defense}")
-    defended_world = World(world.cfg, published, world.friend_edges)
-    defended_rows = run_attack(defended_world, seed=seed, **attack_kw)
+    semantic = attack_kw.get("semantic", False)
+    raw = build_pair_dataset(world, semantic=semantic)
+    defended = build_pair_dataset(
+        World(world.cfg, published, world.friend_edges), semantic=semantic)
+    raw_rows, defended_rows = _attack([raw, defended], seed=seed, **attack_kw)
     out = {"defense": defense, "raw": raw_rows, "defended": defended_rows}
     if similarity is not None:
         out["similarity"] = similarity

@@ -2,10 +2,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trajpriv.fusion import (DenseNet, DivergenceError, TrainConfig, _sigmoid,
                              backprop_grads, backward, evaluate, loss_value,
-                             train)
+                             sgd_step, train)
 
 
 def finite_difference(net, X, Y, loss, h=1e-5):
@@ -143,7 +144,7 @@ class TestTrain:
         Y = np.ones((40, 1))
         net = DenseNet.init((3, 8, 1), seed=5)
         cfg = TrainConfig(learning_rate=0.5, epochs=100, seed=5)
-        trained, trace = train(net, X, Y, cfg)
+        [trained], [trace] = train([net], [X], Y, cfg)
         assert trace[-1] < trace[0]
         assert np.all(trained.forward(X) > 0.5)
 
@@ -155,7 +156,7 @@ class TestTrain:
             net = DenseNet.init((2, 4, 1), "tanh", "sigmoid", seed=seed)
             cfg = TrainConfig(learning_rate=0.5, epochs=5000, batch_size=4,
                               seed=seed)
-            trained, _ = train(net, X, Y, cfg)
+            [trained], _ = train([net], [X], Y, cfg)
             acc = np.mean((trained.forward(X) >= 0.5) == Y)
             wins += acc == 1.0
         assert wins >= 8
@@ -163,7 +164,8 @@ class TestTrain:
     def test_zero_epochs_noop(self):
         net = DenseNet.init((2, 3, 1), seed=1)
         cfg0 = TrainConfig(learning_rate=0.1, epochs=0, seed=1)
-        same, trace0 = train(net, np.zeros((2, 2)), np.zeros((2, 1)), cfg0)
+        [same], [trace0] = train([net], np.zeros((1, 2, 2)),
+                                 np.zeros((2, 1)), cfg0)
         assert trace0 == []
         assert np.array_equal(same.W1, net.W1)
         assert np.array_equal(same.W2, net.W2)
@@ -174,8 +176,8 @@ class TestTrain:
         Y = (X[:, :1] > 0).astype(float)
         net = DenseNet.init((4, 6, 1), seed=6)
         cfg = TrainConfig(learning_rate=0.2, epochs=20, seed=6)
-        n1, t1 = train(net, X, Y, cfg)
-        n2, t2 = train(net, X, Y, cfg)
+        [n1], [t1] = train([net], [X], Y, cfg)
+        [n2], [t2] = train([net], [X], Y, cfg)
         assert t1 == t2
         assert np.array_equal(n1.W1, n2.W1) and np.array_equal(n1.W2, n2.W2)
 
@@ -183,15 +185,117 @@ class TestTrain:
         net = DenseNet.init((1, 2, 1), seed=0)
         net.W1[:] = np.nan      # poisoned state surfaces as divergence
         with pytest.raises(DivergenceError) as exc:
-            train(net, np.array([[1.0]]), np.array([[1.0]]),
+            train([net], [[[1.0]]], np.array([[1.0]]),
                   TrainConfig(learning_rate=0.1, epochs=5, seed=0))
         assert exc.value.epoch == 0
+        assert exc.value.net == 0
+
+    def test_divergence_names_the_net_of_the_stack(self):
+        good = DenseNet.init((2, 3, 1), seed=0)
+        bad = good.copy()
+        bad.W1[:] = np.nan
+        X = np.random.default_rng(0).normal(0, 1, (2, 5, 2))
+        with pytest.raises(DivergenceError, match="net 1") as exc:
+            train([good, bad], X, np.ones((5, 1)),
+                  TrainConfig(learning_rate=0.1, epochs=5, seed=0))
+        assert (exc.value.epoch, exc.value.net) == (0, 1)
+
+    def test_rejects_mismatched_stacks(self):
+        cfg = TrainConfig(epochs=1)
+        a, b = DenseNet.init((2, 3, 1)), DenseNet.init((2, 4, 1))
+        with pytest.raises(ValueError, match="share sizes"):
+            train([a, b], np.zeros((2, 4, 2)), np.zeros((4, 1)), cfg)
+        with pytest.raises(ValueError, match="one .* array per net"):
+            train([a, a], np.zeros((3, 4, 2)), np.zeros((4, 1)), cfg)
+        with pytest.raises(ValueError, match="targets"):
+            train([a], np.zeros((1, 4, 2)), np.zeros((5, 1)), cfg)
+        with pytest.raises(ValueError, match="empty"):
+            train([a], np.zeros((1, 0, 2)), np.zeros((0, 1)), cfg)
 
     def test_cross_entropy_nonnegative(self):
         net = DenseNet.init((2, 3, 1), seed=9)
         X = np.random.default_rng(9).normal(0, 1, (10, 2))
         Y = np.random.default_rng(10).integers(0, 2, (10, 1)).astype(float)
         assert loss_value(net, X, Y) >= 0.0
+
+
+def sgd_alone(net, X, Y, cfg):
+    """A lone net's mini-batch SGD written out on 2-D arrays: the reference
+    every net of a stacked run must reproduce."""
+    net = net.copy()
+    rng = np.random.default_rng(cfg.seed)
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            sgd_step(net, backprop_grads(net, X[idx], Y[idx], cfg.loss),
+                     cfg.learning_rate)
+        trace.append(loss_value(net, X, Y, cfg.loss))
+    return net, trace
+
+
+def assert_same_nets(a, b):
+    for name in ("W1", "b1", "W2", "b2"):
+        p, q = getattr(a, name), getattr(b, name)
+        assert p.shape == q.shape and np.array_equal(p, q), name
+
+
+def assert_stack_trains_as_alone(nets, X, Y, cfg):
+    """One stacked train call equals a one-net call and the written-out
+    2-D loop for every net, in parameters and loss trace."""
+    trained, traces = train(nets, X, Y, cfg)
+    assert len(trained) == len(traces) == len(nets)
+    for s, net in enumerate(nets):
+        [one], [one_trace] = train([net], X[s:s + 1], Y, cfg)
+        ref, ref_trace = sgd_alone(net, X[s], Y, cfg)
+        assert traces[s] == one_trace == ref_trace
+        assert len(ref_trace) == cfg.epochs
+        assert_same_nets(trained[s], one)
+        assert_same_nets(trained[s], ref)
+
+
+def random_stack(S, d_in, rows, hidden_act, output_act, seed):
+    rng = np.random.default_rng(seed)
+    d_out = 3 if output_act == "softmax" else 1
+    nets = [DenseNet.init((d_in, 4, d_out), hidden_act, output_act,
+                          seed=seed + s) for s in range(S)]
+    X = rng.normal(0, 1, (S, rows, d_in))
+    if output_act == "softmax":
+        Y = np.eye(d_out)[rng.integers(0, d_out, rows)]
+    else:
+        Y = rng.integers(0, 2, (rows, 1)).astype(float)
+    return nets, X, Y
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 9), d_in=st.integers(1, 6), rows=st.integers(1, 40),
+       hidden_act=st.sampled_from(("sigmoid", "relu", "tanh")),
+       output_act=st.sampled_from(("sigmoid", "softmax")),
+       epochs=st.integers(0, 3), seed=st.integers(0, 2**16))
+# last batches of 2 rows (34 or 18 rows at batch 8): of S rows, and at one
+# input column, where a batch gathered out of C order multiplies otherwise
+@example(S=2, d_in=1, rows=34, hidden_act="tanh", output_act="sigmoid",
+         epochs=2, seed=34)
+@example(S=2, d_in=3, rows=18, hidden_act="tanh", output_act="softmax",
+         epochs=2, seed=0)
+def test_stacked_train_equals_separate_calls(S, d_in, rows, hidden_act,
+                                             output_act, epochs, seed):
+    nets, X, Y = random_stack(S, d_in, rows, hidden_act, output_act, seed)
+    cfg = TrainConfig(learning_rate=0.3, epochs=epochs, batch_size=8,
+                      seed=seed)
+    assert_stack_trains_as_alone(nets, X, Y, cfg)
+
+
+@pytest.mark.parametrize("S,rows,output_act", [
+    (2, 34, "sigmoid"),     # batch 32 leaves a last batch of S rows
+    (3, 35, "sigmoid"),
+    (3, 20, "softmax"),     # reduces over the class axis, not the batch
+])
+def test_stack_regressions(S, rows, output_act):
+    nets, X, Y = random_stack(S, 3, rows, "sigmoid", output_act, S * rows)
+    cfg = TrainConfig(learning_rate=0.2, epochs=3, batch_size=32, seed=1)
+    assert_stack_trains_as_alone(nets, X, Y, cfg)
 
 
 class TestEvaluate:

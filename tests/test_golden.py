@@ -1,4 +1,4 @@
-"""Golden digests of three pipeline outputs on a small simulated world.
+"""Golden digests of six pipeline outputs on a small simulated world.
 
 A change that claims byte-identical outputs must leave these digests as
 they are; a deliberate re-baseline updates them and says so in CHANGES.md.
@@ -53,3 +53,22 @@ def test_features_csv(world_dir, tmp_path):
                      "--out", str(out)]) == 0
     assert sha256(out.read_text()) == (
         "9388ba30067e1a734b4877ffce5799c05621dc4c80d3a6bf3d73aa5afdaa2b62")
+
+
+@pytest.mark.parametrize("extra,digest", [
+    ([], "b33bbcce570b07342e4c86426d48558b90ba8b9d50a82ebda132429d08a6e2e4"),
+    (["--semantic"],
+     "0ea838b0ca743b35857419e1f7a5b6af04988f5dddf7346f3bcb4d104cc403b7"),
+])
+def test_attack_csv(world_dir, tmp_path, extra, digest):
+    out = tmp_path / "attack.csv"
+    assert cli_main(["--seed", str(SEED), "attack", "--world", str(world_dir),
+                     "--subsets", "all,spatial,temporal",
+                     "--out", str(out)] + extra) == 0
+    assert sha256(out.read_text()) == digest
+
+
+def test_publish_synthetic_report(world):
+    report = report_json(run_defense(world, "publish_synthetic", seed=SEED))
+    assert sha256(report) == (
+        "bd38e2d87c3dfe3bca2b78bd4a102698c14e184031376b4bac98ff269bd40e74")

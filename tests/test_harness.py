@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
+from trajpriv import fusion, harness
 from trajpriv.anonymize import AnonymityPolicy, InsufficientCandidatesError
 from trajpriv.cli import _load_world, main as cli_main
 from trajpriv.colocation import CoLocationConfig, coevent_score, \
@@ -19,7 +20,8 @@ from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               k_anonymize_world, publish_synthetic,
                               release_similarity, report_json,
                               report_rows_csv, run_attack, run_defense,
-                              sample_negative_pairs, _day_slices)
+                              sample_negative_pairs, _attack,
+                              _day_slices)
 from trajpriv.mobility import (InfluenceParams, combined_influence,
                                fit_mobility_model, fit_spatial, project_stays,
                                temporal_influence)
@@ -138,6 +140,45 @@ class TestAttack:
         lines = text.strip().splitlines()
         assert lines[0] == "subset,semantic,precision,recall,f1,auc"
         assert len(lines) == 2
+
+    def test_stacked_attack_rejects_another_label_order(self, small_world):
+        rows, sem = build_pair_dataset(small_world)
+        reordered = rows[::-1]      # negatives first
+        with pytest.raises(ValueError, match="dataset 1 labels pair") as exc:
+            _attack([(rows, sem), (reordered, sem)], epochs=1)
+        moved = reordered[0]
+        assert f"({moved.user_a}, {moved.user_b}) False" in str(exc.value)
+        assert f"({rows[0].user_a}, {rows[0].user_b}) True" in str(exc.value)
+        with pytest.raises(ValueError, match="dataset 1 has"):
+            _attack([(rows, sem), (rows[1:], sem)], epochs=1)
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """(nets, input width) of every fusion.train call the harness makes."""
+    calls = []
+
+    def counted(nets, X, Y, cfg):
+        calls.append((len(nets), np.shape(X)[-1]))
+        return fusion.train(nets, X, Y, cfg)
+
+    monkeypatch.setattr(harness, "train", counted)
+    return calls
+
+
+@pytest.mark.parametrize("defense", ["none", "k_anonymity"])
+def test_defense_report_trains_both_attacks_in_one_call(small_world,
+                                                        train_calls, defense):
+    run_defense(small_world, defense=defense, epochs=2)
+    assert train_calls == [(2, 6)]
+
+
+def test_attack_trains_one_call_per_input_width(small_world, train_calls):
+    subsets = ["all", "spatial", "temporal",
+               "f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol"]
+    rows = run_attack(small_world, subsets, epochs=2)
+    assert [r["subset"] for r in rows] == subsets
+    assert train_calls == [(1, 6), (2, 3), (6, 1)]
 
 
 class TestDefense:
