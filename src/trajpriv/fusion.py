@@ -4,14 +4,17 @@ One hidden layer, trained by mini-batch SGD on cross-entropy (or the
 equivalent adversarial binary objective). Kept dependency-free on purpose:
 gradients are checked against finite differences in the test suite.
 
-A net may also be a stack of S nets of one shape: every parameter then
-carries a leading axis of length S (biases as (S, 1, h)) and every input,
-activation and gradient a leading axis too, so one matmul over
+A net keeps its parameters in one flat vector `theta`; W1, b1, W2 and b2
+are views into it, so one SGD step is one subtraction. A net may also be
+a stack of S nets of one shape: `theta` is then (S, n), every parameter
+view carries a leading axis of length S (biases as (S, 1, h)) and every
+input, activation and gradient a leading axis too, so one matmul over
 (S, batch, d) runs all S nets. Forward, loss and backward serve both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +26,10 @@ LOSSES = ("cross_entropy", "gan_minimax")
 
 
 def _sigmoid(z):
-    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
-    # overflows; min(z, -z) is -|z| that keeps a NaN's sign
-    e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # e^min(z, 0) / (1 + e^-|z|): 1 / (1 + e^-z) for z >= 0 and
+    # e^z / (1 + e^z) below, each as one division, so exp never overflows;
+    # min(z, -z) is -|z| that keeps a NaN's sign
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(np.minimum(z, -z)))
 
 
 def _softmax(z):
@@ -70,21 +73,43 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.epochs < 0:
+            raise ValueError("epochs must be at least 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
 
 
+def _views(flat, sizes):
+    """W1, b1, W2, b2 as views into a flat parameter vector laid out in
+    that order, or into each row of an (S, n) stack of them."""
+    d_in, d_h, d_out = sizes
+    lead = flat.shape[:-1]
+    # a stack's biases as (S, 1, h): an (S, h) bias would broadcast
+    # against a last batch of exactly S rows without error, and wrongly
+    bias = (1,) * len(lead)
+    views, start = [], 0
+    for shape in ((d_in, d_h), bias + (d_h,), (d_h, d_out), bias + (d_out,)):
+        stop = start + math.prod(shape)
+        views.append(flat[..., start:stop].reshape(lead + shape))
+        start = stop
+    if start != flat.shape[-1]:
+        raise ValueError(f"{flat.shape[-1]} parameters for sizes {sizes}, "
+                         f"not {start}")
+    return views
+
+
 @dataclass
 class DenseNet:
-    """[d_in, d_hidden, d_out] fully connected network."""
+    """[d_in, d_hidden, d_out] fully connected network.
+
+    W1, b1, W2 and b2 are views into `theta`: change them in place."""
 
     sizes: tuple
     hidden_act: str = "sigmoid"
     output_act: str = "sigmoid"
-    W1: np.ndarray = field(default=None, repr=False)
-    b1: np.ndarray = field(default=None, repr=False)
-    W2: np.ndarray = field(default=None, repr=False)
-    b2: np.ndarray = field(default=None, repr=False)
+    theta: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.sizes) != 3:
@@ -93,12 +118,10 @@ class DenseNet:
             raise ValueError(f"hidden_act must be one of {HIDDEN_ACTS}")
         if self.output_act not in OUTPUT_ACTS:
             raise ValueError(f"output_act must be one of {OUTPUT_ACTS}")
-        d_in, d_h, d_out = self.sizes
-        if self.W1 is None:
-            self.W1 = np.zeros((d_in, d_h))
-            self.b1 = np.zeros(d_h)
-            self.W2 = np.zeros((d_h, d_out))
-            self.b2 = np.zeros(d_out)
+        if self.theta is None:
+            d_in, d_h, d_out = self.sizes
+            self.theta = np.zeros(d_in * d_h + d_h + d_h * d_out + d_out)
+        self.W1, self.b1, self.W2, self.b2 = _views(self.theta, self.sizes)
 
     @classmethod
     def init(cls, sizes, hidden_act="sigmoid", output_act="sigmoid", seed=0):
@@ -108,27 +131,33 @@ class DenseNet:
         s1 = 1.0 / np.sqrt(d_in)
         s2 = 1.0 / np.sqrt(d_h)
         net = cls(tuple(sizes), hidden_act, output_act)
-        net.W1 = rng.uniform(-s1, s1, (d_in, d_h))
-        net.b1 = rng.uniform(-s1, s1, d_h)
-        net.W2 = rng.uniform(-s2, s2, (d_h, d_out))
-        net.b2 = rng.uniform(-s2, s2, d_out)
+        net.W1[...] = rng.uniform(-s1, s1, (d_in, d_h))
+        net.b1[...] = rng.uniform(-s1, s1, d_h)
+        net.W2[...] = rng.uniform(-s2, s2, (d_h, d_out))
+        net.b2[...] = rng.uniform(-s2, s2, d_out)
         return net
 
     def copy(self):
-        net = DenseNet(self.sizes, self.hidden_act, self.output_act)
-        net.W1, net.b1 = self.W1.copy(), self.b1.copy()
-        net.W2, net.b2 = self.W2.copy(), self.b2.copy()
-        return net
+        return DenseNet(self.sizes, self.hidden_act, self.output_act,
+                        theta=self.theta.copy())
 
     def forward(self, X, return_hidden=False):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[-1] != self.sizes[0]:
             raise ValueError(f"input dim {X.shape[-1]} != {self.sizes[0]}")
-        H = _activate(X @ self.W1 + self.b1, self.hidden_act)
-        Y = _activate(H @ self.W2 + self.b2, self.output_act)
+        Y, H = self._forward(X)
         if return_hidden:
             return Y, H
         return Y
+
+    def _forward(self, X):
+        """(output, hidden activations) of a float input already checked."""
+        Z = X @ self.W1
+        Z += self.b1
+        H = _activate(Z, self.hidden_act)
+        Z = H @ self.W2
+        Z += self.b2
+        return _activate(Z, self.output_act), H
 
 
 _EPS = 1e-12
@@ -152,29 +181,54 @@ def loss_value(net, X, Y, loss="cross_entropy"):
     return float(per_net) if per_net.ndim == 0 else per_net
 
 
-def backward(net, X, H, dZ2):
+class Gradients(dict):
+    """A net's parameter gradients by name, as views into one flat vector
+    `flat` laid out like the net's `theta`."""
+
+    def __init__(self, net):
+        self.flat = np.empty_like(net.theta)
+        super().__init__(zip(("W1", "b1", "W2", "b2"),
+                             _views(self.flat, net.sizes)))
+
+
+def backward(net, X, H, dZ2, grads):
     """One backward pass through the net.
 
     Given the input X, the hidden activations H of its forward pass and a
-    loss's gradient dZ2 at the output pre-activation, returns the gradients
-    of that loss w.r.t. every parameter and w.r.t. X."""
+    loss's gradient dZ2 at the output pre-activation, writes the gradients
+    of that loss w.r.t. every parameter into `grads` and returns the
+    gradient dZ1 at the hidden pre-activation; the input's gradient is
+    dZ1 @ W1ᵀ."""
     stacked = X.ndim == 3
-    dZ1 = (dZ2 @ _T(net.W2)) * _hidden_deriv(H, net.hidden_act)
-    grads = {"W1": _T(X) @ dZ1, "b1": dZ1.sum(axis=-2, keepdims=stacked),
-             "W2": _T(H) @ dZ2, "b2": dZ2.sum(axis=-2, keepdims=stacked)}
-    return grads, dZ1 @ _T(net.W1)
+    dZ1 = dZ2 @ _T(net.W2)
+    dZ1 *= _hidden_deriv(H, net.hidden_act)
+    np.matmul(_T(X), dZ1, out=grads["W1"])
+    np.add.reduce(dZ1, axis=-2, keepdims=stacked, out=grads["b1"])
+    np.matmul(_T(H), dZ2, out=grads["W2"])
+    np.add.reduce(dZ2, axis=-2, keepdims=stacked, out=grads["b2"])
+    return dZ1
 
 
 def _T(A):
     """Transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(A, -1, -2)
+    return A.swapaxes(-1, -2)
 
 
 def sgd_step(net, grads, lr):
-    """One in-place gradient-descent step on the net's parameters."""
-    for name, g in grads.items():
-        p = getattr(net, name)
-        p -= lr * g
+    """One in-place gradient-descent step on the net's parameters; scales
+    `grads` by lr on the way."""
+    grads.flat *= lr
+    net.theta -= grads.flat
+
+
+def _batch_grads(net, X, Y, grads):
+    """Gradients of the mean cross-entropy of a checked batch into grads."""
+    P, H = net._forward(X)
+    # both cases reduce to (p - y) at the pre-activation, modulo the
+    # sigmoid case using the per-unit Bernoulli form
+    P -= Y
+    P /= X.shape[-2]
+    backward(net, X, H, P, grads)
 
 
 def backprop_grads(net, X, Y, loss="cross_entropy"):
@@ -183,14 +237,15 @@ def backprop_grads(net, X, Y, loss="cross_entropy"):
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[-2] == 0:
         raise ValueError("empty batch")
+    if X.shape[-1] != net.sizes[0]:
+        raise ValueError(f"input dim {X.shape[-1]} != {net.sizes[0]}")
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss}")
     if net.output_act not in ("sigmoid", "softmax"):
         raise ValueError("cross-entropy requires sigmoid or softmax output")
-    P, H = net.forward(X, return_hidden=True)
-    # both cases reduce to (p - y) at the pre-activation, modulo the
-    # sigmoid case using the per-unit Bernoulli form
-    return backward(net, X, H, (P - Y) / X.shape[-2])[0]
+    grads = Gradients(net)
+    _batch_grads(net, X, Y, grads)
+    return grads
 
 
 class DivergenceError(RuntimeError):
@@ -208,47 +263,46 @@ def train(nets, X, Y, cfg):
     per-net per-epoch loss traces), each net's equal to training it alone.
     DivergenceError names the first epoch and net whose loss is not
     finite."""
-    # C order, and batches gathered by take, so that every net's slice has
-    # the strides of a lone net's array and numpy multiplies it the same way
+    # C order, and batches gathered by take, so that each net's slice of X
+    # and of every batch has a lone net's strides and numpy multiplies it
+    # the same way
     X = np.ascontiguousarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if not nets or X.ndim != 3 or X.shape[0] != len(nets):
         raise ValueError("X must stack one (rows, d_in) array per net")
-    if X.shape[1] == 0:
+    rows = X.shape[1]
+    if rows == 0:
         raise ValueError("empty dataset")
-    if X.shape[1] != Y.shape[0]:
-        raise ValueError(f"{X.shape[1]} input rows but {Y.shape[0]} targets")
+    if rows != Y.shape[0]:
+        raise ValueError(f"{rows} input rows but {Y.shape[0]} targets")
     first = nets[0]
     kind = (tuple(first.sizes), first.hidden_act, first.output_act)
     if any((tuple(n.sizes), n.hidden_act, n.output_act) != kind
            for n in nets):
         raise ValueError("stacked nets must share sizes and activations")
-    # biases as (S, 1, h): an (S, h) bias would broadcast against a last
-    # batch of exactly S rows without error, and wrongly
-    stack = DenseNet(first.sizes, first.hidden_act, first.output_act,
-                     W1=np.stack([n.W1 for n in nets]),
-                     b1=np.stack([n.b1 for n in nets])[:, None],
-                     W2=np.stack([n.W2 for n in nets]),
-                     b2=np.stack([n.b2 for n in nets])[:, None])
+    if X.shape[2] != first.sizes[0]:
+        raise ValueError(f"input dim {X.shape[2]} != {first.sizes[0]}")
+    if first.output_act not in ("sigmoid", "softmax"):
+        raise ValueError("cross-entropy requires sigmoid or softmax output")
+    stack = DenseNet(*kind, theta=np.stack([n.theta for n in nets]))
+    grads = Gradients(stack)
     rng = np.random.default_rng(cfg.seed)
     traces = [[] for _ in nets]
     for epoch in range(cfg.epochs):
-        order = rng.permutation(X.shape[1])
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            batch = X.take(idx, axis=1)
-            sgd_step(stack, backprop_grads(stack, batch, Y[idx], cfg.loss),
-                     cfg.learning_rate)
+        order = rng.permutation(rows)
+        X_epoch, Y_epoch = X.take(order, axis=1), Y.take(order, axis=0)
+        for start in range(0, rows, cfg.batch_size):
+            stop = start + cfg.batch_size
+            _batch_grads(stack, X_epoch[:, start:stop], Y_epoch[start:stop],
+                         grads)
+            sgd_step(stack, grads, cfg.learning_rate)
         losses = loss_value(stack, X, Y, cfg.loss)
         diverged = np.flatnonzero(~np.isfinite(losses))
         if diverged.size:
             raise DivergenceError(epoch, int(diverged[0]))
         for trace, value in zip(traces, losses.tolist()):
             trace.append(value)
-    trained = [DenseNet(first.sizes, first.hidden_act, first.output_act,
-                        W1=stack.W1[s], b1=stack.b1[s, 0],
-                        W2=stack.W2[s], b2=stack.b2[s, 0])
-               for s in range(len(nets))]
+    trained = [DenseNet(*kind, theta=theta) for theta in stack.theta]
     return trained, traces
 
 

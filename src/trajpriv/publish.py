@@ -16,7 +16,8 @@ from .core import (Cell, StayRecord, Trajectory, abs_slot, cell_center,
                    cell_of, time_slot, weekday)
 from .colocation import coevent_score, extract_coevents
 from .features import cell_visit_entropy
-from .fusion import DenseNet, backprop_grads, backward, loss_value, sgd_step
+from .fusion import (DenseNet, Gradients, backprop_grads, backward,
+                     loss_value, sgd_step)
 from .mobility import em_mixtures, mixture_log_joint
 
 
@@ -235,6 +236,9 @@ def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
     rng = np.random.default_rng(seed)
     disc = DenseNet.init((D, hidden, 1), "tanh", "sigmoid", seed=seed + 1)
     gen = DenseNet.init((z_dim, hidden, D), "tanh", "sigmoid", seed=seed + 2)
+    # filled anew by each generator step's two backward passes; the
+    # discriminator's parameter gradients there go unused
+    disc_grads, gen_grads = Gradients(disc), Gradients(gen)
     trace = {"disc_loss": [], "gen_loss": []}
     for step in range(steps):
         idx = rng.choice(R.shape[0], size=min(batch, R.shape[0]),
@@ -251,10 +255,11 @@ def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
         z = rng.standard_normal((len(idx), z_dim))
         fake, Hg = gen.forward(z, return_hidden=True)
         P, Hd = disc.forward(fake, return_hidden=True)
-        _, dfake = backward(disc, fake, Hd, (P - ones) / len(idx))
+        dfake = backward(disc, fake, Hd, (P - ones) / len(idx),
+                         disc_grads) @ disc.W1.T
         # the generator's output is a sigmoid
-        sgd_step(gen, backward(gen, z, Hg, dfake * fake * (1.0 - fake))[0],
-                 lr)
+        backward(gen, z, Hg, dfake * fake * (1.0 - fake), gen_grads)
+        sgd_step(gen, gen_grads, lr)
         g_loss = loss_value(disc, gen.forward(z), ones, "gan_minimax")
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
             raise RuntimeError(f"non-finite adversarial loss at step {step}")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trajpriv.fusion import (DenseNet, DivergenceError, TrainConfig, _sigmoid,
-                             backprop_grads, backward, evaluate, loss_value,
-                             sgd_step, train)
+from trajpriv.fusion import (DenseNet, DivergenceError, Gradients, TrainConfig,
+                             _sigmoid, backprop_grads, backward, evaluate,
+                             loss_value, sgd_step, train)
 
 
 def finite_difference(net, X, Y, loss, h=1e-5):
@@ -108,7 +108,8 @@ class TestGradients:
             if hidden_act == "relu" and near_relu_kink(net, X):
                 continue
             P, H = net.forward(X, return_hidden=True)
-            _, dX = backward(net, X, H, (P - Y) / len(X))
+            dX = backward(net, X, H, (P - Y) / len(X), Gradients(net)) \
+                @ net.W1.T
             assert_grads_close({**backprop_grads(net, X, Y, loss), "X": dX},
                                finite_difference(net, X, Y, loss))
             ran += 1
@@ -212,6 +213,31 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train([a], np.zeros((1, 0, 2)), np.zeros((0, 1)), cfg)
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -4), ("epochs", -3),
+        ("learning_rate", 0.0), ("loss", "hinge")])
+    def test_config_rejects_out_of_range_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_input_nets_left_untouched(self):
+        # the attack passes one net object repeated
+        net = DenseNet.init((3, 5, 1), "tanh", "sigmoid", seed=2)
+        before = net.copy()
+        nets = [net] * 3
+        X = np.random.default_rng(2).normal(0, 1, (3, 21, 3))
+        Y = (X[0, :, :1] > 0).astype(float)
+        trained, _ = train(nets, X, Y, TrainConfig(learning_rate=0.3,
+                                                   epochs=4, batch_size=8))
+        assert_same_nets(net, before)
+        assert not np.array_equal(trained[0].W1, net.W1)
+        for i, a in enumerate(trained):
+            others = [net] + trained[i + 1:]
+            for name in ("W1", "b1", "W2", "b2"):
+                for b in others:
+                    assert not np.shares_memory(getattr(a, name),
+                                                getattr(b, name)), name
+
     def test_cross_entropy_nonnegative(self):
         net = DenseNet.init((2, 3, 1), seed=9)
         X = np.random.default_rng(9).normal(0, 1, (10, 2))
@@ -255,10 +281,10 @@ def assert_stack_trains_as_alone(nets, X, Y, cfg):
         assert_same_nets(trained[s], ref)
 
 
-def random_stack(S, d_in, rows, hidden_act, output_act, seed):
+def random_stack(S, d_in, rows, hidden_act, output_act, seed, hidden=4):
     rng = np.random.default_rng(seed)
     d_out = 3 if output_act == "softmax" else 1
-    nets = [DenseNet.init((d_in, 4, d_out), hidden_act, output_act,
+    nets = [DenseNet.init((d_in, hidden, d_out), hidden_act, output_act,
                           seed=seed + s) for s in range(S)]
     X = rng.normal(0, 1, (S, rows, d_in))
     if output_act == "softmax":
@@ -270,19 +296,25 @@ def random_stack(S, d_in, rows, hidden_act, output_act, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(S=st.integers(1, 9), d_in=st.integers(1, 6), rows=st.integers(1, 40),
+       hidden=st.integers(1, 16), batch_size=st.integers(1, 48),
        hidden_act=st.sampled_from(("sigmoid", "relu", "tanh")),
        output_act=st.sampled_from(("sigmoid", "softmax")),
        epochs=st.integers(0, 3), seed=st.integers(0, 2**16))
 # last batches of 2 rows (34 or 18 rows at batch 8): of S rows, and at one
 # input column, where a batch gathered out of C order multiplies otherwise
-@example(S=2, d_in=1, rows=34, hidden_act="tanh", output_act="sigmoid",
-         epochs=2, seed=34)
-@example(S=2, d_in=3, rows=18, hidden_act="tanh", output_act="softmax",
-         epochs=2, seed=0)
-def test_stacked_train_equals_separate_calls(S, d_in, rows, hidden_act,
+@example(S=2, d_in=1, rows=34, hidden=4, batch_size=8, hidden_act="tanh",
+         output_act="sigmoid", epochs=2, seed=34)
+@example(S=2, d_in=3, rows=18, hidden=4, batch_size=8, hidden_act="tanh",
+         output_act="softmax", epochs=2, seed=0)
+# the attack's own shape: raw and defended net, six metrics, 179 pairs
+@example(S=2, d_in=6, rows=179, hidden=16, batch_size=32,
+         hidden_act="sigmoid", output_act="sigmoid", epochs=3, seed=7)
+def test_stacked_train_equals_separate_calls(S, d_in, rows, hidden,
+                                             batch_size, hidden_act,
                                              output_act, epochs, seed):
-    nets, X, Y = random_stack(S, d_in, rows, hidden_act, output_act, seed)
-    cfg = TrainConfig(learning_rate=0.3, epochs=epochs, batch_size=8,
+    nets, X, Y = random_stack(S, d_in, rows, hidden_act, output_act, seed,
+                              hidden)
+    cfg = TrainConfig(learning_rate=0.3, epochs=epochs, batch_size=batch_size,
                       seed=seed)
     assert_stack_trains_as_alone(nets, X, Y, cfg)
 

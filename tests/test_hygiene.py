@@ -1,8 +1,10 @@
 """Source hygiene of the package: every import at module level, every
-import used, no module importing another's private names, and no public
-name that only unit tests use."""
+import used, no module importing another's private names, no public
+name that only unit tests use, and no name the benchmark tracer wraps
+that the package lacks."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,25 @@ def test_unreferenced_names_are_found(tmp_path):
                     "def used():\n    return 1\n\n\nclass Orphan:\n"
                     "    size = used()\n")
     assert unreferenced([path], [path]) == ["m.unused", "m.Orphan"]
+
+
+def traced_names():
+    """The (module, name) pairs of the benchmark tracer's `TRACED`, read
+    from its source."""
+    tree = parse(ROOT / "perfbench" / "tracer.py")
+    [value] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["TRACED"]]
+    return ast.literal_eval(value)
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps these by name: a rename here would leave its layer
+    # silently unmeasured
+    names = traced_names()
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"trajpriv.{module}"),
+                              name)]
+    assert missing == []
