@@ -19,8 +19,8 @@ from .publish import (SemanticModel, StayEmbedding, decode_embedding,
                       embed_trajectory, fit_semantic, purpose_posteriors,
                       similarity_report, train_toy_gan)
 from .harness import (World, WorldConfig, build_pair_dataset,
-                      fit_world_models, generate_world, publish_synthetic,
-                      release_similarity, run_attack, run_defense,
-                      sample_negative_pairs)
+                      fit_world_models, generate_world, pair_dataset,
+                      publish_synthetic, release_similarity, run_attack,
+                      run_defense, sample_negative_pairs)
 
 __version__ = "0.1.0"

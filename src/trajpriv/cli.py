@@ -11,12 +11,12 @@ from pathlib import Path
 
 from .core import group_trajectories, parse_stays, serialize_stays, \
     stays_to_jsonl
-from .colocation import CoLocationConfig, extract_coevents
-from .features import cell_visit_entropy, compute_features, features_to_csv
+from .features import features_to_csv
 from .anonymize import AnonymityPolicy
 from .harness import (World, WorldConfig, fit_world_models, generate_world,
-                      k_anonymize_world, publish_synthetic, release_similarity,
-                      report_json, report_rows_csv, run_attack, run_defense)
+                      k_anonymize_world, pair_dataset, publish_synthetic,
+                      release_similarity, report_json, report_rows_csv,
+                      run_attack, run_defense)
 
 
 def _load_world(world_dir):
@@ -26,7 +26,11 @@ def _load_world(world_dir):
     edges = set()
     with open(world_dir / "edges.csv", newline="") as f:
         reader = csv.reader(f)
-        next(reader, None)                                  # the header
+        header = [h.strip() for h in next(reader, [])]
+        if header != ["user_a", "user_b"]:
+            raise ValueError("edges.csv: expected the header user_a,user_b, "
+                             "found " + (repr(",".join(header)) if header
+                                         else "no header"))
         for i, row in enumerate(reader, start=1):
             if not row:
                 continue
@@ -76,14 +80,7 @@ def cmd_ingest(args):
 
 def cmd_features(args):
     world = _load_world(args.world)
-    cfg = CoLocationConfig(alpha_d_m=args.alpha_d, alpha_t_s=args.alpha_t,
-                           spatial_kernel=args.kernel,
-                           temporal_kernel=args.kernel)
-    events = extract_coevents(world.trajectories, cfg, world.grid)
-    ent = cell_visit_entropy(world.trajectories, world.grid)
-    rows = [compute_features(evs, ent, pair=pair,
-                             label=pair in world.friend_edges)
-            for pair, evs in sorted(events.items())]
+    rows, _ = pair_dataset(world)
     Path(args.out).write_text(features_to_csv(rows))
     print(f"wrote {len(rows)} pair feature rows to {args.out}")
     return 0
@@ -170,10 +167,6 @@ def build_parser():
     s = sub.add_parser("features", help="pair feature matrix from a world")
     s.add_argument("--world", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--alpha-d", type=float, default=250.0)
-    s.add_argument("--alpha-t", type=float, default=1800.0)
-    s.add_argument("--kernel", choices=["indicator", "exponential"],
-                   default="indicator")
     s.set_defaults(func=cmd_features)
 
     s = sub.add_parser("attack", help="run the social-link inference attack")

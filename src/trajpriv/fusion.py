@@ -21,8 +21,9 @@ import numpy as np
 from scipy.stats import rankdata
 
 HIDDEN_ACTS = ("sigmoid", "relu", "tanh")
-OUTPUT_ACTS = ("sigmoid", "softmax", "linear")
+OUTPUT_ACTS = ("sigmoid", "softmax")
 LOSSES = ("cross_entropy", "gan_minimax")
+_PARAMS = ("W1", "b1", "W2", "b2")      # a net's parameters, in theta's order
 
 
 def _sigmoid(z):
@@ -47,8 +48,6 @@ def _activate(z, kind):
         return np.tanh(z)
     if kind == "softmax":
         return _softmax(z)
-    if kind == "linear":
-        return z
     raise ValueError(f"unknown activation {kind}")
 
 
@@ -68,7 +67,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     seed: int = 0
-    loss: str = "cross_entropy"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -77,8 +75,6 @@ class TrainConfig:
             raise ValueError("epochs must be at least 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}")
 
 
 def _views(flat, sizes):
@@ -100,16 +96,30 @@ def _views(flat, sizes):
     return views
 
 
+def _param(i):
+    """The i-th parameter view of a net as a property whose assignment
+    writes into the view, so that `theta` holds the new values."""
+    def put(net, value):
+        view = net._params[i]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"{_PARAMS[i]} has shape {view.shape}, "
+                             f"not {np.shape(value)}")
+        view[...] = value
+    return property(lambda net: net._params[i], put)
+
+
 @dataclass
 class DenseNet:
     """[d_in, d_hidden, d_out] fully connected network.
 
-    W1, b1, W2 and b2 are views into `theta`: change them in place."""
+    W1, b1, W2 and b2 are views into `theta`; assigning one writes into
+    its view."""
 
     sizes: tuple
     hidden_act: str = "sigmoid"
     output_act: str = "sigmoid"
     theta: np.ndarray = field(default=None, repr=False)
+    W1, b1, W2, b2 = (_param(i) for i in range(len(_PARAMS)))
 
     def __post_init__(self):
         if len(self.sizes) != 3:
@@ -121,7 +131,7 @@ class DenseNet:
         if self.theta is None:
             d_in, d_h, d_out = self.sizes
             self.theta = np.zeros(d_in * d_h + d_h + d_h * d_out + d_out)
-        self.W1, self.b1, self.W2, self.b2 = _views(self.theta, self.sizes)
+        self._params = _views(self.theta, self.sizes)
 
     @classmethod
     def init(cls, sizes, hidden_act="sigmoid", output_act="sigmoid", seed=0):
@@ -173,11 +183,9 @@ def loss_value(net, X, Y, loss="cross_entropy"):
         raise ValueError(f"unknown loss {loss}")
     if net.output_act == "softmax":
         per_net = -np.mean(np.sum(Y * np.log(P + _EPS), axis=-1), axis=-1)
-    elif net.output_act == "sigmoid":
+    else:
         per_net = -np.mean(Y * np.log(P + _EPS)
                            + (1 - Y) * np.log(1 - P + _EPS), axis=(-2, -1))
-    else:
-        raise ValueError("cross-entropy requires sigmoid or softmax output")
     return float(per_net) if per_net.ndim == 0 else per_net
 
 
@@ -187,8 +195,7 @@ class Gradients(dict):
 
     def __init__(self, net):
         self.flat = np.empty_like(net.theta)
-        super().__init__(zip(("W1", "b1", "W2", "b2"),
-                             _views(self.flat, net.sizes)))
+        super().__init__(zip(_PARAMS, _views(self.flat, net.sizes)))
 
 
 def backward(net, X, H, dZ2, grads):
@@ -241,8 +248,6 @@ def backprop_grads(net, X, Y, loss="cross_entropy"):
         raise ValueError(f"input dim {X.shape[-1]} != {net.sizes[0]}")
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss}")
-    if net.output_act not in ("sigmoid", "softmax"):
-        raise ValueError("cross-entropy requires sigmoid or softmax output")
     grads = Gradients(net)
     _batch_grads(net, X, Y, grads)
     return grads
@@ -282,8 +287,6 @@ def train(nets, X, Y, cfg):
         raise ValueError("stacked nets must share sizes and activations")
     if X.shape[2] != first.sizes[0]:
         raise ValueError(f"input dim {X.shape[2]} != {first.sizes[0]}")
-    if first.output_act not in ("sigmoid", "softmax"):
-        raise ValueError("cross-entropy requires sigmoid or softmax output")
     stack = DenseNet(*kind, theta=np.stack([n.theta for n in nets]))
     grads = Gradients(stack)
     rng = np.random.default_rng(cfg.seed)
@@ -296,7 +299,7 @@ def train(nets, X, Y, cfg):
             _batch_grads(stack, X_epoch[:, start:stop], Y_epoch[start:stop],
                          grads)
             sgd_step(stack, grads, cfg.learning_rate)
-        losses = loss_value(stack, X, Y, cfg.loss)
+        losses = loss_value(stack, X, Y)
         diverged = np.flatnonzero(~np.isfinite(losses))
         if diverged.size:
             raise DivergenceError(epoch, int(diverged[0]))

@@ -69,6 +69,8 @@ class WorldConfig:
     def __post_init__(self):
         if self.n_users < 2:
             raise ValueError("need at least two users")
+        if self.n_days < 1:
+            raise ValueError("need at least one day")
         for p in (self.ws_rewire_p, self.p_meet_lo, self.p_meet_hi,
                   self.p_solo_jump, self.p_two_slot_meeting):
             if not (0.0 <= p <= 1.0):
@@ -303,6 +305,24 @@ def fit_world_semantic(world, seed=0):
     return fit_semantic(V, n_purposes=4, seed=seed)
 
 
+def pair_dataset(world, pairs=None, semantic=False):
+    """Pair feature rows, labelled by the friend edges, for the given user
+    pairs in their order (every pair when None), and each pair's mean
+    purpose posterior when semantic (else None)."""
+    events = extract_coevents(world.trajectories, COLOCATION, world.grid,
+                              pairs=pairs)
+    ent = cell_visit_entropy(world.trajectories, world.grid)
+    rows = [compute_features(evs, ent, pair=pair,
+                             label=pair in world.friend_edges)
+            for pair, evs in events.items()]
+    sem_vectors = None
+    if semantic:
+        sem_model = fit_world_semantic(world)
+        sem_vectors = np.array([_semantic_pair_vector(evs, sem_model, ent)
+                                for evs in events.values()])
+    return rows, sem_vectors
+
+
 def build_pair_dataset(world, semantic=False):
     """Labeled pair features for the attack: friend edges vs sampled
     non-edges at 1:1."""
@@ -310,20 +330,7 @@ def build_pair_dataset(world, semantic=False):
     positives = sorted(world.friend_edges)
     negatives = sample_negative_pairs(world.users, world.friend_edges,
                                       len(positives), rng)
-    pairs = positives + negatives
-    labels = [True] * len(positives) + [False] * len(negatives)
-    events = extract_coevents(world.trajectories, COLOCATION, world.grid,
-                              pairs=pairs)
-    ent = cell_visit_entropy(world.trajectories, world.grid)
-    rows = [compute_features(events[tuple(sorted(p))], ent, pair=p, label=lab)
-            for p, lab in zip(pairs, labels)]
-    sem_vectors = None
-    if semantic:
-        sem_model = fit_world_semantic(world)
-        sem_vectors = np.array([
-            _semantic_pair_vector(events[tuple(sorted(p))], sem_model, ent)
-            for p in pairs])
-    return rows, sem_vectors
+    return pair_dataset(world, positives + negatives, semantic)
 
 
 def run_attack(world, subsets=("all",), seed=7, semantic=False, epochs=400,
@@ -340,36 +347,18 @@ def run_attack(world, subsets=("all",), seed=7, semantic=False, epochs=400,
     return _attack([dataset], subsets, seed, semantic, epochs)[0]
 
 
-def _shared_labels(datasets):
-    """The labels every dataset carries, row for row: the targets that all
-    of a stacked attack's nets share."""
-    first = datasets[0][0]
-    for i, (rows, _) in enumerate(datasets[1:], 1):
-        if len(rows) != len(first):
-            raise ValueError(f"dataset {i} has {len(rows)} pairs, dataset 0 "
-                             f"has {len(first)}")
-        for a, b in zip(first, rows):
-            if bool(a.label) != bool(b.label):
-                raise ValueError(
-                    f"dataset {i} labels pair ({b.user_a}, {b.user_b}) "
-                    f"{bool(b.label)} where dataset 0 labels "
-                    f"({a.user_a}, {a.user_b}) {bool(a.label)}: stacked "
-                    "attacks need one label order")
-    return np.array([bool(f.label) for f in first])
-
-
 def _attack(datasets, subsets=("all",), seed=7, semantic=False, epochs=400):
     """One list of report rows per dataset, one row per subset, from the
     fusion classifier trained on every (dataset, subset) pair.
 
-    The datasets must carry the same labels in the same order, so they
-    share the train/test split and the targets; the pairs of one input
-    width train in one stacked `train` call.
+    The datasets list the same pairs in the same order, so they share the
+    first one's labels, the train/test split and the targets; the pairs of
+    one input width train in one stacked `train` call.
     """
     if semantic and any(sem is None for _, sem in datasets):
         raise ValueError("semantic attack on a dataset built without "
                          "semantic vectors")
-    labels = _shared_labels(datasets)
+    labels = np.array([bool(f.label) for f in datasets[0][0]])
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(labels))
     n_train = int(round(0.7 * len(labels)))
@@ -526,9 +515,9 @@ def release_similarity(world, published, seed=0):
 
 def run_defense(world, defense="k_anonymity", policy=None, seed=7,
                 **attack_kw):
-    """Attack the raw world and the defended view; report both. Both pair
-    datasets are built before either attack trains, so the two attacks
-    train in one stacked run."""
+    """Attack the raw world and the defended view, on the raw dataset's
+    pairs in its order; report both. Both datasets are built before either
+    attack trains, so the two attacks train in one stacked run."""
     similarity = None
     if defense == "none":
         published = world.trajectories
@@ -544,8 +533,8 @@ def run_defense(world, defense="k_anonymity", policy=None, seed=7,
         raise ValueError(f"unknown defense {defense}")
     semantic = attack_kw.get("semantic", False)
     raw = build_pair_dataset(world, semantic=semantic)
-    defended = build_pair_dataset(
-        World(world.cfg, published, world.friend_edges), semantic=semantic)
+    defended = pair_dataset(World(world.cfg, published, world.friend_edges),
+                            [(f.user_a, f.user_b) for f in raw[0]], semantic)
     raw_rows, defended_rows = _attack([raw, defended], seed=seed, **attack_kw)
     out = {"defense": defense, "raw": raw_rows, "defended": defended_rows}
     if similarity is not None:

@@ -67,11 +67,18 @@ class TestForward:
         assert np.allclose(net.forward(np.zeros(3)), 0.5)
 
     def test_one_unit_closed_form(self):
-        net = DenseNet((1, 1, 1), "sigmoid", "linear")
+        net = DenseNet((1, 1, 1), "sigmoid", "sigmoid")
         net.W1[:] = 1.0
         net.W2[:] = 1.0
         sigma2 = 1.0 / (1.0 + np.exp(-2.0))
-        assert net.forward([2.0])[0, 0] == pytest.approx(sigma2)
+        want = 1.0 / (1.0 + np.exp(-sigma2))
+        assert net.forward([2.0])[0, 0] == pytest.approx(want)
+
+    @pytest.mark.parametrize("hidden_act,output_act", [
+        ("softmax", "sigmoid"), ("sigmoid", "linear"), ("sigmoid", "relu")])
+    def test_rejects_unknown_activation(self, hidden_act, output_act):
+        with pytest.raises(ValueError, match="_act must be one of"):
+            DenseNet((2, 3, 1), hidden_act, output_act)
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(0)
@@ -215,7 +222,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", -4), ("epochs", -3),
-        ("learning_rate", 0.0), ("loss", "hinge")])
+        ("learning_rate", 0.0)])
     def test_config_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -238,6 +245,27 @@ class TestTrain:
                     assert not np.shares_memory(getattr(a, name),
                                                 getattr(b, name)), name
 
+    def test_assigned_parameters_reach_theta_copy_and_train(self):
+        net = DenseNet.init((3, 4, 1), seed=4)
+        X = np.random.default_rng(4).normal(0, 1, (9, 3))
+        Y = (X[:, :1] > 0).astype(float)
+        new = {name: getattr(net, name) - 0.5 for name in
+               ("W1", "b1", "W2", "b2")}
+        for name, value in new.items():
+            setattr(net, name, value)
+        assert np.array_equal(net.theta, np.concatenate(
+            [v.ravel() for v in new.values()]))
+        assert np.array_equal(net.copy().forward(X), net.forward(X))
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, seed=4)
+        [trained], [trace] = train([net], [X], Y, cfg)
+        [ref], [ref_trace] = train([DenseNet(net.sizes,
+                                             theta=net.theta.copy())],
+                                   [X], Y, cfg)
+        assert trace == ref_trace
+        assert_same_nets(trained, ref)
+        with pytest.raises(ValueError, match="b1 has shape"):
+            net.b1 = np.zeros(5)
+
     def test_cross_entropy_nonnegative(self):
         net = DenseNet.init((2, 3, 1), seed=9)
         X = np.random.default_rng(9).normal(0, 1, (10, 2))
@@ -255,9 +283,9 @@ def sgd_alone(net, X, Y, cfg):
         order = rng.permutation(len(X))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            sgd_step(net, backprop_grads(net, X[idx], Y[idx], cfg.loss),
+            sgd_step(net, backprop_grads(net, X[idx], Y[idx]),
                      cfg.learning_rate)
-        trace.append(loss_value(net, X, Y, cfg.loss))
+        trace.append(loss_value(net, X, Y))
     return net, trace
 
 

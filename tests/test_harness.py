@@ -13,14 +13,15 @@ from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
 from trajpriv.core import (EARTH_RADIUS_M, Cell, StayRecord, Trajectory,
                            cell_center, to_cell)
+from trajpriv.features import features_to_csv
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
                               compute_influence_map, fit_world_models,
                               fit_world_semantic, generate_world,
-                              k_anonymize_world, publish_synthetic,
-                              release_similarity, report_json,
-                              report_rows_csv, run_attack, run_defense,
-                              sample_negative_pairs, _attack,
+                              k_anonymize_world, pair_dataset,
+                              publish_synthetic, release_similarity,
+                              report_json, report_rows_csv, run_attack,
+                              run_defense, sample_negative_pairs,
                               _day_slices)
 from trajpriv.mobility import (InfluenceParams, combined_influence,
                                fit_mobility_model, fit_spatial, project_stays,
@@ -85,6 +86,9 @@ class TestWorldGeneration:
             WorldConfig(n_users=1)
         with pytest.raises(ValueError):
             WorldConfig(p_meet_lo=1.5)
+        for days in (0, -2):
+            with pytest.raises(ValueError, match="at least one day"):
+                WorldConfig(n_days=days)
 
 
 class TestNegativeSampling:
@@ -141,17 +145,6 @@ class TestAttack:
         assert lines[0] == "subset,semantic,precision,recall,f1,auc"
         assert len(lines) == 2
 
-    def test_stacked_attack_rejects_another_label_order(self, small_world):
-        rows, sem = build_pair_dataset(small_world)
-        reordered = rows[::-1]      # negatives first
-        with pytest.raises(ValueError, match="dataset 1 labels pair") as exc:
-            _attack([(rows, sem), (reordered, sem)], epochs=1)
-        moved = reordered[0]
-        assert f"({moved.user_a}, {moved.user_b}) False" in str(exc.value)
-        assert f"({rows[0].user_a}, {rows[0].user_b}) True" in str(exc.value)
-        with pytest.raises(ValueError, match="dataset 1 has"):
-            _attack([(rows, sem), (rows[1:], sem)], epochs=1)
-
 
 @pytest.fixture
 def train_calls(monkeypatch):
@@ -171,6 +164,24 @@ def test_defense_report_trains_both_attacks_in_one_call(small_world,
                                                         train_calls, defense):
     run_defense(small_world, defense=defense, epochs=2)
     assert train_calls == [(2, 6)]
+
+
+def test_defended_dataset_lists_the_raw_pairs_in_order(small_world,
+                                                       monkeypatch):
+    built = []
+
+    def recorded(world, pairs=None, semantic=False):
+        rows, sem = pair_dataset(world, pairs, semantic)
+        built.append([(f.user_a, f.user_b, f.label) for f in rows])
+        return rows, sem
+
+    monkeypatch.setattr(harness, "pair_dataset", recorded)
+    run_defense(small_world, defense="k_anonymity", epochs=2)
+    raw, defended = built
+    assert defended == raw
+    assert raw == [(f.user_a, f.user_b, f.label)
+                   for f in build_pair_dataset(small_world)[0]]
+    assert sum(label for _, _, label in raw) == len(small_world.friend_edges)
 
 
 def test_attack_trains_one_call_per_input_width(small_world, train_calls):
@@ -414,9 +425,14 @@ class TestCli:
          "edges.csv row 1: user zz has no stays in stays.csv"),
         ("edges.csv", "user_a,user_b\na,c\nc, c\n",
          "edges.csv row 2: self-loop on user c"),
+        ("edges.csv", "a,c\n",
+         "edges.csv: expected the header user_a,user_b, found 'a,c'"),
+        ("edges.csv", "",
+         "edges.csv: expected the header user_a,user_b, found no header"),
         ("config.json", '{"n_users": 2, "seed": 0, "colour": 1, "alpha": 2}',
          "config.json: unknown keys ['alpha', 'colour']"),
-    ], ids=["edge-fields", "edge-user", "edge-self-loop", "config-key"])
+    ], ids=["edge-fields", "edge-user", "edge-self-loop", "edge-no-header",
+            "edge-empty", "config-key"])
     def test_malformed_world_fails_with_row_error(self, tmp_path, capsys,
                                                   name, text, message):
         world = hand_built_world({"a": [((1, 1), 0, 2)],
@@ -467,6 +483,26 @@ class TestCli:
 
     def test_unknown_flag_exit_2(self, capsys):
         assert cli_main(["simulate", "--bogus-flag", "1"]) == 2
+
+    def test_features_has_no_colocation_flags(self, tmp_path, capsys):
+        # features uses the one co-location config of every command
+        for flag in ("--alpha-d", "--alpha-t", "--kernel"):
+            value = "exponential" if flag == "--kernel" else "100"
+            assert cli_main(["features", "--world", str(tmp_path),
+                             "--out", str(tmp_path / "f.csv"),
+                             flag, value]) == 2
+
+    def test_features_writes_the_pair_dataset_of_every_pair(self, tmp_path,
+                                                            capsys):
+        d = tmp_path / "w"
+        cli_main(["--seed", "9", "simulate", "--users", "8", "--days", "3",
+                  "--out", str(d)])
+        out = tmp_path / "f.csv"
+        assert cli_main(["features", "--world", str(d),
+                         "--out", str(out)]) == 0
+        rows, sem = pair_dataset(_load_world(d))
+        assert sem is None and len(rows) == 8 * 7 // 2
+        assert out.read_text() == features_to_csv(rows)
 
     def test_missing_subcommand_exit_2(self, capsys):
         assert cli_main([]) == 2

@@ -1,7 +1,7 @@
 """Source hygiene of the package: every import at module level, every
 import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
-that the package lacks."""
+that the package lacks, and one co-location config for the whole package."""
 
 import ast
 import importlib
@@ -133,3 +133,37 @@ def test_every_traced_name_resolves():
                if not hasattr(importlib.import_module(f"trajpriv.{module}"),
                               name)]
     assert missing == []
+
+
+def colocation_configs(modules):
+    """(module, bound name) of every `CoLocationConfig(...)` call in
+    `modules`: the name when a module-level assignment binds the call,
+    else None."""
+    found = []
+    for path in modules:
+        tree = parse(path)
+        bound = {id(stmt.value): stmt.targets[0].id for stmt in tree.body
+                 if isinstance(stmt, ast.Assign)
+                 and isinstance(stmt.targets[0], ast.Name)}
+        found += [(path.stem, bound.get(id(node)))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id",
+                              getattr(node.func, "attr", None))
+                  == "CoLocationConfig"]
+    return found
+
+
+def test_one_colocation_config():
+    # every pipeline and command meets pairs under harness.COLOCATION
+    assert colocation_configs(MODULES) == [("harness", "COLOCATION")]
+
+
+def test_colocation_check_catches_a_second_call(tmp_path):
+    harness = tmp_path / "harness.py"
+    harness.write_text((MODULES[0].parent / "harness.py").read_text())
+    cli = tmp_path / "cli.py"
+    cli.write_text("from . import colocation\n\n\ndef f(d):\n"
+                   "    return colocation.CoLocationConfig(alpha_d_m=d)\n")
+    assert colocation_configs([harness, cli]) == [("harness", "COLOCATION"),
+                                                  ("cli", None)]
