@@ -11,8 +11,7 @@ from .features import (FEATURE_NAMES, PairFeatures, Standardizer,
 from .fusion import DenseNet, TrainConfig, backprop_grads, evaluate, train
 from .mobility import (InfluenceParams, LocalProjection, MobilityModel3D,
                        combined_influence, fit_gmm, fit_mobility_model,
-                       label_social, sample_location, social_influence,
-                       temporal_influence)
+                       sample_location, social_influence, temporal_influence)
 from .anonymize import (AnonymityPolicy, AnonymitySet, audit_anonymity_set,
                         generate_dummy, k_anonymize, trajectory_stats)
 from .publish import (SemanticModel, StayEmbedding, decode_embedding,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import StayRecord, Trajectory, snap_to_grid, time_slot
-from .mobility import LocalProjection, LocationSampler
+from .mobility import LocationSampler, project_stays
 
 STATISTICS = ("stay_count", "total_duration_h", "radius_of_gyration_m",
               "social_visit_fraction")
@@ -69,10 +69,7 @@ def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
         elif name == "total_duration_h":
             out[name] = sum(s.duration_s for s in traj) / 3600.0
         elif name == "radius_of_gyration_m":
-            lats = np.array([s.lat for s in traj])
-            lons = np.array([s.lon for s in traj])
-            proj = LocalProjection(float(lats.mean()), float(lons.mean()))
-            xy = proj.to_xy(lats, lons)
+            _, xy = project_stays(traj)
             centroid = xy.mean(axis=0)
             out[name] = float(np.sqrt(np.mean(np.sum((xy - centroid) ** 2,
                                                      axis=1))))
@@ -98,7 +95,7 @@ def _dummy_sampler(model, template, grid, influence=None):
     if len(template) == 0:
         raise ValueError("template trajectory is empty")
     sampler = LocationSampler(model, influence)
-    slots = np.array([time_slot(s.start_time, grid)[0] for s in template])
+    slots = time_slot(np.array([s.start_time for s in template]), grid)
 
     def draw(rng):
         lat, lon = model.projection.to_latlon(sampler.draw(slots, rng))

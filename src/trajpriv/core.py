@@ -9,6 +9,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +89,11 @@ class Trajectory:
         self.stays = sorted(self.stays, key=lambda s: s.start_time)
         for a, b in zip(self.stays, self.stays[1:]):
             if b.start_time < a.stop_time:
-                raise ValueError("overlapping stays in trajectory")
+                a_span, b_span = (f"{format_timestamp(s.start_time)} to "
+                                  f"{format_timestamp(s.stop_time)}"
+                                  for s in (a, b))
+                raise ValueError(f"user {self.user_id}: stay {b_span} "
+                                 f"overlaps stay {a_span}")
 
     def __len__(self):
         return len(self.stays)
@@ -125,8 +130,10 @@ class GridSpec:
         return 1440 // self.time_slot_minutes
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
+    """A grid cell by column and row index; it equals, and hashes as,
+    its (x, y) pair."""
+
     x: int
     y: int
 
@@ -321,10 +328,11 @@ def snap_to_grid(lat, lon, grid):
 
 
 def cell_center(cell, grid):
-    """(lat, lon) of a cell's center point; a Cell of index arrays gives
-    arrays of centers."""
-    x_m = (cell.x + 0.5) * grid.cell_size_m
-    y_m = (cell.y + 0.5) * grid.cell_size_m
+    """(lat, lon) of a cell's center point; the cell may be a plain (x, y)
+    pair, and a Cell of index arrays gives arrays of centers."""
+    x, y = cell
+    x_m = (x + 0.5) * grid.cell_size_m
+    y_m = (y + 0.5) * grid.cell_size_m
     # one multiply in place of math.degrees, so that arrays work too
     lat = grid.origin_lat + y_m / EARTH_RADIUS_M * _RAD_TO_DEG
     lon = grid.origin_lon + x_m / (
@@ -339,8 +347,9 @@ def weekday(t):
 
 
 def time_slot(t, grid):
-    """(slot index within the day, weekend flag) of a UTC epoch second."""
-    return t % 86400 // 60 // grid.time_slot_minutes, weekday(t) >= 5
+    """Slot index within the UTC day of an epoch second, or of an array of
+    them."""
+    return t % 86400 // 60 // grid.time_slot_minutes
 
 
 def abs_slot(t, grid):

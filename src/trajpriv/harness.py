@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .features import (Standardizer, cell_visit_entropy, compute_features,
                        project, resolve_subset)
 from .fusion import DenseNet, TrainConfig, evaluate, train
 from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
-                       fit_spatial, label_social, project_stays,
-                       social_influence, temporal_influence)
+                       fit_spatial, project_stays, social_influence,
+                       temporal_influence)
 from .anonymize import AnonymityPolicy, k_anonymize
 from .publish import (decode_days, fit_semantic, gan_sample,
                       purpose_posteriors, semantic_feature, similarity_report,
@@ -173,21 +173,18 @@ def generate_world(cfg):
     edges = {(users[a], users[b]) for a, b in idx_edges}
     sorted_edges = sorted(edges)
 
-    # distinct anchor cells: workplaces, social venues, then homes
+    # centers of distinct anchor cells: workplaces, social venues, then homes
     n_anchor = cfg.n_workplaces + cfg.n_social_venues + cfg.n_users
-    all_cells = [(x, y) for x in range(grid.n_x) for y in range(grid.n_y)]
+    all_cells = [Cell(x, y) for x in range(grid.n_x) for y in range(grid.n_y)]
     picked = rng.choice(len(all_cells), size=n_anchor, replace=False)
-    anchor_cells = [all_cells[i] for i in picked]
-    work_cells = anchor_cells[:cfg.n_workplaces]
-    venue_cells = anchor_cells[cfg.n_workplaces:
-                               cfg.n_workplaces + cfg.n_social_venues]
-    home_cells = anchor_cells[cfg.n_workplaces + cfg.n_social_venues:]
+    centers = [cell_center(all_cells[i], grid) for i in picked]
+    work_centers = centers[:cfg.n_workplaces]
+    venue_centers = centers[cfg.n_workplaces:
+                            cfg.n_workplaces + cfg.n_social_venues]
+    home_centers = centers[cfg.n_workplaces + cfg.n_social_venues:]
 
-    def center(cxy):
-        return cell_center(Cell(*cxy), grid)
-
-    home = {u: center(home_cells[i]) for i, u in enumerate(users)}
-    work = {u: center(work_cells[i % cfg.n_workplaces])
+    home = dict(zip(users, home_centers))
+    work = {u: work_centers[i % cfg.n_workplaces]
             for i, u in enumerate(users)}
 
     pair_meet_p = {}
@@ -196,7 +193,7 @@ def generate_world(cfg):
         pair_meet_p[e] = float(rng.uniform(cfg.p_meet_lo, cfg.p_meet_hi))
         vsel = rng.choice(cfg.n_social_venues, size=cfg.venues_per_pair,
                          replace=False)
-        pair_venues[e] = [center(venue_cells[v]) for v in vsel]
+        pair_venues[e] = [venue_centers[v] for v in vsel]
 
     n_slots = grid.slots_per_day
     schedule = {weekend: _day_schedule(n_slots, weekend)
@@ -236,8 +233,8 @@ def generate_world(cfg):
             for s in range(n_slots):
                 if day_anchor[u][s] is None:
                     if rng.random() < cfg.p_solo_jump:
-                        day_anchor[u][s] = center(
-                            venue_cells[rng.integers(cfg.n_social_venues)])
+                        day_anchor[u][s] = venue_centers[
+                            rng.integers(cfg.n_social_venues)]
                     else:
                         day_anchor[u][s] = home[u]
         for u in users:
@@ -413,15 +410,9 @@ def fit_world_models(world, seed=0, m="auto"):
         fits = fit_spatial([X for _, X in projected], m,
                            range(seed + b, seed + b + len(block)))
         for u, (proj, _), fit in zip(block, projected, fits):
-            model, assign = fit_mobility_model(world.trajectories[u],
-                                               world.grid, proj, fit)
-            hits = np.asarray(participation[u], dtype=float)
-            tot = np.bincount(assign, minlength=model.n_components)
-            frac = np.bincount(assign, weights=hits,
-                               minlength=model.n_components)
-            frac = np.where(tot > 0, frac / np.maximum(tot, 1), 0.0)
-            label_social(model, frac, tau_soc=0.25)
-            models[u] = model
+            models[u], _ = fit_mobility_model(world.trajectories[u],
+                                              world.grid, proj, fit,
+                                              participation[u])
     return models
 
 
@@ -557,14 +548,4 @@ def report_rows_csv(rows):
 
 def report_json(obj):
     """Deterministic JSON serialization for report files."""
-    def default(o):
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, WorldConfig):
-            return asdict(o)
-        raise TypeError(f"not serializable: {type(o)}")
-    return json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -370,37 +370,35 @@ def project_stays(traj):
     return proj, proj.to_xy(lats, lons)
 
 
-def fit_mobility_model(traj, grid, projection, fit):
+# a cluster is social once this fraction of its stays co-occur with
+# another user's stay
+SOCIAL_THRESHOLD = 0.25
+
+
+def fit_mobility_model(traj, grid, projection, fit, participation):
     """Mobility model of one user's stays from their spatial mixture `fit`
     (a MixtureFit of `fit_spatial` on the stays' points in `projection`),
-    with the temporal profile and visit counts of the hard assignment.
-
-    Social flags start all-False; call label_social once co-occurrence
-    fractions are known.
+    with the temporal profile, visit counts and social flags of the hard
+    assignment. `participation` flags, per stay, whether it co-occurs with
+    another user's stay. Returns the model and the assignment.
     """
     means, covs, weights, trace, log_joint, _ = fit
     mm = len(weights)
-    # hard-assign each stay for the profile and visit counts
+    # hard-assign each stay for the profile, visit counts and social flags
     assign = log_joint.argmax(axis=1)
-    slots, _ = time_slot(np.array([s.start_time for s in traj]), grid)
+    slots = time_slot(np.array([s.start_time for s in traj]), grid)
     profile = np.zeros((grid.slots_per_day, mm))
     np.add.at(profile, (slots, assign), 1)
     counts = np.bincount(assign, minlength=mm)
+    hits = np.bincount(assign, weights=np.asarray(participation, dtype=float),
+                       minlength=mm)
+    social = np.where(counts > 0, hits / np.maximum(counts, 1), 0.0)
     empty = profile.sum(axis=1) == 0
     profile[empty] = weights            # fall back to the global mixture
     profile /= profile.sum(axis=1, keepdims=True)
     return MobilityModel3D(traj.user_id, projection, means, covs, weights,
-                           profile, visit_counts=counts,
-                           ll_trace=trace), assign
-
-
-def label_social(model, coevent_fraction, tau_soc):
-    """Flag clusters whose co-occurrence fraction reaches the threshold."""
-    frac = np.asarray(coevent_fraction, dtype=float)
-    if np.any((frac < 0) | (frac > 1)):
-        raise ValueError("fractions must lie in [0, 1]")
-    model.social_flags = frac >= tau_soc
-    return model.social_flags
+                           profile, social_flags=social >= SOCIAL_THRESHOLD,
+                           visit_counts=counts, ll_trace=trace), assign
 
 
 def social_influence(friend_model, point_xy, slot, params):

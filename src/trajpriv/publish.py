@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Cell, StayRecord, Trajectory, abs_slot, cell_center,
-                   cell_of, time_slot, weekday)
+from .core import (StayRecord, Trajectory, abs_slot, cell_center, cell_of,
+                   time_slot, weekday)
 from .colocation import coevent_score, extract_coevents
 from .features import cell_visit_entropy
 from .fusion import (DenseNet, Gradients, backprop_grads, backward,
@@ -50,14 +50,13 @@ def embed_trajectory(traj, grid, K=2):
         cell = cell_of(s.lat, s.lon, grid)
         if cell is None:
             continue
-        key = (cell.x, cell.y)
-        k = counts.get(key, 0)
+        k = counts.get(cell, 0)
         if k >= K:
             raise CellOverflowError(cell, k + 1)
-        counts[key] = k + 1
+        counts[cell] = k + 1
         t = abs_slot(s.start_time, grid)
         d = max(1, math.ceil(s.duration_s / (grid.time_slot_minutes * 60)))
-        entries[(cell.x, cell.y, k)] = (t, d)
+        entries[(*cell, k)] = (t, d)
     return StayEmbedding(grid, K, entries)
 
 
@@ -77,7 +76,7 @@ def decode_embedding(emb, user_id="decoded"):
         for prev, cur in zip(items, items[1:]):
             if cur[1] <= prev[1]:
                 raise ValueError("k indices not time-ordered")
-        lat, lon = cell_center(Cell(x, y), emb.grid)
+        lat, lon = cell_center((x, y), emb.grid)
         for _, t, d in items:
             stays.append(StayRecord(user_id, t * slot_s, (t + d) * slot_s,
                                     lat, lon, lat, lon))
@@ -87,13 +86,13 @@ def decode_embedding(emb, user_id="decoded"):
 # --- dense per-day stay rows -----------------------------------------------
 
 def top_cells(traj, grid, top_n):
-    """A user's top_n most visited grid cells as (x, y), most visited
-    first, ties in cell order; stays outside the grid are not counted."""
+    """A user's top_n most visited grid cells, most visited first, ties in
+    cell order; stays outside the grid are not counted."""
     freq = {}
     for s in traj:
         c = cell_of(s.lat, s.lon, grid)
         if c is not None:
-            freq[(c.x, c.y)] = freq.get((c.x, c.y), 0) + 1
+            freq[c] = freq.get(c, 0) + 1
     return sorted(freq, key=lambda c: (-freq[c], c))[:top_n]
 
 
@@ -106,12 +105,11 @@ def stay_rows(stays, cells, grid, top_n):
     slot_s = grid.time_slot_minutes * 60
     rows = []
     for s in sorted(stays, key=lambda x: x.start_time):
-        c = cell_of(s.lat, s.lon, grid)
-        i = None if c is None else index.get((c.x, c.y))
+        i = index.get(cell_of(s.lat, s.lon, grid))
         if i is None:
             continue
         row = np.zeros(3 + top_n)
-        row[:3] = (1.0, time_slot(s.start_time, grid)[0],
+        row[:3] = (1.0, time_slot(s.start_time, grid),
                    math.ceil(s.duration_s / slot_s))
         row[3 + i] = 1.0
         rows.append(row)
@@ -137,7 +135,7 @@ def decode_days(day_rows, days, cells, grid, user_id):
     to whole slots (a duration of at least one slot); one greedy pass then
     drops each stay that overlaps an earlier kept one."""
     slot_s = grid.time_slot_minutes * 60
-    centers = [cell_center(Cell(*c), grid) for c in cells]
+    centers = [cell_center(c, grid) for c in cells]
     stays = []
     for day, rows in zip(days, day_rows):
         for row in rows:
@@ -312,8 +310,8 @@ def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg):
             for s in traj:
                 c = cell_of(s.lat, s.lon, grid)
                 if c is not None:
-                    cells[(c.x, c.y)] = cells.get((c.x, c.y), 0) + 1
-                slot, _ = time_slot(s.start_time, grid)
+                    cells[c] = cells.get(c, 0) + 1
+                slot = time_slot(s.start_time, grid)
                 slots[slot] = slots.get(slot, 0) + 1
                 # stay_feature(s, grid, ent), with the cell looked up above
                 V.append(semantic_feature(s.start_time, s.duration_s,

@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import trajpriv
 
-from trajpriv.core import (TIME_FORMAT, GridSpec, StayParseError, StayRecord,
-                           Trajectory, cell_center, cell_of, haversine_m,
-                           parse_stays, parse_timestamp, serialize_stays,
-                           stays_from_jsonl, stays_to_jsonl, time_slot,
-                           to_cell, OutOfGridError)
+from trajpriv.core import (TIME_FORMAT, Cell, GridSpec, StayParseError,
+                           StayRecord, Trajectory, cell_center, cell_of,
+                           haversine_m, parse_stays, parse_timestamp,
+                           serialize_stays, stays_from_jsonl, stays_to_jsonl,
+                           time_slot, to_cell, weekday, OutOfGridError)
+from trajpriv.publish import top_cells
 
 SAMPLE_CSV = (
     "ID,Start time,Start lat,Start lon,Stop time,Stop lat,Stop lon\n"
@@ -268,38 +269,56 @@ class TestParseTimestamp:
 
 class TestTimeSlot:
     def test_midnight(self):
-        slot, weekend = time_slot(1568592000, GRID)   # 2019-09-16 00:00 UTC
-        assert slot == 0 and weekend is False
+        t = 1568592000                                 # 2019-09-16 00:00 UTC
+        assert time_slot(t, GRID) == 0 and not weekday(t) >= 5
 
     def test_sample_timestamp_is_monday_slot_15(self):
-        from trajpriv.core import parse_timestamp
         t = parse_timestamp("16/09/2019 15:44:57")
-        slot, weekend = time_slot(t, GRID)
-        assert slot == 15 and weekend is False
+        assert time_slot(t, GRID) == 15 and weekday(t) == 0
 
     def test_last_slot_30min(self):
         g = GridSpec(28.0, 112.9, 250.0, 40, 40, 30)
-        from trajpriv.core import parse_timestamp
-        slot, _ = time_slot(parse_timestamp("16/09/2019 23:59:00"), g)
-        assert slot == 47
+        assert time_slot(parse_timestamp("16/09/2019 23:59:00"), g) == 47
 
     def test_weekend_flag(self):
-        from trajpriv.core import parse_timestamp
-        _, weekend = time_slot(parse_timestamp("21/09/2019 12:00:00"), GRID)
-        assert weekend is True
+        assert weekday(parse_timestamp("21/09/2019 12:00:00")) >= 5
 
     def test_matches_datetime_over_weeks(self):
-        from datetime import datetime, timezone
         grids = [GridSpec(28.0, 112.9, 250.0, 40, 40, m) for m in (15, 60)]
         step = 3 * 3600 + 7 * 60 + 13      # walks through every weekday
-        for t in [*range(-3 * 604800, 3 * 604800, step),
-                  *range(1568592000 - 604800, 1568592000 + 604800, step),
-                  -1, 0, 86399, 86400]:
+        ts = [*range(-3 * 604800, 3 * 604800, step),
+              *range(1568592000 - 604800, 1568592000 + 604800, step),
+              -1, 0, 86399, 86400]
+        for t in ts:
             dt = datetime.fromtimestamp(t, tz=timezone.utc)
             minutes = dt.hour * 60 + dt.minute
+            assert (weekday(t) >= 5) == (dt.weekday() >= 5)
             for g in grids:
-                assert time_slot(t, g) == (minutes // g.time_slot_minutes,
-                                           dt.weekday() >= 5)
+                assert time_slot(t, g) == minutes // g.time_slot_minutes
+        # an array of times gives the array of slots
+        for g in grids:
+            assert time_slot(np.array(ts), g).tolist() == [
+                time_slot(t, g) for t in ts]
+
+
+class TestCell:
+    def test_cell_is_its_xy_pair(self):
+        assert Cell(3, 4) == (3, 4)
+        assert hash(Cell(3, 4)) == hash((3, 4))
+        assert {(3, 4): "a"}[Cell(3, 4)] == "a"
+        assert to_cell(*cell_center((3, 4), GRID), GRID) == (3, 4)
+
+    def test_cell_center_takes_a_cell_or_a_pair(self):
+        for x, y in [(0, 0), (3, 4), (39, 17)]:
+            assert cell_center(Cell(x, y), GRID) == cell_center((x, y), GRID)
+
+    def test_top_cells_returns_cells(self):
+        stays = [StayRecord("u", 1000 * i, 1000 * i + 500,
+                            *cell_center(c, GRID), *cell_center(c, GRID))
+                 for i, c in enumerate([(2, 5), (1, 1), (2, 5), (7, 0)])]
+        cells = top_cells(Trajectory("u", stays), GRID, 2)
+        assert cells == [(2, 5), (1, 1)]
+        assert all(type(c) is Cell for c in cells)
 
 
 class TestTrajectory:
@@ -309,7 +328,9 @@ class TestTrajectory:
         t = Trajectory("u", [b, a])
         assert [s.start_time for s in t] == [100, 250]
         c = StayRecord("u", 150, 260, 28.0, 112.9, 28.0, 112.9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=(
+                r"^user u: stay 01/01/1970 00:02:30 to 01/01/1970 00:04:20 "
+                r"overlaps stay 01/01/1970 00:01:40 to 01/01/1970 00:03:20$")):
             Trajectory("u", [a, c])
 
     def test_rejects_foreign_user(self):

@@ -62,7 +62,7 @@ def per_stay_dummy(model, template, grid, rng, influence=None):
     """The dummy sampler as one draw per stay, then the snap."""
     stays = []
     for s in template:
-        xy = per_stay_location(model, time_slot(s.start_time, grid)[0], rng,
+        xy = per_stay_location(model, time_slot(s.start_time, grid), rng,
                                influence)
         lat, lon = model.projection.to_latlon(xy)
         lat, lon = snap_to_grid(float(lat), float(lon), grid)

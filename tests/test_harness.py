@@ -12,7 +12,8 @@ from trajpriv.cli import _load_world, main as cli_main
 from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
 from trajpriv.core import (EARTH_RADIUS_M, Cell, StayRecord, Trajectory,
-                           cell_center, to_cell)
+                           cell_center, format_timestamp, parse_timestamp,
+                           to_cell)
 from trajpriv.features import features_to_csv
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
@@ -269,7 +270,8 @@ def test_social_flags_are_the_per_stay_participation_fractions(small_world,
         proj, X = project_stays(small_world.trajectories[u])
         fit, = fit_spatial([X], "auto", [3 + i])
         model, assign = fit_mobility_model(small_world.trajectories[u],
-                                           small_world.grid, proj, fit)
+                                           small_world.grid, proj, fit,
+                                           participation[u])
         assert model.n_components == small_models[u].n_components
         hits = np.zeros(model.n_components)
         tot = np.zeros(model.n_components)
@@ -398,6 +400,26 @@ class TestCli:
         assert err == f"error: {exc.value}\n"
         assert err.startswith(f"error: user {exc.value.user_id}: accepted ")
         assert "acceptance rate" in err
+
+    @pytest.mark.parametrize("command", ["features", "report"])
+    def test_overlapping_stays_name_the_user(self, tmp_path, capsys,
+                                             command):
+        d = tmp_path / "w"
+        cli_main(["--seed", "9", "simulate", "--users", "8", "--days", "2",
+                  "--out", str(d)])
+        lines = (d / "stays.csv").read_text().splitlines(keepends=True)
+        rows = [i for i, line in enumerate(lines) if line.startswith("u001,")]
+        first = lines[rows[0]].split(",")
+        second = lines[rows[1]].split(",")
+        # the second stay of u001 now starts a minute before the first ends
+        start = format_timestamp(parse_timestamp(first[4]) - 60)
+        lines[rows[1]] = ",".join([second[0], start, *second[2:]])
+        (d / "stays.csv").write_text("".join(lines))
+        assert cli_main([command, "--world", str(d),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: user u001: stay {start} to {second[4]} overlaps stay "
+            f"{first[1]} to {first[4]}\n")
 
     def test_similarity_matches_run_defense(self, tmp_path):
         d = tmp_path / "w"

@@ -277,13 +277,19 @@ def test_mobility_assignment_is_argmax_of_log_joint(seed, n, m):
     traj = Trajectory("u", stays)
     proj, X = project_stays(traj)
     fit, = fit_spatial([X], m if m == "auto" else min(m, n), [seed % 1000])
-    model, assign = fit_mobility_model(traj, GRID, proj, fit)
+    hits = rng.random(n) < 0.4
+    model, assign = fit_mobility_model(traj, GRID, proj, fit, hits)
     log_joint = mixture_log_joint(X, model.weights, model.means, model.covs)
     assert np.array_equal(assign, log_joint.argmax(axis=1))
+    # a cluster is social once a quarter of its stays co-occur
+    for j in range(model.n_components):
+        mine = hits[assign == j]
+        assert model.social_flags[j] == (len(mine) > 0
+                                         and mine.mean() >= 0.25)
     # the slot profile and visit counts are the per-stay tallies
     counts = np.zeros((GRID.slots_per_day, model.n_components))
     for s, j in zip(traj, assign):
-        counts[time_slot(s.start_time, GRID)[0], j] += 1
+        counts[time_slot(s.start_time, GRID), j] += 1
     assert model.visit_counts.tolist() == counts.sum(axis=0).tolist()
     seen = counts.sum(axis=1) > 0
     assert np.array_equal(model.temporal_profile[seen],

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from trajpriv.mobility import (InfluenceParams, LocalProjection,
-                               MobilityModel3D, combined_influence, fit_gmm,
-                               label_social, sample_location,
+from trajpriv.core import GridSpec, StayRecord, Trajectory
+from trajpriv.mobility import (SOCIAL_THRESHOLD, InfluenceParams,
+                               LocalProjection, MixtureFit, MobilityModel3D,
+                               combined_influence, fit_gmm,
+                               fit_mobility_model, sample_location,
                                social_influence, temporal_influence)
+
+GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
 
 
 def make_model(means, covs, weights, profile, flags=None):
@@ -72,22 +76,36 @@ class TestFitGMM:
 
 
 class TestSocialLabeling:
-    def setup_method(self):
-        cov = np.eye(2) * 400
-        self.model = make_model([[0, 0], [1000, 0]], [cov, cov], [0.5, 0.5],
-                                np.tile([0.5, 0.5], (24, 1)))
+    """fit_mobility_model flags a cluster as social once the fraction of its
+    assigned stays that co-occur reaches SOCIAL_THRESHOLD (0.25)."""
 
-    def test_zero_threshold_all_social(self):
-        flags = label_social(self.model, [0.0, 0.0], 0.0)
-        assert flags.all()
+    def fit_flags(self, assign, participation):
+        # a three-cluster fit whose log-joint hard-assigns stay i to assign[i]
+        log_joint = np.where(np.arange(3) == np.asarray(assign)[:, None],
+                             0.0, -10.0)
+        fit = MixtureFit(np.array([[0.0, 0], [1000, 0], [2000, 0]]),
+                         np.tile(np.eye(2) * 400, (3, 1, 1)),
+                         np.full(3, 1 / 3), [], log_joint, 0.0)
+        traj = Trajectory("u", [StayRecord("u", 3600 * i, 3600 * i + 600,
+                                           28.0, 112.9, 28.0, 112.9)
+                                for i in range(len(assign))])
+        model, got = fit_mobility_model(traj, GRID, LocalProjection(28.0,
+                                                                    112.9),
+                                        fit, participation)
+        assert got.tolist() == list(assign)
+        return model.social_flags.tolist()
 
     def test_threshold(self):
-        flags = label_social(self.model, [0.5, 0.1], 0.3)
-        assert flags.tolist() == [True, False]
+        assert SOCIAL_THRESHOLD == 0.25
+        # cluster 0: 1 of 4 stays co-occur (at the threshold); cluster 1:
+        # 1 of 5 (below it)
+        assign = [0, 0, 0, 0, 1, 1, 1, 1, 1]
+        hits = [True, False, False, False, False, False, True, False, False]
+        assert self.fit_flags(assign, hits) == [True, False, False]
 
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            label_social(self.model, [1.5, 0.0], 0.3)
+    def test_cluster_without_stays_is_not_social(self):
+        assert self.fit_flags([1, 1, 1], [True, True, True]) == [False, True,
+                                                                 False]
 
 
 class TestInfluence:
