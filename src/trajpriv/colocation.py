@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import EARTH_RADIUS_M, cell_of, haversine_m
+from .core import EARTH_RADIUS_M, cells_of, pair_distances_m
 
 KERNELS = ("indicator", "exponential")
 
@@ -62,14 +63,17 @@ def _kernel_reach(alpha, kind):
     return alpha if kind == "indicator" else 3.0 * alpha
 
 
-@dataclass(frozen=True)
-class CoEvent:
-    """One co-occurrence between an ordered user pair (user_a < user_b).
+def _kernel_weights(x, alpha, kind):
+    """_kernel_weight of each value of an array, float for float: math.exp
+    per value, as np.exp differs from it in the last bit."""
+    if kind == "indicator":
+        return np.where(x <= alpha, 1.0, 0.0)
+    reach, exp = 3.0 * alpha, math.exp
+    return np.array([0.0 if v > reach else exp(-v / alpha)
+                     for v in x.tolist()])
 
-    The overlap interval is the intersection of the two stay intervals; for
-    disjoint-but-close stays it degenerates to the earlier stay's endpoint.
-    """
 
+class _CoEventFields(NamedTuple):
     user_a: str
     user_b: str
     cell: object
@@ -77,42 +81,46 @@ class CoEvent:
     overlap_end: int
     weight: float
 
-    def __post_init__(self):
-        if self.user_a >= self.user_b:
+
+class CoEvent(_CoEventFields):
+    """One co-occurrence between an ordered user pair (user_a < user_b).
+
+    The overlap interval is the intersection of the two stay intervals; for
+    disjoint-but-close stays it degenerates to the earlier stay's endpoint.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, user_a, user_b, cell, overlap_start, overlap_end,
+                weight):
+        if user_a >= user_b:
             raise ValueError("pair must be ordered user_a < user_b")
-        if self.overlap_start > self.overlap_end:
+        if overlap_start > overlap_end:
             raise ValueError("inverted overlap interval")
-        if not (0.0 < self.weight <= 1.0):
+        if not (0.0 < weight <= 1.0):
             raise ValueError("weight must be in (0, 1]")
+        return tuple.__new__(cls, (user_a, user_b, cell, overlap_start,
+                                   overlap_end, weight))
 
     @property
     def overlap_s(self):
         return self.overlap_end - self.overlap_start
 
 
-def interval_gap_s(a, b):
-    """Gap between two stay intervals; 0 when they overlap or touch."""
-    return max(0, max(a.start_time, b.start_time) - min(a.stop_time, b.stop_time))
-
-
-def _weight(sa, sb, cfg):
-    """Kernel weight of a stay pair: the spatial kernel of their haversine
-    distance times the temporal kernel of their interval gap."""
-    d = haversine_m(sa.lat, sa.lon, sb.lat, sb.lon)
-    return cfg.spatial_weight(d) * cfg.temporal_weight(interval_gap_s(sa, sb))
-
-
-def _event_for(sa, sb, pair, cell, cfg):
-    """The event of user_a's stay `sa`, in `cell`, with user_b's stay `sb`,
-    or None when their kernel weight is 0."""
-    w = _weight(sa, sb, cfg)
-    if w <= 0.0:
-        return None
-    lo = max(sa.start_time, sb.start_time)
-    hi = min(sa.stop_time, sb.stop_time)
-    if lo > hi:          # disjoint stays within temporal reach
-        lo = hi
-    return CoEvent(pair[0], pair[1], cell, lo, hi, w)
+def _pair_weights(cols, i, j, cfg):
+    """Kernel weights of the stay pairs (i[k], j[k]), and their overlap
+    intervals (lo, hi): the spatial kernel of the haversine distance of
+    stay i[k] to stay j[k] times the temporal kernel of their interval gap,
+    float for float as the scalar kernels give it. `cols` holds the stays'
+    (start, stop, lat, lon) columns."""
+    start, stop, lat, lon = cols
+    lo = np.maximum(start[i], start[j])
+    hi = np.minimum(stop[i], stop[j])
+    w = (_kernel_weights(pair_distances_m(lat, lon, i, j), cfg.alpha_d_m,
+                         cfg.spatial_kernel)
+         * _kernel_weights(np.maximum(lo - hi, 0), cfg.alpha_t_s,
+                           cfg.temporal_kernel))
+    return w, np.minimum(lo, hi), hi      # disjoint stays: lo = hi
 
 
 # Relative widening of the bins: it absorbs the rounding of the bin
@@ -133,7 +141,8 @@ def _gather(trajectories, users):
 
 def _candidate_pairs(stays, owner, cfg):
     """Index pairs (i, j) into `stays`, of different owners, that may have a
-    nonzero kernel weight: each such pair appears exactly once.
+    nonzero kernel weight: each such pair appears exactly once; and the
+    stays' (start, stop, lat, lon) columns.
 
     Spatial hash: rows of latitude height h = spatial reach / R (radians)
     and columns of longitude width w. Haversine distance d >= R |dphi|, so
@@ -151,14 +160,15 @@ def _candidate_pairs(stays, owner, cfg):
     exact.
     """
     n = len(stays)
+    cols = (np.array([s.start_time for s in stays], dtype=np.int64),
+            np.array([s.stop_time for s in stays], dtype=np.int64),
+            np.array([s.lat for s in stays], dtype=float),
+            np.array([s.lon for s in stays], dtype=float))
     if n == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    start = np.array([s.start_time for s in stays])
-    order = np.argsort(start, kind="stable")          # rank -> stay index
-    start = start[order]
-    stop = np.array([s.stop_time for s in stays])[order]
-    phi = np.radians([stays[k].lat for k in order])
-    lam = np.radians([stays[k].lon for k in order])
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), cols
+    order = np.argsort(cols[0], kind="stable")        # rank -> stay index
+    start, stop, lat, lon = (c[order] for c in cols)
+    phi, lam = np.radians(lat), np.radians(lon)
     owner = owner[order]
 
     h = max(cfg.spatial_reach_m / EARTH_RADIUS_M * (1.0 + _BIN_MARGIN),
@@ -192,7 +202,8 @@ def _candidate_pairs(stays, owner, cfg):
             keep = owner[first] != owner[second]
             firsts.append(first[keep])
             seconds.append(second[keep])
-    return order[np.concatenate(firsts)], order[np.concatenate(seconds)]
+    return (order[np.concatenate(firsts)], order[np.concatenate(seconds)],
+            cols)
 
 
 def extract_coevents(trajectories, cfg, grid, pairs=None):
@@ -209,28 +220,39 @@ def extract_coevents(trajectories, cfg, grid, pairs=None):
         keys = [(a, b) for i, a in enumerate(users) for b in users[i + 1:]]
     else:
         keys = [tuple(sorted(p)) for p in pairs]
+        for p, (x, y) in zip(pairs, keys):
+            if x == y:
+                raise ValueError(f"pair {tuple(p)} names one user twice")
+            for u in (x, y):
+                if u not in trajectories:
+                    raise ValueError(f"pair {tuple(p)} names unknown user "
+                                     f"{u!r}")
         users = sorted({u for key in keys for u in key})
     stays, owner = _gather(trajectories, users)
-    first, second = _candidate_pairs(stays, owner, cfg)
+    first, second, cols = _candidate_pairs(stays, owner, cfg)
     swap = owner[first] > owner[second]     # the stay of user_a goes first
     a = np.where(swap, second, first)
     b = np.where(swap, first, second)
+    pair = owner[a] * len(users) + owner[b]
     if pairs is not None:
         index = {u: k for k, u in enumerate(users)}
-        wanted = [index[x] * len(users) + index[y] for x, y in keys]
-        keep = np.isin(owner[a] * len(users) + owner[b], wanted)
-        a, b = a[keep], b[keep]
-    cells = {i: cell_of(stays[i].lat, stays[i].lon, grid)
-             for i in np.unique(a).tolist()}
-    found = {}
-    order = np.lexsort((b, a))        # the nested-loop order within a pair
-    for ia, ib in zip(a[order].tolist(), b[order].tolist()):
-        pair = (users[owner[ia]], users[owner[ib]])
-        ev = _event_for(stays[ia], stays[ib], pair, cells[ia], cfg)
-        if ev is not None:
-            found.setdefault(pair, []).append(ev)
-    for events in found.values():
-        events.sort(key=lambda e: (e.overlap_start, e.overlap_end, e.weight))
+        keep = np.isin(pair, [index[x] * len(users) + index[y]
+                              for x, y in keys])
+        a, b, pair = a[keep], b[keep], pair[keep]
+    w, lo, hi = _pair_weights(cols, a, b, cfg)
+    k = np.flatnonzero(w > 0.0)
+    # by pair, then as the nested loop's events, stably sorted by (overlap
+    # start, overlap end, weight): ties in loop order, stay of a then of b
+    k = k[np.lexsort((b[k], a[k], w[k], hi[k], lo[k], pair[k]))]
+    a_stays, a_of = np.unique(a[k], return_inverse=True)
+    cells = cells_of(cols[2][a_stays], cols[3][a_stays], grid)
+    n, found = len(users), {}
+    for p, c, start, end, weight in zip(
+            pair[k].tolist(), a_of.tolist(), lo[k].tolist(), hi[k].tolist(),
+            w[k].tolist()):
+        key = (users[p // n], users[p % n])
+        found.setdefault(key, []).append(CoEvent(*key, cells[c], start, end,
+                                                 weight))
     return {key: found.get(key, []) for key in keys}
 
 
@@ -246,11 +268,11 @@ def stay_participation(trajectories, cfg):
     weight with a stay of another user?"""
     users = sorted(trajectories)
     stays, owner = _gather(trajectories, users)
-    hit = [False] * len(stays)
-    first, second = _candidate_pairs(stays, owner, cfg)
-    for i, j in zip(first.tolist(), second.tolist()):
-        if not (hit[i] and hit[j]) and _weight(stays[i], stays[j], cfg) > 0.0:
-            hit[i] = hit[j] = True
+    first, second, cols = _candidate_pairs(stays, owner, cfg)
+    met = _pair_weights(cols, first, second, cfg)[0] > 0.0
+    hit = np.zeros(len(stays), dtype=bool)
+    hit[first[met]] = hit[second[met]] = True
+    hit = hit.tolist()
     flags, k = {}, 0
     for u in users:
         n = len(trajectories[u].stays)

@@ -286,6 +286,27 @@ _DEG_TO_RAD = math.pi / 180.0        # the factor math.radians multiplies by
 _RAD_TO_DEG = 180.0 / math.pi        # the factor math.degrees multiplies by
 
 
+def pair_distances_m(lat, lon, i, j):
+    """haversine_m(lat[i[k]], lon[i[k]], lat[j[k]], lon[j[k]]) for every k,
+    float for float.
+
+    numpy does the arithmetic, which rounds as Python's does; math takes
+    the sines, cosines and arcsines, and Python's ** the squares, one value
+    at a time, as numpy's sin, arcsin and exact squares differ from them in
+    the last bit. Cosines are taken once per point.
+    """
+    phi = np.asarray(lat, dtype=float) * _DEG_TO_RAD
+    lam = np.asarray(lon, dtype=float)
+    sin = math.sin
+    cos_phi = np.array(list(map(math.cos, phi.tolist())))
+    hav_phi = [sin(x) ** 2 for x in ((phi[j] - phi[i]) / 2.0).tolist()]
+    hav_lam = [sin(x) ** 2
+               for x in ((lam[j] - lam[i]) * _DEG_TO_RAD / 2.0).tolist()]
+    a = np.array(hav_phi) + cos_phi[i] * cos_phi[j] * np.array(hav_lam)
+    c = list(map(math.asin, np.minimum(1.0, np.sqrt(a)).tolist()))
+    return 2.0 * EARTH_RADIUS_M * np.array(c)
+
+
 def _grid_xy_m(lat, lon, grid):
     # local equirectangular projection around the grid origin; written
     # with one multiply in place of math.radians so that it also takes
@@ -313,6 +334,18 @@ def cell_of(lat, lon, grid):
         return to_cell(lat, lon, grid)
     except OutOfGridError:
         return None
+
+
+def cells_of(lat, lon, grid):
+    """cell_of of each point of two coordinate arrays, as a list of Cell
+    or None."""
+    x_m, y_m = _grid_xy_m(np.asarray(lat, dtype=float),
+                          np.asarray(lon, dtype=float), grid)
+    x = np.floor(x_m / grid.cell_size_m)
+    y = np.floor(y_m / grid.cell_size_m)
+    inside = (0 <= x) & (x < grid.n_x) & (0 <= y) & (y < grid.n_y)
+    return [Cell(int(cx), int(cy)) if ok else None
+            for cx, cy, ok in zip(x.tolist(), y.tolist(), inside.tolist())]
 
 
 def snap_to_grid(lat, lon, grid):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cell_of, weekday
+from .core import cells_of, weekday
 
 FEATURE_NAMES = ("f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol")
 
@@ -64,14 +64,15 @@ def shannon_entropy(counts):
 
 def cell_visit_entropy(trajectories, grid):
     """Per-cell Shannon entropy of the visiting-user distribution."""
+    users = [traj.user_id for traj in trajectories.values() for _ in traj]
+    stays = [s for traj in trajectories.values() for s in traj]
+    cells = cells_of([s.lat for s in stays], [s.lon for s in stays], grid)
     visits = {}
-    for traj in trajectories.values():
-        for s in traj:
-            cell = cell_of(s.lat, s.lon, grid)
-            if cell is None:
-                continue
-            visits.setdefault(cell, {}).setdefault(traj.user_id, 0)
-            visits[cell][traj.user_id] += 1
+    for user, cell in zip(users, cells):
+        if cell is None:
+            continue
+        visits.setdefault(cell, {}).setdefault(user, 0)
+        visits[cell][user] += 1
     return {cell: shannon_entropy(c.values()) for cell, c in visits.items()}
 
 

@@ -305,7 +305,14 @@ def fit_world_semantic(world, seed=0):
 def pair_dataset(world, pairs=None, semantic=False):
     """Pair feature rows, labelled by the friend edges, for the given user
     pairs in their order (every pair when None), and each pair's mean
-    purpose posterior when semantic (else None)."""
+    purpose posterior when semantic (else None). A pair asked twice, in
+    either order, is an error: each row answers one pair asked."""
+    if pairs is not None:
+        seen = set()
+        for p in pairs:
+            if frozenset(p) in seen:
+                raise ValueError(f"pair {tuple(p)} asked twice")
+            seen.add(frozenset(p))
     events = extract_coevents(world.trajectories, COLOCATION, world.grid,
                               pairs=pairs)
     ent = cell_visit_entropy(world.trajectories, world.grid)

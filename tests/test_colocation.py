@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajpriv.core import (EARTH_RADIUS_M, GridSpec, StayRecord, Trajectory,
-                           cell_center, Cell, haversine_m)
-from trajpriv.colocation import (CoLocationConfig, coevent_score,
-                                 extract_coevents, extract_pair_coevents,
-                                 interval_gap_s, stay_participation)
+                           cell_center, Cell, haversine_m, pair_distances_m)
+from trajpriv.colocation import (KERNELS, CoEvent, CoLocationConfig,
+                                 coevent_score, extract_coevents,
+                                 extract_pair_coevents, stay_participation,
+                                 _kernel_weight, _kernel_weights)
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
 T0 = 1568592000
@@ -131,19 +132,9 @@ class TestScore:
         assert coevent_score(events) == 4.0
 
     def test_weighted_sum(self):
-        from trajpriv.colocation import CoEvent
         events = [CoEvent("a", "b", None, T0, T0, w)
                   for w in (0.9, 0.4, 0.1)]
         assert coevent_score(events) == pytest.approx(1.4, abs=1e-12)
-
-
-def test_interval_gap():
-    a = stay("a", 100, 200, 28.0, 112.9)
-    b = stay("b", 150, 250, 28.0, 112.9)
-    c = stay("b", 260, 300, 28.0, 112.9)
-    assert interval_gap_s(a, b) == 0
-    assert interval_gap_s(a, c) == 60
-    assert interval_gap_s(c, a) == 60
 
 
 # --- the spatial-hash engine against the nested-loop definition ------------
@@ -181,6 +172,20 @@ def oracle_events(traj_a, traj_b, cfg, grid):
                     cell = None
                 out.append((traj_a.user_id, traj_b.user_id, cell, lo, hi, w))
     return sorted(out, key=lambda e: (e[3], e[4], e[5]))
+
+
+def oracle_participation(trajs, cfg):
+    """Per user, per stay: a nonzero kernel weight with any stay of
+    another user, from the definition."""
+    return {u: [any(cfg.spatial_weight(haversine_m(s.lat, s.lon,
+                                                   o.lat, o.lon))
+                    * cfg.temporal_weight(max(0, max(s.start_time,
+                                                     o.start_time)
+                                              - min(s.stop_time,
+                                                    o.stop_time))) > 0
+                    for v in trajs if v != u for o in trajs[v].stays)
+                for s in trajs[u].stays]
+            for u in trajs}
 
 
 def as_tuples(events):
@@ -247,13 +252,7 @@ def test_engine_matches_nested_loop_definition(seed, n_users, kernel, centers):
         assert as_tuples(got[(a, b)]) == oracle_events(trajs[a], trajs[b],
                                                        cfg, grid)
 
-    flags = stay_participation(trajs, cfg)
-    for u in users:
-        assert flags[u] == [
-            any(cfg.spatial_weight(haversine_m(s.lat, s.lon, o.lat, o.lon))
-                * cfg.temporal_weight(interval_gap_s(s, o)) > 0
-                for v in users if v != u for o in trajs[v].stays)
-            for s in trajs[u].stays]
+    assert stay_participation(trajs, cfg) == oracle_participation(trajs, cfg)
 
 
 def test_tied_events_keep_nested_loop_order():
@@ -297,3 +296,165 @@ def test_just_inside_reach_across_bins_at_70_degrees(bearing):
         a = Trajectory("a", [stay("a", T0, T0 + 600, lat, lon)])
         b = Trajectory("b", [stay("b", T0, T0 + 600, lat2, lon2)])
         assert len(extract_pair_coevents(a, b, cfg, GRID)) == 1
+
+
+# --- the array kernel against the scalar one, to the last bit -------------
+#
+# k-anonymity dummies sit on cell centres, and two vertically adjacent
+# centres lie 250 m apart up to rounding: exactly the indicator threshold.
+# The last bit of the distance decides whether such stays co-occur, so the
+# array forms must equal the scalar ones value for value, not within a
+# tolerance.
+
+def neighbour_pairs(grid, x, y):
+    """Centre coordinates of every cell of column x and row y, and the
+    index pairs of their vertically and horizontally adjacent cells."""
+    cells = ([Cell(x, r) for r in range(grid.n_y)]
+             + [Cell(c, y) for c in range(grid.n_x)])
+    lat, lon = (np.array(v) for v in zip(*(cell_center(c, grid)
+                                           for c in cells)))
+    i = np.r_[np.arange(grid.n_y - 1), grid.n_y + np.arange(grid.n_x - 1)]
+    return lat, lon, i, i + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(origin=st.tuples(st.floats(-60.0, 60.0), st.floats(-180.0, 170.0)),
+       x=st.integers(0, 39), y=st.integers(0, 39),
+       points=st.lists(st.tuples(lats, lons), min_size=2, max_size=12),
+       gaps=st.lists(st.one_of(st.integers(0, 20_000),
+                               st.sampled_from([1800, 1801, 5400, 5401])),
+                     max_size=20))
+def test_array_kernel_equals_scalar_kernel_bit_for_bit(origin, x, y, points,
+                                                       gaps):
+    grid = GridSpec(*origin, 250.0, 40, 40, 60)
+    lat, lon, i, j = neighbour_pairs(grid, x, y)
+    # adjacent centres, then every ordered pair of the arbitrary points
+    n = len(lat)
+    lat = np.r_[lat, [p[0] for p in points]]
+    lon = np.r_[lon, [p[1] for p in points]]
+    ii, jj = np.divmod(np.arange(len(points) ** 2), len(points))
+    i, j = np.r_[i, n + ii], np.r_[j, n + jj]
+
+    got = pair_distances_m(lat, lon, i, j)
+    want = [haversine_m(lat[a], lon[a], lat[b], lon[b])
+            for a, b in zip(i.tolist(), j.tolist())]
+    assert got.tolist() == want
+    vertical = np.array(want[:grid.n_y - 1])
+    assert (np.abs(vertical - 250.0) < 1e-6).all()
+    assert (vertical < 250.0).any() and (vertical > 250.0).any()
+
+    gaps = np.array(gaps, dtype=np.int64)
+    for kind in KERNELS:
+        assert _kernel_weights(got, 250.0, kind).tolist() == [
+            _kernel_weight(d, 250.0, kind) for d in want]
+        assert _kernel_weights(gaps, 1800.0, kind).tolist() == [
+            _kernel_weight(g, 1800.0, kind) for g in gaps.tolist()]
+
+
+def snapped_world(rng, n_users, grid):
+    """Users whose stays sit exactly on the centres of a 3 x 3 block of
+    cells, as k-anonymity dummies do, on a 10-minute raster with gaps at
+    the temporal reach; one user in four also visits the centre of the
+    cell just west of the grid, which has no cell."""
+    x0, y0 = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+    spots = [cell_center(Cell(x0 + dx, y0 + dy), grid)
+             for dx in range(3) for dy in range(3)]
+    west = cell_center(Cell(-1, y0), grid)
+    gaps = (0, 600, 1800, 1801, 5400)
+    trajs = {}
+    for k in range(n_users):
+        u = f"u{k}"
+        t = T0 + 600 * int(rng.integers(0, 6))
+        stays = []
+        for _ in range(int(rng.integers(2, 10))):
+            dur = 600 * int(rng.integers(1, 6))
+            lat, lon = spots[int(rng.integers(len(spots)))]
+            if k % 4 == 3 and rng.random() < 0.3:
+                lat, lon = west
+            stays.append(stay(u, t, t + dur, lat, lon))
+            t += dur + gaps[int(rng.integers(len(gaps)))]
+        trajs[u] = Trajectory(u, stays)
+    return trajs
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_engine_matches_nested_loop_definition_on_cell_centres(kernel):
+    """Stays on cell centres put stay pairs at 250 m up to the last bit,
+    on both sides of it; events, their cells and weights, and participation
+    flags still equal the nested-loop definition exactly."""
+    cfg = CoLocationConfig(spatial_kernel=kernel, temporal_kernel=kernel)
+    sides = set()
+    for seed, origin_lat in enumerate([28.0, -33.9, 51.5, 0.0, 64.1] * 4):
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(origin_lat, 112.9, 250.0, 10, 10, 60)
+        trajs = snapped_world(rng, int(rng.integers(2, 6)), grid)
+        users = sorted(trajs)
+        got = extract_coevents(trajs, cfg, grid)
+        for a, b in got:
+            assert as_tuples(got[(a, b)]) == oracle_events(trajs[a], trajs[b],
+                                                           cfg, grid)
+        assert stay_participation(trajs, cfg) == oracle_participation(trajs,
+                                                                      cfg)
+        for a in users:
+            for b in users:
+                for sa in trajs[a].stays:
+                    for sb in trajs[b].stays:
+                        d = haversine_m(sa.lat, sa.lon, sb.lat, sb.lon)
+                        if a != b and abs(d - 250.0) < 1e-6:
+                            sides.add(d < 250.0)
+    assert sides == {False, True}
+
+
+def test_engine_without_stays_or_pairs():
+    cfg = CoLocationConfig()
+    a = Trajectory("a", [stay("a", T0, T0 + 600, 28.01, 112.91),
+                         stay("a", T0 + 600, T0 + 1200, 28.01, 112.91)])
+    b = Trajectory("b", [stay("b", T0, T0 + 600, 28.01, 112.91)])
+    assert extract_coevents({}, cfg, GRID) == {}
+    assert stay_participation({}, cfg) == {}
+    assert extract_coevents({"a": a, "b": b}, cfg, GRID, pairs=[]) == {}
+    assert extract_coevents({"a": a}, cfg, GRID) == {}
+    assert stay_participation({"a": a}, cfg) == {"a": [False, False]}
+
+
+def test_off_grid_stay_of_user_a_has_no_cell():
+    west = (28.01, GRID.origin_lon - 0.0005)
+    a = Trajectory("a", [stay("a", T0, T0 + 600, *west)])
+    b = Trajectory("b", [stay("b", T0, T0 + 600, west[0], GRID.origin_lon)])
+    events = extract_pair_coevents(a, b, CoLocationConfig(), GRID)
+    assert [e.cell for e in events] == [None]
+    assert as_tuples(events) == oracle_events(a, b, CoLocationConfig(), GRID)
+    assert extract_pair_coevents(b, a, CoLocationConfig(), GRID) == events
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([("a", "a")], r"pair \('a', 'a'\) names one user twice"),
+    ([("a", "b"), ("b", "nobody")],
+     r"pair \('b', 'nobody'\) names unknown user 'nobody'"),
+])
+def test_malformed_pairs_are_rejected(pairs, message):
+    a = Trajectory("a", [stay("a", T0, T0 + 600, 28.01, 112.91)])
+    b = Trajectory("b", [stay("b", T0, T0 + 600, 28.01, 112.91)])
+    with pytest.raises(ValueError, match=message):
+        extract_coevents({"a": a, "b": b}, CoLocationConfig(), GRID,
+                         pairs=pairs)
+
+
+class TestCoEvent:
+    @pytest.mark.parametrize("args,message", [
+        (("b", "a", None, T0, T0, 1.0), "ordered"),
+        (("a", "a", None, T0, T0, 1.0), "ordered"),
+        (("a", "b", None, T0 + 1, T0, 1.0), "inverted"),
+        (("a", "b", None, T0, T0, 0.0), r"\(0, 1\]"),
+        (("a", "b", None, T0, T0, 1.5), r"\(0, 1\]"),
+    ])
+    def test_invalid_event_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            CoEvent(*args)
+
+    def test_equal_events_compare_and_hash_equal(self):
+        e1 = CoEvent("a", "b", Cell(1, 2), T0, T0 + 60, 0.5)
+        e2 = CoEvent("a", "b", Cell(1, 2), T0, T0 + 60, 0.5)
+        assert e1 == e2 and hash(e1) == hash(e2) and len({e1, e2}) == 1
+        assert e1 != CoEvent("a", "b", Cell(1, 2), T0, T0 + 60, 0.25)
+        assert e1.overlap_s == 60 and e1.cell == (1, 2)

@@ -185,6 +185,18 @@ def test_defended_dataset_lists_the_raw_pairs_in_order(small_world,
     assert sum(label for _, _, label in raw) == len(small_world.friend_edges)
 
 
+@pytest.mark.parametrize("pairs", [
+    [("u000", "u001"), ("u001", "u000")],
+    [("u000", "u001"), ("u002", "u003"), ("u000", "u001")],
+])
+def test_repeated_pair_is_rejected(small_world, pairs):
+    """One feature row per pair asked: a repeated pair is an error, not a
+    row merged away."""
+    with pytest.raises(ValueError, match=r"pair \('u00[01]', 'u00[01]'\) "
+                                         "asked twice"):
+        pair_dataset(small_world, pairs)
+
+
 def test_attack_trains_one_call_per_input_width(small_world, train_calls):
     subsets = ["all", "spatial", "temporal",
                "f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol"]
