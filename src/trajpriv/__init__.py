@@ -2,7 +2,7 @@
 3D-mobility-model k-anonymity, and generative trajectory publishing."""
 
 from .core import (Cell, GridSpec, StayRecord, Trajectory, cell_center,
-                   cell_of, group_trajectories, haversine_m, parse_stays,
+                   cells_of, group_trajectories, haversine_m, parse_stays,
                    serialize_stays, time_slot, to_cell)
 from .colocation import CoEvent, CoLocationConfig, coevent_score, \
     extract_coevents, extract_pair_coevents

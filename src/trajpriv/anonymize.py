@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import StayRecord, Trajectory, snap_to_grid, time_slot
+from .core import Trajectory, snap_to_grid, time_slot
 from .mobility import LocationSampler, project_stays
 
 STATISTICS = ("stay_count", "total_duration_h", "radius_of_gyration_m",
@@ -67,7 +67,7 @@ def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
         if name == "stay_count":
             out[name] = float(len(traj))
         elif name == "total_duration_h":
-            out[name] = sum(s.duration_s for s in traj) / 3600.0
+            out[name] = sum((traj.stop - traj.start).tolist()) / 3600.0
         elif name == "radius_of_gyration_m":
             _, xy = project_stays(traj)
             centroid = xy.mean(axis=0)
@@ -80,8 +80,7 @@ def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
             if len(centers) == 0:
                 out[name] = 0.0
                 continue
-            xy = model.projection.to_xy([s.lat for s in traj],
-                                        [s.lon for s in traj])
+            xy = model.projection.to_xy(traj.start_lat, traj.start_lon)
             dist = np.linalg.norm(xy[:, None, :] - centers[None], axis=2)
             out[name] = int(np.sum(dist.min(axis=1) <= alpha_d_m)) / len(traj)
         else:
@@ -95,15 +94,13 @@ def _dummy_sampler(model, template, grid, influence=None):
     if len(template) == 0:
         raise ValueError("template trajectory is empty")
     sampler = LocationSampler(model, influence)
-    slots = time_slot(np.array([s.start_time for s in template]), grid)
+    slots = time_slot(template.start, grid)
 
     def draw(rng):
         lat, lon = model.projection.to_latlon(sampler.draw(slots, rng))
         lat, lon = snap_to_grid(lat, lon, grid)
-        return Trajectory(template.user_id, [
-            StayRecord(template.user_id, s.start_time, s.stop_time,
-                       a, b, a, b)
-            for s, a, b in zip(template, lat.tolist(), lon.tolist())])
+        return Trajectory.from_columns(template.user_id, template.start,
+                                       template.stop, lat, lon, lat, lon)
     return draw
 
 
@@ -190,9 +187,9 @@ def audit_anonymity_set(aset, policy, model=None):
     if sorted(aset.order) != list(range(policy.k)):
         return False
     real_stats = trajectory_stats(aset.real, policy.stats, model)
-    r0, r1 = aset.real.stays[0].start_time, aset.real.stays[-1].stop_time
+    r0, r1 = aset.real.start[0], aset.real.stop[-1]
     for dummy in aset.dummies:
-        d0, d1 = dummy.stays[0].start_time, dummy.stays[-1].stop_time
+        d0, d1 = dummy.start[0], dummy.stop[-1]
         if abs(d0 - r0) > 3600 or abs(d1 - r1) > 3600:
             return False
         dev = _deviations(real_stats,

@@ -47,10 +47,17 @@ def _load_world(world_dir):
                                      f"stays in stays.csv")
             edges.add(pair)
     config = json.loads((world_dir / "config.json").read_text())
-    unknown = sorted(set(config) - {f.name for f in
-                                    dataclasses.fields(WorldConfig)})
+    if type(config) is not dict:
+        raise ValueError(f"config.json: expected an object, got {config!r}")
+    types = {f.name: f.type for f in dataclasses.fields(WorldConfig)}
+    unknown = sorted(set(config) - set(types))
     if unknown:
         raise ValueError(f"config.json: unknown keys {unknown}")
+    json_types = {"int": (int,), "float": (int, float), "str": (str,)}
+    for key, value in config.items():
+        if type(value) not in json_types[types[key]]:
+            raise ValueError(f"config.json: {key} must be {types[key]}, "
+                             f"got {value!r}")
     return World(WorldConfig(**config), trajectories, edges)
 
 

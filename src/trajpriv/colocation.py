@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EARTH_RADIUS_M, cells_of, pair_distances_m
+from .core import EARTH_RADIUS_M, cells_of, pair_distances_m, stacked
 
 KERNELS = ("indicator", "exponential")
 
@@ -131,18 +131,17 @@ _MAX_BINS = 1 << 24
 
 
 def _gather(trajectories, users):
-    """The users' stays, user-major in trajectory order, and the index in
-    `users` of each stay's owner."""
-    stays = [s for u in users for s in trajectories[u].stays]
-    owner = np.repeat(np.arange(len(users)),
-                      [len(trajectories[u].stays) for u in users])
-    return stays, owner
+    """The (start, stop, lat, lon) columns of the users' stays, user-major in
+    trajectory order, and the index in `users` of each stay's owner."""
+    trajs = [trajectories[u] for u in users]
+    owner = np.repeat(np.arange(len(users)), [len(t) for t in trajs])
+    return stacked(trajs, "start", "stop", "start_lat", "start_lon"), owner
 
 
-def _candidate_pairs(stays, owner, cfg):
-    """Index pairs (i, j) into `stays`, of different owners, that may have a
-    nonzero kernel weight: each such pair appears exactly once; and the
-    stays' (start, stop, lat, lon) columns.
+def _candidate_pairs(cols, owner, cfg):
+    """Index pairs (i, j) into the stays of the (start, stop, lat, lon)
+    columns `cols`, of different owners, that may have a nonzero kernel
+    weight: each such pair appears exactly once.
 
     Spatial hash: rows of latitude height h = spatial reach / R (radians)
     and columns of longitude width w. Haversine distance d >= R |dphi|, so
@@ -159,13 +158,9 @@ def _candidate_pairs(stays, owner, cfg):
     earlier-ranked stay. Epoch seconds are integers, so the comparison is
     exact.
     """
-    n = len(stays)
-    cols = (np.array([s.start_time for s in stays], dtype=np.int64),
-            np.array([s.stop_time for s in stays], dtype=np.int64),
-            np.array([s.lat for s in stays], dtype=float),
-            np.array([s.lon for s in stays], dtype=float))
+    n = len(owner)
     if n == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64), cols
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
     order = np.argsort(cols[0], kind="stable")        # rank -> stay index
     start, stop, lat, lon = (c[order] for c in cols)
     phi, lam = np.radians(lat), np.radians(lon)
@@ -202,8 +197,7 @@ def _candidate_pairs(stays, owner, cfg):
             keep = owner[first] != owner[second]
             firsts.append(first[keep])
             seconds.append(second[keep])
-    return (order[np.concatenate(firsts)], order[np.concatenate(seconds)],
-            cols)
+    return order[np.concatenate(firsts)], order[np.concatenate(seconds)]
 
 
 def extract_coevents(trajectories, cfg, grid, pairs=None):
@@ -228,8 +222,8 @@ def extract_coevents(trajectories, cfg, grid, pairs=None):
                     raise ValueError(f"pair {tuple(p)} names unknown user "
                                      f"{u!r}")
         users = sorted({u for key in keys for u in key})
-    stays, owner = _gather(trajectories, users)
-    first, second, cols = _candidate_pairs(stays, owner, cfg)
+    cols, owner = _gather(trajectories, users)
+    first, second = _candidate_pairs(cols, owner, cfg)
     swap = owner[first] > owner[second]     # the stay of user_a goes first
     a = np.where(swap, second, first)
     b = np.where(swap, first, second)
@@ -267,15 +261,15 @@ def stay_participation(trajectories, cfg):
     """Per user, one flag per stay: does the stay have a nonzero kernel
     weight with a stay of another user?"""
     users = sorted(trajectories)
-    stays, owner = _gather(trajectories, users)
-    first, second, cols = _candidate_pairs(stays, owner, cfg)
+    cols, owner = _gather(trajectories, users)
+    first, second = _candidate_pairs(cols, owner, cfg)
     met = _pair_weights(cols, first, second, cfg)[0] > 0.0
-    hit = np.zeros(len(stays), dtype=bool)
+    hit = np.zeros(len(owner), dtype=bool)
     hit[first[met]] = hit[second[met]] = True
     hit = hit.tolist()
     flags, k = {}, 0
     for u in users:
-        n = len(trajectories[u].stays)
+        n = len(trajectories[u])
         flags[u] = hit[k:k + n]
         k += n
     return flags

@@ -6,9 +6,10 @@ import csv
 import io
 import json
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -39,15 +40,7 @@ def _check_coord(lat, lon):
         raise ValueError(f"longitude out of range: {lon}")
 
 
-@dataclass(frozen=True)
-class StayRecord:
-    """One user stay: half-open presence interval at a place.
-
-    Times are UTC epoch seconds (timestamps in the CSV schema are naive and
-    treated as UTC). The start coordinate is the representative location;
-    the stop coordinate is retained for trip-aware extensions.
-    """
-
+class _StayFields(NamedTuple):
     user_id: str
     start_time: int
     stop_time: int
@@ -56,11 +49,30 @@ class StayRecord:
     stop_lat: float
     stop_lon: float
 
-    def __post_init__(self):
-        if self.start_time >= self.stop_time:
+
+class StayRecord(_StayFields):
+    """One user stay: half-open presence interval at a place.
+
+    Times are UTC epoch seconds (timestamps in the CSV schema are naive and
+    treated as UTC). The start coordinate is the representative location;
+    the stop coordinate is retained for trip-aware extensions. This is the
+    row view of a Trajectory's columns.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, user_id, start_time, stop_time, start_lat, start_lon,
+                stop_lat, stop_lon):
+        if start_time >= stop_time:
             raise ValueError("inverted_interval")
-        _check_coord(self.start_lat, self.start_lon)
-        _check_coord(self.stop_lat, self.stop_lon)
+        _check_coord(start_lat, start_lon)
+        _check_coord(stop_lat, stop_lon)
+        return tuple.__new__(cls, (user_id, start_time, stop_time, start_lat,
+                                   start_lon, stop_lat, stop_lon))
+
+    @classmethod
+    def _make(cls, iterable):       # so that _replace checks its row too
+        return cls(*iterable)
 
     @property
     def duration_s(self):
@@ -75,31 +87,90 @@ class StayRecord:
         return self.start_lon
 
 
-@dataclass
+# a StayRecord of values that already passed the bulk checks, unchecked
+_row = partial(tuple.__new__, StayRecord)
+
+
+def _bad_rows(start, stop, start_lat, start_lon, stop_lat, stop_lon):
+    """Flags of the stays that StayRecord would reject, from their columns."""
+    lat_ok = (np.abs(start_lat) <= 90.0) & (np.abs(stop_lat) <= 90.0)
+    lon_ok = (np.abs(start_lon) <= 180.0) & (np.abs(stop_lon) <= 180.0)
+    return (start >= stop) | ~(lat_ok & lon_ok)     # NaN is out of range
+
+
+COLUMNS = ("start", "stop", "start_lat", "start_lon", "stop_lat", "stop_lon")
+
+
 class Trajectory:
-    """Time-ordered, non-overlapping stay sequence of one user."""
+    """Time-ordered, non-overlapping stays of one user, held as read-only
+    columns: `start` and `stop` (int64 UTC epoch seconds) and `start_lat`,
+    `start_lon`, `stop_lat` and `stop_lon` (float64). `Trajectory(user_id,
+    rows)` keeps the StayRecords it is given as its row view, `stays`;
+    `from_columns` builds them on first use."""
 
-    user_id: str
-    stays: list = field(default_factory=list)
+    __slots__ = ("user_id", *COLUMNS, "_stays")
 
-    def __post_init__(self):
-        for s in self.stays:
-            if s.user_id != self.user_id:
-                raise ValueError(f"stay user {s.user_id} != {self.user_id}")
-        self.stays = sorted(self.stays, key=lambda s: s.start_time)
-        for a, b in zip(self.stays, self.stays[1:]):
-            if b.start_time < a.stop_time:
-                a_span, b_span = (f"{format_timestamp(s.start_time)} to "
-                                  f"{format_timestamp(s.stop_time)}"
-                                  for s in (a, b))
-                raise ValueError(f"user {self.user_id}: stay {b_span} "
-                                 f"overlaps stay {a_span}")
+    def __init__(self, user_id, stays=()):
+        rows = tuple(stays)
+        cols = list(zip(*rows)) or [()] * 7
+        if cols[0].count(user_id) != len(rows):
+            other = next(u for u in cols[0] if u != user_id)
+            raise ValueError(f"stay user {other} != {user_id}")
+        self._set(user_id, cols[1:], rows)
+
+    @classmethod
+    def from_columns(cls, user_id, start, stop, start_lat, start_lon,
+                     stop_lat, stop_lon):
+        traj = cls.__new__(cls)
+        traj._set(user_id, (start, stop, start_lat, start_lon, stop_lat,
+                            stop_lon), None)
+        return traj
+
+    def _set(self, user_id, cols, rows):
+        cols = [np.asarray(c, dtype=np.int64) for c in cols[:2]] + [
+            np.asarray(c, dtype=float) for c in cols[2:]]
+        bad = np.flatnonzero(_bad_rows(*cols))
+        if len(bad):        # the first bad stay raises its own error
+            StayRecord(user_id, *(c[bad[0]].item() for c in cols))
+        order = np.argsort(cols[0], kind="stable")
+        cols = [c[order] for c in cols]         # copies of the caller's
+        if rows is not None:
+            rows = tuple(map(rows.__getitem__, order.tolist()))
+        start, stop = cols[:2]
+        over = np.flatnonzero(start[1:] < stop[:-1])
+        if len(over):
+            a_span, b_span = (f"{format_timestamp(int(start[i]))} to "
+                              f"{format_timestamp(int(stop[i]))}"
+                              for i in (over[0], over[0] + 1))
+            raise ValueError(f"user {user_id}: stay {b_span} "
+                             f"overlaps stay {a_span}")
+        self.user_id = user_id
+        for name, c in zip(COLUMNS, cols):
+            c.flags.writeable = False
+            setattr(self, name, c)
+        self._stays = rows
+
+    @property
+    def stays(self):
+        """The StayRecords, in start order, as a read-only tuple."""
+        if self._stays is None:
+            self._stays = tuple(map(_row, zip(
+                repeat(self.user_id),
+                *(getattr(self, n).tolist() for n in COLUMNS))))
+        return self._stays
 
     def __len__(self):
-        return len(self.stays)
+        return len(self.start)
 
     def __iter__(self):
         return iter(self.stays)
+
+
+def stacked(trajectories, *names):
+    """The named columns of several trajectories, each concatenated."""
+    trajectories = list(trajectories)
+    return [np.concatenate([getattr(t, n) for t in trajectories]
+                           or [np.zeros(0)]) for n in names]
 
 
 @dataclass(frozen=True)
@@ -138,25 +209,8 @@ class Cell(NamedTuple):
     y: int
 
 
-# the zero-padded shape of TIME_FORMAT, read without strptime
-_PADDED_TIME = re.compile(
-    r"([0-9]{2})/([0-9]{2})/([0-9]{4}) ([0-9]{2}):([0-9]{2}):([0-9]{2})")
-
-
 def parse_timestamp(text):
-    """`dd/MM/yyyy HH:mm:ss` -> UTC epoch seconds.
-
-    The zero-padded shape is read field by field; any other text, or a
-    field out of range, goes to `strptime`, which also gives the error.
-    """
-    match = _PADDED_TIME.fullmatch(text)
-    if match:
-        d, mo, y, hh, mm, ss = map(int, match.groups())
-        try:
-            return int(datetime(y, mo, d, hh, mm, ss,
-                                tzinfo=timezone.utc).timestamp())
-        except ValueError:
-            pass
+    """`dd/MM/yyyy HH:mm:ss` -> UTC epoch seconds."""
     dt = datetime.strptime(text, TIME_FORMAT).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
 
@@ -165,11 +219,68 @@ def format_timestamp(t):
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime(TIME_FORMAT)
 
 
+# the digit and separator positions of a zero-padded timestamp
+_DIGITS = [0, 1, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPARATORS = [2, 5, 10, 13, 16], [ord(c) for c in "// ::"]
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _parse_timestamps(texts):
+    """parse_timestamp of each text, as an int64 array: zero-padded texts
+    with every field in range are converted as arrays, any other text by
+    parse_timestamp."""
+    texts = list(map(str.strip, texts))
+    chars = np.array(texts, dtype=str).view(np.uint32).reshape(len(texts), -1)
+    if chars.shape[1] != 19:
+        return np.array(list(map(parse_timestamp, texts)), dtype=np.int64)
+    digits = chars[:, _DIGITS].astype(np.int64) - ord("0")
+    d, mo, y, hh, mm, ss = (digits[:, k] * 10 + digits[:, k + 1]
+                            for k in (0, 2, 4, 8, 10, 12))
+    y = y * 100 + digits[:, 6] * 10 + digits[:, 7]
+    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    fast = (((digits >= 0) & (digits <= 9)).all(axis=1)
+            & (chars[:, _SEPARATORS[0]] == _SEPARATORS[1]).all(axis=1)
+            & (y >= 1) & (mo >= 1) & (mo <= 12) & (d >= 1)
+            & (d <= _MONTH_DAYS[np.clip(mo, 1, 12) - 1] + (leap & (mo == 2)))
+            & (hh < 24) & (mm < 60) & (ss < 60))
+    # days since 1970-01-01, in 400-year eras of years from March
+    era, yoe = np.divmod(y - (mo <= 2), 400)
+    doy = (153 * np.where(mo > 2, mo - 3, mo + 9) + 2) // 5 + d - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    out = days * 86400 + hh * 3600 + mm * 60 + ss
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = parse_timestamp(texts[i])
+    return out
+
+
+# CSV rows converted at a time: bounds the text and columns held at once
+_BLOCK = 1024
+
+
+def _bulk_rows(block):
+    """StayRecords of a block of CSV rows, converted column by column; None
+    when any row fails a check, for parse_stays to name its error."""
+    if set(map(len, block)) != {7}:
+        return None
+    user, t0, lat0, lon0, t1, lat1, lon1 = zip(*block)
+    try:
+        coords = [list(map(float, c)) for c in (lat0, lon0, lat1, lon1)]
+        start, stop = _parse_timestamps(t0), _parse_timestamps(t1)
+    except ValueError:
+        return None
+    if _bad_rows(start, stop, *map(np.array, coords)).any():
+        return None
+    return list(map(_row, zip(map(str.strip, user), start.tolist(),
+                              stop.tolist(), *coords)))
+
+
 def parse_stays(csv_text, strict=True):
     """Parse the fixed stay-record CSV schema into StayRecords.
 
-    In strict mode the first malformed row raises StayParseError; otherwise
-    malformed rows are skipped and collected in the second return value.
+    Rows are converted in blocks of _BLOCK, column by column; a block with
+    a malformed row is parsed row by row. In strict mode the first
+    malformed row raises StayParseError; otherwise malformed rows are
+    skipped and collected in the second return value.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -178,29 +289,27 @@ def parse_stays(csv_text, strict=True):
         raise StayParseError(0, "missing header")
     if [h.strip() for h in header] != CSV_HEADER:
         raise StayParseError(0, f"unexpected header: {header}")
-    records, errors = [], []
-    for i, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            if len(row) != 7:
-                raise ValueError(f"expected 7 fields, got {len(row)}")
-            rec = StayRecord(
-                user_id=row[0].strip(),
-                start_time=parse_timestamp(row[1].strip()),
-                stop_time=parse_timestamp(row[4].strip()),
-                start_lat=float(row[2]),
-                start_lon=float(row[3]),
-                stop_lat=float(row[5]),
-                stop_lon=float(row[6]),
-            )
-        except ValueError as e:
-            err = StayParseError(i, str(e))
-            if strict:
-                raise err
-            errors.append(err)
-            continue
-        records.append(rec)
+    records, errors, first = [], [], 1
+    for block in iter(lambda: list(islice(reader, _BLOCK)), []):
+        rows = _bulk_rows(block)
+        if rows is None:        # row by row, for each bad row's own error
+            rows = []
+            for i, row in enumerate(block, start=first):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                try:
+                    if len(row) != 7:
+                        raise ValueError(f"expected 7 fields, got {len(row)}")
+                    rows.append(StayRecord(
+                        row[0].strip(), parse_timestamp(row[1].strip()),
+                        parse_timestamp(row[4].strip()),
+                        *map(float, (row[2], row[3], row[5], row[6]))))
+                except ValueError as e:
+                    if strict:
+                        raise StayParseError(i, str(e))
+                    errors.append(StayParseError(i, str(e)))
+        records += rows
+        first += len(block)
     if strict:
         return records
     return records, errors
@@ -244,14 +353,21 @@ def _parse_iso(text):
 
 
 def stays_from_jsonl(text):
-    """Inverse of stays_to_jsonl. A malformed line raises StayParseError
-    with its 1-based line number."""
+    """Inverse of stays_to_jsonl. A malformed line, or a value the CSV form
+    cannot carry (a user id other than a str, a coordinate other than an
+    int or float), raises StayParseError with its 1-based line number."""
     records = []
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             d = json.loads(line)
+            if type(d["user_id"]) is not str:
+                raise TypeError(f"user_id must be a string, got "
+                                f"{d['user_id']!r}")
+            for key in ("start_lat", "start_lon", "stop_lat", "stop_lon"):
+                if type(d[key]) not in (int, float):        # bool is not
+                    raise TypeError(f"{key} must be a number, got {d[key]!r}")
             records.append(StayRecord(
                 user_id=d["user_id"],
                 start_time=_parse_iso(d["start_time"]),
@@ -327,18 +443,10 @@ def to_cell(lat, lon, grid):
     return Cell(x, y)
 
 
-def cell_of(lat, lon, grid):
-    """The grid cell of a coordinate, or None when it lies outside the
-    grid: a stay off the grid has no cell."""
-    try:
-        return to_cell(lat, lon, grid)
-    except OutOfGridError:
-        return None
-
-
 def cells_of(lat, lon, grid):
-    """cell_of of each point of two coordinate arrays, as a list of Cell
-    or None."""
+    """The grid cell of each point of two coordinate arrays, as a list of
+    Cell, or None where the point lies outside the grid: a stay off the
+    grid has no cell."""
     x_m, y_m = _grid_xy_m(np.asarray(lat, dtype=float),
                           np.asarray(lon, dtype=float), grid)
     x = np.floor(x_m / grid.cell_size_m)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cells_of, weekday
+from .core import cells_of, stacked, weekday
 
 FEATURE_NAMES = ("f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol")
 
@@ -64,9 +64,9 @@ def shannon_entropy(counts):
 
 def cell_visit_entropy(trajectories, grid):
     """Per-cell Shannon entropy of the visiting-user distribution."""
-    users = [traj.user_id for traj in trajectories.values() for _ in traj]
-    stays = [s for traj in trajectories.values() for s in traj]
-    cells = cells_of([s.lat for s in stays], [s.lon for s in stays], grid)
+    trajs = list(trajectories.values())
+    users = [t.user_id for t in trajs for _ in range(len(t))]
+    cells = cells_of(*stacked(trajs, "start_lat", "start_lon"), grid)
     visits = {}
     for user, cell in zip(users, cells):
         if cell is None:

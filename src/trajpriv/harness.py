@@ -29,7 +29,7 @@ from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
 from .anonymize import AnonymityPolicy, k_anonymize
 from .publish import (decode_days, fit_semantic, gan_sample,
                       purpose_posteriors, semantic_feature, similarity_report,
-                      stay_feature, stay_rows, top_cells, train_toy_gan)
+                      stay_features, stay_rows, top_cells, train_toy_gan)
 
 EPOCH_MONDAY = 1568592000  # 2019-09-16 00:00:00 UTC, a Monday
 # the one co-location config of the experiments: the attack's pair features,
@@ -288,17 +288,18 @@ def _semantic_pair_vector(events, sem_model, cell_entropy):
     """Mean purpose posterior over a pair's co-event overlap intervals."""
     if not events:
         return np.zeros(sem_model.n_purposes)
-    V = np.array([semantic_feature(e.overlap_start, e.overlap_s,
-                                   cell_entropy.get(e.cell, 0.0))
-                  for e in events])
+    start = np.array([e.overlap_start for e in events])
+    V = semantic_feature(start, np.array([e.overlap_end for e in events])
+                         - start, np.array([cell_entropy.get(e.cell, 0.0)
+                                            for e in events]))
     return purpose_posteriors(sem_model, V).mean(axis=0)
 
 
 def fit_world_semantic(world, seed=0):
     """Four-purpose semantic mixture over the stay features of every user."""
-    ent = cell_visit_entropy(world.trajectories, world.grid)
-    V = np.array([stay_feature(s, world.grid, ent)
-                  for u in world.users for s in world.trajectories[u]])
+    _, V = stay_features([world.trajectories[u] for u in world.users],
+                         world.grid,
+                         cell_visit_entropy(world.trajectories, world.grid))
     return fit_semantic(V, n_purposes=4, seed=seed)
 
 
@@ -463,15 +464,6 @@ def publish_with_kanon(world, sets, seed=0):
     return published
 
 
-def _day_slices(traj):
-    """A trajectory's stays bucketed by the UTC day of their start (epoch
-    seconds // 86400), in day order."""
-    days = {}
-    for s in traj:
-        days.setdefault(s.start_time // 86400, []).append(s)
-    return days
-
-
 def publish_synthetic(world, gan_steps=500, seed=0):
     """Adversarially generated published view of the whole world.
 
@@ -484,9 +476,9 @@ def publish_synthetic(world, gan_steps=500, seed=0):
     cells, days, rows = {}, {}, []
     for u in world.users:
         cells[u] = top_cells(world.trajectories[u], world.grid, top_n)
-        days[u] = _day_slices(world.trajectories[u])
-        rows.extend(stay_rows(stays, cells[u], world.grid, top_n)
-                    for stays in days[u].values())
+        days[u] = stay_rows(world.trajectories[u], cells[u], world.grid,
+                            top_n)
+        rows.extend(days[u].values())
     L = max([1] + [len(r) for r in rows])
     vecs = np.zeros((len(rows), L, 3 + top_n))
     for i, r in enumerate(rows):

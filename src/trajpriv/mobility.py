@@ -364,10 +364,9 @@ class MobilityModel3D:
 def project_stays(traj):
     """The user's local projection, centred on the mean stay position, and
     the (n, 2) planar points of the stays."""
-    lats = np.array([s.lat for s in traj])
-    lons = np.array([s.lon for s in traj])
-    proj = LocalProjection(float(lats.mean()), float(lons.mean()))
-    return proj, proj.to_xy(lats, lons)
+    proj = LocalProjection(float(traj.start_lat.mean()),
+                           float(traj.start_lon.mean()))
+    return proj, proj.to_xy(traj.start_lat, traj.start_lon)
 
 
 # a cluster is social once this fraction of its stays co-occur with
@@ -386,7 +385,7 @@ def fit_mobility_model(traj, grid, projection, fit, participation):
     mm = len(weights)
     # hard-assign each stay for the profile, visit counts and social flags
     assign = log_joint.argmax(axis=1)
-    slots = time_slot(np.array([s.start_time for s in traj]), grid)
+    slots = time_slot(traj.start, grid)
     profile = np.zeros((grid.slots_per_day, mm))
     np.add.at(profile, (slots, assign), 1)
     counts = np.bincount(assign, minlength=mm)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (StayRecord, Trajectory, abs_slot, cell_center, cell_of,
-                   time_slot, weekday)
+from .core import (StayRecord, Trajectory, abs_slot, cell_center, cells_of,
+                   stacked, time_slot, weekday)
 from .colocation import coevent_score, extract_coevents
 from .features import cell_visit_entropy
 from .fusion import (DenseNet, Gradients, backprop_grads, backward,
@@ -46,16 +46,17 @@ def embed_trajectory(traj, grid, K=2):
     grid are skipped."""
     counts = {}
     entries = {}
-    for s in traj:
-        cell = cell_of(s.lat, s.lon, grid)
+    for cell, start, duration in zip(
+            cells_of(traj.start_lat, traj.start_lon, grid),
+            traj.start.tolist(), (traj.stop - traj.start).tolist()):
         if cell is None:
             continue
         k = counts.get(cell, 0)
         if k >= K:
             raise CellOverflowError(cell, k + 1)
         counts[cell] = k + 1
-        t = abs_slot(s.start_time, grid)
-        d = max(1, math.ceil(s.duration_s / (grid.time_slot_minutes * 60)))
+        t = abs_slot(start, grid)
+        d = max(1, math.ceil(duration / (grid.time_slot_minutes * 60)))
         entries[(*cell, k)] = (t, d)
     return StayEmbedding(grid, K, entries)
 
@@ -89,31 +90,32 @@ def top_cells(traj, grid, top_n):
     """A user's top_n most visited grid cells, most visited first, ties in
     cell order; stays outside the grid are not counted."""
     freq = {}
-    for s in traj:
-        c = cell_of(s.lat, s.lon, grid)
+    for c in cells_of(traj.start_lat, traj.start_lon, grid):
         if c is not None:
             freq[c] = freq.get(c, 0) + 1
     return sorted(freq, key=lambda c: (-freq[c], c))[:top_n]
 
 
-def stay_rows(stays, cells, grid, top_n):
-    """One dense row per stay whose cell is among `cells`, in start order:
+def stay_rows(traj, cells, grid, top_n):
+    """A trajectory's dense stay rows per UTC day (epoch seconds // 86400)
+    that holds a stay's start, in day order: an (m, 3 + top_n) array, one
+    row per stay of that day whose cell is among `cells`, in start order:
     [presence 1, start slot within its UTC day, duration in slots (at
-    least 1), one-hot of the cell's index in `cells` over top_n columns].
-    Returns an (m, 3 + top_n) array."""
+    least 1), one-hot of the cell's index in `cells` over top_n columns]."""
     index = {c: i for i, c in enumerate(cells)}
-    slot_s = grid.time_slot_minutes * 60
-    rows = []
-    for s in sorted(stays, key=lambda x: x.start_time):
-        i = index.get(cell_of(s.lat, s.lon, grid))
-        if i is None:
-            continue
-        row = np.zeros(3 + top_n)
-        row[:3] = (1.0, time_slot(s.start_time, grid),
-                   math.ceil(s.duration_s / slot_s))
-        row[3 + i] = 1.0
-        rows.append(row)
-    return np.reshape(rows, (len(rows), 3 + top_n))
+    col = np.array([index.get(c, -1) for c in
+                    cells_of(traj.start_lat, traj.start_lon, grid)], dtype=int)
+    keep = np.flatnonzero(col >= 0)
+    rows = np.zeros((len(keep), 3 + top_n))
+    rows[:, 0] = 1.0
+    rows[:, 1] = time_slot(traj.start[keep], grid)
+    rows[:, 2] = np.ceil((traj.stop - traj.start)[keep]
+                         / (grid.time_slot_minutes * 60))
+    rows[np.arange(len(keep)), 3 + col[keep]] = 1.0
+    day = traj.start // 86400
+    days = np.unique(day)
+    cuts = np.searchsorted(day[keep], days[1:])
+    return dict(zip(days.tolist(), np.split(rows, cuts)))
 
 
 def _drop_overlaps(stays):
@@ -151,16 +153,22 @@ def decode_days(day_rows, days, cells, grid, user_id):
 
 def semantic_feature(start_time, duration_s, entropy):
     """(duration hours, start hour-of-day, weekend flag, cell popularity
-    entropy) of a presence interval, in UTC."""
+    entropy) of a presence interval in UTC; of arrays, one row each."""
     hour = start_time % 86400 // 3600 + start_time % 3600 // 60 / 60.0
-    return [duration_s / 3600.0, hour,
-            1.0 if weekday(start_time) >= 5 else 0.0, entropy]
+    return np.stack([duration_s / 3600.0, hour,
+                     np.where(weekday(start_time) >= 5, 1.0, 0.0), entropy],
+                    axis=-1)
 
 
-def stay_feature(stay, grid, cell_entropy):
-    """v(s): the semantic feature of a stay; 0 entropy outside the grid."""
-    ent = cell_entropy.get(cell_of(stay.lat, stay.lon, grid), 0.0)
-    return np.array(semantic_feature(stay.start_time, stay.duration_s, ent))
+def stay_features(trajectories, grid, cell_entropy):
+    """The cell of every stay of the trajectories in turn (None outside the
+    grid), and the (n, 4) matrix of their semantic features v(s), with 0
+    entropy outside the grid."""
+    start, stop, lat, lon = stacked(trajectories, "start", "stop",
+                                    "start_lat", "start_lon")
+    cells = cells_of(lat, lon, grid)
+    ent = np.array([cell_entropy.get(c, 0.0) for c in cells])
+    return cells, semantic_feature(start, stop - start, ent)
 
 
 @dataclass
@@ -304,20 +312,15 @@ def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg):
     least 1. All four values lie in [0, 1]."""
     def dists(trajs):
         cells, slots, purposes = {}, {}, {}
-        ent = cell_visit_entropy(trajs, grid)
-        V = []
-        for traj in trajs.values():
-            for s in traj:
-                c = cell_of(s.lat, s.lon, grid)
-                if c is not None:
-                    cells[c] = cells.get(c, 0) + 1
-                slot = time_slot(s.start_time, grid)
-                slots[slot] = slots.get(slot, 0) + 1
-                # stay_feature(s, grid, ent), with the cell looked up above
-                V.append(semantic_feature(s.start_time, s.duration_s,
-                                          ent.get(c, 0.0)))
-        post = purpose_posteriors(semantic_model, np.reshape(
-            V, (-1, semantic_model.means.shape[1])))
+        stay_cells, V = stay_features(trajs.values(), grid,
+                                      cell_visit_entropy(trajs, grid))
+        for c in stay_cells:
+            if c is not None:
+                cells[c] = cells.get(c, 0) + 1
+        [start] = stacked(trajs.values(), "start")
+        for slot in time_slot(start, grid).tolist():
+            slots[slot] = slots.get(slot, 0) + 1
+        post = purpose_posteriors(semantic_model, V)
         for lam in np.argmax(post, axis=1).tolist():
             purposes[lam] = purposes.get(lam, 0) + 1
         return cells, slots, purposes

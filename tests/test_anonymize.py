@@ -7,7 +7,7 @@ from trajpriv.anonymize import (AnonymityPolicy, InsufficientCandidatesError,
                                 _deviations, audit_anonymity_set,
                                 generate_dummy, k_anonymize, trajectory_stats)
 from trajpriv.core import (GridSpec, StayRecord, Trajectory, cell_center, Cell,
-                           cell_of, snap_to_grid, to_cell, _grid_xy_m)
+                           cells_of, snap_to_grid, to_cell, _grid_xy_m)
 from trajpriv.harness import (WorldConfig, fit_world_models, generate_world,
                               k_anonymize_world)
 from trajpriv.mobility import LocalProjection, MobilityModel3D
@@ -146,7 +146,7 @@ class TestSnapToGrid:
         got = np.stack(snap_to_grid(lat, lon, GRID), axis=1).tolist()
         off_grid = 0
         for plat, plon, center in zip(lat.tolist(), lon.tolist(), got):
-            cell = cell_of(plat, plon, GRID)
+            [cell] = cells_of([plat], [plon], GRID)
             if cell is None:            # clamped to the nearest edge cell
                 off_grid += 1
                 x_m, y_m = _grid_xy_m(plat, plon, GRID)

@@ -1,19 +1,22 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajpriv
-
-from trajpriv.core import (TIME_FORMAT, Cell, GridSpec, StayParseError,
-                           StayRecord, Trajectory, cell_center, cell_of,
+from trajpriv import core
+from trajpriv.core import (CSV_HEADER, TIME_FORMAT, Cell, GridSpec,
+                           StayParseError, StayRecord, Trajectory, cell_center, cells_of,
                            haversine_m, parse_stays, parse_timestamp,
                            serialize_stays, stays_from_jsonl, stays_to_jsonl,
                            time_slot, to_cell, weekday, OutOfGridError)
@@ -150,6 +153,24 @@ class TestParse:
                 stays_from_jsonl(good + "\n" + bad + "\n")
             assert info.value.row == 3
 
+    def test_jsonl_rejects_values_the_csv_cannot_carry(self):
+        good = stays_to_jsonl(parse_stays(SAMPLE_CSV))
+        fields = json.loads(good)
+        for key, value, reason in [
+                ("start_lat", True, "start_lat must be a number, got True"),
+                ("stop_lon", "112.9", "stop_lon must be a number, got "
+                                      "'112.9'"),
+                ("user_id", 7, "user_id must be a string, got 7"),
+                ("user_id", None, "user_id must be a string, got None")]:
+            bad = json.dumps(dict(fields, **{key: value}))
+            with pytest.raises(StayParseError) as info:
+                stays_from_jsonl(good + "\n" + bad + "\n")
+            assert info.value.row == 3
+            assert info.value.reason == f"TypeError: {reason}"
+        # an integer coordinate is a number, and survives the CSV form
+        [rec] = stays_from_jsonl(json.dumps(dict(fields, start_lat=28)))
+        assert parse_stays(serialize_stays([rec])) == [rec]
+
 
 class TestHaversine:
     def test_identity(self):
@@ -199,8 +220,20 @@ class TestGrid:
             to_cell(27.0, 112.9, GRID)
 
     def test_cell_of_is_none_only_off_the_grid(self):
-        assert cell_of(27.0, 112.9, GRID) is None
-        assert cell_of(28.0, 112.9, GRID) == to_cell(28.0, 112.9, GRID)
+        assert cells_of([27.0, 28.0], [112.9, 112.9], GRID) == [
+            None, to_cell(28.0, 112.9, GRID)]
+        # every point against to_cell, about 1 km beyond each grid edge
+        rng = np.random.default_rng(8)
+        lat = GRID.origin_lat + rng.uniform(-0.01, 0.1, 2000)
+        lon = GRID.origin_lon + rng.uniform(-0.01, 0.113, 2000)
+        want = []
+        for a, b in zip(lat.tolist(), lon.tolist()):
+            try:
+                want.append(to_cell(a, b, GRID))
+            except OutOfGridError:
+                want.append(None)
+        assert None in want
+        assert cells_of(lat, lon, GRID) == want
 
     def test_partition_against_containment_oracle(self):
         rng = np.random.default_rng(3)
@@ -333,7 +366,215 @@ class TestTrajectory:
                 r"overlaps stay 01/01/1970 00:01:40 to 01/01/1970 00:03:20$")):
             Trajectory("u", [a, c])
 
+    def test_replace_checks_the_new_row(self):
+        a = StayRecord("u", 100, 200, 28.0, 112.9, 28.0, 112.9)
+        assert a._replace(stop_time=300).duration_s == 200
+        with pytest.raises(ValueError, match="^latitude out of range: 95.0$"):
+            a._replace(start_lat=95.0)
+
     def test_rejects_foreign_user(self):
         a = StayRecord("v", 100, 200, 28.0, 112.9, 28.0, 112.9)
         with pytest.raises(ValueError):
             Trajectory("u", [a])
+
+    def test_stays_are_a_read_only_tuple_and_columns_read_only(self):
+        a = StayRecord("u", 100, 200, 28.0, 112.9, 28.0, 112.9)
+        t = Trajectory("u", [a])
+        assert t.stays == (a,)
+        with pytest.raises(TypeError):
+            t.stays[0] = a
+        with pytest.raises(ValueError):
+            t.start[0] = 50
+        assert t.start.dtype == np.int64 and t.start_lat.dtype == float
+
+    def test_from_columns_leaves_the_callers_arrays_writable(self):
+        start = np.array([300, 100])
+        t = Trajectory.from_columns("u", start, start + 50, *[[28.0] * 2] * 4)
+        assert start.flags.writeable and not t.start.flags.writeable
+        assert t.start.tolist() == [100, 300]
+        assert [type(v) for v in t.stays[1]] == [str, int, int] + [float] * 4
+        start = np.array([100, 300])
+        t = Trajectory.from_columns("u", start, start + 50, *[[28.0] * 2] * 4)
+        assert start.flags.writeable and not t.start.flags.writeable
+
+
+def row_by_row(csv_text):
+    """Records and (row, reason) errors of the stay CSV, one row at a time,
+    as parse_stays(strict=False) defines them."""
+    reader = csv.reader(io.StringIO(csv_text))
+    next(reader)
+    records, errors = [], []
+    for i, row in enumerate(reader, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            if len(row) != 7:
+                raise ValueError(f"expected 7 fields, got {len(row)}")
+            records.append(StayRecord(
+                row[0].strip(), parse_timestamp(row[1].strip()),
+                parse_timestamp(row[4].strip()), float(row[2]),
+                float(row[3]), float(row[5]), float(row[6])))
+        except ValueError as e:
+            errors.append((i, str(e)))
+    return records, errors
+
+
+def one_of_weighted(*pairs):
+    """A strategy drawing from each (weight, strategy) in proportion."""
+    return st.sampled_from([s for w, s in pairs for _ in range(w)]).flatmap(
+        lambda s: s)
+
+
+def zero_padded(dt):
+    return (f"{dt.day:02d}/{dt.month:02d}/{dt.year:04d} "
+            f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}")
+
+
+# leap days, century years and the ends of the year range
+EDGE_TIMES = [datetime(2000, 2, 29), datetime(2020, 2, 29, 23, 59, 59),
+              datetime(1, 1, 1), datetime(9999, 12, 30, 12),
+              datetime(4, 2, 29), datetime(1900, 2, 28, 23, 59, 59),
+              datetime(2100, 3, 1), datetime(2019, 9, 16, 15, 44, 57)]
+# timestamps that no parser takes: a field one past its range, year 0,
+# another shape; and last, one that strptime takes but that is not
+# zero-padded ASCII
+ODD_TIMES = ["29/02/1900 10:00:00", "29/02/2019 10:00:00",
+             "31/04/2019 10:00:00", "00/01/2019 10:00:00",
+             "32/01/2019 10:00:00", "01/00/2019 10:00:00",
+             "01/13/2019 10:00:00", "01/01/2019 24:00:00",
+             "01/01/2019 23:60:00", "01/01/2019 23:59:60",
+             "01/01/0000 10:00:00", "not-a-time", "", "16-09-2019 15:44:57",
+             "16/09/2019T15:44:57", "１6/09/2019 15:44:57"]
+
+
+@st.composite
+def stay_times(draw):
+    """The start and stop timestamp texts of a stay, zero-padded or with
+    single digits, and maybe with surrounding whitespace."""
+    start = draw(st.sampled_from(EDGE_TIMES) | st.datetimes(
+        datetime(1, 1, 1), datetime(9999, 12, 30)))
+    stop = start + timedelta(seconds=draw(st.integers(1, 86399)))
+    texts = []
+    for dt in (start, stop):
+        text = draw(st.sampled_from([zero_padded(dt)] * 5 + [
+            f"{dt.day}/{dt.month}/{dt.year:04d} "
+            f"{dt.hour}:{dt.minute}:{dt.second}"]))
+        pad = draw(st.sampled_from(["", "", " ", "\t"]))
+        texts.append(pad + text + pad)
+    return texts
+
+
+good_coordinates = st.floats(-90, 90).map(repr) | st.sampled_from(
+    [" 28.5 ", "-90.0", "180", "1e1", "-0.0"])
+odd_coordinates = st.sampled_from(["nan", "inf", "abc", "", "1e400",
+                                   "90.000001", "-181", "0x10"])
+
+
+@st.composite
+def csv_rows(draw):
+    """A CSV row: mostly a stay, else a stay with one defect (a timestamp,
+    a coordinate, an inverted interval, a field too many or too few), a
+    blank row or an empty one."""
+    kind = draw(st.sampled_from(["stay"] * 8 + [
+        "time", "coordinate", "inverted", "short", "long", "blank",
+        "empty"]))
+    if kind == "blank":
+        return [" "] * 7
+    if kind == "empty":
+        return []
+    t0, t1 = draw(stay_times())
+    if kind == "inverted":
+        t0, t1 = t1, draw(st.sampled_from([t1, t0]))
+    if kind == "time":
+        t0 = draw(st.sampled_from(ODD_TIMES))
+    coords = draw(st.lists(good_coordinates, min_size=4, max_size=4))
+    if kind == "coordinate":
+        coords[draw(st.integers(0, 3))] = draw(odd_coordinates)
+    user = draw(st.sampled_from(["u1", " u2 ", "a,b", 'q"x', ""]))
+    row = [user, t0, *coords[:2], t1, *coords[2:]]
+    return {"short": row[:6], "long": row + ["x"]}.get(kind, row)
+
+
+def csv_text(rows, quote_all):
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n",
+                   quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+    w.writerow(CSV_HEADER)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+GOOD_ROW = ["u0", "16/09/2019 15:44:57", "28.027098", "112.973641",
+            "16/09/2019 15:50:11", "28.032458", "112.988596"]
+
+
+class TestBulkParse:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(csv_rows(), max_size=24),
+           block=st.sampled_from([1, 2, 3, 7, core._BLOCK]),
+           padding=st.sampled_from([0, 0, core._BLOCK + 50]),
+           quote_all=st.booleans(), data=st.data())
+    def test_equals_row_by_row(self, rows, block, padding, quote_all, data):
+        at = data.draw(st.integers(0, len(rows)))
+        rows = rows[:at] + [GOOD_ROW] * padding + rows[at:]
+        text = csv_text(rows, quote_all)
+        want, want_errors = row_by_row(text)
+        with mock.patch.object(core, "_BLOCK", block):
+            got, errors = parse_stays(text, strict=False)
+            assert got == want
+            assert [tuple(map(type, r)) for r in got] == [
+                tuple(map(type, r)) for r in want]
+            assert [(e.row, e.reason) for e in errors] == want_errors
+            if want_errors:
+                with pytest.raises(StayParseError) as info:
+                    parse_stays(text)
+                assert (info.value.row, info.value.reason) == want_errors[0]
+            else:
+                assert parse_stays(text) == want
+
+    def test_padded_timestamps_equal_parse_timestamp(self):
+        texts = ["29/02/2000 00:00:00", "29/02/2020 12:30:01",
+                 "01/01/0001 00:00:00", "31/12/9999 23:59:59",
+                 "28/02/1900 23:59:59", "01/03/2100 00:00:00",
+                 " 1/9/2019 5:04:03"]
+        want = [parse_timestamp(t.strip()) for t in texts]
+        with mock.patch.object(core, "parse_timestamp",
+                               wraps=parse_timestamp) as scalar:
+            assert core._parse_timestamps(texts).tolist() == want
+        # only the text that is not zero-padded goes one at a time
+        scalar.assert_called_once_with("1/9/2019 5:04:03")
+        for bad in ODD_TIMES[:-1]:
+            with pytest.raises(ValueError):
+                core._parse_timestamps(["16/09/2019 15:44:57", bad])
+
+
+def build_outcome(build):
+    """A trajectory's user, columns and rows, or the message it raised."""
+    try:
+        t = build()
+    except ValueError as e:
+        return str(e)
+    return (t.user_id, [getattr(t, n).tolist() for n in core.COLUMNS],
+            t.stays)
+
+
+@st.composite
+def raw_stays(draw):
+    """(start, stop, lat, lon, lat, lon) tuples, some overlapping, some
+    inverted, some off the globe."""
+    start = draw(st.integers(0, 20)) * 600
+    stop = start + draw(st.sampled_from([600, 900, 1200, 0, -300]))
+    coord = one_of_weighted((9, st.floats(-90, 90)),
+                            (1, st.sampled_from([91.0, math.nan, -200.0])))
+    return (start, stop, draw(coord), draw(coord), draw(coord), draw(coord))
+
+
+class TestFromColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.lists(raw_stays(), max_size=6))
+    def test_agrees_with_rows(self, raw):
+        by_rows = build_outcome(lambda: Trajectory(
+            "u", [StayRecord("u", *r) for r in raw]))
+        by_columns = build_outcome(lambda: Trajectory.from_columns(
+            "u", *[[r[k] for r in raw] for k in range(6)]))
+        assert by_columns == by_rows

@@ -22,13 +22,12 @@ from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               k_anonymize_world, pair_dataset,
                               publish_synthetic, release_similarity,
                               report_json, report_rows_csv, run_attack,
-                              run_defense, sample_negative_pairs,
-                              _day_slices)
+                              run_defense, sample_negative_pairs)
 from trajpriv.mobility import (InfluenceParams, combined_influence,
                                fit_mobility_model, fit_spatial, project_stays,
                                temporal_influence)
 from trajpriv.publish import (embed_trajectory, similarity_report,
-                              top_cells)
+                              stay_rows, top_cells)
 
 
 def small_cfg(**kw):
@@ -357,11 +356,12 @@ def test_participation_uses_the_cooccurrence_distance():
 def test_a_stay_before_the_world_epoch_keeps_its_own_day():
     world = hand_built_world({"u0": [((1, 1), -24, -20), ((2, 2), 0, 8),
                                      ((1, 1), 30, 32)], "u1": []}, [])
-    days = _day_slices(world.trajectories["u0"])
+    traj = world.trajectories["u0"]
+    days = stay_rows(traj, top_cells(traj, world.grid, 16), world.grid, 16)
     first = EPOCH_MONDAY // 86400
-    assert {d: [s.start_time for s in st] for d, st in days.items()} == {
-        first - 1: [EPOCH_MONDAY - 24 * 3600], first: [EPOCH_MONDAY],
-        first + 1: [EPOCH_MONDAY + 30 * 3600]}
+    # one row per day: its start slot within that day
+    assert {d: rows[:, 1].tolist() for d, rows in days.items()} == {
+        first - 1: [0.0], first: [0.0], first + 1: [6.0]}
 
 
 def test_synthetic_release_publishes_trajectories():
@@ -465,8 +465,22 @@ class TestCli:
          "edges.csv: expected the header user_a,user_b, found no header"),
         ("config.json", '{"n_users": 2, "seed": 0, "colour": 1, "alpha": 2}',
          "config.json: unknown keys ['alpha', 'colour']"),
+        ("config.json", '{"n_users": "4"}',
+         "config.json: n_users must be int, got '4'"),
+        ("config.json", '{"seed": true}',
+         "config.json: seed must be int, got True"),
+        ("config.json", '{"n_days": 7.0}',
+         "config.json: n_days must be int, got 7.0"),
+        ("config.json", '{"noise_sigma_m": "30"}',
+         "config.json: noise_sigma_m must be float, got '30'"),
+        ("config.json", '{"graph_model": 3}',
+         "config.json: graph_model must be str, got 3"),
+        ("config.json", '["n_users"]',
+         "config.json: expected an object, got ['n_users']"),
     ], ids=["edge-fields", "edge-user", "edge-self-loop", "edge-no-header",
-            "edge-empty", "config-key"])
+            "edge-empty", "config-key", "config-str-int", "config-bool-int",
+            "config-float-int", "config-str-float", "config-int-str",
+            "config-list"])
     def test_malformed_world_fails_with_row_error(self, tmp_path, capsys,
                                                   name, text, message):
         world = hand_built_world({"a": [((1, 1), 0, 2)],
@@ -476,6 +490,13 @@ class TestCli:
         assert cli_main(["features", "--world", str(tmp_path),
                          "--out", str(tmp_path / "f.csv")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_float_field_takes_an_int(self, tmp_path):
+        world = hand_built_world({"a": [((1, 1), 0, 2)],
+                                  "c": [((1, 1), 1, 3)]}, [("a", "c")])
+        write_world_dir(world, tmp_path)
+        (tmp_path / "config.json").write_text('{"noise_sigma_m": 30}')
+        assert _load_world(tmp_path).cfg.noise_sigma_m == 30
 
     def test_simulate_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "w1", tmp_path / "w2"

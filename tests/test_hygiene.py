@@ -1,7 +1,8 @@
 """Source hygiene of the package: every import at module level, every
 import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
-that the package lacks, and one co-location config for the whole package."""
+that the package lacks, one co-location config for the whole package,
+and no stay column rebuilt from rows outside core."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import trajpriv
+from trajpriv.core import StayRecord
 
 MODULES = sorted(Path(trajpriv.__file__).parent.glob("*.py"))
 
@@ -167,3 +169,39 @@ def test_colocation_check_catches_a_second_call(tmp_path):
                    "    return colocation.CoLocationConfig(alpha_d_m=d)\n")
     assert colocation_configs([harness, cli]) == [("harness", "COLOCATION"),
                                                   ("cli", None)]
+
+
+# what a stay row holds per stay; the user id is one per trajectory too
+STAY_ATTRIBUTES = (set(StayRecord._fields) - {"user_id"}) | {
+    name for name, value in vars(StayRecord).items()
+    if isinstance(value, property)}
+
+
+def per_stay_comprehensions(modules):
+    """module:line of every comprehension `[s.<stay attribute> for s in
+    ...]` (or its generator form) in `modules`: a column rebuilt from
+    stay rows, one object at a time."""
+    return [f"{path.stem}:{node.lineno}" for path in modules
+            for node in ast.walk(parse(path))
+            if isinstance(node, (ast.ListComp, ast.GeneratorExp))
+            and isinstance(node.elt, ast.Attribute)
+            and node.elt.attr in STAY_ATTRIBUTES
+            and isinstance(node.elt.value, ast.Name)
+            and any(getattr(g.target, "id", None) == node.elt.value.id
+                    for g in node.generators)]
+
+
+def test_no_stay_column_rebuilt_outside_core():
+    # a trajectory holds its stays as columns: read them, not its rows
+    assert per_stay_comprehensions(
+        [p for p in MODULES if p.name != "core.py"]) == []
+
+
+def test_per_stay_check_catches_a_rebuilt_column(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np\n\n\ndef f(traj, events):\n"
+                    "    lat = np.array([s.lat for s in traj])\n"
+                    "    hours = sum(s.duration_s for s in traj)\n"
+                    "    return [e.weight for e in events], lat, hours\n")
+    assert STAY_ATTRIBUTES >= {"start_time", "stop_lon", "lat", "duration_s"}
+    assert per_stay_comprehensions([path]) == ["m:5", "m:6"]

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from trajpriv.colocation import CoLocationConfig
 from trajpriv.core import (Cell, GridSpec, StayRecord, Trajectory,
-                           cell_center, cell_of)
+                           cell_center, cells_of)
 from trajpriv.fusion import DenseNet, backprop_grads, loss_value, sgd_step
 from trajpriv.publish import (CellOverflowError, MinMaxScaler, decode_days,
                               decode_embedding, embed_trajectory, fit_semantic,
                               gan_sample, purpose_posteriors, semantic_feature,
-                              similarity_report, stay_feature, stay_rows,
+                              similarity_report, stay_features, stay_rows,
                               top_cells, train_toy_gan, _jsd_bits)
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
@@ -116,11 +116,12 @@ class TestStayRows:
     @given(case=day_of_stays())
     def test_exact_rows_decode_to_the_in_vocabulary_stays(self, case):
         day, stays, cells = case
-        rows = stay_rows(stays, cells, GRID, top_n=6)
+        rows = stay_rows(Trajectory("u", stays), cells, GRID,
+                         top_n=6).get(day, np.zeros((0, 9)))
         decoded = decode_days([rows], [day], cells, GRID, "u")
         want = []
         for s in stays:
-            c = cell_of(s.lat, s.lon, GRID)
+            [c] = cells_of([s.lat], [s.lon], GRID)
             if c is not None and (c.x, c.y) in cells:
                 lat, lon = cell_center(c, GRID)
                 want.append((s.start_time, s.stop_time, lat, lon))
@@ -390,14 +391,16 @@ def test_stay_feature_vector():
     s = StayRecord("u", 1568592000 + 15 * 3600, 1568592000 + 17 * 3600,
                    lat, lon, lat, lon)
     from trajpriv.core import to_cell
-    v = stay_feature(s, GRID, {to_cell(lat, lon, GRID): 1.3})
-    assert v.tolist() == [2.0, 15.0, 0.0, 1.3]
+    cells, V = stay_features([Trajectory("u", [s])], GRID,
+                             {to_cell(lat, lon, GRID): 1.3})
+    assert cells == [Cell(2, 2)]
+    assert V.tolist() == [[2.0, 15.0, 0.0, 1.3]]
 
 
 def test_semantic_feature_matches_datetime_over_weeks():
     step = 3 * 3600 + 7 * 60 + 13      # walks through every weekday
     for t in [*range(-3 * 604800, 3 * 604800, step), -1, 0, 59, 86399]:
         dt = datetime.fromtimestamp(t, tz=timezone.utc)
-        assert semantic_feature(t, 5400, 0.7) == [
+        assert semantic_feature(t, 5400, 0.7).tolist() == [
             1.5, dt.hour + dt.minute / 60.0,
             1.0 if dt.weekday() >= 5 else 0.0, 0.7]
