@@ -102,6 +102,10 @@ class CoEvent(_CoEventFields):
         return tuple.__new__(cls, (user_a, user_b, cell, overlap_start,
                                    overlap_end, weight))
 
+    @classmethod
+    def _make(cls, iterable):       # so that _replace checks its event too
+        return cls(*iterable)
+
     @property
     def overlap_s(self):
         return self.overlap_end - self.overlap_start

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 HIDDEN_ACTS = ("sigmoid", "relu", "tanh")
 OUTPUT_ACTS = ("sigmoid", "softmax")
@@ -309,6 +308,19 @@ def train(nets, X, Y, cfg):
     return trained, traces
 
 
+def _average_ranks(x):
+    """1-based ranks of a finite 1-D array, tied values sharing the mean
+    of their ranks: a tie group at sorted places start..end-1 takes
+    (start + 1 + end) / 2, exactly as scipy.stats.rankdata's "average"."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def evaluate(scores, labels):
     """Precision / recall / F1 at score threshold 0.5 plus rank-statistic
     AUC."""
@@ -316,6 +328,9 @@ def evaluate(scores, labels):
     labels = np.asarray(labels).astype(bool).ravel()
     if scores.size == 0 or scores.size != labels.size:
         raise ValueError("scores and labels must be equal-length, nonempty")
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise ValueError(f"{bad} of {scores.size} scores are NaN or inf")
     pred = scores >= 0.5
     tp = int(np.sum(pred & labels))
     fp = int(np.sum(pred & ~labels))
@@ -328,7 +343,7 @@ def evaluate(scores, labels):
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     auc = (ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
     return {"precision": precision, "recall": recall, "f1": f1,
             "auc": float(auc)}

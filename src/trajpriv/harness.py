@@ -546,5 +546,6 @@ def report_rows_csv(rows):
 
 
 def report_json(obj):
-    """Deterministic JSON serialization for report files."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic, strict JSON serialization for report files: a NaN or
+    an infinity anywhere raises ValueError, as no JSON parser reads one."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"

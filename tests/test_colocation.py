@@ -458,3 +458,14 @@ class TestCoEvent:
         assert e1 == e2 and hash(e1) == hash(e2) and len({e1, e2}) == 1
         assert e1 != CoEvent("a", "b", Cell(1, 2), T0, T0 + 60, 0.25)
         assert e1.overlap_s == 60 and e1.cell == (1, 2)
+
+    def test_replace_and_make_check_the_new_event(self):
+        e = CoEvent("a", "b", None, T0, T0 + 60, 0.5)
+        assert e._replace(weight=0.25).weight == 0.25
+        with pytest.raises(ValueError, match="inverted"):
+            e._replace(weight=2.0, overlap_end=T0 - 1)
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            e._replace(weight=2.0)
+        with pytest.raises(ValueError, match="ordered"):
+            CoEvent._make(["b", "a", None, T0 + 60, T0, -1.0])
+        assert CoEvent._make(e) == e

@@ -3,6 +3,7 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import mannwhitneyu, rankdata
 
 from trajpriv.fusion import (DenseNet, DivergenceError, Gradients, TrainConfig,
                              _sigmoid, backprop_grads, backward, evaluate,
@@ -399,6 +400,44 @@ class TestEvaluate:
             evaluate([], [])
         with pytest.raises(ValueError):
             evaluate([0.5, 0.6], [1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores_with_their_count(self, bad):
+        with pytest.raises(ValueError, match="^1 of 4 scores are NaN or inf$"):
+            evaluate([0.2, bad, 0.7, 0.4], [0, 1, 1, 0])
+        with pytest.raises(ValueError, match="^2 of 4 "):
+            evaluate([np.nan, bad, 0.7, 0.4], [0, 1, 1, 0])
+
+
+# few distinct values, so that most draws tie; -0.0 ties with 0.0
+SCORES = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 5e-324]),
+                   st.floats(-1e300, 1e300, allow_nan=False))
+
+
+@st.composite
+def scored_labels(draw):
+    n = draw(st.integers(2, 80))
+    scores = draw(st.lists(SCORES, min_size=n, max_size=n))
+    n_pos = draw(st.one_of(st.just(1), st.integers(1, n - 1)))
+    labels = draw(st.permutations([True] * n_pos + [False] * (n - n_pos)))
+    return np.array(scores), np.array(labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_labels())
+@example((np.array([0.0, -0.0, 0.5]), np.array([True, False, False])))
+@example((np.array([-0.0, 0.0, 0.0, -0.0]), np.array([False, True, False,
+                                                      False])))
+def test_auc_equals_the_scipy_rank_sum_bit_for_bit(drawn):
+    scores, labels = drawn
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    ranks = rankdata(scores)
+    want = (ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+    auc = evaluate(scores, labels)["auc"]
+    assert auc.hex() == float(want).hex()
+    u = mannwhitneyu(scores[labels], scores[~labels]).statistic
+    assert abs(auc - u / (n_pos * n_neg)) <= 1e-12
 
 
 def masked_sigmoid(z):

@@ -235,6 +235,16 @@ def hand_built_world(stays_by_user, edges):
     return World(cfg, trajs, set(edges))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_json_rejects_a_non_finite_value(value):
+    # bare NaN or Infinity tokens are not JSON: no parser reads them back
+    report = {"auc": 0.5, "rows": [{"f1": 1.0}]}
+    assert json.loads(report_json(report)) == report
+    report["rows"][0]["f1"] = value
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report_json(report)
+
+
 def test_publish_synthetic_skips_stays_outside_grid():
     world = hand_built_world(
         {"u0": [((1, 1), 0, 8), ((5, 5), 9, 17), ((1, 1), 24, 30)],

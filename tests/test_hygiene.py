@@ -2,10 +2,15 @@
 import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
-and no stay column rebuilt from rows outside core."""
+no stay column rebuilt from rows outside core, and no scipy loaded by
+the package."""
 
 import ast
 import importlib
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,3 +210,36 @@ def test_per_stay_check_catches_a_rebuilt_column(tmp_path):
                     "    return [e.weight for e in events], lat, hours\n")
     assert STAY_ATTRIBUTES >= {"start_time", "stop_lon", "lat", "duration_s"}
     assert per_stay_comprehensions([path]) == ["m:5", "m:6"]
+
+
+def loaded_modules(root):
+    """Names in `sys.modules` of a fresh interpreter once it has run
+    `import trajpriv, trajpriv.cli` with the package found under `root`."""
+    code = ("import sys, trajpriv, trajpriv.cli; print(trajpriv.__file__); "
+            "print(*sorted(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    origin, names = out.stdout.splitlines()
+    assert Path(origin).resolve().parent == (root / "trajpriv").resolve()
+    return names.split()
+
+
+def scipy_modules(names):
+    return [name for name in names
+            if name == "scipy" or name.startswith("scipy.")]
+
+
+def test_the_package_loads_no_scipy():
+    # the library runs on numpy alone; scipy is a test-only oracle
+    assert scipy_modules(loaded_modules(MODULES[0].parents[1])) == []
+
+
+def test_scipy_check_catches_a_planted_import(tmp_path):
+    shutil.copytree(MODULES[0].parent, tmp_path / "trajpriv",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fusion = tmp_path / "trajpriv" / "fusion.py"
+    fusion.write_text(fusion.read_text() + "\nimport scipy.stats\n")
+    assert "scipy.stats" in scipy_modules(loaded_modules(tmp_path))
