@@ -4,8 +4,9 @@
 from .core import (Cell, GridSpec, StayRecord, Trajectory, cell_center,
                    cells_of, group_trajectories, haversine_m, parse_stays,
                    serialize_stays, time_slot, to_cell)
-from .colocation import CoEvent, CoLocationConfig, coevent_score, \
-    extract_coevents, extract_pair_coevents
+from .colocation import (CoEvent, CoLocationConfig, PairEvents,
+                         coevent_score, extract_coevents,
+                         extract_pair_coevents)
 from .features import (FEATURE_NAMES, PairFeatures, Standardizer,
                        cell_visit_entropy, compute_features, project)
 from .fusion import DenseNet, TrainConfig, backprop_grads, evaluate, train

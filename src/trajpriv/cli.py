@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,9 @@ def _load_world(world_dir):
         if type(value) not in json_types[types[key]]:
             raise ValueError(f"config.json: {key} must be {types[key]}, "
                              f"got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"config.json: {key} must be finite, got "
+                             f"{value!r}")
     return World(WorldConfig(**config), trajectories, edges)
 
 

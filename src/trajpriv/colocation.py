@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import EARTH_RADIUS_M, cells_of, pair_distances_m, stacked
+from .core import (EARTH_RADIUS_M, cell_codes, cells_of, pair_distances_m,
+                   stacked)
 
 KERNELS = ("indicator", "exponential")
 
@@ -111,6 +113,106 @@ class CoEvent(_CoEventFields):
         return self.overlap_end - self.overlap_start
 
 
+class _EventTable(NamedTuple):
+    """Co-occurrence events of one or more user pairs, pair by pair, as
+    read-only columns: each event's `cell` (an index into `cells`, the
+    distinct cells, None for off the grid), `overlap_start` and
+    `overlap_end` (int64 UTC epoch seconds) and `weight` (float64)."""
+
+    cells: tuple
+    cell: np.ndarray
+    overlap_start: np.ndarray
+    overlap_end: np.ndarray
+    weight: np.ndarray
+
+
+def _event_table(cells, cell, overlap_start, overlap_end, weight):
+    cols = [np.array(cell, dtype=np.intp),
+            np.array(overlap_start, dtype=np.int64),
+            np.array(overlap_end, dtype=np.int64),
+            np.array(weight, dtype=float)]
+    for c in cols:
+        c.flags.writeable = False
+    return _EventTable(tuple(cells), *cols)
+
+
+def _column(name):
+    return property(lambda self: getattr(self._table, name)[
+        self._lo:self._hi], doc=f"The `{name}` column of the pair's events.")
+
+
+class PairEvents:
+    """One user pair's co-occurrence events: a read-only view of the pair's
+    rows of an event table. Its columns `cell` (an index into `cells`),
+    `overlap_start`, `overlap_end` and `weight` are numpy arrays; iterating
+    or indexing it gives CoEvent rows, built on demand. It equals a list or
+    tuple of the same rows."""
+
+    __slots__ = ("user_a", "user_b", "_table", "_lo", "_hi")
+
+    def __init__(self, user_a, user_b, table, lo, hi):
+        self.user_a, self.user_b = user_a, user_b
+        self._table, self._lo, self._hi = table, lo, hi
+
+    cell = _column("cell")
+    overlap_start = _column("overlap_start")
+    overlap_end = _column("overlap_end")
+    weight = _column("weight")
+
+    @property
+    def cells(self):
+        """The distinct cells that `cell` indexes into."""
+        return self._table.cells
+
+    def __len__(self):
+        return self._hi - self._lo
+
+    def __iter__(self):
+        cells = self.cells
+        return map(CoEvent, repeat(self.user_a), repeat(self.user_b),
+                   [cells[c] for c in self.cell.tolist()],
+                   self.overlap_start.tolist(), self.overlap_end.tolist(),
+                   self.weight.tolist())
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (PairEvents, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"PairEvents({self.user_a!r}, {self.user_b!r}, "
+                f"{len(self)} events)")
+
+
+_NO_EVENTS = _event_table((), [], [], [], [])
+
+
+def pair_events(events):
+    """`events` as PairEvents: a PairEvents as it is, a sequence of CoEvent
+    rows of one user pair as the view of a one-pair table, in their order.
+    Rows of more than one pair are an error."""
+    if isinstance(events, PairEvents):
+        return events
+    rows = [(e.user_a, e.user_b, e.cell, e.overlap_start, e.overlap_end,
+             e.weight) for e in events]
+    if not rows:
+        return PairEvents(None, None, _NO_EVENTS, 0, 0)
+    pairs = list(dict.fromkeys(r[:2] for r in rows))
+    if len(pairs) > 1:
+        raise ValueError(f"events of pairs {pairs[0]} and {pairs[1]} "
+                         "in one list")
+    _, _, cells, start, end, weight = zip(*rows)
+    index = {}
+    cell = [index.setdefault(c, len(index)) for c in cells]
+    return PairEvents(*pairs[0], _event_table(index, cell, start, end,
+                                              weight), 0, len(rows))
+
+
 def _pair_weights(cols, i, j, cfg):
     """Kernel weights of the stay pairs (i[k], j[k]), and their overlap
     intervals (lo, hi): the spatial kernel of the haversine distance of
@@ -208,10 +310,14 @@ def extract_coevents(trajectories, cfg, grid, pairs=None):
     """Co-occurrence events for every unordered user pair (or a given list).
 
     One spatial-hash sweep over the stays of the users involved finds the
-    candidate stay pairs; the kernel runs only on those. Returns a dict
-    (user_a, user_b) -> event list, with the pairs in the order asked for
-    and each pair's events ordered by (overlap start, overlap end, weight,
-    index of the stay in traj_a, index of the stay in traj_b).
+    candidate stay pairs; the kernel runs only on those. The events are
+    built once, as the columns of one event table sorted by pair: each
+    event's cell (an index into the table's distinct cells), overlap start,
+    overlap end and weight. Returns a dict (user_a, user_b) -> PairEvents,
+    the read-only view of the pair's rows, with the pairs in the order
+    asked for and each pair's events ordered by (overlap start, overlap
+    end, weight, index of the stay in traj_a, index of the stay in traj_b).
+    CoEvent rows are built only when a view is iterated or indexed.
     """
     if pairs is None:
         users = sorted(trajectories)
@@ -226,39 +332,40 @@ def extract_coevents(trajectories, cfg, grid, pairs=None):
                     raise ValueError(f"pair {tuple(p)} names unknown user "
                                      f"{u!r}")
         users = sorted({u for key in keys for u in key})
+    n = len(users)
+    index = {u: i for i, u in enumerate(users)}
+    codes = np.array([index[x] * n + index[y] for x, y in keys], np.int64)
     cols, owner = _gather(trajectories, users)
     first, second = _candidate_pairs(cols, owner, cfg)
     swap = owner[first] > owner[second]     # the stay of user_a goes first
     a = np.where(swap, second, first)
     b = np.where(swap, first, second)
-    pair = owner[a] * len(users) + owner[b]
+    pair = owner[a] * n + owner[b]
     if pairs is not None:
-        index = {u: k for k, u in enumerate(users)}
-        keep = np.isin(pair, [index[x] * len(users) + index[y]
-                              for x, y in keys])
+        keep = np.isin(pair, codes)
         a, b, pair = a[keep], b[keep], pair[keep]
     w, lo, hi = _pair_weights(cols, a, b, cfg)
     k = np.flatnonzero(w > 0.0)
     # by pair, then as the nested loop's events, stably sorted by (overlap
     # start, overlap end, weight): ties in loop order, stay of a then of b
     k = k[np.lexsort((b[k], a[k], w[k], hi[k], lo[k], pair[k]))]
-    a_stays, a_of = np.unique(a[k], return_inverse=True)
-    cells = cells_of(cols[2][a_stays], cols[3][a_stays], grid)
-    n, found = len(users), {}
-    for p, c, start, end, weight in zip(
-            pair[k].tolist(), a_of.tolist(), lo[k].tolist(), hi[k].tolist(),
-            w[k].tolist()):
-        key = (users[p // n], users[p % n])
-        found.setdefault(key, []).append(CoEvent(*key, cells[c], start, end,
-                                                 weight))
-    return {key: found.get(key, []) for key in keys}
+    lat, lon = cols[2][a[k]], cols[3][a[k]]
+    _, rep, cell = np.unique(cell_codes(lat, lon, grid), return_index=True,
+                             return_inverse=True)
+    table = _event_table(cells_of(lat[rep], lon[rep], grid), cell, lo[k],
+                         hi[k], w[k])
+    begin = np.searchsorted(pair[k], codes, side="left").tolist()
+    end = np.searchsorted(pair[k], codes, side="right").tolist()
+    return {key: PairEvents(*key, table, i, j)
+            for key, i, j in zip(keys, begin, end)}
 
 
 def extract_pair_coevents(traj_a, traj_b, cfg, grid):
     """All co-occurrence events between two trajectories."""
     pair = tuple(sorted((traj_a.user_id, traj_b.user_id)))
-    return extract_coevents({traj_a.user_id: traj_a, traj_b.user_id: traj_b},
-                            cfg, grid, pairs=[pair])[pair]
+    return list(extract_coevents({traj_a.user_id: traj_a,
+                                  traj_b.user_id: traj_b},
+                                 cfg, grid, pairs=[pair])[pair])
 
 
 def stay_participation(trajectories, cfg):
@@ -280,5 +387,6 @@ def stay_participation(trajectories, cfg):
 
 
 def coevent_score(events):
-    """Kernel-weighted co-occurrence score: sum of event weights."""
-    return float(sum(e.weight for e in events))
+    """Kernel-weighted co-occurrence score of one pair's events (PairEvents
+    or CoEvent rows): the sum of their weights, left to right."""
+    return float(sum(pair_events(events).weight.tolist()))

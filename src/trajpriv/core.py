@@ -443,17 +443,23 @@ def to_cell(lat, lon, grid):
     return Cell(x, y)
 
 
-def cells_of(lat, lon, grid):
-    """The grid cell of each point of two coordinate arrays, as a list of
-    Cell, or None where the point lies outside the grid: a stay off the
-    grid has no cell."""
+def cell_codes(lat, lon, grid):
+    """The grid cell of each point of two coordinate arrays as one int64,
+    x * n_y + y, or -1 where the point lies outside the grid."""
     x_m, y_m = _grid_xy_m(np.asarray(lat, dtype=float),
                           np.asarray(lon, dtype=float), grid)
     x = np.floor(x_m / grid.cell_size_m)
     y = np.floor(y_m / grid.cell_size_m)
     inside = (0 <= x) & (x < grid.n_x) & (0 <= y) & (y < grid.n_y)
-    return [Cell(int(cx), int(cy)) if ok else None
-            for cx, cy, ok in zip(x.tolist(), y.tolist(), inside.tolist())]
+    return np.where(inside, x * grid.n_y + y, -1.0).astype(np.int64)
+
+
+def cells_of(lat, lon, grid):
+    """The grid cell of each point of two coordinate arrays, as a list of
+    Cell, or None where the point lies outside the grid: a stay off the
+    grid has no cell."""
+    return [Cell(*divmod(c, grid.n_y)) if c >= 0 else None
+            for c in cell_codes(lat, lon, grid).tolist()]
 
 
 def snap_to_grid(lat, lon, grid):

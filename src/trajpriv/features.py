@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cells_of, stacked, weekday
+from .colocation import pair_events
+from .core import cell_codes, cells_of, stacked, weekday
 
 FEATURE_NAMES = ("f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol")
 
@@ -52,60 +53,79 @@ def resolve_subset(subset):
     return names
 
 
-def shannon_entropy(counts):
-    """Natural-log Shannon entropy of a count vector."""
-    counts = np.asarray(list(counts), dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
+def shannon_entropy(counts, total):
+    """Natural-log Shannon entropy of positive counts summing to `total`:
+    -(sum of p log p) over their shares p, with numpy's log and sum."""
+    if len(counts) == 1:
+        return -0.0         # -(1 log 1)
+    p = np.divide(counts, total)
+    q = np.log(p)
+    q *= p
+    return -float(q.sum())
 
 
 def cell_visit_entropy(trajectories, grid):
-    """Per-cell Shannon entropy of the visiting-user distribution."""
+    """Per-cell Shannon entropy of the visiting-user distribution: the
+    cells in the order of their first visit, each cell's users counted in
+    the order of theirs."""
     trajs = list(trajectories.values())
-    users = [t.user_id for t in trajs for _ in range(len(t))]
-    cells = cells_of(*stacked(trajs, "start_lat", "start_lon"), grid)
-    visits = {}
-    for user, cell in zip(users, cells):
-        if cell is None:
-            continue
-        visits.setdefault(cell, {}).setdefault(user, 0)
-        visits[cell][user] += 1
-    return {cell: shannon_entropy(c.values()) for cell, c in visits.items()}
+    n = len(trajs)
+    user = np.repeat(np.arange(n), [len(t) for t in trajs])
+    lat, lon = stacked(trajs, "start_lat", "start_lon")
+    code = cell_codes(lat, lon, grid)
+    on = np.flatnonzero(code >= 0)
+    # a user's stays come together and users in turn, so a cell's users
+    # in the order of their first visits are in user order: (cell, user)
+    visit, first, count = np.unique(code[on] * n + user[on],
+                                    return_index=True, return_counts=True)
+    start = np.flatnonzero(np.diff(visit // n, prepend=-1))
+    first = on[np.minimum.reduceat(first, start)]
+    counts = np.split(count, start[1:])
+    totals = np.add.reduceat(count, start).tolist()
+    order = np.argsort(first)
+    cells = cells_of(lat[first[order]], lon[first[order]], grid)
+    return {cell: shannon_entropy(counts[k], totals[k])
+            for cell, k in zip(cells, order.tolist())}
 
 
 def compute_features(events, cell_entropy, pair=None, label=None):
-    """Quantify one pair's co-occurrence events into the six metrics; the
-    holiday ratio counts events that start on a UTC weekend.
+    """Quantify one pair's co-occurrence events (PairEvents, or CoEvent
+    rows, read as the same columns) into the six metrics; the holiday ratio
+    counts events that start on a UTC weekend. Events of another pair than
+    `pair` are an error.
 
     With zero events every metric is 0 (including f_int, by convention).
     """
+    events = pair_events(events)
+    own = (events.user_a, events.user_b)      # (None, None): an empty list
     if pair is None:
-        if not events:
+        if own[0] is None:
             raise ValueError("pair required when the event list is empty")
-        pair = (events[0].user_a, events[0].user_b)
-    if not events:
+        pair = own
+    elif own[0] is not None and tuple(pair) != own:
+        raise ValueError(f"events of pair {own} given for pair {tuple(pair)}")
+    n = len(events)
+    if not n:
         return PairFeatures(pair[0], pair[1], 0, 0, 0, 0, 0, 0, label)
 
-    f_fre = float(len(events))
-    f_pop = sum(math.exp(-cell_entropy.get(e.cell, 0.0)) for e in events)
+    cells, get, exp = events.cells, cell_entropy.get, math.exp
+    cell = events.cell.tolist()
+    starts = events.overlap_start.tolist()
+    f_pop = sum([exp(-get(cells[c], 0.0)) for c in cell])
     cell_counts = {}
-    for e in events:
-        cell_counts[e.cell] = cell_counts.get(e.cell, 0) + 1
-    f_div = shannon_entropy(cell_counts.values())
-    starts = sorted(e.overlap_start for e in events)
-    if len(starts) < 2:
+    for c in cell:
+        cell_counts[c] = cell_counts.get(c, 0) + 1
+    f_div = shannon_entropy(list(cell_counts.values()), n)
+    if n < 2:
         f_int = 1.0
     else:
-        gaps_h = [(b - a) / 3600.0 for a, b in zip(starts, starts[1:])]
+        s = sorted(starts)
+        gaps_h = [(b - a) / 3600.0 for a, b in zip(s, s[1:])]
         f_int = 1.0 / (1.0 + sum(gaps_h) / len(gaps_h))
-    f_stay = sum(e.overlap_s for e in events) / 3600.0
-    f_hol = (sum(1 for e in events if weekday(e.overlap_start) >= 5)
-             / len(events))
-    return PairFeatures(pair[0], pair[1], f_fre, float(f_pop), f_div,
-                        f_int, float(f_stay), f_hol, label)
+    f_stay = (sum(events.overlap_end.tolist()) - sum(starts)) / 3600.0
+    f_hol = sum([weekday(t) >= 5 for t in starts]) / n
+    return PairFeatures(pair[0], pair[1], float(n), float(f_pop), f_div,
+                        f_int, f_stay, f_hol, label)
 
 
 def project(features, subset):

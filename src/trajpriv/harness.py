@@ -288,10 +288,10 @@ def _semantic_pair_vector(events, sem_model, cell_entropy):
     """Mean purpose posterior over a pair's co-event overlap intervals."""
     if not events:
         return np.zeros(sem_model.n_purposes)
-    start = np.array([e.overlap_start for e in events])
-    V = semantic_feature(start, np.array([e.overlap_end for e in events])
-                         - start, np.array([cell_entropy.get(e.cell, 0.0)
-                                            for e in events]))
+    cells, start = events.cells, events.overlap_start
+    V = semantic_feature(start, events.overlap_end - start,
+                         np.array([cell_entropy.get(cells[c], 0.0)
+                                   for c in events.cell.tolist()]))
     return purpose_posteriors(sem_model, V).mean(axis=0)
 
 

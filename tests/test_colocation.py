@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajpriv.core import (EARTH_RADIUS_M, GridSpec, StayRecord, Trajectory,
-                           cell_center, Cell, haversine_m, pair_distances_m)
+from trajpriv.core import (EARTH_RADIUS_M, GridSpec, OutOfGridError,
+                           StayRecord, Trajectory, cell_center, Cell,
+                           haversine_m, pair_distances_m, to_cell)
 from trajpriv.colocation import (KERNELS, CoEvent, CoLocationConfig,
-                                 coevent_score, extract_coevents,
-                                 extract_pair_coevents, stay_participation,
-                                 _kernel_weight, _kernel_weights)
+                                 PairEvents, coevent_score, extract_coevents,
+                                 extract_pair_coevents, pair_events,
+                                 stay_participation, _kernel_weight,
+                                 _kernel_weights)
+from trajpriv.features import (cell_visit_entropy, compute_features,
+                               features_to_csv)
 
 GRID = GridSpec(28.0, 112.9, 250.0, 40, 40, 60)
 T0 = 1568592000
@@ -469,3 +473,128 @@ class TestCoEvent:
         with pytest.raises(ValueError, match="ordered"):
             CoEvent._make(["b", "a", None, T0 + 60, T0, -1.0])
         assert CoEvent._make(e) == e
+
+
+# --- the event table: views, their rows and the metrics read from them -----
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(2, 6),
+       kernel=st.sampled_from(["indicator", "exponential"]),
+       centers=st.lists(st.tuples(lats, lons), min_size=1, max_size=2))
+def test_views_read_as_their_rows(seed, n_users, kernel, centers):
+    """Each view's columns hold its CoEvent rows' fields, and the metrics
+    of a view equal those of the list of its rows, to the last bit."""
+    rng = np.random.default_rng(seed)
+    cfg = CoLocationConfig(spatial_kernel=kernel, temporal_kernel=kernel)
+    trajs = edge_world(rng, n_users, centers, cfg.spatial_reach_m)
+    lat0, lon0 = centers[0]
+    grid = GridSpec(lat0 - 0.01, max(-180.0, lon0 - 0.01), 250.0, 8, 8, 60)
+    ent = cell_visit_entropy(trajs, grid)
+    for (a, b), view in extract_coevents(trajs, cfg, grid).items():
+        rows = list(view)
+        assert isinstance(view, PairEvents) and len(view) == len(rows)
+        assert (view.user_a, view.user_b) == (a, b)
+        assert view == rows and [view[i] for i in range(len(view))] == rows
+        assert [view.cells[c] for c in view.cell.tolist()] == [
+            e.cell for e in rows]
+        for name in ("overlap_start", "overlap_end", "weight"):
+            column = getattr(view, name)
+            assert not column.flags.writeable
+            assert column.tolist() == [getattr(e, name) for e in rows]
+        assert repr(coevent_score(view)) == repr(coevent_score(rows))
+        from_view = compute_features(view, ent, pair=(a, b), label=True)
+        from_rows = compute_features(rows, ent, pair=(a, b), label=True)
+        assert from_view == from_rows
+        assert (features_to_csv([from_view])
+                == features_to_csv([from_rows]))
+
+
+def test_view_indexing_follows_a_list():
+    a = Trajectory("a", [stay("a", T0, T0 + 600, 28.01, 112.91),
+                         stay("a", T0 + 900, T0 + 1500, 28.01, 112.91)])
+    b = Trajectory("b", [stay("b", T0, T0 + 1500, 28.01, 112.91)])
+    view = extract_coevents({"a": a, "b": b}, CoLocationConfig(), GRID)[
+        ("a", "b")]
+    rows = list(view)
+    assert len(rows) == 2 and view[-1] == rows[-1] and view[1:] == rows[1:]
+    with pytest.raises(IndexError):
+        view[2]
+    assert view != rows[:1] and view != rows[0]
+    assert pair_events(view) is view and pair_events(rows) == view
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+def test_rows_of_several_pairs_are_not_one_pair():
+    e1 = CoEvent("a", "b", None, T0, T0, 1.0)
+    e2 = CoEvent("c", "d", None, T0, T0, 1.0)
+    with pytest.raises(ValueError,
+                       match=r"\('a', 'b'\) and \('c', 'd'\)"):
+        coevent_score([e1, e2])
+
+
+def oracle_cell_visit_entropy(trajs, grid):
+    """Per-cell entropy of the visiting users, from the definition: stays
+    counted one at a time into a dict per cell, and one 1-D numpy entropy
+    per cell."""
+    visits = {}
+    for traj in trajs.values():
+        for s in traj.stays:
+            try:
+                cell = to_cell(s.lat, s.lon, grid)
+            except OutOfGridError:
+                continue
+            users = visits.setdefault(cell, {})
+            users[traj.user_id] = users.get(traj.user_id, 0) + 1
+    out = {}
+    for cell, users in visits.items():
+        counts = np.asarray(list(users.values()), dtype=float)
+        p = counts / counts.sum()
+        out[cell] = float(-(p * np.log(p)).sum())
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 160),
+       n_cells=st.integers(1, 4))
+def test_cell_visit_entropy_matches_per_cell_oracle(seed, n_users, n_cells):
+    """Key order and values to the last bit, also for cells with 8 or more
+    and with more than 128 visiting users, where numpy's pairwise sum
+    orders its additions differently."""
+    rng = np.random.default_rng(seed)
+    spots = [cell_center(Cell(int(rng.integers(0, 8)), int(rng.integers(
+        0, 8))), GRID) for _ in range(n_cells)] + [cell_center(Cell(-1, 0),
+                                                              GRID)]
+    trajs = {}
+    for k in rng.permutation(n_users).tolist():
+        u = f"u{k}"
+        t = T0 + 600 * int(rng.integers(0, 6))
+        stays = []
+        for _ in range(int(rng.integers(1, 6))):
+            lat, lon = spots[int(rng.integers(len(spots)))]
+            stays.append(stay(u, t, t + 600, lat, lon))
+            t += 1200
+        trajs[u] = Trajectory(u, stays)
+    got = cell_visit_entropy(trajs, GRID)
+    want = oracle_cell_visit_entropy(trajs, GRID)
+    assert [(c, repr(v)) for c, v in got.items()] == [
+        (c, repr(v)) for c, v in want.items()]
+
+
+@pytest.mark.parametrize("n_users", [8, 9, 129, 300])
+def test_cell_visit_entropy_of_one_crowded_cell(n_users):
+    """One cell visited by n users with unequal visit counts, next to a
+    cell with one visitor."""
+    lat, lon = cell_center(Cell(2, 3), GRID)
+    lat2, lon2 = cell_center(Cell(5, 5), GRID)
+    trajs = {}
+    for k in range(n_users):
+        stays = [stay(f"u{k}", T0 + 1200 * i, T0 + 1200 * i + 600, lat, lon)
+                 for i in range(1 + k % 5)]
+        if k == n_users // 2:
+            stays.append(stay(f"u{k}", T0 + 9000, T0 + 9600, lat2, lon2))
+        trajs[f"u{k}"] = Trajectory(f"u{k}", stays)
+    got = cell_visit_entropy(trajs, GRID)
+    want = oracle_cell_visit_entropy(trajs, GRID)
+    assert list(got) == [Cell(2, 3), Cell(5, 5)]
+    assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]

@@ -80,6 +80,26 @@ class TestComputeFeatures:
             assert f.f_div <= math.log(n_distinct) + 1e-12
 
 
+class TestPairCheck:
+    def test_events_of_several_pairs_are_rejected(self):
+        evs = [CoEvent("a", "b", Cell(0, 0), MON, MON + 60, 1.0),
+               CoEvent("c", "d", Cell(0, 0), MON, MON + 60, 1.0)]
+        with pytest.raises(ValueError,
+                           match=r"\('a', 'b'\) and \('c', 'd'\)"):
+            compute_features(evs, {}, pair=("x", "y"))
+
+    def test_events_of_another_pair_are_rejected(self):
+        with pytest.raises(ValueError, match=r"events of pair \('a', 'b'\) "
+                                             r"given for pair \('x', 'y'\)"):
+            compute_features([event(MON, 1.0, Cell(0, 0))], {},
+                             pair=("x", "y"))
+
+    def test_events_of_the_named_pair_are_taken(self):
+        f = compute_features([event(MON, 1.0, Cell(0, 0))], {},
+                             pair=("a", "b"))
+        assert (f.user_a, f.user_b, f.f_fre) == ("a", "b", 1.0)
+
+
 class TestProjection:
     def setup_method(self):
         self.f = compute_features(
@@ -107,9 +127,9 @@ class TestProjection:
 
 
 def test_shannon_entropy():
-    assert shannon_entropy([5]) == 0.0
-    assert shannon_entropy([1, 1]) == pytest.approx(math.log(2))
-    assert shannon_entropy([]) == 0.0
+    assert shannon_entropy([5], 5) == 0.0
+    assert shannon_entropy([1, 1], 2) == pytest.approx(math.log(2))
+    assert shannon_entropy([], 0) == 0.0
 
 
 def test_standardizer_train_only():

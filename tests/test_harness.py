@@ -487,10 +487,16 @@ class TestCli:
          "config.json: graph_model must be str, got 3"),
         ("config.json", '["n_users"]',
          "config.json: expected an object, got ['n_users']"),
+        ("config.json", '{"noise_sigma_m": NaN}',
+         "config.json: noise_sigma_m must be finite, got nan"),
+        ("config.json", '{"cell_size_m": Infinity}',
+         "config.json: cell_size_m must be finite, got inf"),
+        ("config.json", '{"p_meet_lo": -Infinity}',
+         "config.json: p_meet_lo must be finite, got -inf"),
     ], ids=["edge-fields", "edge-user", "edge-self-loop", "edge-no-header",
             "edge-empty", "config-key", "config-str-int", "config-bool-int",
             "config-float-int", "config-str-float", "config-int-str",
-            "config-list"])
+            "config-list", "config-nan", "config-inf", "config-neg-inf"])
     def test_malformed_world_fails_with_row_error(self, tmp_path, capsys,
                                                   name, text, message):
         world = hand_built_world({"a": [((1, 1), 0, 2)],

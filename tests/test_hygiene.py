@@ -2,8 +2,9 @@
 import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
-no stay column rebuilt from rows outside core, and no scipy loaded by
-the package."""
+no stay column rebuilt from rows outside core, no co-occurrence event
+object built by the all-pairs feature export, and no scipy loaded by the
+package."""
 
 import ast
 import importlib
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import trajpriv
+from trajpriv import harness
+from trajpriv.colocation import CoEvent
 from trajpriv.core import StayRecord
 
 MODULES = sorted(Path(trajpriv.__file__).parent.glob("*.py"))
@@ -210,6 +213,42 @@ def test_per_stay_check_catches_a_rebuilt_column(tmp_path):
                     "    return [e.weight for e in events], lat, hours\n")
     assert STAY_ATTRIBUTES >= {"start_time", "stop_lon", "lat", "duration_s"}
     assert per_stay_comprehensions([path]) == ["m:5", "m:6"]
+
+
+def coevents_built(fn):
+    """The number of CoEvent rows built while `fn()` runs: every one is
+    made by CoEvent.__new__, which this counts."""
+    made = []
+    new = CoEvent.__new__
+
+    def counting(cls, *args):
+        made.append(args)
+        return new(cls, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(CoEvent, "__new__", counting)
+        fn()
+    return len(made)
+
+
+@pytest.fixture(scope="module")
+def world16():
+    return harness.generate_world(harness.WorldConfig(n_users=16, seed=3))
+
+
+def test_all_pairs_features_build_no_event_objects(world16):
+    # the metrics read the event table's columns, not one object per event
+    rows, _ = harness.pair_dataset(world16)
+    assert sum(r.f_fre for r in rows) > 0
+    assert coevents_built(lambda: harness.pair_dataset(world16)) == 0
+
+
+def test_event_count_catches_a_built_row(world16, monkeypatch):
+    compute = harness.compute_features
+    monkeypatch.setattr(harness, "compute_features",
+                        lambda events, *args, **kw: compute(
+                            list(events), *args, **kw))
+    assert coevents_built(lambda: harness.pair_dataset(world16)) > 0
 
 
 def loaded_modules(root):
