@@ -6,7 +6,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -14,10 +13,19 @@ from .core import group_trajectories, parse_stays, serialize_stays, \
     stays_to_jsonl
 from .features import features_to_csv
 from .anonymize import AnonymityPolicy
-from .harness import (World, WorldConfig, fit_world_models, generate_world,
-                      k_anonymize_world, pair_dataset, publish_synthetic,
-                      release_similarity, report_json, report_rows_csv,
-                      run_attack, run_defense)
+from .harness import (DEFENSES, World, WorldConfig, fit_world_models,
+                      generate_world, k_anonymize_world, pair_dataset,
+                      publish_synthetic, release_similarity, report_json,
+                      report_rows_csv, run_attack, run_defense)
+
+
+# simulator settings that config.json files written before they became
+# constants of the simulator still name; a loaded world never read them
+RETIRED_CONFIG_KEYS = frozenset({
+    "graph_model", "ws_neighbors", "ws_rewire_p", "pp_groups", "pp_p_in",
+    "pp_p_out", "n_workplaces", "n_social_venues", "venues_per_pair",
+    "p_meet_lo", "p_meet_hi", "weekend_multiplier", "p_two_slot_meeting",
+    "p_solo_jump", "noise_sigma_m"})
 
 
 def _load_world(world_dir):
@@ -38,7 +46,7 @@ def _load_world(world_dir):
             if len(row) != 2:
                 raise ValueError(f"edges.csv row {i}: expected 2 fields, "
                                  f"got {len(row)}")
-            pair = tuple(sorted(u.strip() for u in row))
+            pair = tuple(u.strip() for u in row)
             if pair[0] == pair[1]:
                 raise ValueError(f"edges.csv row {i}: self-loop on user "
                                  f"{pair[0]}")
@@ -51,18 +59,20 @@ def _load_world(world_dir):
     if type(config) is not dict:
         raise ValueError(f"config.json: expected an object, got {config!r}")
     types = {f.name: f.type for f in dataclasses.fields(WorldConfig)}
-    unknown = sorted(set(config) - set(types))
+    unknown = sorted(set(config) - set(types) - RETIRED_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"config.json: unknown keys {unknown}")
-    json_types = {"int": (int,), "float": (int, float), "str": (str,)}
+    json_types = {"int": (int,), "float": (int, float)}
+    config = {key: value for key, value in config.items() if key in types}
     for key, value in config.items():
         if type(value) not in json_types[types[key]]:
             raise ValueError(f"config.json: {key} must be {types[key]}, "
                              f"got {value!r}")
-        if type(value) is float and not math.isfinite(value):
-            raise ValueError(f"config.json: {key} must be finite, got "
-                             f"{value!r}")
-    return World(WorldConfig(**config), trajectories, edges)
+    try:
+        cfg = WorldConfig(**config)
+    except ValueError as e:
+        raise ValueError(f"config.json: {e}") from None
+    return World(cfg, trajectories, edges)
 
 
 def cmd_simulate(args):
@@ -195,10 +205,9 @@ def build_parser():
 
     s = sub.add_parser("anonymize", help="k-anonymize every user")
     s.add_argument("--world", required=True)
-    s.add_argument("--k", type=int, default=5)
-    s.add_argument("--l", type=float, default=0.3)
-    s.add_argument("--stats",
-                   default="stay_count,total_duration_h,radius_of_gyration_m")
+    s.add_argument("--k", type=int, default=AnonymityPolicy.k)
+    s.add_argument("--l", type=float, default=AnonymityPolicy.l)
+    s.add_argument("--stats", default=",".join(AnonymityPolicy.stats))
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_anonymize)
 
@@ -210,8 +219,7 @@ def build_parser():
 
     s = sub.add_parser("report", help="end-to-end attack/defense report")
     s.add_argument("--world", required=True)
-    s.add_argument("--defense", default="k_anonymity",
-                   choices=["none", "k_anonymity", "publish_synthetic"])
+    s.add_argument("--defense", default="k_anonymity", choices=DEFENSES)
     s.add_argument("--out", default="defense_report.json")
     s.set_defaults(func=cmd_report)
     return p

@@ -189,6 +189,10 @@ class GridSpec:
     time_slot_minutes: int = 60
 
     def __post_init__(self):
+        for key in ("origin_lat", "origin_lon", "cell_size_m"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.cell_size_m <= 0:
             raise ValueError("cell_size_m must be positive")
         if self.n_x <= 0 or self.n_y <= 0:

@@ -42,23 +42,11 @@ MODEL_BLOCK = 16
 
 @dataclass(frozen=True)
 class WorldConfig:
+    """The size and seed of a simulated world, and the grid it lies on; a
+    loaded world reads only its grid from here."""
+
     n_users: int = 64
     n_days: int = 14
-    graph_model: str = "ring-rewire"      # or "planted-partition"
-    ws_neighbors: int = 4
-    ws_rewire_p: float = 0.1
-    pp_groups: int = 4
-    pp_p_in: float = 0.3
-    pp_p_out: float = 0.01
-    n_workplaces: int = 8
-    n_social_venues: int = 24
-    venues_per_pair: int = 2
-    p_meet_lo: float = 0.10
-    p_meet_hi: float = 0.40
-    weekend_multiplier: float = 1.6
-    p_two_slot_meeting: float = 0.3
-    p_solo_jump: float = 0.05
-    noise_sigma_m: float = 30.0
     cell_size_m: float = 250.0
     time_slot_minutes: int = 60
     grid_n: int = 40
@@ -71,10 +59,7 @@ class WorldConfig:
             raise ValueError("need at least two users")
         if self.n_days < 1:
             raise ValueError("need at least one day")
-        for p in (self.ws_rewire_p, self.p_meet_lo, self.p_meet_hi,
-                  self.p_solo_jump, self.p_two_slot_meeting):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError("probabilities must lie in [0, 1]")
+        self.grid       # builds the grid, so its own checks run now
 
     @property
     def grid(self):
@@ -88,7 +73,10 @@ class WorldConfig:
 class World:
     cfg: WorldConfig
     trajectories: dict               # user -> Trajectory
-    friend_edges: set                # ordered (a, b) tuples
+    friend_edges: set                # (a, b) tuples, stored with a < b
+
+    def __post_init__(self):
+        self.friend_edges = {tuple(sorted(e)) for e in self.friend_edges}
 
     @property
     def grid(self):
@@ -130,17 +118,6 @@ def ring_rewire_graph(n, k, p, rng):
     return out
 
 
-def planted_partition_graph(n, groups, p_in, p_out, rng):
-    member = [i % groups for i in range(n)]
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if member[i] == member[j] else p_out
-            if rng.random() < p:
-                edges.add((i, j))
-    return edges
-
-
 def _day_schedule(n_slots, weekend):
     # slot -> "home" | "work" | "free", for a 24-slot day scaled to n_slots;
     # weekends have no work and an hour longer at home in the morning
@@ -156,43 +133,47 @@ def _day_schedule(n_slots, weekend):
     return sched
 
 
+# the simulator's fixed settings, which generate_world reads at each call
+WS_NEIGHBORS = 4
+WS_REWIRE_P = 0.1
+N_WORKPLACES = 8
+N_SOCIAL_VENUES = 24
+VENUES_PER_PAIR = 2
+P_MEET_LO = 0.10
+P_MEET_HI = 0.40
+WEEKEND_MULTIPLIER = 1.6
+P_TWO_SLOT_MEETING = 0.3
+P_SOLO_JUMP = 0.05
+NOISE_SIGMA_M = 30.0
+
+
 def generate_world(cfg):
     """Simulate stays for every user over the configured horizon."""
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid
     users = [f"u{i:03d}" for i in range(cfg.n_users)]
 
-    if cfg.graph_model == "ring-rewire":
-        idx_edges = ring_rewire_graph(cfg.n_users, cfg.ws_neighbors,
-                                      cfg.ws_rewire_p, rng)
-    elif cfg.graph_model == "planted-partition":
-        idx_edges = planted_partition_graph(cfg.n_users, cfg.pp_groups,
-                                            cfg.pp_p_in, cfg.pp_p_out, rng)
-    else:
-        raise ValueError(f"unknown graph model {cfg.graph_model}")
+    idx_edges = ring_rewire_graph(cfg.n_users, WS_NEIGHBORS, WS_REWIRE_P, rng)
     edges = {(users[a], users[b]) for a, b in idx_edges}
     sorted_edges = sorted(edges)
 
     # centers of distinct anchor cells: workplaces, social venues, then homes
-    n_anchor = cfg.n_workplaces + cfg.n_social_venues + cfg.n_users
+    n_anchor = N_WORKPLACES + N_SOCIAL_VENUES + cfg.n_users
     all_cells = [Cell(x, y) for x in range(grid.n_x) for y in range(grid.n_y)]
     picked = rng.choice(len(all_cells), size=n_anchor, replace=False)
     centers = [cell_center(all_cells[i], grid) for i in picked]
-    work_centers = centers[:cfg.n_workplaces]
-    venue_centers = centers[cfg.n_workplaces:
-                            cfg.n_workplaces + cfg.n_social_venues]
-    home_centers = centers[cfg.n_workplaces + cfg.n_social_venues:]
+    work_centers = centers[:N_WORKPLACES]
+    venue_centers = centers[N_WORKPLACES:N_WORKPLACES + N_SOCIAL_VENUES]
+    home_centers = centers[N_WORKPLACES + N_SOCIAL_VENUES:]
 
     home = dict(zip(users, home_centers))
-    work = {u: work_centers[i % cfg.n_workplaces]
-            for i, u in enumerate(users)}
+    work = {u: work_centers[i % N_WORKPLACES] for i, u in enumerate(users)}
 
     pair_meet_p = {}
     pair_venues = {}
     for e in sorted_edges:
-        pair_meet_p[e] = float(rng.uniform(cfg.p_meet_lo, cfg.p_meet_hi))
-        vsel = rng.choice(cfg.n_social_venues, size=cfg.venues_per_pair,
-                         replace=False)
+        pair_meet_p[e] = float(rng.uniform(P_MEET_LO, P_MEET_HI))
+        vsel = rng.choice(N_SOCIAL_VENUES, size=VENUES_PER_PAIR, replace=False)
         pair_venues[e] = [venue_centers[v] for v in vsel]
 
     n_slots = grid.slots_per_day
@@ -214,15 +195,15 @@ def generate_world(cfg):
             a, b = sorted_edges[t]
             p = pair_meet_p[(a, b)]
             if weekend:
-                p = min(0.95, p * cfg.weekend_multiplier)
+                p = min(0.95, p * WEEKEND_MULTIPLIER)
             free = [s for s in range(n_slots)
                     if sched[s] == "free"
                     and day_anchor[a][s] is None and day_anchor[b][s] is None]
             for s in free:
                 if rng.random() >= p:
                     continue
-                venue = pair_venues[(a, b)][rng.integers(cfg.venues_per_pair)]
-                length = 2 if (rng.random() < cfg.p_two_slot_meeting
+                venue = pair_venues[(a, b)][rng.integers(VENUES_PER_PAIR)]
+                length = 2 if (rng.random() < P_TWO_SLOT_MEETING
                                and s + 1 in free) else 1
                 for ds in range(length):
                     day_anchor[a][s + ds] = venue
@@ -232,9 +213,9 @@ def generate_world(cfg):
         for u in users:
             for s in range(n_slots):
                 if day_anchor[u][s] is None:
-                    if rng.random() < cfg.p_solo_jump:
+                    if rng.random() < P_SOLO_JUMP:
                         day_anchor[u][s] = venue_centers[
-                            rng.integers(cfg.n_social_venues)]
+                            rng.integers(N_SOCIAL_VENUES)]
                     else:
                         day_anchor[u][s] = home[u]
         for u in users:
@@ -257,8 +238,8 @@ def generate_world(cfg):
                     cur_anchor, cur_start = a, s
             runs.append((cur_anchor, cur_start, n_slots))
             for (alat, alon), s0, s1 in runs:
-                jlat = alat + rng.normal(0, cfg.noise_sigma_m) * deg_lat
-                jlon = alon + (rng.normal(0, cfg.noise_sigma_m) * deg_lat
+                jlat = alat + rng.normal(0, NOISE_SIGMA_M) * deg_lat
+                jlon = alon + (rng.normal(0, NOISE_SIGMA_M) * deg_lat
                                / np.cos(np.radians(cfg.origin_lat)))
                 stays.append(StayRecord(
                     u, day_start + s0 * slot_s, day_start + s1 * slot_s,
@@ -501,6 +482,10 @@ def release_similarity(world, published, seed=0):
     the world's semantic mixture fitted from `seed`."""
     return similarity_report(world.trajectories, published, world.grid,
                              fit_world_semantic(world, seed=seed), COLOCATION)
+
+
+# the defenses run_defense branches on, which `trajpriv report` offers
+DEFENSES = ("none", "k_anonymity", "publish_synthetic")
 
 
 def run_defense(world, defense="k_anonymity", policy=None, seed=7,

@@ -112,8 +112,8 @@ def stay_rows(traj, cells, grid, top_n):
     rows[:, 2] = np.ceil((traj.stop - traj.start)[keep]
                          / (grid.time_slot_minutes * 60))
     rows[np.arange(len(keep)), 3 + col[keep]] = 1.0
-    day = traj.start // 86400
-    days = np.unique(day)
+    day = traj.start // 86400           # sorted, as the stays are
+    days = day[np.diff(day, prepend=day[:1] - 1) != 0]
     cuts = np.searchsorted(day[keep], days[1:])
     return dict(zip(days.tolist(), np.split(rows, cuts)))
 

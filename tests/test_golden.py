@@ -1,4 +1,5 @@
-"""Golden digests of six pipeline outputs on a small simulated world.
+"""Golden digests of six pipeline outputs on a small simulated world, and
+of the stays.csv and edges.csv that `trajpriv simulate` writes for another.
 
 A change that claims byte-identical outputs must leave these digests as
 they are; a deliberate re-baseline updates them and says so in CHANGES.md.
@@ -72,3 +73,15 @@ def test_publish_synthetic_report(world):
     report = report_json(run_defense(world, "publish_synthetic", seed=SEED))
     assert sha256(report) == (
         "bd38e2d87c3dfe3bca2b78bd4a102698c14e184031376b4bac98ff269bd40e74")
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("stays.csv",
+     "9d0fad15bf1daa201b9e7d8934bdbe416ec213ae51d345cecaf4a94e2c54170c"),
+    ("edges.csv",
+     "7cb2621aa30bea2a855e935fcbae0e12781e17c6d88af0aaa3e726a60355f61d"),
+])
+def test_simulated_world_files(tmp_path, name, digest):
+    assert cli_main(["--seed", "9", "simulate", "--users", "16", "--days",
+                     "5", "--out", str(tmp_path)]) == 0
+    assert sha256((tmp_path / name).read_text()) == digest

@@ -11,9 +11,9 @@ from trajpriv.anonymize import AnonymityPolicy, InsufficientCandidatesError
 from trajpriv.cli import _load_world, main as cli_main
 from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
-from trajpriv.core import (EARTH_RADIUS_M, Cell, StayRecord, Trajectory,
-                           cell_center, format_timestamp, parse_timestamp,
-                           to_cell)
+from trajpriv.core import (EARTH_RADIUS_M, Cell, GridSpec, StayRecord,
+                           Trajectory, cell_center, format_timestamp,
+                           parse_timestamp, to_cell)
 from trajpriv.features import features_to_csv
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
@@ -60,14 +60,17 @@ class TestWorldGeneration:
         b = generate_world(small_cfg(seed=12))
         assert a.stays_csv() != b.stays_csv()
 
-    def test_dense_meetings_every_friend_pair_cooccurs(self):
-        world = generate_world(small_cfg(p_meet_lo=1.0, p_meet_hi=1.0))
+    def test_dense_meetings_every_friend_pair_cooccurs(self, monkeypatch):
+        monkeypatch.setattr(harness, "P_MEET_LO", 1.0)
+        monkeypatch.setattr(harness, "P_MEET_HI", 1.0)
+        world = generate_world(small_cfg())
         scores = pair_scores(world, sorted(world.friend_edges))
         assert all(s > 0 for s in scores)
 
-    def test_no_meetings_makes_friends_indistinguishable(self):
-        world = generate_world(small_cfg(p_meet_lo=0.0, p_meet_hi=0.0,
-                                         seed=3))
+    def test_no_meetings_makes_friends_indistinguishable(self, monkeypatch):
+        monkeypatch.setattr(harness, "P_MEET_LO", 0.0)
+        monkeypatch.setattr(harness, "P_MEET_HI", 0.0)
+        world = generate_world(small_cfg(seed=3))
         pos = sorted(world.friend_edges)
         neg = sample_negative_pairs(world.users, world.friend_edges,
                                     len(pos), np.random.default_rng(1))
@@ -84,11 +87,41 @@ class TestWorldGeneration:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WorldConfig(n_users=1)
-        with pytest.raises(ValueError):
-            WorldConfig(p_meet_lo=1.5)
         for days in (0, -2):
             with pytest.raises(ValueError, match="at least one day"):
                 WorldConfig(n_days=days)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("cell_size_m", math.nan, "cell_size_m must be finite, got nan"),
+        ("origin_lat", math.inf, "origin_lat must be finite, got inf"),
+        ("origin_lon", -math.inf, "origin_lon must be finite, got -inf"),
+        ("cell_size_m", -5.0, "cell_size_m must be positive"),
+        ("time_slot_minutes", 7, "time_slot_minutes must divide 1440"),
+    ])
+    def test_config_checks_its_grid(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WorldConfig(**{key: value})
+        grid = dataclasses.asdict(WorldConfig().grid)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridSpec(**{**grid, key: value})
+
+    def test_edges_past_u999_are_stored_in_id_order(self):
+        # "u1000" sorts before "u998": the simulator's index order is not
+        # the id order its edges must be stored in
+        cfg = small_cfg(n_users=1001, n_days=1, seed=0)
+        world = World(cfg, {}, {("u998", "u1000"), ("u999", "u1000")})
+        assert world.friend_edges == {("u1000", "u998"), ("u1000", "u999")}
+        edges = generate_world(cfg).friend_edges
+        assert all(a < b for a, b in edges)
+        assert any("u1000" in e for e in edges)
+
+    def test_hand_built_world_past_u999_labels_its_pair(self):
+        world = hand_built_world({"u999": [((1, 1), 0, 2)],
+                                  "u1000": [((1, 1), 1, 3)]},
+                                 [("u999", "u1000")])
+        rows, _ = pair_dataset(world)
+        assert [(f.user_a, f.user_b, f.label) for f in rows] == [
+            ("u1000", "u999", True)]
 
 
 class TestNegativeSampling:
@@ -194,6 +227,15 @@ def test_repeated_pair_is_rejected(small_world, pairs):
     with pytest.raises(ValueError, match=r"pair \('u00[01]', 'u00[01]'\) "
                                          "asked twice"):
         pair_dataset(small_world, pairs)
+
+
+def test_reversed_edges_give_the_same_pair_dataset(small_world):
+    reversed_world = World(small_world.cfg, small_world.trajectories,
+                           {(b, a) for a, b in small_world.friend_edges})
+    assert reversed_world.friend_edges == small_world.friend_edges
+    rows, _ = build_pair_dataset(reversed_world)
+    assert rows == build_pair_dataset(small_world)[0]
+    assert sum(f.label for f in rows) == len(small_world.friend_edges)
 
 
 def test_attack_trains_one_call_per_input_width(small_world, train_calls):
@@ -481,22 +523,27 @@ class TestCli:
          "config.json: seed must be int, got True"),
         ("config.json", '{"n_days": 7.0}',
          "config.json: n_days must be int, got 7.0"),
-        ("config.json", '{"noise_sigma_m": "30"}',
-         "config.json: noise_sigma_m must be float, got '30'"),
-        ("config.json", '{"graph_model": 3}',
-         "config.json: graph_model must be str, got 3"),
+        ("config.json", '{"cell_size_m": "250"}',
+         "config.json: cell_size_m must be float, got '250'"),
         ("config.json", '["n_users"]',
          "config.json: expected an object, got ['n_users']"),
-        ("config.json", '{"noise_sigma_m": NaN}',
-         "config.json: noise_sigma_m must be finite, got nan"),
+        ("config.json", '{"origin_lat": NaN}',
+         "config.json: origin_lat must be finite, got nan"),
         ("config.json", '{"cell_size_m": Infinity}',
          "config.json: cell_size_m must be finite, got inf"),
-        ("config.json", '{"p_meet_lo": -Infinity}',
-         "config.json: p_meet_lo must be finite, got -inf"),
+        ("config.json", '{"origin_lon": -Infinity}',
+         "config.json: origin_lon must be finite, got -inf"),
+        ("config.json", '{"cell_size_m": -5.0}',
+         "config.json: cell_size_m must be positive"),
+        ("config.json", '{"n_users": 1}',
+         "config.json: need at least two users"),
+        ("config.json", '{"graph_model": "planted-partition", "colour": 1}',
+         "config.json: unknown keys ['colour']"),
     ], ids=["edge-fields", "edge-user", "edge-self-loop", "edge-no-header",
             "edge-empty", "config-key", "config-str-int", "config-bool-int",
-            "config-float-int", "config-str-float", "config-int-str",
-            "config-list", "config-nan", "config-inf", "config-neg-inf"])
+            "config-float-int", "config-str-float", "config-list",
+            "config-nan", "config-inf", "config-neg-inf", "config-negative",
+            "config-one-user", "config-retired-and-unknown"])
     def test_malformed_world_fails_with_row_error(self, tmp_path, capsys,
                                                   name, text, message):
         world = hand_built_world({"a": [((1, 1), 0, 2)],
@@ -511,8 +558,33 @@ class TestCli:
         world = hand_built_world({"a": [((1, 1), 0, 2)],
                                   "c": [((1, 1), 1, 3)]}, [("a", "c")])
         write_world_dir(world, tmp_path)
-        (tmp_path / "config.json").write_text('{"noise_sigma_m": 30}')
-        assert _load_world(tmp_path).cfg.noise_sigma_m == 30
+        (tmp_path / "config.json").write_text('{"cell_size_m": 100}')
+        assert _load_world(tmp_path).cfg.cell_size_m == 100
+
+    def test_config_with_the_retired_simulator_keys_loads(self, tmp_path):
+        # the 23 keys `trajpriv simulate` wrote while the simulator's
+        # settings were config fields; a loaded world never read the 15
+        # that are now constants of the simulator
+        d = tmp_path / "w"
+        assert cli_main(["--seed", "9", "simulate", "--users", "16",
+                         "--days", "5", "--out", str(d)]) == 0
+        world = _load_world(d)
+        retired = {
+            "graph_model": "ring-rewire", "ws_neighbors": 4,
+            "ws_rewire_p": 0.1, "pp_groups": 4, "pp_p_in": 0.3,
+            "pp_p_out": 0.01, "n_workplaces": 8, "n_social_venues": 24,
+            "venues_per_pair": 2, "p_meet_lo": 0.1, "p_meet_hi": 0.4,
+            "weekend_multiplier": 1.6, "p_two_slot_meeting": 0.3,
+            "p_solo_jump": 0.05, "noise_sigma_m": 30.0}
+        config = {**dataclasses.asdict(world.cfg), **retired}
+        assert len(config) == 23
+        for changed in ({}, {"graph_model": "planted-partition",
+                             "noise_sigma_m": -1.0, "p_meet_lo": 2}):
+            (d / "config.json").write_text(json.dumps({**config, **changed}))
+            loaded = _load_world(d)
+            assert loaded.cfg == world.cfg
+            assert loaded.friend_edges == world.friend_edges
+            assert loaded.stays_csv() == world.stays_csv()
 
     def test_simulate_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "w1", tmp_path / "w2"

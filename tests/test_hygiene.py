@@ -3,8 +3,8 @@ import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
 no stay column rebuilt from rows outside core, no co-occurrence event
-object built by the all-pairs feature export, and no scipy loaded by the
-package."""
+object built by the all-pairs feature export, no scipy loaded by the
+package, and no numpy.ma loaded by the synthetic release's stay rows."""
 
 import ast
 import importlib
@@ -251,11 +251,12 @@ def test_event_count_catches_a_built_row(world16, monkeypatch):
     assert coevents_built(lambda: harness.pair_dataset(world16)) > 0
 
 
-def loaded_modules(root):
+def loaded_modules(root, then=""):
     """Names in `sys.modules` of a fresh interpreter once it has run
-    `import trajpriv, trajpriv.cli` with the package found under `root`."""
-    code = ("import sys, trajpriv, trajpriv.cli; print(trajpriv.__file__); "
-            "print(*sorted(sys.modules))")
+    `import trajpriv, trajpriv.cli`, and then the code `then`, with the
+    package found under `root`."""
+    code = ("import sys, trajpriv, trajpriv.cli\n" + then +
+            "\nprint(trajpriv.__file__); print(*sorted(sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -282,3 +283,32 @@ def test_scipy_check_catches_a_planted_import(tmp_path):
     fusion = tmp_path / "trajpriv" / "fusion.py"
     fusion.write_text(fusion.read_text() + "\nimport scipy.stats\n")
     assert "scipy.stats" in scipy_modules(loaded_modules(tmp_path))
+
+
+# one stay_rows call on a trajectory of three stays over two days
+STAY_ROWS = """
+from trajpriv.core import GridSpec, StayRecord, Trajectory
+from trajpriv.publish import stay_rows
+stays = [StayRecord("a", t, t + 600, 28.001, 112.901, 28.001, 112.901)
+         for t in (0, 3600, 86400)]
+days = stay_rows(Trajectory("a", stays),
+                 [(0, 0)], GridSpec(28.0, 112.9, 250.0, 40, 40, 60), 16)
+assert [len(rows) for rows in days.values()] == [2, 1], days
+"""
+
+
+def test_stay_rows_loads_no_numpy_ma():
+    # a bare np.unique(x) imports numpy.ma (about 1 MB resident) for its
+    # masked-array check; the synthetic release needs no masked arrays
+    assert "numpy.ma" not in loaded_modules(MODULES[0].parents[1], STAY_ROWS)
+
+
+def test_numpy_ma_check_catches_a_planted_unique(tmp_path):
+    shutil.copytree(MODULES[0].parent, tmp_path / "trajpriv",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    publish = tmp_path / "trajpriv" / "publish.py"
+    text = publish.read_text()
+    day = "    day = traj.start // 86400"
+    assert text.count(day) == 1
+    publish.write_text(text.replace(day, "    np.unique(traj.start)\n" + day))
+    assert "numpy.ma" in loaded_modules(tmp_path, STAY_ROWS)
