@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (EARTH_RADIUS_M, cell_codes, cells_of, pair_distances_m,
-                   stacked)
+                   segment_entropy, segment_sums, stacked, weekday)
 
 KERNELS = ("indicator", "exponential")
 
@@ -113,27 +113,93 @@ class CoEvent(_CoEventFields):
         return self.overlap_end - self.overlap_start
 
 
-class _EventTable(NamedTuple):
+class _PairMetrics(NamedTuple):
+    """One pair's metrics that need no cell entropies (see `_pair_metrics`)
+    and its co-occurrence score."""
+
+    f_fre: float
+    f_div: float
+    f_int: float
+    f_stay: float
+    f_hol: float
+    score: float
+
+
+_NO_METRICS = _PairMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class _EventTable:
     """Co-occurrence events of one or more user pairs, pair by pair, as
     read-only columns: each event's `cell` (an index into `cells`, the
     distinct cells, None for off the grid), `overlap_start` and
-    `overlap_end` (int64 UTC epoch seconds) and `weight` (float64)."""
+    `overlap_end` (int64 UTC epoch seconds) and `weight` (float64). The
+    rows of pair segment s are bounds[s]:bounds[s + 1]; every segment holds
+    events. Each pair's metrics and each event's cell object are computed
+    for the whole table on first use."""
 
-    cells: tuple
-    cell: np.ndarray
-    overlap_start: np.ndarray
-    overlap_end: np.ndarray
-    weight: np.ndarray
+    __slots__ = ("cells", "cell", "overlap_start", "overlap_end", "weight",
+                 "bounds", "_metrics", "_event_cells")
+
+    def __init__(self, cells, cell, overlap_start, overlap_end, weight,
+                 bounds):
+        cols = [np.array(cell, dtype=np.intp),
+                np.array(overlap_start, dtype=np.int64),
+                np.array(overlap_end, dtype=np.int64),
+                np.array(weight, dtype=float),
+                np.array(bounds, dtype=np.intp)]
+        for c in cols:
+            c.flags.writeable = False
+        self.cells = tuple(cells)
+        (self.cell, self.overlap_start, self.overlap_end, self.weight,
+         self.bounds) = cols
+        self._metrics = self._event_cells = None
+
+    @property
+    def metrics(self):
+        """The `_PairMetrics` of each pair segment, in segment order."""
+        if self._metrics is None:
+            self._metrics = _pair_metrics(self)
+        return self._metrics
+
+    @property
+    def event_cells(self):
+        """Each event's cell (a Cell, or None), as a list."""
+        if self._event_cells is None:
+            cells = self.cells
+            self._event_cells = [cells[c] for c in self.cell.tolist()]
+        return self._event_cells
 
 
-def _event_table(cells, cell, overlap_start, overlap_end, weight):
-    cols = [np.array(cell, dtype=np.intp),
-            np.array(overlap_start, dtype=np.int64),
-            np.array(overlap_end, dtype=np.int64),
-            np.array(weight, dtype=float)]
-    for c in cols:
-        c.flags.writeable = False
-    return _EventTable(tuple(cells), *cols)
+def _pair_metrics(table):
+    """One numpy pass over all pair segments of an event table: each pair's
+    event count, f_div, f_int, f_stay, f_hol (see
+    `features.compute_features`) and co-occurrence score, as a list of
+    `_PairMetrics`. Every float is the one the pair's own arithmetic gives:
+    f_div is `segment_entropy` of its cells' counts in the order of their
+    first events; the gap sum of f_int (starts in time order) and the score
+    (events in table order) add left to right; f_stay and f_hol are integer
+    sums divided once."""
+    bounds = table.bounds
+    lo, hi = bounds[:-1], bounds[1:]
+    n = hi - lo
+    if not len(n):
+        return []
+    seg = np.repeat(np.arange(len(n)), n)
+    start = table.overlap_start
+    _, first, count = np.unique(seg * len(table.cells) + table.cell,
+                                return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    f_div = segment_entropy(count[by_first], np.searchsorted(
+        seg[first[by_first]], np.arange(len(n) + 1)))
+    gaps_h = np.diff(start[np.lexsort((start, seg))]) / 3600.0
+    gap_sum = segment_sums(gaps_h, lo, hi - 1)
+    f_int = np.where(n < 2, 1.0, 1.0 / (1.0 + gap_sum / np.maximum(n - 1, 1)))
+    f_stay = np.add.reduceat(table.overlap_end - start, lo) / 3600.0
+    f_hol = np.add.reduceat((weekday(start) >= 5).astype(np.int64), lo) / n
+    score = segment_sums(table.weight, lo, hi)
+    return list(map(_PairMetrics, n.astype(float).tolist(), f_div.tolist(),
+                    f_int.tolist(), f_stay.tolist(), f_hol.tolist(),
+                    score.tolist()))
 
 
 def _column(name):
@@ -143,16 +209,16 @@ def _column(name):
 
 class PairEvents:
     """One user pair's co-occurrence events: a read-only view of the pair's
-    rows of an event table. Its columns `cell` (an index into `cells`),
-    `overlap_start`, `overlap_end` and `weight` are numpy arrays; iterating
-    or indexing it gives CoEvent rows, built on demand. It equals a list or
-    tuple of the same rows."""
+    rows of an event table, its segment `k` when it has events. Its columns
+    `cell` (an index into `cells`), `overlap_start`, `overlap_end` and
+    `weight` are numpy arrays; iterating or indexing it gives CoEvent rows,
+    built on demand. It equals a list or tuple of the same rows."""
 
-    __slots__ = ("user_a", "user_b", "_table", "_lo", "_hi")
+    __slots__ = ("user_a", "user_b", "_table", "_lo", "_hi", "_k")
 
-    def __init__(self, user_a, user_b, table, lo, hi):
+    def __init__(self, user_a, user_b, table, lo, hi, k):
         self.user_a, self.user_b = user_a, user_b
-        self._table, self._lo, self._hi = table, lo, hi
+        self._table, self._lo, self._hi, self._k = table, lo, hi, k
 
     cell = _column("cell")
     overlap_start = _column("overlap_start")
@@ -164,15 +230,26 @@ class PairEvents:
         """The distinct cells that `cell` indexes into."""
         return self._table.cells
 
+    @property
+    def event_cells(self):
+        """Each event's cell (a Cell, or None), as a list."""
+        return self._table.event_cells[self._lo:self._hi]
+
+    @property
+    def metrics(self):
+        """The pair's row of its table's metric pass (all 0 without
+        events)."""
+        if self._lo == self._hi:
+            return _NO_METRICS
+        return self._table.metrics[self._k]
+
     def __len__(self):
         return self._hi - self._lo
 
     def __iter__(self):
-        cells = self.cells
         return map(CoEvent, repeat(self.user_a), repeat(self.user_b),
-                   [cells[c] for c in self.cell.tolist()],
-                   self.overlap_start.tolist(), self.overlap_end.tolist(),
-                   self.weight.tolist())
+                   self.event_cells, self.overlap_start.tolist(),
+                   self.overlap_end.tolist(), self.weight.tolist())
 
     def __getitem__(self, i):
         return list(self)[i]
@@ -189,7 +266,7 @@ class PairEvents:
                 f"{len(self)} events)")
 
 
-_NO_EVENTS = _event_table((), [], [], [], [])
+_NO_EVENTS = _EventTable((), [], [], [], [], [0])
 
 
 def pair_events(events):
@@ -201,7 +278,7 @@ def pair_events(events):
     rows = [(e.user_a, e.user_b, e.cell, e.overlap_start, e.overlap_end,
              e.weight) for e in events]
     if not rows:
-        return PairEvents(None, None, _NO_EVENTS, 0, 0)
+        return PairEvents(None, None, _NO_EVENTS, 0, 0, None)
     pairs = list(dict.fromkeys(r[:2] for r in rows))
     if len(pairs) > 1:
         raise ValueError(f"events of pairs {pairs[0]} and {pairs[1]} "
@@ -209,8 +286,9 @@ def pair_events(events):
     _, _, cells, start, end, weight = zip(*rows)
     index = {}
     cell = [index.setdefault(c, len(index)) for c in cells]
-    return PairEvents(*pairs[0], _event_table(index, cell, start, end,
-                                              weight), 0, len(rows))
+    return PairEvents(*pairs[0], _EventTable(index, cell, start, end, weight,
+                                             [0, len(rows)]),
+                      0, len(rows), 0)
 
 
 def _pair_weights(cols, i, j, cfg):
@@ -349,15 +427,17 @@ def extract_coevents(trajectories, cfg, grid, pairs=None):
     # by pair, then as the nested loop's events, stably sorted by (overlap
     # start, overlap end, weight): ties in loop order, stay of a then of b
     k = k[np.lexsort((b[k], a[k], w[k], hi[k], lo[k], pair[k]))]
-    lat, lon = cols[2][a[k]], cols[3][a[k]]
+    lat, lon, pair = cols[2][a[k]], cols[3][a[k]], pair[k]
     _, rep, cell = np.unique(cell_codes(lat, lon, grid), return_index=True,
                              return_inverse=True)
-    table = _event_table(cells_of(lat[rep], lon[rep], grid), cell, lo[k],
-                         hi[k], w[k])
-    begin = np.searchsorted(pair[k], codes, side="left").tolist()
-    end = np.searchsorted(pair[k], codes, side="right").tolist()
-    return {key: PairEvents(*key, table, i, j)
-            for key, i, j in zip(keys, begin, end)}
+    seg = np.flatnonzero(np.diff(pair, prepend=-1))     # each pair's first
+    table = _EventTable(cells_of(lat[rep], lon[rep], grid), cell, lo[k],
+                        hi[k], w[k], np.append(seg, len(k)))
+    begin = np.searchsorted(pair, codes, side="left")
+    end = np.searchsorted(pair, codes, side="right").tolist()
+    index = np.searchsorted(seg, begin, side="right") - 1
+    return {key: PairEvents(*key, table, i, j, s) for key, i, j, s in zip(
+        keys, begin.tolist(), end, index.tolist())}
 
 
 def extract_pair_coevents(traj_a, traj_b, cfg, grid):
@@ -388,5 +468,6 @@ def stay_participation(trajectories, cfg):
 
 def coevent_score(events):
     """Kernel-weighted co-occurrence score of one pair's events (PairEvents
-    or CoEvent rows): the sum of their weights, left to right."""
-    return float(sum(pair_events(events).weight.tolist()))
+    or CoEvent rows): the sum of their weights, left to right, read from
+    the table's metric pass."""
+    return pair_events(events).metrics.score

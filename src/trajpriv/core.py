@@ -173,6 +173,50 @@ def stacked(trajectories, *names):
                            or [np.zeros(0)]) for n in names]
 
 
+def segment_sums(values, lo, hi):
+    """The sum of each segment values[lo[s]:hi[s]] of a float array, added
+    left to right from 0.0 (the order of Python 3.11's float `sum`): one
+    vector add per position, over the segments that still have terms."""
+    size = hi - lo
+    order = np.argsort(-size, kind="stable")     # longest first
+    lo, size = lo[order], size[order]
+    acc = np.zeros(len(order))
+    longest = int(size[0]) if len(size) else 0
+    # the segments with more than j terms lead
+    for j, m in enumerate(np.searchsorted(-size, -np.arange(longest),
+                                          side="left").tolist()):
+        acc[:m] += values[lo[:m] + j]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+# From this many terms on, numpy's sum adds pairwise from 8 partial sums.
+_PAIRWISE_FROM = 8
+
+
+def segment_entropy(counts, bounds):
+    """Natural-log Shannon entropy of each segment
+    counts[bounds[s]:bounds[s + 1]] of positive counts: -(sum of p log p)
+    over the segment's shares p = count / segment total, each as numpy's
+    log and sum give it for the segment's own array. So below 8 shares the
+    terms add left to right from 0.0, and from 8 on the segment is summed
+    on its own. An empty segment has entropy 0."""
+    counts, bounds = np.asarray(counts, dtype=np.int64), np.asarray(bounds)
+    lo, hi = bounds[:-1], bounds[1:]
+    size = hi - lo
+    total = np.concatenate(([0], np.cumsum(counts)))
+    p = counts / np.repeat(total[hi] - total[lo], size)
+    q = np.log(p)
+    q *= p
+    s = np.empty(len(size))
+    small = size < _PAIRWISE_FROM
+    s[small] = segment_sums(q, lo[small], hi[small])
+    for k in np.flatnonzero(~small).tolist():
+        s[k] = q[lo[k]:hi[k]].sum()
+    return -s
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform meter-scaled grid around an origin, plus a time slotting.

@@ -6,11 +6,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .colocation import pair_events
-from .core import cell_codes, cells_of, stacked, weekday
+from .core import cell_codes, cells_of, segment_entropy, stacked
 
 FEATURE_NAMES = ("f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol")
 
@@ -53,17 +54,6 @@ def resolve_subset(subset):
     return names
 
 
-def shannon_entropy(counts, total):
-    """Natural-log Shannon entropy of positive counts summing to `total`:
-    -(sum of p log p) over their shares p, with numpy's log and sum."""
-    if len(counts) == 1:
-        return -0.0         # -(1 log 1)
-    p = np.divide(counts, total)
-    q = np.log(p)
-    q *= p
-    return -float(q.sum())
-
-
 def cell_visit_entropy(trajectories, grid):
     """Per-cell Shannon entropy of the visiting-user distribution: the
     cells in the order of their first visit, each cell's users counted in
@@ -80,12 +70,10 @@ def cell_visit_entropy(trajectories, grid):
                                     return_index=True, return_counts=True)
     start = np.flatnonzero(np.diff(visit // n, prepend=-1))
     first = on[np.minimum.reduceat(first, start)]
-    counts = np.split(count, start[1:])
-    totals = np.add.reduceat(count, start).tolist()
+    entropy = segment_entropy(count, np.append(start, len(count))).tolist()
     order = np.argsort(first)
     cells = cells_of(lat[first[order]], lon[first[order]], grid)
-    return {cell: shannon_entropy(counts[k], totals[k])
-            for cell, k in zip(cells, order.tolist())}
+    return {cell: entropy[k] for cell, k in zip(cells, order.tolist())}
 
 
 def compute_features(events, cell_entropy, pair=None, label=None):
@@ -94,7 +82,10 @@ def compute_features(events, cell_entropy, pair=None, label=None):
     counts events that start on a UTC weekend. Events of another pair than
     `pair` are an error.
 
-    With zero events every metric is 0 (including f_int, by convention).
+    f_pop sums exp(-entropy) of each event's cell, left to right; the
+    other five metrics come from the event table's one pass over all its
+    pairs (`colocation._pair_metrics`). With zero events every metric is 0
+    (including f_int, by convention).
     """
     events = pair_events(events)
     own = (events.user_a, events.user_b)      # (None, None): an empty list
@@ -104,28 +95,13 @@ def compute_features(events, cell_entropy, pair=None, label=None):
         pair = own
     elif own[0] is not None and tuple(pair) != own:
         raise ValueError(f"events of pair {own} given for pair {tuple(pair)}")
-    n = len(events)
-    if not n:
+    if not len(events):
         return PairFeatures(pair[0], pair[1], 0, 0, 0, 0, 0, 0, label)
-
-    cells, get, exp = events.cells, cell_entropy.get, math.exp
-    cell = events.cell.tolist()
-    starts = events.overlap_start.tolist()
-    f_pop = sum([exp(-get(cells[c], 0.0)) for c in cell])
-    cell_counts = {}
-    for c in cell:
-        cell_counts[c] = cell_counts.get(c, 0) + 1
-    f_div = shannon_entropy(list(cell_counts.values()), n)
-    if n < 2:
-        f_int = 1.0
-    else:
-        s = sorted(starts)
-        gaps_h = [(b - a) / 3600.0 for a, b in zip(s, s[1:])]
-        f_int = 1.0 / (1.0 + sum(gaps_h) / len(gaps_h))
-    f_stay = (sum(events.overlap_end.tolist()) - sum(starts)) / 3600.0
-    f_hol = sum([weekday(t) >= 5 for t in starts]) / n
-    return PairFeatures(pair[0], pair[1], float(n), float(f_pop), f_div,
-                        f_int, f_stay, f_hol, label)
+    m = events.metrics
+    get, exp = cell_entropy.get, math.exp
+    f_pop = sum([exp(-get(c, 0.0)) for c in events.event_cells])
+    return PairFeatures(pair[0], pair[1], m.f_fre, f_pop, m.f_div, m.f_int,
+                        m.f_stay, m.f_hol, label)
 
 
 def project(features, subset):
@@ -150,12 +126,12 @@ class Standardizer:
 
 
 def features_to_csv(rows):
-    """Feature matrix export with the declared header."""
+    """Feature matrix export with the declared header: each metric as its
+    float's repr, the label as 1, 0 or empty."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["user_a", "user_b", *FEATURE_NAMES, "label"])
-    for f in rows:
-        w.writerow([f.user_a, f.user_b,
-                    *(repr(float(getattr(f, n))) for n in FEATURE_NAMES),
-                    "" if f.label is None else int(f.label)])
+    metrics = attrgetter(*FEATURE_NAMES)
+    w.writerows([[f.user_a, f.user_b, *map(float, metrics(f)),
+                  "" if f.label is None else int(f.label)] for f in rows])
     return out.getvalue()

@@ -483,7 +483,8 @@ class TestCoEvent:
        centers=st.lists(st.tuples(lats, lons), min_size=1, max_size=2))
 def test_views_read_as_their_rows(seed, n_users, kernel, centers):
     """Each view's columns hold its CoEvent rows' fields, and the metrics
-    of a view equal those of the list of its rows, to the last bit."""
+    of a view of the all-pairs table equal those of the list of its rows
+    and of the pair's own one-pair table, to the last bit."""
     rng = np.random.default_rng(seed)
     cfg = CoLocationConfig(spatial_kernel=kernel, temporal_kernel=kernel)
     trajs = edge_world(rng, n_users, centers, cfg.spatial_reach_m)
@@ -501,12 +502,16 @@ def test_views_read_as_their_rows(seed, n_users, kernel, centers):
             column = getattr(view, name)
             assert not column.flags.writeable
             assert column.tolist() == [getattr(e, name) for e in rows]
-        assert repr(coevent_score(view)) == repr(coevent_score(rows))
+        alone = extract_coevents(trajs, cfg, grid, pairs=[(a, b)])[(a, b)]
+        assert alone == rows
+        assert (repr(coevent_score(view)) == repr(coevent_score(rows))
+                == repr(coevent_score(alone)))
         from_view = compute_features(view, ent, pair=(a, b), label=True)
         from_rows = compute_features(rows, ent, pair=(a, b), label=True)
-        assert from_view == from_rows
-        assert (features_to_csv([from_view])
-                == features_to_csv([from_rows]))
+        from_alone = compute_features(alone, ent, pair=(a, b), label=True)
+        assert from_view == from_rows == from_alone
+        assert (features_to_csv([from_view]) == features_to_csv([from_rows])
+                == features_to_csv([from_alone]))
 
 
 def test_view_indexing_follows_a_list():

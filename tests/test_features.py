@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trajpriv.colocation import CoEvent
-from trajpriv.core import Cell
-from trajpriv.features import (FEATURE_NAMES, Standardizer, compute_features,
-                               project, resolve_subset, shannon_entropy)
+from trajpriv.colocation import (CoEvent, PairEvents, _EventTable,
+                                 coevent_score, pair_events)
+from trajpriv.core import Cell, segment_entropy, segment_sums, weekday
+from trajpriv.features import (FEATURE_NAMES, PairFeatures, Standardizer,
+                               compute_features, project, resolve_subset)
 
 SAT = 1569024000   # 2019-09-21 00:00 UTC, a Saturday
 MON = 1568592000   # 2019-09-16 00:00 UTC, a Monday
@@ -127,9 +129,149 @@ class TestProjection:
 
 
 def test_shannon_entropy():
-    assert shannon_entropy([5], 5) == 0.0
-    assert shannon_entropy([1, 1], 2) == pytest.approx(math.log(2))
-    assert shannon_entropy([], 0) == 0.0
+    # one segment each: [5], [1, 1] and an empty one
+    assert segment_entropy([5, 1, 1], [0, 1, 3, 3]).tolist() == [
+        0.0, pytest.approx(math.log(2)), 0.0]
+
+
+def reference_entropy(counts):
+    """One segment's entropy as numpy gives it for the segment's own
+    array."""
+    p = np.divide(counts, sum(counts))
+    q = np.log(p)
+    q *= p
+    return -float(q.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.one_of(st.integers(0, 9), st.integers(120, 300)),
+                      max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_segment_kernels_equal_each_segment_on_its_own(sizes, seed):
+    """Both sides of numpy's pairwise branch (8 terms, 128 terms) and empty
+    segments, to the last bit."""
+    rng = np.random.default_rng(seed)
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    counts = rng.integers(1, 50, size=int(bounds[-1]))
+    values = rng.normal(size=len(counts)) * 10.0 ** rng.integers(-3, 4)
+    lo, hi = bounds[:-1], bounds[1:]
+    want = [sum(values[i:j].tolist()) for i, j in zip(lo, hi)]
+    assert list(map(repr, segment_sums(values, lo, hi).tolist())) == list(
+        map(repr, map(float, want)))
+    want = [reference_entropy(counts[i:j]) for i, j in zip(lo, hi)]
+    assert list(map(repr, segment_entropy(counts, bounds).tolist())) == list(
+        map(repr, want))
+
+
+# --- the batched metric pass against the per-pair arithmetic ---------------
+
+def reference_features(rows, cell_entropy, pair, label):
+    """The six metrics of one pair's CoEvent rows, computed pair by pair:
+    Python's `sum`, `sorted` and a count dict, and numpy's log and sum for
+    the cell diversity."""
+    n = len(rows)
+    if not n:
+        return PairFeatures(*pair, 0, 0, 0, 0, 0, 0, label)
+    starts = [e.overlap_start for e in rows]
+    f_pop = sum([math.exp(-cell_entropy.get(e.cell, 0.0)) for e in rows])
+    cell_counts = {}
+    for e in rows:
+        cell_counts[e.cell] = cell_counts.get(e.cell, 0) + 1
+    counts = list(cell_counts.values())
+    f_div = -0.0 if len(counts) == 1 else reference_entropy(counts)
+    if n < 2:
+        f_int = 1.0
+    else:
+        s = sorted(starts)
+        gaps_h = [(b - a) / 3600.0 for a, b in zip(s, s[1:])]
+        f_int = 1.0 / (1.0 + sum(gaps_h) / len(gaps_h))
+    f_stay = (sum(e.overlap_end for e in rows) - sum(starts)) / 3600.0
+    f_hol = sum([weekday(t) >= 5 for t in starts]) / n
+    return PairFeatures(*pair, float(n), f_pop, f_div, f_int, f_stay, f_hol,
+                        label)
+
+
+def as_reprs(f):
+    return [f.user_a, f.user_b, f.label,
+            *(repr(getattr(f, name)) for name in FEATURE_NAMES)]
+
+
+# event starts at and a second around the weekend's edges, or anywhere in
+# two weeks
+WEEKEND_EDGES = (SAT, SAT + 2 * 86400, SAT + 7 * 86400)
+starts = st.one_of(
+    st.builds(int.__add__, st.sampled_from(WEEKEND_EDGES),
+              st.integers(-1, 1)),
+    st.integers(MON, MON + 14 * 86400))
+
+
+@st.composite
+def pair_rows(draw, user_a, user_b):
+    """CoEvent rows of one pair, in no particular order: none, one, or up
+    to 40 over a pool of up to 12 cells (one of them off the grid)."""
+    n_cells = draw(st.integers(1, 12))
+    n = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 40)))
+    rows = []
+    for _ in range(n):
+        c = draw(st.integers(0, n_cells - 1))
+        t = draw(starts)
+        rows.append(CoEvent(user_a, user_b, None if c == 11 else Cell(c, 0),
+                            t, t + draw(st.integers(0, 7200)),
+                            draw(st.floats(1e-6, 1.0))))
+    return rows
+
+
+@st.composite
+def event_tables(draw):
+    """Rows of several pairs, and the views of one table holding them all,
+    built as extract_coevents builds its table: pair segments in order."""
+    pairs = [(f"u{i}", f"v{i}") for i in range(draw(st.integers(1, 6)))]
+    rows = [draw(pair_rows(*p)) for p in pairs]
+    flat = [e for r in rows for e in r]
+    index = {}
+    cell = [index.setdefault(e.cell, len(index)) for e in flat]
+    ends = np.cumsum([len(r) for r in rows]).tolist()
+    lows = [0] + ends[:-1]
+    bounds = [0] + [hi for lo, hi in zip(lows, ends) if hi > lo]
+    table = _EventTable(index, cell, [e.overlap_start for e in flat],
+                        [e.overlap_end for e in flat],
+                        [e.weight for e in flat], bounds)
+    views, k = [], 0
+    for p, lo, hi in zip(pairs, lows, ends):
+        views.append(PairEvents(*p, table, lo, hi, k if hi > lo else None))
+        k += hi > lo
+    return pairs, rows, views
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=event_tables(),
+       entropy=st.lists(st.floats(0.0, 3.0), min_size=11, max_size=11))
+def test_metric_pass_equals_per_pair_arithmetic(tables, entropy):
+    pairs, rows, views = tables
+    ent = {Cell(c, 0): h for c, h in enumerate(entropy)}
+    for pair, r, view in zip(pairs, rows, views):
+        assert view == r
+        want = reference_features(r, ent, pair, True)
+        assert as_reprs(compute_features(view, ent, pair, True)) == as_reprs(
+            want)
+        assert as_reprs(compute_features(r, ent, pair, True)) == as_reprs(
+            want)
+        score = float(sum(e.weight for e in r))
+        assert repr(coevent_score(view)) == repr(score)
+        assert repr(coevent_score(r)) == repr(score)
+
+
+@pytest.mark.parametrize("n_cells", [7, 8, 9, 11])
+def test_metric_pass_of_a_pair_over_many_cells(n_cells):
+    """Unequal cell counts around numpy's 8-term pairwise branch."""
+    cells = np.random.default_rng(n_cells).permutation(
+        [c for c in range(n_cells) for _ in range(c + 1)]).tolist()
+    rows = [CoEvent("a", "b", Cell(c, 0), MON + 600 * k, MON + 600 * k + 60,
+                    0.1 * (1 + k % 3)) for k, c in enumerate(cells)]
+    ent = {Cell(c, 0): 0.1 * c for c in range(n_cells)}
+    want = reference_features(rows, ent, ("a", "b"), None)
+    assert as_reprs(compute_features(rows, ent)) == as_reprs(want)
+    assert compute_features(rows, ent).f_div < math.log(n_cells)
 
 
 def test_standardizer_train_only():

@@ -3,8 +3,9 @@ import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
 no stay column rebuilt from rows outside core, no co-occurrence event
-object built by the all-pairs feature export, no scipy loaded by the
-package, and no numpy.ma loaded by the synthetic release's stay rows."""
+object built by the all-pairs feature export and one metric pass for all
+its pairs, no scipy loaded by the package, and no bare np.unique nor
+numpy.ma loaded by the synthetic release's stay rows."""
 
 import ast
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import trajpriv
-from trajpriv import harness
+from trajpriv import colocation, harness
 from trajpriv.colocation import CoEvent
 from trajpriv.core import StayRecord
 
@@ -249,6 +250,60 @@ def test_event_count_catches_a_built_row(world16, monkeypatch):
                         lambda events, *args, **kw: compute(
                             list(events), *args, **kw))
     assert coevents_built(lambda: harness.pair_dataset(world16)) > 0
+
+
+def metric_passes(fn):
+    """The number of event-table metric passes run while `fn()` runs."""
+    passes = []
+    run = colocation._pair_metrics
+
+    def counting(table):
+        passes.append(len(table.bounds) - 1)
+        return run(table)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(colocation, "_pair_metrics", counting)
+        fn()
+    return len(passes)
+
+
+def test_all_pairs_features_run_one_metric_pass(world16):
+    # the event table computes every pair's metrics in one batched pass
+    assert metric_passes(lambda: harness.pair_dataset(world16)) == 1
+
+
+def test_pass_count_catches_a_per_pair_recomputation(world16, monkeypatch):
+    compute = harness.compute_features
+    monkeypatch.setattr(harness, "compute_features",
+                        lambda events, *args, **kw: compute(
+                            list(events), *args, **kw))
+    assert metric_passes(lambda: harness.pair_dataset(world16)) > 1
+
+
+def bare_uniques(modules):
+    """module:line of every `np.unique(...)` call in `modules` that asks
+    for none of its return_* arrays."""
+    return [f"{path.stem}:{node.lineno}" for path in modules
+            for node in ast.walk(parse(path))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and not any((k.arg or "").startswith("return_")
+                        for k in node.keywords)]
+
+
+def test_no_bare_np_unique():
+    # a bare np.unique(x) imports numpy.ma (about 1 MB resident) for its
+    # masked-array check; with a return_* flag it does not
+    assert bare_uniques(MODULES) == []
+
+
+def test_bare_unique_check_catches_a_planted_call(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np\n\n\ndef f(x):\n"
+                    "    a = np.unique(x, return_counts=True)\n"
+                    "    return a, np.unique(x)\n")
+    assert bare_uniques([path]) == ["m:6"]
 
 
 def loaded_modules(root, then=""):
