@@ -214,7 +214,7 @@ def segment_entropy(counts, bounds):
     s[small] = segment_sums(q, lo[small], hi[small])
     for k in np.flatnonzero(~small).tolist():
         s[k] = q[lo[k]:hi[k]].sum()
-    return -s
+    return 0.0 - s      # 0.0, not -0.0, for one share
 
 
 @dataclass(frozen=True)

@@ -541,7 +541,7 @@ def test_rows_of_several_pairs_are_not_one_pair():
 def oracle_cell_visit_entropy(trajs, grid):
     """Per-cell entropy of the visiting users, from the definition: stays
     counted one at a time into a dict per cell, and one 1-D numpy entropy
-    per cell."""
+    per cell (0.0, not -0.0, for one visitor)."""
     visits = {}
     for traj in trajs.values():
         for s in traj.stays:
@@ -555,7 +555,7 @@ def oracle_cell_visit_entropy(trajs, grid):
     for cell, users in visits.items():
         counts = np.asarray(list(users.values()), dtype=float)
         p = counts / counts.sum()
-        out[cell] = float(-(p * np.log(p)).sum())
+        out[cell] = 0.0 - float((p * np.log(p)).sum())
     return out
 
 
@@ -603,3 +603,4 @@ def test_cell_visit_entropy_of_one_crowded_cell(n_users):
     want = oracle_cell_visit_entropy(trajs, GRID)
     assert list(got) == [Cell(2, 3), Cell(5, 5)]
     assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+    assert repr(got[Cell(5, 5)]) == "0.0"       # not -0.0

@@ -26,7 +26,7 @@ class TestComputeFeatures:
     def test_single_cell_zero_diversity(self):
         evs = [event(MON + i * 7200, 0.5, Cell(1, 1)) for i in range(3)]
         f = compute_features(evs, {Cell(1, 1): 0.0})
-        assert f.f_div == 0.0
+        assert repr(f.f_div) == "0.0"       # not -0.0
 
     def test_hand_computed_example(self):
         # gaps 1 h and 3 h, overlaps 0.5 h, cells {2, 1}: Friday 20:00 and
@@ -130,17 +130,18 @@ class TestProjection:
 
 def test_shannon_entropy():
     # one segment each: [5], [1, 1] and an empty one
-    assert segment_entropy([5, 1, 1], [0, 1, 3, 3]).tolist() == [
-        0.0, pytest.approx(math.log(2)), 0.0]
+    h = segment_entropy([5, 1, 1], [0, 1, 3, 3]).tolist()
+    assert h == [0.0, pytest.approx(math.log(2)), 0.0]
+    assert repr(h[0]) == repr(h[2]) == "0.0"        # not -0.0
 
 
 def reference_entropy(counts):
     """One segment's entropy as numpy gives it for the segment's own
-    array."""
+    array, with 0.0 (not -0.0) for a single count."""
     p = np.divide(counts, sum(counts))
     q = np.log(p)
     q *= p
-    return -float(q.sum())
+    return 0.0 - float(q.sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,8 +178,7 @@ def reference_features(rows, cell_entropy, pair, label):
     cell_counts = {}
     for e in rows:
         cell_counts[e.cell] = cell_counts.get(e.cell, 0) + 1
-    counts = list(cell_counts.values())
-    f_div = -0.0 if len(counts) == 1 else reference_entropy(counts)
+    f_div = reference_entropy(list(cell_counts.values()))
     if n < 2:
         f_int = 1.0
     else:
