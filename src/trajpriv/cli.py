@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .core import group_trajectories, parse_stays, serialize_stays, \
-    stays_to_jsonl
+    stacked, stays_to_jsonl
 from .features import features_to_csv
 from .anonymize import AnonymityPolicy
 from .harness import (DEFENSES, World, WorldConfig, fit_world_models,
@@ -72,6 +72,14 @@ def _load_world(world_dir):
         cfg = WorldConfig(**config)
     except ValueError as e:
         raise ValueError(f"config.json: {e}") from None
+    if "n_users" in config and cfg.n_users != len(trajectories):
+        raise ValueError(f"config.json: n_users is {cfg.n_users}, but "
+                         f"stays.csv holds {len(trajectories)} users")
+    [start] = stacked(trajectories.values(), "start")
+    days = len(set((start // 86400).tolist()))
+    if "n_days" in config and cfg.n_days < days:
+        raise ValueError(f"config.json: n_days is {cfg.n_days}, but stays in "
+                         f"stays.csv start on {days} distinct UTC days")
     return World(cfg, trajectories, edges)
 
 

@@ -561,6 +561,28 @@ class TestCli:
         (tmp_path / "config.json").write_text('{"cell_size_m": 100}')
         assert _load_world(tmp_path).cfg.cell_size_m == 100
 
+    @pytest.mark.parametrize("config, message", [
+        ({"n_users": 3}, "n_users is 3, but stays.csv holds 16 users"),
+        ({"n_days": 1}, "n_days is 1, but stays in stays.csv start on 5 "
+                        "distinct UTC days"),
+        ({"n_users": 3, "n_days": 1},
+         "n_users is 3, but stays.csv holds 16 users"),
+    ], ids=["users", "days", "both"])
+    def test_config_that_contradicts_the_stays_is_rejected(
+            self, tmp_path, capsys, config, message):
+        # a 16-user, 5-day world whose config.json says fewer
+        d = tmp_path / "w"
+        assert cli_main(["--seed", "9", "simulate", "--users", "16",
+                         "--days", "5", "--out", str(d)]) == 0
+        full = json.loads((d / "config.json").read_text())
+        (d / "config.json").write_text(json.dumps({**full, **config}))
+        assert cli_main(["features", "--world", str(d),
+                         "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == f"error: config.json: {message}\n"
+        # more days than the stays start on is a world with quiet days
+        (d / "config.json").write_text(json.dumps({**full, "n_days": 6}))
+        assert _load_world(d).cfg.n_days == 6
+
     def test_config_with_the_retired_simulator_keys_loads(self, tmp_path):
         # the 23 keys `trajpriv simulate` wrote while the simulator's
         # settings were config fields; a loaded world never read the 15
