@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajpriv.colocation import (CoEvent, PairEvents, _EventTable,
-                                 coevent_score, pair_events)
+                                 coevent_score)
 from trajpriv.core import Cell, segment_entropy, segment_sums, weekday
 from trajpriv.features import (FEATURE_NAMES, PairFeatures, Standardizer,
                                compute_features, project, resolve_subset)
@@ -168,8 +168,8 @@ def test_segment_kernels_equal_each_segment_on_its_own(sizes, seed):
 
 def reference_features(rows, cell_entropy, pair, label):
     """The six metrics of one pair's CoEvent rows, computed pair by pair:
-    Python's `sum`, `sorted` and a count dict, and numpy's log and sum for
-    the cell diversity."""
+    Python's `sum` (left to right on 3.11), `sorted` and a count dict, and
+    numpy's log and sum for the cell diversity."""
     n = len(rows)
     if not n:
         return PairFeatures(*pair, 0, 0, 0, 0, 0, 0, label)
