@@ -68,16 +68,21 @@ def _load_world(world_dir):
         if type(value) not in json_types[types[key]]:
             raise ValueError(f"config.json: {key} must be {types[key]}, "
                              f"got {value!r}")
-    try:
-        cfg = WorldConfig(**config)
-    except ValueError as e:
-        raise ValueError(f"config.json: {e}") from None
-    if "n_users" in config and cfg.n_users != len(trajectories):
-        raise ValueError(f"config.json: n_users is {cfg.n_users}, but "
-                         f"stays.csv holds {len(trajectories)} users")
+    if len(trajectories) < 2:
+        raise ValueError("stays.csv: a world needs at least two users, "
+                         f"found {len(trajectories)}")
     [start] = stacked(trajectories.values(), "start")
     days = len(set((start // 86400).tolist()))
-    if "n_days" in config and cfg.n_days < days:
+    try:
+        # the size of the world that config.json omits is the data's
+        cfg = WorldConfig(**{"n_users": len(trajectories), "n_days": days,
+                             **config})
+    except ValueError as e:
+        raise ValueError(f"config.json: {e}") from None
+    if cfg.n_users != len(trajectories):
+        raise ValueError(f"config.json: n_users is {cfg.n_users}, but "
+                         f"stays.csv holds {len(trajectories)} users")
+    if cfg.n_days < days:
         raise ValueError(f"config.json: n_days is {cfg.n_days}, but stays in "
                          f"stays.csv start on {days} distinct UTC days")
     return World(cfg, trajectories, edges)

@@ -55,10 +55,11 @@ def resolve_subset(subset):
 
 
 def cell_visit_entropy(trajectories, grid):
-    """Per-cell Shannon entropy of the visiting-user distribution: the
+    """Per-cell Shannon entropy of the visiting-user distribution: with
+    the users in sorted order, whatever the order of `trajectories`, the
     cells in the order of their first visit, each cell's users counted in
     the order of theirs."""
-    trajs = list(trajectories.values())
+    trajs = [trajectories[u] for u in sorted(trajectories)]
     n = len(trajs)
     user = np.repeat(np.arange(n), [len(t) for t in trajs])
     lat, lon = stacked(trajs, "start_lat", "start_lon")
@@ -99,7 +100,11 @@ def compute_features(events, cell_entropy, pair=None, label=None):
         return PairFeatures(pair[0], pair[1], 0, 0, 0, 0, 0, 0, label)
     m = events.metrics
     get, exp = cell_entropy.get, math.exp
-    f_pop = sum([exp(-get(c, 0.0)) for c in events.event_cells])
+    # added one term at a time: from 3.12 on, the builtin sum compensates
+    # a float sum and gives other floats
+    f_pop = 0.0
+    for c in events.event_cells:
+        f_pop += exp(-get(c, 0.0))
     return PairFeatures(pair[0], pair[1], m.f_fre, f_pop, m.f_div, m.f_int,
                         m.f_stay, m.f_hol, label)
 

@@ -180,12 +180,17 @@ def loss_value(net, X, Y, loss="cross_entropy"):
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss}")
-    if net.output_act == "softmax":
-        per_net = -np.mean(np.sum(Y * np.log(P + _EPS), axis=-1), axis=-1)
-    else:
-        per_net = -np.mean(Y * np.log(P + _EPS)
-                           + (1 - Y) * np.log(1 - P + _EPS), axis=(-2, -1))
+    per_net = _mean_loss(P, Y, 1 - Y, net.output_act)
     return float(per_net) if per_net.ndim == 0 else per_net
+
+
+def _mean_loss(P, Y, not_Y, output_act):
+    """Mean cross-entropy of outputs P against targets Y, one per net of a
+    stack; not_Y is 1 - Y."""
+    if output_act == "softmax":
+        return -np.mean(np.sum(Y * np.log(P + _EPS), axis=-1), axis=-1)
+    return -np.mean(Y * np.log(P + _EPS) + not_Y * np.log(1 - P + _EPS),
+                    axis=(-2, -1))
 
 
 class Gradients(dict):
@@ -289,6 +294,7 @@ def train(nets, X, Y, cfg):
     stack = DenseNet(*kind, theta=np.stack([n.theta for n in nets]))
     grads = Gradients(stack)
     rng = np.random.default_rng(cfg.seed)
+    not_Y = 1 - Y
     traces = [[] for _ in nets]
     for epoch in range(cfg.epochs):
         order = rng.permutation(rows)
@@ -298,7 +304,7 @@ def train(nets, X, Y, cfg):
             _batch_grads(stack, X_epoch[:, start:stop], Y_epoch[start:stop],
                          grads)
             sgd_step(stack, grads, cfg.learning_rate)
-        losses = loss_value(stack, X, Y)
+        losses = _mean_loss(stack._forward(X)[0], Y, not_Y, stack.output_act)
         diverged = np.flatnonzero(~np.isfinite(losses))
         if diverged.size:
             raise DivergenceError(epoch, int(diverged[0]))

@@ -10,8 +10,10 @@ from trajpriv.core import (EARTH_RADIUS_M, GridSpec, OutOfGridError,
 from trajpriv.colocation import (KERNELS, CoEvent, CoLocationConfig,
                                  PairEvents, coevent_score, extract_coevents,
                                  extract_pair_coevents, pair_events,
-                                 stay_participation, _kernel_weight,
-                                 _kernel_weights)
+                                 stay_participation, _RECHECK,
+                                 _candidate_pairs, _filter_distances_m,
+                                 _gather, _kernel_weight, _kernel_weights,
+                                 _spatial_weights)
 from trajpriv.features import (cell_visit_entropy, compute_features,
                                features_to_csv)
 
@@ -355,6 +357,137 @@ def test_array_kernel_equals_scalar_kernel_bit_for_bit(origin, x, y, points,
             _kernel_weight(g, 1800.0, kind) for g in gaps.tolist()]
 
 
+# --- the indicator kernel's distance filter and its exact recheck --------
+#
+# numpy's sin, cos and arcsin decide every pair whose distance lies
+# outside alpha_d (1 +- _RECHECK); pair_distances_m decides the rest. The
+# weights must still equal the scalar kernel's, float for float.
+
+FILTER_ERROR = 1e-14      # the bound stated at colocation._RECHECK
+DELTAS = (0.0, 1e-15, 1e-12, 1e-9, 1e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=st.floats(1.0, 100_000.0), lat=lats, lon=lons,
+       bearings=st.lists(st.floats(0.0, 360.0), min_size=1, max_size=4))
+def test_filtered_weights_equal_the_scalar_kernel(alpha, lat, lon, bearings):
+    """Points at alpha_d (1 +- delta) from a centre, delta from 0 to 1e-6:
+    pairs on both sides of the threshold, of the recheck band and of its
+    edges."""
+    pts = [(lat, lon)] + [destination(lat, lon, b, alpha * (1 + s * d))
+                          for b in bearings for d in DELTAS for s in (1, -1)]
+    plat, plon = (np.array(v) for v in zip(*pts))
+    j = np.arange(1, len(pts))
+    i = np.zeros_like(j)
+    exact = [haversine_m(lat, lon, *p) for p in pts[1:]]
+    for kind in KERNELS:
+        cfg = CoLocationConfig(alpha_d_m=alpha, spatial_kernel=kind)
+        assert _spatial_weights(plat, plon, i, j, cfg).tolist() == [
+            _kernel_weight(d, alpha, kind) for d in exact]
+    got = _filter_distances_m(plat, plon, i, j)
+    assert (np.abs(got - exact) <= FILTER_ERROR * np.array(exact)).all()
+
+
+def test_filter_bound_up_to_a_quarter_circumference():
+    """The bound that the recheck band rests on, over distances from 1 cm
+    to a quarter of the circumference, at every latitude to +-85 and
+    across the antimeridian; the band is a thousandfold wider."""
+    rng = np.random.default_rng(5)
+    n = 20_000
+    lat, lon = rng.uniform(-85, 85, n), rng.uniform(-180, 180, n)
+    dist = np.exp(rng.uniform(math.log(0.01), math.log(math.pi / 2.0
+                                                       * EARTH_RADIUS_M), n))
+    far = [destination(*p) for p in zip(lat.tolist(), lon.tolist(),
+                                        rng.uniform(0, 360, n).tolist(),
+                                        dist.tolist())]
+    plat = np.r_[lat, [p[0] for p in far]]
+    plon = np.r_[lon, [p[1] for p in far]]
+    i = np.arange(n)
+    exact = pair_distances_m(plat, plon, i, i + n)
+    got = _filter_distances_m(plat, plon, i, i + n)
+    assert (np.abs(got - exact) <= FILTER_ERROR * exact).all()
+    assert _RECHECK >= 1000 * FILTER_ERROR
+
+
+def test_recheck_decides_the_pairs_near_the_threshold(monkeypatch):
+    """A filter off by the whole bound, up or down, still gives the scalar
+    kernel's weights with alpha_d at a pair's exact distance or one ulp
+    below it, where only the exact distance can tell."""
+    rng = np.random.default_rng(6)
+    n = 100
+    lat, lon = rng.uniform(-80, 80, n), rng.uniform(-180, 180, n)
+    far = [destination(*p) for p in zip(lat.tolist(), lon.tolist(),
+                                        rng.uniform(0, 360, n).tolist(),
+                                        rng.uniform(1, 100_000, n).tolist())]
+    plat = np.r_[lat, [p[0] for p in far]]
+    plon = np.r_[lon, [p[1] for p in far]]
+    exact = pair_distances_m(plat, plon, np.arange(n), np.arange(n, 2 * n))
+    for sign in (1.0, -1.0):
+        monkeypatch.setattr(
+            "trajpriv.colocation._filter_distances_m",
+            lambda *args, f=_filter_distances_m, s=sign: f(*args) * (
+                1.0 + s * FILTER_ERROR))
+        for k, d in enumerate(exact.tolist()):
+            for alpha in (d, float(np.nextafter(d, 0.0))):
+                cfg = CoLocationConfig(alpha_d_m=alpha)
+                assert _spatial_weights(plat, plon, np.array([k]),
+                                        np.array([n + k]), cfg).tolist() == [
+                    _kernel_weight(d, alpha, "indicator")]
+
+
+def test_long_reach_takes_the_exact_distance_for_every_pair(monkeypatch):
+    # beyond a quarter circumference the filter's bound is not shown
+    seen = []
+    exact = pair_distances_m
+
+    def counting(lat, lon, i, j):
+        seen.append(len(i))
+        return exact(lat, lon, i, j)
+
+    monkeypatch.setattr("trajpriv.colocation.pair_distances_m", counting)
+    lat, lon = np.array([0.0, 0.0, 10.0]), np.array([0.0, 100.0, -170.0])
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    want = [_kernel_weight(haversine_m(lat[a], lon[a], lat[b], lon[b]),
+                           1.2e7, "indicator") for a, b in zip(i, j)]
+    cfg = CoLocationConfig(alpha_d_m=1.2e7)
+    assert _spatial_weights(lat, lon, i, j, cfg).tolist() == want
+    assert seen == [3] and 0.0 in want and 1.0 in want
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("lat0", [0.0, 60.0, -78.0])
+def test_candidates_across_the_column_wrap_equal_brute_force(lat0, kernel):
+    """Stays within a few reaches of the antimeridian, on both sides of
+    it: every stay pair of two users with a nonzero kernel weight is a
+    candidate, once, whichever side each stay is on."""
+    rng = np.random.default_rng(int(lat0) + 300)
+    cfg = CoLocationConfig(spatial_kernel=kernel, temporal_kernel=kernel)
+    reach = cfg.spatial_reach_m
+    trajs = {}
+    for k in range(6):
+        u, t, stays = f"u{k}", T0 + 600 * int(rng.integers(0, 4)), []
+        for _ in range(15):
+            lat, lon = destination(lat0, 180.0, float(rng.uniform(0, 360)),
+                                   float(rng.uniform(0, 3)) * reach)
+            stays.append(stay(u, t, t + 600, lat, lon))
+            t += 600 * int(rng.integers(1, 5))
+        trajs[u] = Trajectory(u, stays)
+    cols, owner = _gather(trajs, sorted(trajs))
+    first, second = _candidate_pairs(cols, owner, cfg)
+    got = list(zip(np.minimum(first, second).tolist(),
+                   np.maximum(first, second).tolist()))
+    assert len(got) == len(set(got))
+    assert (owner[first] != owner[second]).all()
+    start, stop, lat, lon = (c.tolist() for c in cols)
+    want = {(a, b) for a in range(len(owner)) for b in range(a + 1, len(owner))
+            if owner[a] != owner[b]
+            and cfg.spatial_weight(haversine_m(lat[a], lon[a], lat[b], lon[b]))
+            * cfg.temporal_weight(max(0, max(start[a], start[b])
+                                      - min(stop[a], stop[b]))) > 0}
+    assert want <= set(got)
+    assert any(lon[a] * lon[b] < 0 for a, b in want)     # across the seam
+
+
 def snapped_world(rng, n_users, grid):
     """Users whose stays sit exactly on the centres of a 3 x 3 block of
     cells, as k-anonymity dummies do, on a 10-minute raster with gaps at
@@ -540,10 +673,10 @@ def test_rows_of_several_pairs_are_not_one_pair():
 
 def oracle_cell_visit_entropy(trajs, grid):
     """Per-cell entropy of the visiting users, from the definition: stays
-    counted one at a time into a dict per cell, and one 1-D numpy entropy
-    per cell (0.0, not -0.0, for one visitor)."""
+    counted one at a time, users in sorted order, into a dict per cell,
+    and one 1-D numpy entropy per cell (0.0, not -0.0, for one visitor)."""
     visits = {}
-    for traj in trajs.values():
+    for traj in map(trajs.get, sorted(trajs)):
         for s in traj.stays:
             try:
                 cell = to_cell(s.lat, s.lon, grid)
@@ -584,6 +717,10 @@ def test_cell_visit_entropy_matches_per_cell_oracle(seed, n_users, n_cells):
     want = oracle_cell_visit_entropy(trajs, GRID)
     assert [(c, repr(v)) for c, v in got.items()] == [
         (c, repr(v)) for c, v in want.items()]
+    # the users' order in the dict is not read
+    backwards = dict(reversed(trajs.items()))
+    assert list(cell_visit_entropy(backwards, GRID).items()) == list(
+        got.items())
 
 
 @pytest.mark.parametrize("n_users", [8, 9, 129, 300])

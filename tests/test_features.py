@@ -50,6 +50,18 @@ class TestComputeFeatures:
         f = compute_features(evs, {c: math.log(4)})
         assert f.f_pop == pytest.approx(2 * math.exp(-math.log(4)))
 
+    def test_popularity_adds_left_to_right(self):
+        # terms 1.0, e^-37, e^-37: each e^-37 is below half an ulp of 1.0,
+        # so a plain left-to-right sum stays 1.0, where a compensated sum
+        # (Python 3.12's builtin sum, math.fsum) rounds up to 1 + 2^-52
+        c1, c2 = Cell(0, 0), Cell(1, 0)
+        evs = [event(MON, 0.5, c1), event(MON + 3600, 0.5, c2),
+               event(MON + 7200, 0.5, c2)]
+        terms = [1.0, math.exp(-37.0), math.exp(-37.0)]
+        assert math.fsum(terms) == 1.0 + 2.0 ** -52
+        f = compute_features(evs, {c1: 0.0, c2: 37.0})
+        assert f.f_pop == (0.0 + terms[0] + terms[1]) + terms[2] == 1.0
+
     def test_single_event_interval_one(self):
         f = compute_features([event(MON, 1.0, Cell(0, 0))], {Cell(0, 0): 0.0})
         assert f.f_int == 1.0

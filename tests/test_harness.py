@@ -561,6 +561,56 @@ class TestCli:
         (tmp_path / "config.json").write_text('{"cell_size_m": 100}')
         assert _load_world(tmp_path).cfg.cell_size_m == 100
 
+    def test_config_without_the_world_size_takes_it_from_the_data(
+            self, tmp_path):
+        world = hand_built_world({"a": [((1, 1), 0, 2)],
+                                  "c": [((1, 1), 1, 3), ((2, 2), 30, 31)]},
+                                 [("a", "c")])
+        write_world_dir(world, tmp_path)
+        (tmp_path / "config.json").write_text('{"cell_size_m": 100}')
+        cfg = _load_world(tmp_path).cfg
+        assert (cfg.n_users, cfg.n_days) == (2, 2)
+        (tmp_path / "config.json").write_text('{"n_days": 9}')
+        cfg = _load_world(tmp_path).cfg
+        assert (cfg.n_users, cfg.n_days) == (2, 9)
+
+    def test_world_of_one_user_is_rejected(self, tmp_path, capsys):
+        world = hand_built_world({"a": [((1, 1), 0, 2)],
+                                  "c": [((1, 1), 1, 3)]}, [])
+        write_world_dir(world, tmp_path)
+        rows = (tmp_path / "stays.csv").read_text().splitlines()
+        (tmp_path / "stays.csv").write_text("\n".join(rows[:2]) + "\n")
+        (tmp_path / "config.json").write_text("{}")
+        assert cli_main(["features", "--world", str(tmp_path),
+                         "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: stays.csv: a world needs at least two users, found 1\n")
+
+    def test_row_order_of_the_world_files_changes_no_output(self, tmp_path):
+        # shuffled stays.csv and edges.csv rows load to the same features
+        # CSV and defense reports
+        d, e = tmp_path / "w", tmp_path / "shuffled"
+        assert cli_main(["--seed", "9", "simulate", "--users", "16",
+                         "--days", "5", "--out", str(d)]) == 0
+        e.mkdir()
+        rng = np.random.default_rng(0)
+        for name in ("stays.csv", "edges.csv"):
+            header, *rows = (d / name).read_text().splitlines()
+            rows = [rows[k] for k in rng.permutation(len(rows))]
+            (e / name).write_text("\n".join([header, *rows]) + "\n")
+        (e / "config.json").write_text((d / "config.json").read_text())
+        assert (e / "stays.csv").read_text() != (d / "stays.csv").read_text()
+        outputs = []
+        for w in (d, e):
+            assert cli_main(["features", "--world", str(w),
+                             "--out", str(w / "f.csv")]) == 0
+            world = _load_world(w)
+            outputs.append([(w / "f.csv").read_text()] + [
+                report_json(run_defense(world, defense=defense, seed=3,
+                                        epochs=10))
+                for defense in ("k_anonymity", "publish_synthetic")])
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("config, message", [
         ({"n_users": 3}, "n_users is 3, but stays.csv holds 16 users"),
         ({"n_days": 1}, "n_days is 1, but stays in stays.csv start on 5 "

@@ -4,7 +4,8 @@ name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
 no stay column rebuilt from rows outside core, no co-occurrence event
 object built by the all-pairs feature export and one metric pass for all
-its pairs, no scipy loaded by the package, and no bare np.unique nor
+its pairs, no exact distance taken for a pair far from the indicator
+threshold, no scipy loaded by the package, and no bare np.unique nor
 numpy.ma loaded by the synthetic release's stay rows."""
 
 import ast
@@ -15,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trajpriv
@@ -278,6 +280,45 @@ def test_pass_count_catches_a_per_pair_recomputation(world16, monkeypatch):
                         lambda events, *args, **kw: compute(
                             list(events), *args, **kw))
     assert metric_passes(lambda: harness.pair_dataset(world16)) > 1
+
+
+def exact_distances_off_the_band(fn, alpha):
+    """The number of distances that the co-occurrence engine takes with
+    the exact `pair_distances_m` while `fn()` runs and that lie outside
+    the recheck band alpha (1 +- colocation._RECHECK)."""
+    off = []
+    exact = colocation.pair_distances_m
+
+    def counting(lat, lon, i, j):
+        d = exact(lat, lon, i, j)
+        off.extend(d[np.abs(d - alpha) > colocation._RECHECK * alpha])
+        return d
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(colocation, "pair_distances_m", counting)
+        fn()
+    return len(off)
+
+
+def test_only_pairs_near_the_threshold_take_the_exact_distance(world16):
+    # numpy's distances decide the indicator kernel's other pairs
+    alpha = harness.COLOCATION.alpha_d_m
+    assert exact_distances_off_the_band(
+        lambda: harness.pair_dataset(world16), alpha) == 0
+    assert exact_distances_off_the_band(lambda: colocation.stay_participation(
+        world16.trajectories, harness.COLOCATION), alpha) == 0
+
+
+def test_band_check_catches_an_all_pairs_exact_distance(world16,
+                                                        monkeypatch):
+    def all_exact(lat, lon, i, j, cfg):
+        return colocation._kernel_weights(colocation.pair_distances_m(
+            lat, lon, i, j), cfg.alpha_d_m, cfg.spatial_kernel)
+
+    monkeypatch.setattr(colocation, "_spatial_weights", all_exact)
+    assert exact_distances_off_the_band(
+        lambda: harness.pair_dataset(world16),
+        harness.COLOCATION.alpha_d_m) > 0
 
 
 def bare_uniques(modules):
