@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -56,7 +57,7 @@ class StayRecord(_StayFields):
     Times are UTC epoch seconds (timestamps in the CSV schema are naive and
     treated as UTC). The start coordinate is the representative location;
     the stop coordinate is retained for trip-aware extensions. This is the
-    row view of a Trajectory's columns.
+    row view of the columns of a Trajectory or a StayTable.
     """
 
     __slots__ = ()
@@ -101,6 +102,13 @@ def _bad_rows(start, stop, start_lat, start_lon, stop_lat, stop_lon):
 COLUMNS = ("start", "stop", "start_lat", "start_lon", "stop_lat", "stop_lon")
 
 
+def _typed(cols):
+    """The six stay columns as arrays of their types: int64 times, float64
+    coordinates."""
+    return [np.asarray(c, dtype=np.int64) for c in cols[:2]] + [
+        np.asarray(c, dtype=float) for c in cols[2:]]
+
+
 class Trajectory:
     """Time-ordered, non-overlapping stays of one user, held as read-only
     columns: `start` and `stop` (int64 UTC epoch seconds) and `start_lat`,
@@ -127,8 +135,7 @@ class Trajectory:
         return traj
 
     def _set(self, user_id, cols, rows):
-        cols = [np.asarray(c, dtype=np.int64) for c in cols[:2]] + [
-            np.asarray(c, dtype=float) for c in cols[2:]]
+        cols = _typed(cols)
         bad = np.flatnonzero(_bad_rows(*cols))
         if len(bad):        # the first bad stay raises its own error
             StayRecord(user_id, *(c[bad[0]].item() for c in cols))
@@ -164,6 +171,59 @@ class Trajectory:
 
     def __iter__(self):
         return iter(self.stays)
+
+
+class StayTable(Sequence):
+    """Stays of any number of users, as read-only columns: `user` (int64,
+    an index into `users`, the distinct user ids in the order they first
+    appear) and the six Trajectory columns, in record order. Iterating or
+    indexing it gives StayRecords, built on demand; it equals a list or
+    tuple of the same records. The columns are not checked here: the
+    parser and Trajectory check them."""
+
+    __slots__ = ("users", "user", *COLUMNS)
+
+    def __init__(self, user_ids, *cols):
+        ids = {}
+        user = np.array([ids.setdefault(u, len(ids)) for u in user_ids],
+                        dtype=np.int64)
+        self.users = tuple(ids)
+        for name, c in zip(("user", *COLUMNS), [user, *_typed(cols)]):
+            c.flags.writeable = False
+            setattr(self, name, c)
+
+    @classmethod
+    def from_records(cls, records):
+        """The table of any iterable of StayRecords, in one pass."""
+        return cls(*(list(zip(*records)) or [()] * 7))
+
+    def _rows(self, part):
+        return map(_row, zip(map(self.users.__getitem__,
+                                 self.user[part].tolist()),
+                             *(getattr(self, n)[part].tolist()
+                               for n in COLUMNS)))
+
+    def __len__(self):
+        return len(self.user)
+
+    def __iter__(self):
+        return self._rows(slice(None))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._rows(i))
+        k = range(len(self))[i]
+        return next(self._rows(slice(k, k + 1)))
+
+    def __eq__(self, other):
+        if isinstance(other, (StayTable, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"StayTable({len(self)} stays, {len(self.users)} users)"
 
 
 def stacked(trajectories, *names):
@@ -305,30 +365,32 @@ def _parse_timestamps(texts):
 _BLOCK = 1024
 
 
-def _bulk_rows(block):
-    """StayRecords of a block of CSV rows, converted column by column; None
-    when any row fails a check, for parse_stays to name its error."""
+def _bulk_columns(block):
+    """The user ids and stay columns of a block of CSV rows, converted
+    column by column; None when any row fails a check, for parse_stays to
+    name its error."""
     if set(map(len, block)) != {7}:
         return None
     user, t0, lat0, lon0, t1, lat1, lon1 = zip(*block)
     try:
-        coords = [list(map(float, c)) for c in (lat0, lon0, lat1, lon1)]
+        coords = [np.array(list(map(float, c)))
+                  for c in (lat0, lon0, lat1, lon1)]
         start, stop = _parse_timestamps(t0), _parse_timestamps(t1)
     except ValueError:
         return None
-    if _bad_rows(start, stop, *map(np.array, coords)).any():
+    if _bad_rows(start, stop, *coords).any():
         return None
-    return list(map(_row, zip(map(str.strip, user), start.tolist(),
-                              stop.tolist(), *coords)))
+    return [list(map(str.strip, user)), start, stop, *coords]
 
 
 def parse_stays(csv_text, strict=True):
-    """Parse the fixed stay-record CSV schema into StayRecords.
+    """Parse the fixed stay-record CSV schema into a StayTable.
 
-    Rows are converted in blocks of _BLOCK, column by column; a block with
-    a malformed row is parsed row by row. In strict mode the first
-    malformed row raises StayParseError; otherwise malformed rows are
-    skipped and collected in the second return value.
+    Rows are converted in blocks of _BLOCK, column by column; rows whose
+    fields are all blank are skipped, and a block with a malformed row is
+    parsed row by row. In strict mode the first malformed row raises
+    StayParseError; otherwise malformed rows are skipped and collected in
+    the second return value.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -337,13 +399,18 @@ def parse_stays(csv_text, strict=True):
         raise StayParseError(0, "missing header")
     if [h.strip() for h in header] != CSV_HEADER:
         raise StayParseError(0, f"unexpected header: {header}")
-    records, errors, first = [], [], 1
+    users, parts, errors, first = [], [], [], 1
     for block in iter(lambda: list(islice(reader, _BLOCK)), []):
-        rows = _bulk_rows(block)
-        if rows is None:        # row by row, for each bad row's own error
+        cols = _bulk_columns(block)
+        if cols is None:
+            # a blank row is not a malformed one; looked for only in a
+            # block that failed, as the look strips every field
+            kept = [row for row in block if any(map(str.strip, row))]
+            cols = _bulk_columns(kept) if len(kept) < len(block) else None
+        if cols is None:        # row by row, for each bad row's own error
             rows = []
             for i, row in enumerate(block, start=first):
-                if not row or all(not c.strip() for c in row):
+                if not any(map(str.strip, row)):
                     continue
                 try:
                     if len(row) != 7:
@@ -356,11 +423,15 @@ def parse_stays(csv_text, strict=True):
                     if strict:
                         raise StayParseError(i, str(e))
                     errors.append(StayParseError(i, str(e)))
-        records += rows
+            cols = list(zip(*rows)) or [()] * 7
+        users += cols[0]
+        parts.append(_typed(cols[1:]))
         first += len(block)
+    stays = StayTable(users, *(map(np.concatenate, zip(*parts)) if parts
+                               else [()] * 6))
     if strict:
-        return records
-    return records, errors
+        return stays
+    return stays, errors
 
 
 def serialize_stays(records):
@@ -429,11 +500,18 @@ def stays_from_jsonl(text):
 
 
 def group_trajectories(records):
-    """Group stay records into per-user trajectories."""
-    by_user = {}
-    for r in records:
-        by_user.setdefault(r.user_id, []).append(r)
-    return {u: Trajectory(u, stays) for u, stays in by_user.items()}
+    """Group stay records, a StayTable or any iterable of StayRecords, into
+    per-user trajectories, the users in the order they first appear."""
+    if not isinstance(records, StayTable):
+        records = StayTable.from_records(records)
+    order = np.argsort(records.user, kind="stable")
+    cols = [getattr(records, n)[order] for n in COLUMNS]
+    ends = np.cumsum(np.bincount(records.user, minlength=len(records.users)))
+    trajectories, lo = {}, 0
+    for u, hi in zip(records.users, ends.tolist()):
+        trajectories[u] = Trajectory.from_columns(u, *(c[lo:hi] for c in cols))
+        lo = hi
+    return trajectories
 
 
 def haversine_m(lat1, lon1, lat2, lon2):

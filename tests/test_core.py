@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import trajpriv
 from trajpriv import core
 from trajpriv.core import (CSV_HEADER, TIME_FORMAT, Cell, GridSpec,
-                           StayParseError, StayRecord, Trajectory, cell_center, cells_of,
+                           StayParseError, StayRecord, StayTable, Trajectory,
+                           cell_center, cells_of, group_trajectories,
                            haversine_m, parse_stays, parse_timestamp,
                            serialize_stays, stays_from_jsonl, stays_to_jsonl,
                            time_slot, to_cell, weekday, OutOfGridError)
@@ -532,6 +533,72 @@ class TestBulkParse:
             else:
                 assert parse_stays(text) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(csv_rows(), max_size=24),
+           block=st.sampled_from([1, 2, 3, 7, core._BLOCK]),
+           quote_all=st.booleans())
+    def test_groups_as_trajectories_of_rows(self, rows, block, quote_all):
+        # the parsed table's users, stays and overlap errors are those of
+        # trajectories built from the row-by-row records
+        text = csv_text(rows, quote_all)
+        want, _ = row_by_row(text)
+        with mock.patch.object(core, "_BLOCK", block):
+            got, _ = parse_stays(text, strict=False)
+        assert grouping_outcome(lambda: group_trajectories(got)) == \
+            grouping_outcome(lambda: group_by_rows(want))
+        # and a list of records groups as its table does
+        assert grouping_outcome(lambda: group_trajectories(want)) == \
+            grouping_outcome(lambda: group_trajectories(got))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(csv_rows(), max_size=12), data=st.data())
+    def test_table_is_the_sequence_of_its_records(self, rows, data):
+        want, _ = row_by_row(csv_text(rows, False))
+        with mock.patch.object(core, "_BLOCK", 3):
+            got, _ = parse_stays(csv_text(rows, False), strict=False)
+        assert isinstance(got, StayTable)
+        assert got == want and want == got and got == tuple(want)
+        assert got != want + [StayRecord("u", 0, 1, 0.0, 0.0, 0.0, 0.0)]
+        assert len(got) == len(want) and list(got) == want
+        assert all(type(r) is StayRecord for r in got)
+        assert [tuple(map(type, r)) for r in got] == [
+            (str, int, int, float, float, float, float)] * len(want)
+        n = len(want)
+        i = data.draw(st.integers(-n - 2, n + 1))
+        if -n <= i < n:
+            assert got[i] == want[i] and type(got[i]) is StayRecord
+        else:
+            with pytest.raises(IndexError):
+                got[i]
+        part = slice(data.draw(st.none() | st.integers(-n - 2, n + 2)),
+                     data.draw(st.none() | st.integers(-n - 2, n + 2)),
+                     data.draw(st.none() | st.sampled_from([-2, -1, 1, 3])))
+        assert got[part] == want[part]
+        with pytest.raises(ValueError):
+            got.user[:1] = 0
+
+    def test_blank_rows_keep_the_bulk_path(self):
+        rows = [[f"u{k % 3}", zero_padded(datetime(2019, 9, 16, k)), "28.0",
+                 "112.9", zero_padded(datetime(2019, 9, 16, k, 30)), "28.1",
+                 "113.0"] for k in range(12)]
+        blank = [[], [""], [" "] * 7, ["", "\t"], [" "] * 9]
+        text = csv_text(rows, False)
+        with_blanks = csv_text(rows[:2] + blank + rows[2:] + blank[::-1],
+                               False)
+        want, _ = row_by_row(with_blanks)
+        for block in (4, core._BLOCK):
+            with mock.patch.object(core, "_BLOCK", block), \
+                    mock.patch.object(core, "parse_timestamp",
+                                      wraps=parse_timestamp) as scalar:
+                assert parse_stays(with_blanks) == want == parse_stays(text)
+            scalar.assert_not_called()
+        # a bad row after blank ones keeps its row number
+        bad = csv_text(rows[:2] + blank + [rows[2][:6]], False)
+        with pytest.raises(StayParseError) as info:
+            parse_stays(bad)
+        assert (info.value.row, info.value.reason) == \
+            row_by_row(bad)[1][0] == (8, "expected 7 fields, got 6")
+
     def test_padded_timestamps_equal_parse_timestamp(self):
         texts = ["29/02/2000 00:00:00", "29/02/2020 12:30:01",
                  "01/01/0001 00:00:00", "31/12/9999 23:59:59",
@@ -546,6 +613,28 @@ class TestBulkParse:
         for bad in ODD_TIMES[:-1]:
             with pytest.raises(ValueError):
                 core._parse_timestamps(["16/09/2019 15:44:57", bad])
+
+
+def group_by_rows(records):
+    """Trajectories of StayRecords grouped one record at a time, the users
+    in the order they first appear."""
+    by_user = {}
+    for r in records:
+        by_user.setdefault(r.user_id, []).append(r)
+    return {u: Trajectory(u, stays) for u, stays in by_user.items()}
+
+
+def grouping_outcome(group):
+    """Each trajectory's key, user, columns and rows, in dict order, or the
+    message the grouping raised."""
+    try:
+        trajectories = group()
+    except ValueError as e:
+        return str(e)
+    return [(u, t.user_id, [getattr(t, n).tolist() for n in core.COLUMNS],
+             [getattr(t, n).dtype for n in core.COLUMNS], t.stays,
+             [tuple(map(type, r)) for r in t.stays])
+            for u, t in trajectories.items()]
 
 
 def build_outcome(build):

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import mannwhitneyu
 
 from trajpriv import fusion, harness
@@ -721,3 +723,81 @@ class TestCli:
 
     def test_missing_subcommand_exit_2(self, capsys):
         assert cli_main([]) == 2
+
+
+def report_or_error(world, defense):
+    """A defense report of the world, or the error that stopped it (an
+    8-user world has too few non-friend pairs for the attack's 1:1
+    dataset)."""
+    try:
+        return report_json(run_defense(world, defense=defense, seed=3,
+                                       epochs=10))
+    except RuntimeError as e:
+        return f"RuntimeError: {e}"
+
+
+def world_outputs(world, names=None):
+    """The features CSV and the k_anonymity and publish_synthetic reports
+    of a world. With `names`, the renaming that made the world from
+    another, the features CSV names each user as that other world does."""
+    rows, _ = pair_dataset(world)
+    if names:
+        back = {new: old for old, new in names.items()}
+        rows = [dataclasses.replace(r, user_a=back[r.user_a],
+                                    user_b=back[r.user_b]) for r in rows]
+    return [features_to_csv(rows)] + [
+        report_or_error(world, defense)
+        for defense in ("k_anonymity", "publish_synthetic")]
+
+
+def mapped_world(world, names, shift=0):
+    """The world with each user u renamed names[u] and every stay moved by
+    `shift` seconds."""
+    trajectories = {names[u]: Trajectory.from_columns(
+        names[u], t.start + shift, t.stop + shift, t.start_lat, t.start_lon,
+        t.stop_lat, t.stop_lon) for u, t in world.trajectories.items()}
+    return World(world.cfg, trajectories,
+                 {(names[a], names[b]) for a, b in world.friend_edges})
+
+
+world_sizes = st.fixed_dictionaries({"n_users": st.integers(8, 16),
+                                     "n_days": st.integers(3, 7),
+                                     "seed": st.integers(0, 10_000)})
+
+
+class TestWorldInvariants:
+    """Whole-pipeline properties on small generated worlds: what must not
+    change the features CSV or either defense report."""
+
+    @settings(max_examples=2, deadline=None)
+    @given(size=world_sizes, data=st.data())
+    def test_order_preserving_renaming_of_the_users(self, size, data):
+        world = generate_world(WorldConfig(**size))
+        new = sorted(data.draw(st.sets(
+            st.text("abz09_", min_size=1, max_size=6),
+            min_size=size["n_users"], max_size=size["n_users"])))
+        names = dict(zip(world.users, new))
+        assert world_outputs(mapped_world(world, names), names) == \
+            world_outputs(world)
+
+    @settings(max_examples=2, deadline=None)
+    @given(size=world_sizes, weeks=st.sampled_from([-1, 1, 52]))
+    def test_a_whole_week_shift_of_every_stay(self, size, weeks):
+        world = generate_world(WorldConfig(**size))
+        same = {u: u for u in world.trajectories}
+        shifted = mapped_world(world, same, shift=weeks * 7 * 86400)
+        assert world_outputs(shifted) == world_outputs(world)
+
+    @settings(max_examples=2, deadline=None)
+    @given(size=world_sizes)
+    def test_simulated_files_load_to_the_same_world(self, size):
+        with tempfile.TemporaryDirectory() as d:
+            assert cli_main(["--seed", str(size["seed"]), "simulate",
+                             "--users", str(size["n_users"]),
+                             "--days", str(size["n_days"]),
+                             "--out", d]) == 0
+            loaded = _load_world(d)
+        world = generate_world(WorldConfig(**size))
+        assert loaded.cfg == world.cfg
+        assert list(loaded.trajectories) == world.users
+        assert world_outputs(loaded) == world_outputs(world)

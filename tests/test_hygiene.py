@@ -2,13 +2,15 @@
 import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
-no stay column rebuilt from rows outside core, no co-occurrence event
-object built by the all-pairs feature export and one metric pass for all
-its pairs, no exact distance taken for a pair far from the indicator
-threshold, no scipy loaded by the package, and no bare np.unique nor
-numpy.ma loaded by the synthetic release's stay rows."""
+no stay column rebuilt from rows outside core, no stay record built by
+the world loader, no co-occurrence event object built by the all-pairs
+feature export and one metric pass for all its pairs, no exact distance
+taken for a pair far from the indicator threshold, no scipy loaded by
+the package, and no bare np.unique nor numpy.ma loaded by the synthetic
+release's stay rows."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import shutil
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 import trajpriv
-from trajpriv import colocation, harness
+from trajpriv import cli, colocation, core, harness
 from trajpriv.colocation import CoEvent
 from trajpriv.core import StayRecord
 
@@ -252,6 +254,57 @@ def test_event_count_catches_a_built_row(world16, monkeypatch):
                         lambda events, *args, **kw: compute(
                             list(events), *args, **kw))
     assert coevents_built(lambda: harness.pair_dataset(world16)) > 0
+
+
+def stay_records_built(fn):
+    """The number of StayRecord rows built while `fn()` runs: by
+    StayRecord.__new__, which checks its row, or by core._row, which does
+    not; this counts both."""
+    made = []
+    new, row = StayRecord.__new__, core._row
+
+    def counting_new(cls, *args):
+        made.append(args)
+        return new(cls, *args)
+
+    def counting_row(values):
+        made.append(values)
+        return row(values)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(StayRecord, "__new__", counting_new)
+        m.setattr(core, "_row", counting_row)
+        fn()
+    return len(made)
+
+
+@pytest.fixture(scope="module")
+def world16_dir(world16, tmp_path_factory):
+    d = tmp_path_factory.mktemp("world16")
+    (d / "stays.csv").write_text(world16.stays_csv())
+    (d / "edges.csv").write_text(world16.edges_csv())
+    (d / "config.json").write_text(
+        harness.report_json(dataclasses.asdict(world16.cfg)))
+    return d
+
+
+def test_world_load_builds_no_stay_records(world16_dir):
+    # the parser and the grouping keep the stays as columns
+    world = cli._load_world(world16_dir)
+    assert sum(map(len, world.trajectories.values())) > 1000
+    assert stay_records_built(lambda: cli._load_world(world16_dir)) == 0
+
+
+def test_record_count_catches_a_built_row(world16_dir, monkeypatch):
+    group = cli.group_trajectories
+    monkeypatch.setattr(cli, "group_trajectories",
+                        lambda stays: group(list(stays)))
+    assert stay_records_built(lambda: cli._load_world(world16_dir)) > 1000
+
+
+def test_record_count_catches_a_checked_row():
+    assert stay_records_built(lambda: StayRecord("u", 0, 1, 0.0, 0.0, 0.0,
+                                                 0.0)) == 1
 
 
 def metric_passes(fn):
