@@ -1,9 +1,9 @@
 """Trajectory social-privacy toolkit: co-location social-link inference,
 3D-mobility-model k-anonymity, and generative trajectory publishing."""
 
-from .core import (Cell, GridSpec, StayRecord, StayTable, Trajectory,
-                   cell_center, cells_of, group_trajectories, haversine_m,
-                   parse_stays, serialize_stays, time_slot, to_cell)
+from .core import (Cell, GridSpec, StayRecord, Trajectory, cell_center,
+                   cells_of, group_trajectories, haversine_m, parse_stays,
+                   serialize_stays, time_slot, to_cell)
 from .colocation import (CoEvent, CoLocationConfig, PairEvents,
                          coevent_score, extract_coevents,
                          extract_pair_coevents)

@@ -178,7 +178,7 @@ class StayTable(Sequence):
     an index into `users`, the distinct user ids in the order they first
     appear) and the six Trajectory columns, in record order. Iterating or
     indexing it gives StayRecords, built on demand; it equals a list or
-    tuple of the same records. The columns are not checked here: the
+    tuple of the same records. The columns are copied, not checked: the
     parser and Trajectory check them."""
 
     __slots__ = ("users", "user", *COLUMNS)
@@ -188,7 +188,8 @@ class StayTable(Sequence):
         user = np.array([ids.setdefault(u, len(ids)) for u in user_ids],
                         dtype=np.int64)
         self.users = tuple(ids)
-        for name, c in zip(("user", *COLUMNS), [user, *_typed(cols)]):
+        for name, c in zip(("user", *COLUMNS),
+                           [user, *map(np.copy, _typed(cols))]):
             c.flags.writeable = False
             setattr(self, name, c)
 
@@ -386,9 +387,9 @@ def _bulk_columns(block):
 def parse_stays(csv_text, strict=True):
     """Parse the fixed stay-record CSV schema into a StayTable.
 
-    Rows are converted in blocks of _BLOCK, column by column; rows whose
-    fields are all blank are skipped, and a block with a malformed row is
-    parsed row by row. In strict mode the first malformed row raises
+    Rows are converted in blocks of _BLOCK, column by column; a block with
+    a malformed row, or a row whose fields are all blank, is parsed row by
+    row, which skips the blank rows. In strict mode the first malformed row raises
     StayParseError; otherwise malformed rows are skipped and collected in
     the second return value.
     """
@@ -402,11 +403,6 @@ def parse_stays(csv_text, strict=True):
     users, parts, errors, first = [], [], [], 1
     for block in iter(lambda: list(islice(reader, _BLOCK)), []):
         cols = _bulk_columns(block)
-        if cols is None:
-            # a blank row is not a malformed one; looked for only in a
-            # block that failed, as the look strips every field
-            kept = [row for row in block if any(map(str.strip, row))]
-            cols = _bulk_columns(kept) if len(kept) < len(block) else None
         if cols is None:        # row by row, for each bad row's own error
             rows = []
             for i, row in enumerate(block, start=first):

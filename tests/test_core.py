@@ -577,7 +577,16 @@ class TestBulkParse:
         with pytest.raises(ValueError):
             got.user[:1] = 0
 
-    def test_blank_rows_keep_the_bulk_path(self):
+    def test_table_copies_its_columns(self):
+        start = np.array([0, 100], dtype=np.int64)
+        coords = np.array([28.0, 28.1])
+        table = StayTable(["a", "b"], start, start + 50, *[coords] * 4)
+        assert start.flags.writeable and coords.flags.writeable
+        start[0], coords[0] = 7, 1.0
+        assert table.start.tolist() == [0, 100]
+        assert table.start_lat.tolist() == [28.0, 28.1]
+
+    def test_blank_rows_are_skipped(self):
         rows = [[f"u{k % 3}", zero_padded(datetime(2019, 9, 16, k)), "28.0",
                  "112.9", zero_padded(datetime(2019, 9, 16, k, 30)), "28.1",
                  "113.0"] for k in range(12)]
@@ -587,11 +596,9 @@ class TestBulkParse:
                                False)
         want, _ = row_by_row(with_blanks)
         for block in (4, core._BLOCK):
-            with mock.patch.object(core, "_BLOCK", block), \
-                    mock.patch.object(core, "parse_timestamp",
-                                      wraps=parse_timestamp) as scalar:
+            with mock.patch.object(core, "_BLOCK", block):
                 assert parse_stays(with_blanks) == want == parse_stays(text)
-            scalar.assert_not_called()
+                assert parse_stays(with_blanks, strict=False)[1] == []
         # a bad row after blank ones keeps its row number
         bad = csv_text(rows[:2] + blank + [rows[2][:6]], False)
         with pytest.raises(StayParseError) as info:

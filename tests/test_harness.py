@@ -725,17 +725,6 @@ class TestCli:
         assert cli_main([]) == 2
 
 
-def report_or_error(world, defense):
-    """A defense report of the world, or the error that stopped it (an
-    8-user world has too few non-friend pairs for the attack's 1:1
-    dataset)."""
-    try:
-        return report_json(run_defense(world, defense=defense, seed=3,
-                                       epochs=10))
-    except RuntimeError as e:
-        return f"RuntimeError: {e}"
-
-
 def world_outputs(world, names=None):
     """The features CSV and the k_anonymity and publish_synthetic reports
     of a world. With `names`, the renaming that made the world from
@@ -746,7 +735,7 @@ def world_outputs(world, names=None):
         rows = [dataclasses.replace(r, user_a=back[r.user_a],
                                     user_b=back[r.user_b]) for r in rows]
     return [features_to_csv(rows)] + [
-        report_or_error(world, defense)
+        report_json(run_defense(world, defense=defense, seed=3, epochs=10))
         for defense in ("k_anonymity", "publish_synthetic")]
 
 
@@ -760,7 +749,9 @@ def mapped_world(world, names, shift=0):
                  {(names[a], names[b]) for a, b in world.friend_edges})
 
 
-world_sizes = st.fixed_dictionaries({"n_users": st.integers(8, 16),
+# from 9 users on: an 8-user world has too few non-friend pairs for the
+# attack's 1:1 dataset, so no defense report runs on it
+world_sizes = st.fixed_dictionaries({"n_users": st.integers(9, 16),
                                      "n_days": st.integers(3, 7),
                                      "seed": st.integers(0, 10_000)})
 
