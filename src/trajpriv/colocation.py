@@ -165,8 +165,8 @@ class _EventTable:
     def event_cells(self):
         """Each event's cell (a Cell, or None), as a list."""
         if self._event_cells is None:
-            cells = self.cells
-            self._event_cells = [cells[c] for c in self.cell.tolist()]
+            cells = np.fromiter(self.cells, object, len(self.cells))
+            self._event_cells = cells[self.cell].tolist()
         return self._event_cells
 
 
@@ -191,15 +191,20 @@ def _pair_metrics(table):
     by_first = np.argsort(first)
     f_div = segment_entropy(count[by_first], np.searchsorted(
         seg[first[by_first]], np.arange(len(n) + 1)))
-    gaps_h = np.diff(start[np.lexsort((start, seg))]) / 3600.0
-    gap_sum = segment_sums(gaps_h, lo, hi - 1)
+    gaps = np.diff(start)
+    ascending = gaps >= 0
+    ascending[lo[1:] - 1] = True        # a step from one pair to the next
+    if not ascending.all():             # the starts in time order
+        gaps = np.diff(start[np.lexsort((start, seg))])
+    gap_sum = segment_sums(gaps / 3600.0, lo, hi - 1)
     f_int = np.where(n < 2, 1.0, 1.0 / (1.0 + gap_sum / np.maximum(n - 1, 1)))
     f_stay = np.add.reduceat(table.overlap_end - start, lo) / 3600.0
     f_hol = np.add.reduceat((weekday(start) >= 5).astype(np.int64), lo) / n
     score = segment_sums(table.weight, lo, hi)
-    return list(map(_PairMetrics, n.astype(float).tolist(), f_div.tolist(),
-                    f_int.tolist(), f_stay.tolist(), f_hol.tolist(),
-                    score.tolist()))
+    # tuple.__new__ builds each row in C, without the NamedTuple's __new__
+    return list(map(tuple.__new__, repeat(_PairMetrics), zip(
+        n.astype(float).tolist(), f_div.tolist(), f_int.tolist(),
+        f_stay.tolist(), f_hol.tolist(), score.tolist())))
 
 
 def _column(name):
@@ -242,6 +247,14 @@ class PairEvents:
         if self._lo == self._hi:
             return _NO_METRICS
         return self._table.metrics[self._k]
+
+    def metrics_and_cells(self):
+        """`metrics` and `event_cells` in one step."""
+        lo, hi = self._lo, self._hi
+        if lo == hi:
+            return _NO_METRICS, []
+        table = self._table
+        return table.metrics[self._k], table.event_cells[lo:hi]
 
     def __len__(self):
         return self._hi - self._lo
@@ -447,6 +460,28 @@ def _candidate_pairs(cols, owner, cfg):
     return order[np.concatenate(firsts)], order[np.concatenate(seconds)]
 
 
+def _lexsort_by_pair_start(*keys):
+    """np.lexsort(keys), whose last two keys are a non-negative pair code
+    and an event start: one stable argsort of the two packed into one
+    int64, then the lexsort of all keys over the runs of equal (pair,
+    start) only."""
+    pair, start = keys[-1], keys[-2]
+    if not len(pair):
+        return np.lexsort(keys)
+    low = int(start.min())
+    span = int(start.max()) - low + 1
+    if int(pair.max()) >= (1 << 62) // span:       # would not fit
+        return np.lexsort(keys)
+    packed = pair * span + (start - low)
+    order = np.argsort(packed, kind="stable")
+    same = np.diff(packed[order]) == 0
+    tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+    if len(tied):       # each run sorts within its own positions
+        run = order[tied]
+        order[tied] = run[np.lexsort([k[run] for k in keys])]
+    return order
+
+
 def extract_coevents(trajectories, cfg, grid, pairs=None):
     """Co-occurrence events for every unordered user pair (or a given list).
 
@@ -489,7 +524,7 @@ def extract_coevents(trajectories, cfg, grid, pairs=None):
     k = np.flatnonzero(w > 0.0)
     # by pair, then as the nested loop's events, stably sorted by (overlap
     # start, overlap end, weight): ties in loop order, stay of a then of b
-    k = k[np.lexsort((b[k], a[k], w[k], hi[k], lo[k], pair[k]))]
+    k = k[_lexsort_by_pair_start(b[k], a[k], w[k], hi[k], lo[k], pair[k])]
     lat, lon, pair = cols[2][a[k]], cols[3][a[k]], pair[k]
     _, rep, cell = np.unique(cell_codes(lat, lon, grid), return_index=True,
                              return_inverse=True)

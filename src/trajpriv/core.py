@@ -10,7 +10,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -366,6 +367,23 @@ def _parse_timestamps(texts):
 _BLOCK = 1024
 
 
+def _lines(text, size=1 << 16):
+    """The lines that io.StringIO(text) yields: split at "\n" only, each
+    keeping its "\n", a last line without one if the text does not end
+    with one. Yields them a piece of about `size` characters at a time,
+    each piece's lines as one iterable, so that the lines of one piece are
+    held at once, not a copy of the text in 4-byte characters."""
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + size) + 1 or len(text)
+        lines = text[lo:hi].split("\n")
+        last = lines.pop()          # "" after the piece's final "\n"
+        yield map(add, lines, repeat("\n"))
+        if last:
+            yield (last,)
+        lo = hi
+
+
 def _bulk_columns(block):
     """The user ids and stay columns of a block of CSV rows, converted
     column by column; None when any row fails a check, for parse_stays to
@@ -393,7 +411,7 @@ def parse_stays(csv_text, strict=True):
     StayParseError; otherwise malformed rows are skipped and collected in
     the second return value.
     """
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = csv.reader(chain.from_iterable(_lines(csv_text)))
     try:
         header = next(reader)
     except StopIteration:

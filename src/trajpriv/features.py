@@ -6,11 +6,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .colocation import pair_events
+from .colocation import PairEvents, pair_events
 from .core import cell_codes, cells_of, segment_entropy, stacked
 
 FEATURE_NAMES = ("f_fre", "f_pop", "f_div", "f_int", "f_stay", "f_hol")
@@ -88,25 +87,28 @@ def compute_features(events, cell_entropy, pair=None, label=None):
     pairs (`colocation._pair_metrics`). With zero events every metric is 0
     (including f_int, by convention).
     """
-    events = pair_events(events)
-    own = (events.user_a, events.user_b)      # (None, None): an empty list
+    if not isinstance(events, PairEvents):
+        events = pair_events(events)
+    a, b = events.user_a, events.user_b     # None, None: an empty list
     if pair is None:
-        if own[0] is None:
+        if a is None:
             raise ValueError("pair required when the event list is empty")
-        pair = own
-    elif own[0] is not None and tuple(pair) != own:
-        raise ValueError(f"events of pair {own} given for pair {tuple(pair)}")
-    if not len(events):
+        pair = a, b
+    elif a is not None and tuple(pair) != (a, b):
+        raise ValueError(f"events of pair {(a, b)} given for pair "
+                         f"{tuple(pair)}")
+    m, cells = events.metrics_and_cells()
+    if not cells:
         return PairFeatures(pair[0], pair[1], 0, 0, 0, 0, 0, 0, label)
-    m = events.metrics
+    f_fre, f_div, f_int, f_stay, f_hol, _ = m
     get, exp = cell_entropy.get, math.exp
     # added one term at a time: from 3.12 on, the builtin sum compensates
     # a float sum and gives other floats
     f_pop = 0.0
-    for c in events.event_cells:
+    for c in cells:
         f_pop += exp(-get(c, 0.0))
-    return PairFeatures(pair[0], pair[1], m.f_fre, f_pop, m.f_div, m.f_int,
-                        m.f_stay, m.f_hol, label)
+    return PairFeatures(pair[0], pair[1], f_fre, f_pop, f_div, f_int, f_stay,
+                        f_hol, label)
 
 
 def project(features, subset):
@@ -130,13 +132,30 @@ class Standardizer:
         return (np.asarray(X, dtype=float) - self.mean_) / self.std_
 
 
+def _csv_field(value):
+    """`value` as csv.writer writes it as one field of a row of several."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((value, ""))
+    return out.getvalue()[:-2]
+
+
+_ROW = "%s,%s,%r,%r,%r,%r,%r,%r,%s\n"
+
+
 def features_to_csv(rows):
     """Feature matrix export with the declared header: each metric as its
-    float's repr, the label as 1, 0 or empty."""
+    float's repr, the label as 1, 0 or empty. Each distinct user id is
+    quoted once by the csv module's rules, and each row is one %-format,
+    as csv.writer would write it."""
     out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["user_a", "user_b", *FEATURE_NAMES, "label"])
-    metrics = attrgetter(*FEATURE_NAMES)
-    w.writerows([[f.user_a, f.user_b, *map(float, metrics(f)),
-                  "" if f.label is None else int(f.label)] for f in rows])
-    return out.getvalue()
+    csv.writer(out, lineterminator="\n").writerow(
+        ["user_a", "user_b", *FEATURE_NAMES, "label"])
+    field = {}
+    for f in rows:
+        for u in (f.user_a, f.user_b):
+            if u not in field:
+                field[u] = _csv_field(u)
+    return "".join([out.getvalue(), *[_ROW % (
+        field[f.user_a], field[f.user_b], float(f.f_fre), float(f.f_pop),
+        float(f.f_div), float(f.f_int), float(f.f_stay), float(f.f_hol),
+        "" if f.label is None else str(int(f.label))) for f in rows]])

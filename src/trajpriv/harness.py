@@ -249,14 +249,18 @@ def generate_world(cfg):
 
 
 def sample_negative_pairs(users, edges, n, rng):
-    """Seeded non-edge pairs; never emits a true friend edge."""
+    """Seeded non-edge pairs; never emits a true friend edge. Fewer than n
+    non-edges among the users is an error, found before any draw."""
     users = sorted(users)
+    among = set(users)
+    pairs = len(among) * (len(among) - 1) // 2
+    friends = sum(a < b and a in among and b in among for a, b in edges)
+    if pairs - friends < n:
+        raise ValueError(f"{n} negative pairs asked for, but only "
+                         f"{pairs - friends} of the {pairs} pairs of the "
+                         f"{len(among)} users are not friend edges")
     out = set()
-    guard = 0
     while len(out) < n:
-        guard += 1
-        if guard > 100 * n:
-            raise RuntimeError("could not sample enough negative pairs")
         i, j = rng.choice(len(users), size=2, replace=False)
         pair = tuple(sorted((users[i], users[j])))
         if pair in edges or pair in out:

@@ -13,7 +13,7 @@ from trajpriv.colocation import (KERNELS, CoEvent, CoLocationConfig,
                                  stay_participation, _RECHECK,
                                  _candidate_pairs, _filter_distances_m,
                                  _gather, _kernel_weight, _kernel_weights,
-                                 _spatial_weights)
+                                 _lexsort_by_pair_start, _spatial_weights)
 from trajpriv.features import (cell_visit_entropy, compute_features,
                                features_to_csv)
 
@@ -276,6 +276,24 @@ def test_tied_events_keep_nested_loop_order():
             if e.overlap_s == 0]
     assert ties == [(T0 + 600, T0 + 600, Cell(3, 3)),
                     (T0 + 600, T0 + 600, Cell(3, 4))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), data=st.data(),
+       span=st.sampled_from([1, 3, 2**20, 2**40]),
+       offset=st.sampled_from([0, -2**40, 1_568_592_000]),
+       pair_max=st.sampled_from([0, 4, 2**21, 2**40]))
+def test_pair_start_sort_equals_lexsort(n, data, span, offset, pair_max):
+    """With ties in (pair, start) and in every key, and with pair codes
+    and start spans too wide to pack (the plain lexsort then)."""
+    ints = lambda lo, hi: np.array(data.draw(st.lists(
+        st.integers(lo, hi), min_size=n, max_size=n)), dtype=np.int64)
+    pair = ints(0, 3) * (pair_max // 3 + 1)
+    start = offset + ints(0, 3) * (span // 3) + ints(0, 1)
+    weight = ints(0, 2) / 4.0
+    keys = (ints(0, 3), ints(0, 3), weight, start + ints(0, 2), start, pair)
+    got = _lexsort_by_pair_start(*keys)
+    assert got.tolist() == np.lexsort(keys).tolist()
 
 
 def test_pair_without_events_is_listed():

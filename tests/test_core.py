@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -605,6 +606,35 @@ class TestBulkParse:
             parse_stays(bad)
         assert (info.value.row, info.value.reason) == \
             row_by_row(bad)[1][0] == (8, "expected 7 fields, got 6")
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(st.sampled_from(list("ab,\"\n\r\x0b\x0c\x85\u2028")),
+                        max_size=30), size=st.integers(0, 6))
+    def test_lines_are_those_of_a_string_io(self, text, size):
+        from_pieces = list(chain.from_iterable(core._lines(text, size)))
+        assert from_pieces == list(io.StringIO(text))
+        assert from_pieces == list(chain.from_iterable(core._lines(text)))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_line_ends_and_quoted_line_breaks_parse_as_before(self, end):
+        # lines split at "\n" only, each keeping its line end, as the
+        # lines of io.StringIO(text) in the reference
+        quoted = ['"a\rb"', '"c\nd"', '"e\r\nf"', '"g\x0ch"', '"i\u2028j"']
+        text = end.join([",".join(CSV_HEADER), ",".join(GOOD_ROW),
+                         *(",".join([u, *GOOD_ROW[1:]]) for u in quoted),
+                         ",".join(GOOD_ROW)])
+        for t in (text, text + end, text + end + end):
+            want, errors = row_by_row(t)
+            assert errors == [] and parse_stays(t) == want
+            assert [r.user_id for r in want] == [
+                "u0", "a\rb", "c\nd", "e\r\nf", "g\x0ch", "i\u2028j", "u0"]
+        # an unquoted CR inside a line is csv's error, as before
+        bad = text.replace('"a\rb"', "a\rb")
+        with pytest.raises(csv.Error) as got:
+            parse_stays(bad)
+        with pytest.raises(csv.Error) as want:
+            row_by_row(bad)
+        assert str(got.value) == str(want.value)
 
     def test_padded_timestamps_equal_parse_timestamp(self):
         texts = ["29/02/2000 00:00:00", "29/02/2020 12:30:01",

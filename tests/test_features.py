@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajpriv.colocation import (CoEvent, PairEvents, _EventTable,
-                                 coevent_score)
+                                 _pair_metrics, coevent_score, pair_events)
 from trajpriv.core import Cell, segment_entropy, segment_sums, weekday
 from trajpriv.features import (FEATURE_NAMES, PairFeatures, Standardizer,
-                               compute_features, project, resolve_subset)
+                               compute_features, features_to_csv, project,
+                               resolve_subset)
 
 SAT = 1569024000   # 2019-09-21 00:00 UTC, a Saturday
 MON = 1568592000   # 2019-09-16 00:00 UTC, a Monday
@@ -284,6 +287,122 @@ def test_metric_pass_of_a_pair_over_many_cells(n_cells):
     want = reference_features(rows, ent, ("a", "b"), None)
     assert as_reprs(compute_features(rows, ent)) == as_reprs(want)
     assert compute_features(rows, ent).f_div < math.log(n_cells)
+
+
+# --- the metric pass on starts out of time order --------------------------
+
+def descending_rows(pair, n, cell_of=lambda k: Cell(k % 3, 0)):
+    """n CoEvent rows of a pair whose starts fall, one to three hours
+    apart (a pair's f_int then needs its starts sorted), in the week's
+    last days so that some are on the weekend."""
+    t, rows = SAT + 36 * 3600, []
+    for k in range(n):
+        rows.append(CoEvent(*pair, cell_of(k), t, t + 600 * (k + 1),
+                            0.1 + 0.05 * k))
+        t -= 3600 * (1 + k % 3)
+    return rows
+
+
+def unsorted_f_int(rows):
+    """f_int from the gaps of the starts in row order: what a pass that
+    skipped the sort would give."""
+    s = [e.overlap_start for e in rows]
+    gaps_h = [(b - a) / 3600.0 for a, b in zip(s, s[1:])]
+    return 1.0 / (1.0 + sum(gaps_h) / len(gaps_h))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_metric_pass_sorts_shuffled_rows(seed):
+    rows = descending_rows(("a", "b"), 9)
+    np.random.default_rng(seed).shuffle(rows)
+    ent = {Cell(c, 0): 0.3 * c for c in range(3)}
+    want = reference_features(rows, ent, ("a", "b"), False)
+    assert want.f_int != unsorted_f_int(rows)
+    view = pair_events(rows)
+    assert as_reprs(compute_features(view, ent, label=False)) == as_reprs(
+        want)
+    assert repr(view.metrics.f_int) == repr(want.f_int)
+
+
+def rows_at(pair, hours):
+    """CoEvent rows of a pair starting at the given hours after a Friday
+    noon, in that order."""
+    t0 = SAT - 12 * 3600
+    return [CoEvent(*pair, Cell(k % 3, 0), t0 + h * 3600,
+                    t0 + h * 3600 + 600 * (k + 1), 0.1 + 0.05 * k)
+            for k, h in enumerate(hours)]
+
+
+@pytest.mark.parametrize("hours", [
+    # out of time order within a pair: mostly, at its first step only, at
+    # its last step only; and next to pairs in time order
+    [[5, 3, 2, 0, 4], [0, 1, 4, 6], [7], [2, 1, 3], [1, 3, 2], [0, 2, 9]],
+    # the starts rising but at one step of one pair: its last, its first
+    [[0, 1], [2, 4, 3], [5, 6]],
+    [[0, 1], [3, 2, 4], [5, 6]],
+    # every pair in time order, the starts falling from one pair to the
+    # next: the pass takes the starts as they are
+    [[9, 10, 14], [0, 1], [5], [3, 3, 4]]])
+def test_metric_pass_sorts_each_pair_of_a_table(hours):
+    """Pairs in and out of time order side by side in one table, as
+    extract_coevents lays them out: pair segments one after another."""
+    pairs = [(f"u{k}", f"v{k}") for k in range(len(hours))]
+    rows = [rows_at(p, h) for p, h in zip(pairs, hours)]
+    flat = [e for r in rows for e in r]
+    index = {}
+    cell = [index.setdefault(e.cell, len(index)) for e in flat]
+    table = _EventTable(index, cell, [e.overlap_start for e in flat],
+                        [e.overlap_end for e in flat],
+                        [e.weight for e in flat],
+                        np.cumsum([0] + [len(r) for r in rows]))
+    ent = {Cell(c, 0): 0.2 + c for c in range(3)}
+    lo = 0
+    for k, (pair, r) in enumerate(zip(pairs, rows)):
+        want = reference_features(r, ent, pair, None)
+        if sorted(hours[k]) != hours[k]:
+            assert want.f_int != unsorted_f_int(r)
+        view = PairEvents(*pair, table, lo, lo + len(r), k)
+        assert as_reprs(compute_features(view, ent, pair)) == as_reprs(want)
+        lo += len(r)
+    assert [m.f_fre for m in _pair_metrics(table)] == list(
+        map(float, map(len, hours)))
+
+
+# --- the features CSV against a csv.writer reference ----------------------
+
+def reference_features_csv(rows):
+    """The features CSV as csv.writer writes it: each metric as a float,
+    the label as an int or empty."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["user_a", "user_b", *FEATURE_NAMES, "label"])
+    w.writerows([[f.user_a, f.user_b,
+                  *(float(getattr(f, n)) for n in FEATURE_NAMES),
+                  "" if f.label is None else int(f.label)] for f in rows])
+    return out.getvalue()
+
+
+user_ids = st.sampled_from(["", "u1", "a,b", 'q"x', '"', "a\rb", "c\nd",
+                            "\r\n", " lead", "trail ", "é ü", "Москва",
+                            "\u2028"]) | st.text(st.sampled_from(
+                                list(',"\r\n x\té\x00')), max_size=6)
+metric_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     1e16, 0.1]),
+    st.integers(-2**62, 2**62))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(user_ids, min_size=1, max_size=5), data=st.data())
+def test_features_csv_equals_csv_writer(ids, data):
+    pick = st.sampled_from(ids)
+    rows = data.draw(st.lists(st.builds(
+        PairFeatures, pick, pick, metric_values, metric_values,
+        metric_values, metric_values, metric_values, metric_values,
+        st.sampled_from([None, True, False])), max_size=8))
+    assert features_to_csv(rows) == reference_features_csv(rows)
 
 
 def test_standardizer_train_only():

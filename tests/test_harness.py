@@ -138,8 +138,21 @@ class TestNegativeSampling:
     def test_impossible_request_raises(self):
         users = ["a", "b"]
         edges = {("a", "b")}
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="only 0 of the 1 pairs"):
             sample_negative_pairs(users, edges, 1, np.random.default_rng(0))
+
+    def test_count_check_makes_no_draw(self):
+        users = ["a", "b", "c", "d"]
+        edges = {("a", "b"), ("c", "d"), ("b", "x")}  # ("b", "x") not among
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"5 negative pairs asked for, "
+                           r"but only 4 of the 6 pairs of the 4 users"):
+            sample_negative_pairs(users, edges, 5, rng)
+        assert rng.bit_generator.state == state
+        # exactly as many non-edges as asked: each is drawn
+        assert sample_negative_pairs(users, edges, 4, rng) == [
+            ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
 
 
 class TestAttack:
@@ -720,6 +733,24 @@ class TestCli:
         rows, sem = pair_dataset(_load_world(d))
         assert sem is None and len(rows) == 8 * 7 // 2
         assert out.read_text() == features_to_csv(rows)
+
+    def test_report_names_the_pair_counts_of_a_too_small_world(
+            self, tmp_path, capsys):
+        # the ring friend graph of 8 users has 16 edges of 28 pairs: a 1:1
+        # attack dataset would need 16 non-edges, and 12 exist
+        for users in ("8", "9"):
+            cli_main(["--seed", "9", "simulate", "--users", users, "--days",
+                      "3", "--out", str(tmp_path / users)])
+        capsys.readouterr()
+        assert cli_main(["report", "--world", str(tmp_path / "8"), "--out",
+                         str(tmp_path / "r8.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: 16 negative pairs asked for, but only 12 of the 28 "
+            "pairs of the 8 users are not friend edges\n")
+        assert not (tmp_path / "r8.json").exists()
+        assert cli_main(["report", "--world", str(tmp_path / "9"), "--out",
+                         str(tmp_path / "r9.json")]) == 0
+        assert json.loads((tmp_path / "r9.json").read_text())["raw"]
 
     def test_missing_subcommand_exit_2(self, capsys):
         assert cli_main([]) == 2

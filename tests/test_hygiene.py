@@ -3,8 +3,9 @@ import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
 no stay column rebuilt from rows outside core, no stay record built by
-the world loader, no co-occurrence event object built by the all-pairs
-feature export and one metric pass for all its pairs, no exact distance
+the world loader and a bound on its heap peak, no co-occurrence event
+object built by the all-pairs feature export, one metric pass for all its
+pairs and no metric row built by a Python __new__, no exact distance
 taken for a pair far from the indicator threshold, no scipy loaded by
 the package, and no bare np.unique nor numpy.ma loaded by the synthetic
 release's stay rows."""
@@ -16,6 +17,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +307,52 @@ def test_record_count_catches_a_built_row(world16_dir, monkeypatch):
 def test_record_count_catches_a_checked_row():
     assert stay_records_built(lambda: StayRecord("u", 0, 1, 0.0, 0.0, 0.0,
                                                  0.0)) == 1
+
+
+def test_world_load_heap_peak(tmp_path):
+    # csv.reader reads the lines of the text, not an io.StringIO copy of
+    # it in 4-byte characters (a 4.8 MB peak on this world when it did)
+    world = harness.generate_world(harness.WorldConfig(n_users=64, seed=42))
+    (tmp_path / "stays.csv").write_text(world.stays_csv())
+    (tmp_path / "edges.csv").write_text(world.edges_csv())
+    (tmp_path / "config.json").write_text(
+        harness.report_json(dataclasses.asdict(world.cfg)))
+    cli._load_world(tmp_path)
+    tracemalloc.start()
+    try:
+        cli._load_world(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
+def metric_rows_built(fn):
+    """The number of pair metric rows built through the NamedTuple's
+    Python `_PairMetrics.__new__` while `fn()` runs."""
+    made = []
+    new = colocation._PairMetrics.__new__
+
+    def counting(cls, *args):
+        made.append(args)
+        return new(cls, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(colocation._PairMetrics, "__new__", counting)
+        fn()
+    return len(made)
+
+
+def test_all_pairs_features_build_metric_rows_in_c(world16):
+    # the metric pass makes its rows with tuple.__new__
+    assert metric_rows_built(lambda: harness.pair_dataset(world16)) == 0
+
+
+def test_row_count_catches_a_python_built_row(world16, monkeypatch):
+    run = colocation._pair_metrics
+    monkeypatch.setattr(colocation, "_pair_metrics", lambda table: [
+        colocation._PairMetrics(*row) for row in run(table)])
+    assert metric_rows_built(lambda: harness.pair_dataset(world16)) > 50
 
 
 def metric_passes(fn):
