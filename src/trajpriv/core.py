@@ -367,33 +367,105 @@ def _parse_timestamps(texts):
 _BLOCK = 1024
 
 
-def _lines(text, size=1 << 16):
-    """The lines that io.StringIO(text) yields: split at "\n" only, each
-    keeping its "\n", a last line without one if the text does not end
-    with one. Yields them a piece of about `size` characters at a time,
-    each piece's lines as one iterable, so that the lines of one piece are
-    held at once, not a copy of the text in 4-byte characters."""
+def _pieces(text, size=1 << 16):
+    """text[lo:hi].split("\n") of the consecutive pieces of the text, each
+    of about `size` characters and ending at a "\n" or at the text's end:
+    a piece's list ends with "" after its final "\n", or else with the
+    text's last line, which has none. So the lines of one piece are held
+    at once, not a copy of the text in 4-byte characters."""
     lo = 0
     while lo < len(text):
         hi = text.find("\n", lo + size) + 1 or len(text)
-        lines = text[lo:hi].split("\n")
+        yield text[lo:hi].split("\n")
+        lo = hi
+
+
+def _lines(text, size=1 << 16):
+    """The lines that io.StringIO(text) yields: split at "\n" only, each
+    keeping its "\n", a last line without one if the text does not end
+    with one. Yields them a piece of _pieces at a time, each piece's lines
+    as one iterable."""
+    for lines in _pieces(text, size):
         last = lines.pop()          # "" after the piece's final "\n"
         yield map(add, lines, repeat("\n"))
         if last:
             yield (last,)
-        lo = hi
 
 
-def _bulk_columns(block):
-    """The user ids and stay columns of a block of CSV rows, converted
-    column by column; None when any row fails a check, for parse_stays to
-    name its error."""
-    if set(map(len, block)) != {7}:
+def _plain_lines(text):
+    """The lines of the text split at "\n" only, without their "\n", a
+    piece of _pieces at a time."""
+    for lines in _pieces(text):
+        if not lines[-1]:
+            lines.pop()             # "" after the piece's final "\n"
+        yield lines
+
+
+def _plain_row(line):
+    """The row that csv.reader makes of a line of plain text (see
+    parse_stays); a line that may hold a field over the field size limit
+    is read by csv.reader, which raises its error."""
+    if len(line) > csv.field_size_limit():
+        return next(csv.reader((line,)))
+    return line.split(",") if line else []
+
+
+def _plain_columns(lines):
+    """The seven columns of a block of lines of plain text, split at ",";
+    None unless every line holds six commas and none is longer than the
+    field size limit. Each user id but the first keeps the "\n" its line
+    is joined on, which parse_stays strips with the id's own whitespace."""
+    text = ",\n".join(lines)
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
         return None
-    user, t0, lat0, lon0, t1, lat1, lon1 = zip(*block)
+    fields = text.split(",")
+    users = fields[::7]
+    # a "\n" follows a comma only where two lines meet, so every line holds
+    # six commas when there are seven fields a line and each "\n" is in a
+    # user id, the first field of a line
+    if (len(fields) != 7 * len(lines)
+            or "".join(users).count("\n") != len(lines) - 1):
+        return None
+    return [users, *(fields[k::7] for k in range(1, 7))]
+
+
+def _csv_rows(text):
+    """The rows that csv.reader makes of the lines of the text; in place
+    of a row that it cannot read, the csv.Error it raised, and it reads
+    on from the next line."""
+    reader = csv.reader(chain.from_iterable(_lines(text)))
+    while True:
+        try:
+            yield from reader
+            return
+        except csv.Error as e:
+            yield e
+
+
+def _csv_row(row):
+    """The fields of a row of _csv_rows; raises the csv.Error in its
+    place."""
+    if isinstance(row, csv.Error):
+        raise row
+    return row
+
+
+def _csv_columns(rows):
+    """The seven columns of a block of rows of _csv_rows; None unless every
+    row has seven fields."""
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {7}:
+        return None
+    return list(zip(*rows))
+
+
+def _bulk_columns(columns):
+    """The user ids and stay columns of the seven text columns of a block
+    of CSV rows, converted column by column; None when any row fails a
+    check, for parse_stays to name its error."""
+    user, t0, lat0, lon0, t1, lat1, lon1 = columns
     try:
-        coords = [np.array(list(map(float, c)))
-                  for c in (lat0, lon0, lat1, lon1)]
+        coords = [np.array(c, dtype=float) for c in (lat0, lon0, lat1, lon1)]
         start, stop = _parse_timestamps(t0), _parse_timestamps(t1)
     except ValueError:
         return None
@@ -405,35 +477,52 @@ def _bulk_columns(block):
 def parse_stays(csv_text, strict=True):
     """Parse the fixed stay-record CSV schema into a StayTable.
 
+    Text with no '"', "\r" or "\0" (which csv.reader rejects before Python
+    3.11) is plain: csv.reader would split each of its lines at "," (an
+    empty line to an empty row), so its lines are split with str methods,
+    and a block of lines that all hold six commas as one string. Any other
+    text is read by csv.reader. A row that csv.reader cannot read (a field
+    over csv.field_size_limit(), an unquoted "\r" inside a line) is a
+    malformed row.
+
     Rows are converted in blocks of _BLOCK, column by column; a block with
     a malformed row, or a row whose fields are all blank, is parsed row by
-    row, which skips the blank rows. In strict mode the first malformed row raises
-    StayParseError; otherwise malformed rows are skipped and collected in
-    the second return value.
+    row, which skips the blank rows. In strict mode the first malformed
+    row raises StayParseError with its 1-based row number; otherwise
+    malformed rows are skipped and collected in the second return value.
     """
-    reader = csv.reader(chain.from_iterable(_lines(csv_text)))
-    try:
-        header = next(reader)
-    except StopIteration:
+    if any(c in csv_text for c in '"\r\0'):
+        items, row_of, columns_of = _csv_rows(csv_text), _csv_row, _csv_columns
+    else:
+        items = chain.from_iterable(_plain_lines(csv_text))
+        row_of, columns_of = _plain_row, _plain_columns
+    header = next(items, None)
+    if header is None:
         raise StayParseError(0, "missing header")
+    try:
+        header = row_of(header)
+    except csv.Error as e:
+        raise StayParseError(0, str(e))
     if [h.strip() for h in header] != CSV_HEADER:
         raise StayParseError(0, f"unexpected header: {header}")
     users, parts, errors, first = [], [], [], 1
-    for block in iter(lambda: list(islice(reader, _BLOCK)), []):
-        cols = _bulk_columns(block)
+    for block in iter(lambda: list(islice(items, _BLOCK)), []):
+        cols = columns_of(block)
+        cols = cols and _bulk_columns(cols)
         if cols is None:        # row by row, for each bad row's own error
             rows = []
-            for i, row in enumerate(block, start=first):
-                if not any(map(str.strip, row)):
-                    continue
+            for i, item in enumerate(block, start=first):
                 try:
+                    row = row_of(item)
+                    if not any(map(str.strip, row)):
+                        continue
                     if len(row) != 7:
                         raise ValueError(f"expected 7 fields, got {len(row)}")
                     rows.append(StayRecord(
                         row[0].strip(), parse_timestamp(row[1].strip()),
                         parse_timestamp(row[4].strip()),
                         *map(float, (row[2], row[3], row[5], row[6]))))
-                except ValueError as e:
+                except (csv.Error, ValueError) as e:
                     if strict:
                         raise StayParseError(i, str(e))
                     errors.append(StayParseError(i, str(e)))

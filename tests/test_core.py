@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from unittest import mock
 
@@ -402,11 +402,19 @@ class TestTrajectory:
 
 def row_by_row(csv_text):
     """Records and (row, reason) errors of the stay CSV, one row at a time,
-    as parse_stays(strict=False) defines them."""
+    as parse_stays(strict=False) defines them: a row that csv.reader cannot
+    read is an error with the reader's message."""
     reader = csv.reader(io.StringIO(csv_text))
     next(reader)
     records, errors = [], []
-    for i, row in enumerate(reader, start=1):
+    for i in count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as e:
+            errors.append((i, str(e)))
+            continue
         if not row or all(not c.strip() for c in row):
             continue
         try:
@@ -508,6 +516,44 @@ def csv_text(rows, quote_all):
 
 GOOD_ROW = ["u0", "16/09/2019 15:44:57", "28.027098", "112.973641",
             "16/09/2019 15:50:11", "28.032458", "112.988596"]
+
+
+@st.composite
+def plain_lines(draw):
+    """A line of plain CSV text (no '"', CR or NUL): a row of csv_rows
+    joined at "," (a user id "a,b" makes it a row of one field more), or a
+    blank or whitespace-only line."""
+    row = draw(csv_rows())
+    if row and row[0] == 'q"x':
+        row[0] = draw(st.sampled_from(["u1", "\t", "\u00fc\x0c"]))
+    return draw(st.sampled_from([",".join(row)] * 6 + ["", " ", "\t ",
+                                                       " , "]))
+
+
+# float() texts: repr of floats, and texts of the characters float() reads,
+# underscores, whitespace, full-width and Arabic-Indic digits among them
+float_texts = st.floats().map(repr) | st.sampled_from(
+    ["-0.0", "nan", "-nan", "NaN", "+inf", "-Infinity", "iNfInItY",
+     "1e400", "-1e-400", "1_000.5", "1__0", "_1", "0x10", "", " ", "\t1\n",
+     "  1.5", "１２", "١.5", "1.0\x1c", "1e", ".5", "5.",
+     "1\x00"]) | st.lists(st.sampled_from(
+         list("0123456789+-._eE \t") + ["inf", "nan", "０", "٠"]),
+         max_size=8).map("".join)
+
+
+def stays_outcome(parse):
+    """The records and (row, reason) errors of a parse_stays or row_by_row
+    call, each value as its repr, which tells its type and a float's bits;
+    or the (row, reason) it raised."""
+    try:
+        got = parse()
+    except StayParseError as e:
+        return e.row, e.reason
+    stays, errors = got if isinstance(got, tuple) else (got, [])
+    stays = list(stays)
+    return ([tuple(map(repr, r)) for r in stays],
+            [(e.row, e.reason) if isinstance(e, StayParseError) else e
+             for e in errors])
 
 
 class TestBulkParse:
@@ -628,13 +674,130 @@ class TestBulkParse:
             assert errors == [] and parse_stays(t) == want
             assert [r.user_id for r in want] == [
                 "u0", "a\rb", "c\nd", "e\r\nf", "g\x0ch", "i\u2028j", "u0"]
-        # an unquoted CR inside a line is csv's error, as before
+        # an unquoted CR inside a line is csv's error, on its own row
         bad = text.replace('"a\rb"', "a\rb")
-        with pytest.raises(csv.Error) as got:
+        want, errors = row_by_row(bad)
+        assert errors == [(2, "new-line character seen in unquoted field - "
+                              "do you need to open the file in "
+                              "universal-newline mode?")]
+        with pytest.raises(StayParseError) as got:
             parse_stays(bad)
-        with pytest.raises(csv.Error) as want:
-            row_by_row(bad)
-        assert str(got.value) == str(want.value)
+        assert (got.value.row, got.value.reason) == errors[0]
+        got, got_errors = parse_stays(bad, strict=False)
+        assert got == want and len(got) == 6
+        assert [(e.row, e.reason) for e in got_errors] == errors
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(plain_lines(), max_size=24),
+           block=st.sampled_from([1, 2, 3, 7, core._BLOCK]),
+           padding=st.sampled_from([0, 0, core._BLOCK + 50]),
+           end=st.sampled_from(["\n", "\n", ""]), data=st.data())
+    def test_plain_text_parses_as_csv_reader_reads_it(self, lines, block,
+                                                       padding, end, data):
+        # text with no '"', CR or NUL is split with str methods; a quoted
+        # header sends the same rows through csv.reader
+        at = data.draw(st.integers(0, len(lines)))
+        lines = lines[:at] + [",".join(GOOD_ROW)] * padding + lines[at:]
+        plain = "\n".join([",".join(CSV_HEADER), *lines]) + end
+        quoted = plain.replace("ID", '"ID"', 1)
+        assert '"' not in plain and "\r" not in plain and "\0" not in plain
+        with mock.patch.object(core, "_BLOCK", block):
+            for strict in (True, False):
+                got, want = (stays_outcome(lambda: parse_stays(t, strict))
+                             for t in (plain, quoted))
+                assert got == want
+        assert stays_outcome(lambda: parse_stays(plain, False)) == \
+            stays_outcome(lambda: row_by_row(plain))
+
+    def test_a_row_csv_reader_cannot_read_is_a_bad_row(self):
+        # a field over the field size limit, in plain and in quoted text,
+        # and an unquoted CR inside a line
+        huge = "x" * (csv.field_size_limit() + 1)
+        good = ",".join(GOOD_ROW)
+        texts = ["\n".join([",".join(CSV_HEADER), good,
+                            ",".join([huge, *GOOD_ROW[1:]]), good, ""]),
+                 "\n".join([",".join(CSV_HEADER), f'"{good}"'.replace(
+                     ",", '","'), ",".join([huge, *GOOD_ROW[1:]]), good, ""]),
+                 "\n".join([",".join(CSV_HEADER), good,
+                            ",".join(["u\r0", *GOOD_ROW[1:]]), good, ""])]
+        reasons = [f"field larger than field limit "
+                   f"({csv.field_size_limit()})"] * 2 + [
+            "new-line character seen in unquoted field - do you need to open "
+            "the file in universal-newline mode?"]
+        for text, reason in zip(texts, reasons):
+            with pytest.raises(StayParseError) as info:
+                parse_stays(text)
+            assert (info.value.row, info.value.reason) == (2, reason)
+            stays, errors = parse_stays(text, strict=False)
+            assert stays == row_by_row(
+                ",".join(CSV_HEADER) + "\n" + good)[0] * 2
+            assert [(e.row, e.reason) for e in errors] == [(2, reason)] == \
+                row_by_row(text)[1]
+        # so is a header csv.reader cannot read
+        for text in (huge + "\n" + good, huge + '"\n' + good):
+            with pytest.raises(StayParseError) as info:
+                parse_stays(text, strict=False)
+            assert (info.value.row, info.value.reason) == (0, reasons[0])
+
+    def test_a_line_under_the_field_size_limit_is_split(self):
+        # a line as long as the limit cannot hold a field over it; a
+        # longer one is read by csv.reader, which finds such a field
+        good = ",".join(GOOD_ROW)
+        text = "\n".join([",".join(CSV_HEADER), good, good + ",x", ""])
+        limit = csv.field_size_limit()
+        try:
+            for size, want in ((len(good) + 2, [(2, "expected 7 fields, "
+                                                    "got 8")]),
+                               (len(GOOD_ROW[1]) - 1, None)):
+                csv.field_size_limit(size)
+                with mock.patch.object(core, "_BLOCK", 1):
+                    got = stays_outcome(lambda: parse_stays(text, False))
+                assert got == stays_outcome(lambda: row_by_row(text))
+                if want:
+                    assert got[1] == want
+                else:
+                    assert [r for r, _ in got[1]] == [1, 2]
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_a_short_row_before_a_long_one_is_two_bad_rows(self):
+        # six fields and eight make the fields of two rows; each line's
+        # own count is checked
+        text = "\n".join([",".join(CSV_HEADER), ",".join(GOOD_ROW[:6]),
+                          ",".join(["8", "9", *GOOD_ROW[1:]]), ""])
+        stays, errors = parse_stays(text, strict=False)
+        assert stays == [] and [(e.row, e.reason) for e in errors] == [
+            (1, "expected 7 fields, got 6"), (2, "expected 7 fields, got 8")]
+
+    @pytest.mark.parametrize("header", ["", "\n", " \n", "\t,\n", "ID\n",
+                                        ",".join(CSV_HEADER[::-1]) + "\n"])
+    def test_header_errors_are_those_of_csv_reader_rows(self, header):
+        # in plain text and in text that csv.reader reads
+        for data in ("", ",".join(GOOD_ROW) + "\n", '"u0"' + ",".join(
+                ["", *GOOD_ROW[1:]]) + "\n"):
+            text = header + data
+            with pytest.raises(StayParseError) as info:
+                parse_stays(text, strict=False)
+            rows = list(csv.reader(io.StringIO(text)))
+            assert (info.value.row, info.value.reason) == (
+                (0, f"unexpected header: {rows[0]}") if rows
+                else (0, "missing header"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(float_texts, min_size=1, max_size=6))
+    def test_numpy_converts_float_texts_as_float(self, texts):
+        # _bulk_columns converts a coordinate column with one np.array
+        # call: the same bits as float() of each text, or a ValueError
+        # where float() raises one
+        try:
+            want = np.array(list(map(float, texts)))
+        except ValueError:
+            with pytest.raises(ValueError):
+                np.array(texts, dtype=float)
+            return
+        got = np.array(texts, dtype=float)
+        assert got.dtype == float
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_padded_timestamps_equal_parse_timestamp(self):
         texts = ["29/02/2000 00:00:00", "29/02/2020 12:30:01",

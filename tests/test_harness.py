@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import tempfile
@@ -705,6 +707,26 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert out.read_text().count("\n") > 0
 
+    def test_ingest_names_a_row_csv_cannot_read(self, tmp_path, capsys):
+        # a user id over csv's field size limit is a bad row: an error
+        # with its row number, or a skipped row with --skip-bad-rows
+        d = tmp_path / "w"
+        cli_main(["--seed", "9", "simulate", "--users", "4", "--days", "2",
+                  "--out", str(d)])
+        lines = (d / "stays.csv").read_text().split("\n")
+        lines[3] = "x" * 200_000 + lines[3][lines[3].index(","):]
+        (d / "stays.csv").write_text("\n".join(lines))
+        out = tmp_path / "stays.jsonl"
+        args = ["ingest", "--input", str(d / "stays.csv"), "--out", str(out)]
+        capsys.readouterr()
+        assert cli_main(args) == 1
+        reason = "row 3: field larger than field limit (131072)"
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+        assert cli_main(args + ["--skip-bad-rows"]) == 0
+        assert capsys.readouterr().err == f"skipped {reason}\n"
+        assert out.read_text().count("\n") == len(lines) - 3
+
     def test_missing_input_exit_1(self, tmp_path, capsys):
         code = cli_main(["ingest", "--input", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path / "o.jsonl")])
@@ -823,3 +845,22 @@ class TestWorldInvariants:
         assert loaded.cfg == world.cfg
         assert list(loaded.trajectories) == world.users
         assert world_outputs(loaded) == world_outputs(world)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_a_one_day_shift_changes_only_the_holiday_ratio(seed):
+    # weekdays matter to f_hol alone; a 7-day world holds a weekend, which
+    # a shift by one day moves by one day (3 or 4 days may hold none)
+    world = generate_world(WorldConfig(n_users=12, n_days=7, seed=seed))
+    same = {u: u for u in world.trajectories}
+
+    def columns(world):
+        rows = list(csv.reader(io.StringIO(
+            features_to_csv(pair_dataset(world)[0]))))
+        return dict(zip(rows[0], zip(*rows[1:])))
+
+    want = columns(world)
+    for days in (-1, 1):
+        got = columns(mapped_world(world, same, shift=days * 86400))
+        assert [name for name in want if got[name] != want[name]] == [
+            "f_hol"]

@@ -3,7 +3,8 @@ import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
 no stay column rebuilt from rows outside core, no stay record built by
-the world loader and a bound on its heap peak, no co-occurrence event
+the world loader and a bound on its heap peak, no csv.reader for plain
+stays text, no co-occurrence event
 object built by the all-pairs feature export, one metric pass for all its
 pairs and no metric row built by a Python __new__, no exact distance
 taken for a pair far from the indicator threshold, no scipy loaded by
@@ -11,9 +12,11 @@ the package, and no bare np.unique nor numpy.ma loaded by the synthetic
 release's stay rows."""
 
 import ast
+import csv
 import dataclasses
 import importlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -307,6 +310,43 @@ def test_record_count_catches_a_built_row(world16_dir, monkeypatch):
 def test_record_count_catches_a_checked_row():
     assert stay_records_built(lambda: StayRecord("u", 0, 1, 0.0, 0.0, 0.0,
                                                  0.0)) == 1
+
+
+def csv_readers_made(fn):
+    """The number of csv.reader objects made while `fn()` runs."""
+    made = []
+    reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        made.append(args)
+        return reader(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(csv, "reader", counting_reader)
+        fn()
+    return len(made)
+
+
+def test_plain_stays_csv_is_read_without_csv_reader(world16_dir):
+    # text with no quote, CR or NUL is split with str methods
+    text = (world16_dir / "stays.csv").read_text()
+    assert len(core.parse_stays(text)) > 1000
+    assert csv_readers_made(lambda: core.parse_stays(text)) == 0
+
+
+def test_reader_count_catches_a_quoted_stays_csv(world16_dir):
+    text = (world16_dir / "stays.csv").read_text()
+    header, body = text.split("\n", 1)
+    quoted = header + "\n" + re.sub(r"(?m)^([^,\n]*),", r'"\1",', body)
+    assert quoted.count('"') == 2 * len(core.parse_stays(text))
+    assert csv_readers_made(lambda: core.parse_stays(quoted)) == 1
+
+    def trajectories(text):
+        return [(u, [getattr(t, n).tolist() for n in core.COLUMNS])
+                for u, t in core.group_trajectories(
+                    core.parse_stays(text)).items()]
+
+    assert trajectories(quoted) == trajectories(text)
 
 
 def test_world_load_heap_peak(tmp_path):
