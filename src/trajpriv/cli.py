@@ -9,8 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import group_trajectories, parse_stays, serialize_stays, \
-    stacked, stays_to_jsonl
+from .core import group_trajectories, parse_stays, serialize_stays, stacked
 from .features import features_to_csv
 from .anonymize import AnonymityPolicy
 from .harness import (DEFENSES, World, WorldConfig, fit_world_models,
@@ -35,26 +34,33 @@ def _load_world(world_dir):
     edges = set()
     with open(world_dir / "edges.csv", newline="") as f:
         reader = csv.reader(f)
-        header = [h.strip() for h in next(reader, [])]
+        try:
+            header = [h.strip() for h in next(reader, [])]
+        except csv.Error as e:
+            raise ValueError(f"edges.csv: {e}") from None
         if header != ["user_a", "user_b"]:
             raise ValueError("edges.csv: expected the header user_a,user_b, "
                              "found " + (repr(",".join(header)) if header
                                          else "no header"))
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"edges.csv row {i}: expected 2 fields, "
-                                 f"got {len(row)}")
-            pair = tuple(u.strip() for u in row)
-            if pair[0] == pair[1]:
-                raise ValueError(f"edges.csv row {i}: self-loop on user "
-                                 f"{pair[0]}")
-            for u in pair:
-                if u not in trajectories:
-                    raise ValueError(f"edges.csv row {i}: user {u} has no "
-                                     f"stays in stays.csv")
-            edges.add(pair)
+        i = 0
+        try:
+            for i, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"edges.csv row {i}: expected 2 fields, "
+                                     f"got {len(row)}")
+                pair = tuple(u.strip() for u in row)
+                if pair[0] == pair[1]:
+                    raise ValueError(f"edges.csv row {i}: self-loop on user "
+                                     f"{pair[0]}")
+                for u in pair:
+                    if u not in trajectories:
+                        raise ValueError(f"edges.csv row {i}: user {u} has "
+                                         f"no stays in stays.csv")
+                edges.add(pair)
+        except csv.Error as e:      # raised reading the row after row i
+            raise ValueError(f"edges.csv row {i + 1}: {e}") from None
     config = json.loads((world_dir / "config.json").read_text())
     if type(config) is not dict:
         raise ValueError(f"config.json: expected an object, got {config!r}")
@@ -107,7 +113,7 @@ def cmd_ingest(args):
         stays, errors = stays
         for e in errors:
             print(f"skipped {e}", file=sys.stderr)
-    Path(args.out).write_text(stays_to_jsonl(stays))
+    Path(args.out).write_text(serialize_stays(stays))
     print(f"ingested {len(stays)} stays")
     return 0
 
@@ -192,7 +198,8 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
 
-    s = sub.add_parser("ingest", help="parse a stay-record CSV to JSONL")
+    s = sub.add_parser("ingest", help="check a stay-record CSV and write its "
+                       "valid stays")
     s.add_argument("--input", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--skip-bad-rows", action="store_true")

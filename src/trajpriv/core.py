@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -35,6 +33,13 @@ class OutOfGridError(ValueError):
     pass
 
 
+def _check_user(user_id):
+    if not (isinstance(user_id, str) and user_id.isprintable()
+            and user_id == user_id.strip()):
+        raise ValueError(f"user id {user_id!r} is not printable text "
+                         f"without surrounding whitespace")
+
+
 def _check_coord(lat, lon):
     if not (-90.0 <= lat <= 90.0):
         raise ValueError(f"latitude out of range: {lat}")
@@ -55,16 +60,20 @@ class _StayFields(NamedTuple):
 class StayRecord(_StayFields):
     """One user stay: half-open presence interval at a place.
 
-    Times are UTC epoch seconds (timestamps in the CSV schema are naive and
-    treated as UTC). The start coordinate is the representative location;
-    the stop coordinate is retained for trip-aware extensions. This is the
-    row view of the columns of a Trajectory or a StayTable.
+    The user id is text that str.isprintable() accepts, without
+    surrounding whitespace, so that every record has the same id after a
+    CSV round trip. Times are UTC epoch seconds (timestamps in the CSV
+    schema are naive and treated as UTC). The start coordinate is the
+    representative location; the stop coordinate is retained for
+    trip-aware extensions. This is the row view of the columns of a
+    Trajectory or a StayTable.
     """
 
     __slots__ = ()
 
     def __new__(cls, user_id, start_time, stop_time, start_lat, start_lon,
                 stop_lat, stop_lon):
+        _check_user(user_id)
         if start_time >= stop_time:
             raise ValueError("inverted_interval")
         _check_coord(start_lat, start_lon)
@@ -136,6 +145,7 @@ class Trajectory:
         return traj
 
     def _set(self, user_id, cols, rows):
+        _check_user(user_id)
         cols = _typed(cols)
         bad = np.flatnonzero(_bad_rows(*cols))
         if len(bad):        # the first bad stay raises its own error
@@ -174,13 +184,13 @@ class Trajectory:
         return iter(self.stays)
 
 
-class StayTable(Sequence):
+class StayTable:
     """Stays of any number of users, as read-only columns: `user` (int64,
     an index into `users`, the distinct user ids in the order they first
-    appear) and the six Trajectory columns, in record order. Iterating or
-    indexing it gives StayRecords, built on demand; it equals a list or
-    tuple of the same records. The columns are copied, not checked: the
-    parser and Trajectory check them."""
+    appear) and the six Trajectory columns, in record order. Iterating it
+    gives StayRecords, built on demand; it equals a list or tuple of the
+    same records. The columns are copied, not checked: the parser and
+    Trajectory check them."""
 
     __slots__ = ("users", "user", *COLUMNS)
 
@@ -199,30 +209,17 @@ class StayTable(Sequence):
         """The table of any iterable of StayRecords, in one pass."""
         return cls(*(list(zip(*records)) or [()] * 7))
 
-    def _rows(self, part):
-        return map(_row, zip(map(self.users.__getitem__,
-                                 self.user[part].tolist()),
-                             *(getattr(self, n)[part].tolist()
-                               for n in COLUMNS)))
-
     def __len__(self):
         return len(self.user)
 
     def __iter__(self):
-        return self._rows(slice(None))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self._rows(i))
-        k = range(len(self))[i]
-        return next(self._rows(slice(k, k + 1)))
+        return map(_row, zip(map(self.users.__getitem__, self.user.tolist()),
+                             *(getattr(self, n).tolist() for n in COLUMNS)))
 
     def __eq__(self, other):
         if isinstance(other, (StayTable, list, tuple)):
             return list(self) == list(other)
         return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self):
         return f"StayTable({len(self)} stays, {len(self.users)} users)"
@@ -365,27 +362,29 @@ def _parse_timestamps(texts):
 
 # CSV rows converted at a time: bounds the text and columns held at once
 _BLOCK = 1024
+# characters of text split into lines at a time: bounds the lines held
+_PIECE = 1 << 16
 
 
-def _pieces(text, size=1 << 16):
+def _pieces(text):
     """text[lo:hi].split("\n") of the consecutive pieces of the text, each
-    of about `size` characters and ending at a "\n" or at the text's end:
+    of about _PIECE characters and ending at a "\n" or at the text's end:
     a piece's list ends with "" after its final "\n", or else with the
     text's last line, which has none. So the lines of one piece are held
     at once, not a copy of the text in 4-byte characters."""
     lo = 0
     while lo < len(text):
-        hi = text.find("\n", lo + size) + 1 or len(text)
+        hi = text.find("\n", lo + _PIECE) + 1 or len(text)
         yield text[lo:hi].split("\n")
         lo = hi
 
 
-def _lines(text, size=1 << 16):
+def _lines(text):
     """The lines that io.StringIO(text) yields: split at "\n" only, each
     keeping its "\n", a last line without one if the text does not end
     with one. Yields them a piece of _pieces at a time, each piece's lines
     as one iterable."""
-    for lines in _pieces(text, size):
+    for lines in _pieces(text):
         last = lines.pop()          # "" after the piece's final "\n"
         yield map(add, lines, repeat("\n"))
         if last:
@@ -464,6 +463,9 @@ def _bulk_columns(columns):
     of CSV rows, converted column by column; None when any row fails a
     check, for parse_stays to name its error."""
     user, t0, lat0, lon0, t1, lat1, lon1 = columns
+    users = list(map(str.strip, user))
+    if not "".join(users).isprintable():
+        return None
     try:
         coords = [np.array(c, dtype=float) for c in (lat0, lon0, lat1, lon1)]
         start, stop = _parse_timestamps(t0), _parse_timestamps(t1)
@@ -471,7 +473,7 @@ def _bulk_columns(columns):
         return None
     if _bad_rows(start, stop, *coords).any():
         return None
-    return [list(map(str.strip, user)), start, stop, *coords]
+    return [users, start, stop, *coords]
 
 
 def parse_stays(csv_text, strict=True):
@@ -538,7 +540,9 @@ def parse_stays(csv_text, strict=True):
 
 
 def serialize_stays(records):
-    """Inverse of parse_stays; coordinates written at full repr precision."""
+    """The stay-record CSV of the records, the inverse of parse_stays for
+    every StayRecord: coordinates at full repr precision, a user id quoted
+    only where it holds "," or '"'."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(CSV_HEADER)
@@ -548,58 +552,6 @@ def serialize_stays(records):
                     format_timestamp(r.stop_time),
                     repr(r.stop_lat), repr(r.stop_lon)])
     return out.getvalue()
-
-
-def stays_to_jsonl(records):
-    """Canonical export: one JSON object per line, ISO-8601 timestamps."""
-    lines = []
-    for r in records:
-        lines.append(json.dumps({
-            "user_id": r.user_id,
-            "start_time": datetime.fromtimestamp(
-                r.start_time, tz=timezone.utc).isoformat(),
-            "stop_time": datetime.fromtimestamp(
-                r.stop_time, tz=timezone.utc).isoformat(),
-            "start_lat": r.start_lat, "start_lon": r.start_lon,
-            "stop_lat": r.stop_lat, "stop_lon": r.stop_lon,
-        }, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _parse_iso(text):
-    """ISO-8601 -> UTC epoch seconds; a time without an offset is UTC."""
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
-
-
-def stays_from_jsonl(text):
-    """Inverse of stays_to_jsonl. A malformed line, or a value the CSV form
-    cannot carry (a user id other than a str, a coordinate other than an
-    int or float), raises StayParseError with its 1-based line number."""
-    records = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-            if type(d["user_id"]) is not str:
-                raise TypeError(f"user_id must be a string, got "
-                                f"{d['user_id']!r}")
-            for key in ("start_lat", "start_lon", "stop_lat", "stop_lon"):
-                if type(d[key]) not in (int, float):        # bool is not
-                    raise TypeError(f"{key} must be a number, got {d[key]!r}")
-            records.append(StayRecord(
-                user_id=d["user_id"],
-                start_time=_parse_iso(d["start_time"]),
-                stop_time=_parse_iso(d["stop_time"]),
-                start_lat=d["start_lat"], start_lon=d["start_lon"],
-                stop_lat=d["stop_lat"], stop_lon=d["stop_lon"],
-            ))
-        except (KeyError, TypeError, ValueError) as e:
-            raise StayParseError(i, f"{type(e).__name__}: {e}") from e
-    return records
 
 
 def group_trajectories(records):

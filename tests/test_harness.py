@@ -17,7 +17,7 @@ from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
 from trajpriv.core import (EARTH_RADIUS_M, Cell, GridSpec, StayRecord,
                            Trajectory, cell_center, format_timestamp,
-                           parse_timestamp, to_cell)
+                           parse_stays, parse_timestamp, to_cell)
 from trajpriv.features import features_to_csv
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
@@ -532,6 +532,10 @@ class TestCli:
          "edges.csv: expected the header user_a,user_b, found 'a,c'"),
         ("edges.csv", "",
          "edges.csv: expected the header user_a,user_b, found no header"),
+        ("edges.csv", "user_a,user_b\na,c\n" + "x" * 200_000 + ",a\n",
+         "edges.csv row 2: field larger than field limit (131072)"),
+        ("edges.csv", "x" * 200_000 + "\na,c\n",
+         "edges.csv: field larger than field limit (131072)"),
         ("config.json", '{"n_users": 2, "seed": 0, "colour": 1, "alpha": 2}',
          "config.json: unknown keys ['alpha', 'colour']"),
         ("config.json", '{"n_users": "4"}',
@@ -557,7 +561,8 @@ class TestCli:
         ("config.json", '{"graph_model": "planted-partition", "colour": 1}',
          "config.json: unknown keys ['colour']"),
     ], ids=["edge-fields", "edge-user", "edge-self-loop", "edge-no-header",
-            "edge-empty", "config-key", "config-str-int", "config-bool-int",
+            "edge-empty", "edge-unreadable-row", "edge-unreadable-header",
+            "config-key", "config-str-int", "config-bool-int",
             "config-float-int", "config-str-float", "config-list",
             "config-nan", "config-inf", "config-neg-inf", "config-negative",
             "config-one-user", "config-retired-and-unknown"])
@@ -699,13 +704,39 @@ class TestCli:
         assert len(lines) == 3     # header + one row per subset
 
     def test_ingest_roundtrip(self, tmp_path):
+        # ingest of a world's stays.csv writes it again, byte for byte
         d = tmp_path / "w"
         cli_main(["--seed", "9", "simulate", "--users", "4", "--days", "2",
                   "--out", str(d)])
-        out = tmp_path / "stays.jsonl"
+        out = tmp_path / "stays.csv"
         assert cli_main(["ingest", "--input", str(d / "stays.csv"),
                          "--out", str(out)]) == 0
-        assert out.read_text().count("\n") > 0
+        assert out.read_bytes() == (d / "stays.csv").read_bytes()
+
+    def test_ingest_skip_bad_rows_writes_the_valid_stays(self, tmp_path,
+                                                         capsys):
+        # with planted bad rows, --skip-bad-rows writes a file that parses
+        # strictly to the stays that the skipping parse kept
+        d = tmp_path / "w"
+        cli_main(["--seed", "9", "simulate", "--users", "4", "--days", "2",
+                  "--out", str(d)])
+        lines = (d / "stays.csv").read_text().split("\n")
+        good = lines[1].split(",")
+        lines[2:2] = [",".join(["u 9", *good[1:4], "not-a-time", *good[5:]]),
+                      ",".join(['"a\rb"', *good[1:]]), ",".join(good[:6]),
+                      ",".join([" u9", *good[1:]])]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        out = tmp_path / "stays.csv"
+        capsys.readouterr()
+        assert cli_main(["ingest", "--input", str(bad), "--out", str(out),
+                         "--skip-bad-rows"]) == 0
+        kept, errors = parse_stays(bad.read_text(), strict=False)
+        assert [e.row for e in errors] == [2, 3, 4]
+        assert capsys.readouterr().err == "".join(
+            f"skipped {e}\n" for e in errors)
+        assert parse_stays(out.read_text()) == kept
+        assert "u9" in kept.users
 
     def test_ingest_names_a_row_csv_cannot_read(self, tmp_path, capsys):
         # a user id over csv's field size limit is a bad row: an error
@@ -716,7 +747,7 @@ class TestCli:
         lines = (d / "stays.csv").read_text().split("\n")
         lines[3] = "x" * 200_000 + lines[3][lines[3].index(","):]
         (d / "stays.csv").write_text("\n".join(lines))
-        out = tmp_path / "stays.jsonl"
+        out = tmp_path / "stays.csv"
         args = ["ingest", "--input", str(d / "stays.csv"), "--out", str(out)]
         capsys.readouterr()
         assert cli_main(args) == 1
@@ -725,11 +756,12 @@ class TestCli:
         assert not out.exists()
         assert cli_main(args + ["--skip-bad-rows"]) == 0
         assert capsys.readouterr().err == f"skipped {reason}\n"
-        assert out.read_text().count("\n") == len(lines) - 3
+        # the header and every stay but the bad one
+        assert out.read_text().count("\n") == len(lines) - 2
 
     def test_missing_input_exit_1(self, tmp_path, capsys):
         code = cli_main(["ingest", "--input", str(tmp_path / "nope.csv"),
-                         "--out", str(tmp_path / "o.jsonl")])
+                         "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "missing input file" in capsys.readouterr().err
 

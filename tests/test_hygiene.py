@@ -97,11 +97,6 @@ USERS = ([p for p in MODULES if p.name != "__init__.py"]
          + sorted((ROOT / "demos").glob("*.py"))
          + sorted((ROOT / "perfbench").glob("*.py"))
          + [ROOT / "tests" / "test_acceptance.py"])
-UNUSED_ALLOWED = {
-    # reads back the JSONL that `trajpriv ingest` writes; the round trip is
-    # the format's contract, tested in test_core
-    "stays_from_jsonl",
-}
 
 
 def unreferenced(modules, users):
@@ -116,7 +111,6 @@ def unreferenced(modules, users):
             for stmt in parse(path).body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             and not stmt.name.startswith("_")
-            and stmt.name not in UNUSED_ALLOWED
             and not any(stmt.name in names for p, owner, names in uses
                         if (p, owner) != (path, stmt.name))]
 
