@@ -113,6 +113,7 @@ def cmd_ingest(args):
         stays, errors = stays
         for e in errors:
             print(f"skipped {e}", file=sys.stderr)
+    group_trajectories(stays)       # the per-user checks the loader makes
     Path(args.out).write_text(serialize_stays(stays))
     print(f"ingested {len(stays)} stays")
     return 0

@@ -180,17 +180,12 @@ def loss_value(net, X, Y, loss="cross_entropy"):
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss}")
-    per_net = _mean_loss(P, Y, 1 - Y, net.output_act)
+    if net.output_act == "softmax":
+        per_net = -np.mean(np.sum(Y * np.log(P + _EPS), axis=-1), axis=-1)
+    else:
+        per_net = -np.mean(Y * np.log(P + _EPS)
+                           + (1 - Y) * np.log(1 - P + _EPS), axis=(-2, -1))
     return float(per_net) if per_net.ndim == 0 else per_net
-
-
-def _mean_loss(P, Y, not_Y, output_act):
-    """Mean cross-entropy of outputs P against targets Y, one per net of a
-    stack; not_Y is 1 - Y."""
-    if output_act == "softmax":
-        return -np.mean(np.sum(Y * np.log(P + _EPS), axis=-1), axis=-1)
-    return -np.mean(Y * np.log(P + _EPS) + not_Y * np.log(1 - P + _EPS),
-                    axis=(-2, -1))
 
 
 class Gradients(dict):
@@ -259,7 +254,8 @@ def backprop_grads(net, X, Y, loss="cross_entropy"):
 
 class DivergenceError(RuntimeError):
     def __init__(self, epoch, net):
-        super().__init__(f"non-finite loss at epoch {epoch} in net {net}")
+        super().__init__(f"non-finite parameters after epoch {epoch} "
+                         f"in net {net}")
         self.epoch = epoch
         self.net = net
 
@@ -268,10 +264,10 @@ def train(nets, X, Y, cfg):
     """Mini-batch SGD of S nets of one shape in one stacked run.
 
     Net s learns from X[s] (rows, d_in) against the targets Y that every
-    net shares; all nets see the same batches. Returns (trained copies,
-    per-net per-epoch loss traces), each net's equal to training it alone.
-    DivergenceError names the first epoch and net whose loss is not
-    finite."""
+    net shares; all nets see the same batches. Returns the trained copies,
+    each equal to training its net alone. DivergenceError names the first
+    epoch after which a net's parameters are not all finite, and the
+    net."""
     # C order, and batches gathered by take, so that each net's slice of X
     # and of every batch has a lone net's strides and numpy multiplies it
     # the same way
@@ -294,8 +290,6 @@ def train(nets, X, Y, cfg):
     stack = DenseNet(*kind, theta=np.stack([n.theta for n in nets]))
     grads = Gradients(stack)
     rng = np.random.default_rng(cfg.seed)
-    not_Y = 1 - Y
-    traces = [[] for _ in nets]
     for epoch in range(cfg.epochs):
         order = rng.permutation(rows)
         X_epoch, Y_epoch = X.take(order, axis=1), Y.take(order, axis=0)
@@ -304,14 +298,10 @@ def train(nets, X, Y, cfg):
             _batch_grads(stack, X_epoch[:, start:stop], Y_epoch[start:stop],
                          grads)
             sgd_step(stack, grads, cfg.learning_rate)
-        losses = _mean_loss(stack._forward(X)[0], Y, not_Y, stack.output_act)
-        diverged = np.flatnonzero(~np.isfinite(losses))
+        diverged = np.flatnonzero(~np.isfinite(stack.theta).all(axis=1))
         if diverged.size:
             raise DivergenceError(epoch, int(diverged[0]))
-        for trace, value in zip(traces, losses.tolist()):
-            trace.append(value)
-    trained = [DenseNet(*kind, theta=theta) for theta in stack.theta]
-    return trained, traces
+    return [DenseNet(*kind, theta=theta) for theta in stack.theta]
 
 
 def _average_ranks(x):

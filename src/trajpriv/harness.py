@@ -369,8 +369,8 @@ def _attack(datasets, subsets=("all",), seed=7, semantic=False, epochs=400):
     report = [[None] * len(subsets) for _ in datasets]
     for width, group in by_width.items():
         net = DenseNet.init((width, 16, 1), "sigmoid", "sigmoid", seed=seed)
-        nets, _ = train([net] * len(group),
-                        [Xs[train_idx] for _, _, Xs in group], Y, cfg)
+        nets = train([net] * len(group),
+                     [Xs[train_idx] for _, _, Xs in group], Y, cfg)
         for (i, j, Xs), net in zip(group, nets):
             subset = subsets[j]
             report[i][j] = {

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from itertools import chain, count
 from unittest import mock
@@ -369,9 +370,14 @@ class TestTrajectory:
 def row_by_row(csv_text):
     """Records and (row, reason) errors of the stay CSV, one row at a time,
     as parse_stays(strict=False) defines them: a row that csv.reader cannot
-    read is an error with the reader's message."""
+    read is an error with the reader's message. A header that csv.reader
+    reads as another row than CSV_HEADER raises StayParseError."""
     reader = csv.reader(io.StringIO(csv_text))
-    next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise StayParseError(0, "missing header")
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise StayParseError(0, f"unexpected header: {header}")
     records, errors = [], []
     for i in count(1):
         try:
@@ -446,14 +452,31 @@ odd_coordinates = st.sampled_from(["nan", "inf", "abc", "", "1e400",
                                    "90.000001", "-181", "0x10"])
 
 
+# a field size limit that LONG_ID exceeds and that no other field of
+# csv_rows, nor any line of plain_lines without LONG_ID, exceeds
+SMALL_FIELD_LIMIT = 200
+LONG_ID = "x" * 250
+
+
+@contextmanager
+def field_size_limit(limit):
+    """csv.field_size_limit set to `limit`, and restored on the way out."""
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
 @st.composite
 def csv_rows(draw):
     """A CSV row: mostly a stay, else a stay with one defect (a timestamp,
     a coordinate, an inverted interval, a field too many or too few), a
-    blank row or an empty one."""
+    blank row or an empty one; or, as text for csv_text to write as it
+    is, a stay whose user id holds an unquoted CR."""
     kind = draw(st.sampled_from(["stay"] * 8 + [
         "time", "coordinate", "inverted", "short", "long", "blank",
-        "empty"]))
+        "empty", "cr"]))
     if kind == "blank":
         return [" "] * 7
     if kind == "empty":
@@ -466,17 +489,26 @@ def csv_rows(draw):
     coords = draw(st.lists(good_coordinates, min_size=4, max_size=4))
     if kind == "coordinate":
         coords[draw(st.integers(0, 3))] = draw(odd_coordinates)
-    user = draw(st.sampled_from(["u1", " u2 ", "a,b", 'q"x', ""]))
+    user = draw(st.sampled_from(["u1", " u2 ", "a,b", "8,9", 'q"x', "",
+                                 LONG_ID]))
     row = [user, t0, *coords[:2], t1, *coords[2:]]
+    if kind == "cr":
+        return ",".join(["u\r1", *row[1:]])
     return {"short": row[:6], "long": row + ["x"]}.get(kind, row)
 
 
 def csv_text(rows, quote_all):
+    """The CSV of the rows under CSV_HEADER; a row given as text is
+    written as it is."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n",
                    quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
     w.writerow(CSV_HEADER)
-    w.writerows(rows)
+    for row in rows:
+        if isinstance(row, str):
+            out.write(row + "\n")
+        else:
+            w.writerow(row)
     return out.getvalue()
 
 
@@ -484,16 +516,23 @@ GOOD_ROW = ["u0", "16/09/2019 15:44:57", "28.027098", "112.973641",
             "16/09/2019 15:50:11", "28.032458", "112.988596"]
 
 
+# a line of six fields, then one of eight: split as one text at ",",
+# their fields shift into two rows of seven fields that all convert
+SHIFTED_LINES = "\n".join([",".join(GOOD_ROW[:6]),
+                           ",".join(["8", "9", *GOOD_ROW[1:]])])
+
+
 @st.composite
 def plain_lines(draw):
     """A line of plain CSV text (no '"', CR or NUL): a row of csv_rows
-    joined at "," (a user id "a,b" makes it a row of one field more), or a
-    blank or whitespace-only line."""
-    row = draw(csv_rows())
+    joined at "," (a user id "a,b" or "8,9" makes it a row of one field
+    more), or a blank or whitespace-only line; or the two lines of
+    SHIFTED_LINES."""
+    row = draw(csv_rows().filter(lambda row: isinstance(row, list)))
     if row and row[0] == 'q"x':
         row[0] = draw(st.sampled_from(["u1", "\t", "\u00fc\x0c"]))
-    return draw(st.sampled_from([",".join(row)] * 6 + ["", " ", "\t ",
-                                                       " , "]))
+    return draw(st.sampled_from([",".join(row)] * 6 + [
+        "", " ", "\t ", " , ", SHIFTED_LINES]))
 
 
 # float() texts: repr of floats, and texts of the characters float() reads,
@@ -543,14 +582,16 @@ class TestBulkParse:
     @settings(max_examples=150, deadline=None)
     @given(rows=st.lists(csv_rows(), max_size=24),
            block=st.sampled_from([1, 2, 3, 7, core._BLOCK]),
-           quote_all=st.booleans(), data=st.data())
-    def test_equals_row_by_row(self, rows, block, quote_all, data):
+           quote_all=st.booleans(),
+           limit=st.sampled_from([csv.field_size_limit(), SMALL_FIELD_LIMIT]),
+           data=st.data())
+    def test_equals_row_by_row(self, rows, block, quote_all, limit, data):
         at = data.draw(st.integers(0, len(rows)))
         padding = data.draw(paddings(block))
         rows = rows[:at] + [GOOD_ROW] * padding + rows[at:]
         text = csv_text(rows, quote_all)
-        want, want_errors = row_by_row(text)
-        with small_blocks_and_pieces(block):
+        with field_size_limit(limit), small_blocks_and_pieces(block):
+            want, want_errors = row_by_row(text)
             got, errors = parse_stays(text, strict=False)
             assert got == want
             assert [tuple(map(type, r)) for r in got] == [
@@ -663,24 +704,28 @@ class TestBulkParse:
     @settings(max_examples=150, deadline=None)
     @given(lines=st.lists(plain_lines(), max_size=24),
            block=st.sampled_from([1, 2, 3, 7, core._BLOCK]),
-           end=st.sampled_from(["\n", "\n", ""]), data=st.data())
+           end=st.sampled_from(["\n", "\n", ""]),
+           header=st.sampled_from([",".join(CSV_HEADER)] * 9 + [""]),
+           limit=st.sampled_from([csv.field_size_limit(), SMALL_FIELD_LIMIT]),
+           data=st.data())
     def test_plain_text_parses_as_csv_reader_reads_it(self, lines, block,
-                                                       end, data):
+                                                       end, header, limit,
+                                                       data):
         # text with no '"', CR or NUL is split with str methods; a quoted
         # header sends the same rows through csv.reader
         at = data.draw(st.integers(0, len(lines)))
         padding = data.draw(paddings(block))
         lines = lines[:at] + [",".join(GOOD_ROW)] * padding + lines[at:]
-        plain = "\n".join([",".join(CSV_HEADER), *lines]) + end
+        plain = "\n".join([header, *lines]) + end
         quoted = plain.replace("ID", '"ID"', 1)
         assert '"' not in plain and "\r" not in plain and "\0" not in plain
-        with small_blocks_and_pieces(block):
+        with field_size_limit(limit), small_blocks_and_pieces(block):
             for strict in (True, False):
                 got, want = (stays_outcome(lambda: parse_stays(t, strict))
                              for t in (plain, quoted))
                 assert got == want
-        assert stays_outcome(lambda: parse_stays(plain, False)) == \
-            stays_outcome(lambda: row_by_row(plain))
+            assert stays_outcome(lambda: parse_stays(plain, False)) == \
+                stays_outcome(lambda: row_by_row(plain))
 
     def test_a_row_csv_reader_cannot_read_is_a_bad_row(self):
         # a field over the field size limit, in plain and in quoted text,

@@ -17,7 +17,8 @@ from trajpriv.colocation import CoLocationConfig, coevent_score, \
     extract_coevents
 from trajpriv.core import (EARTH_RADIUS_M, Cell, GridSpec, StayRecord,
                            Trajectory, cell_center, format_timestamp,
-                           parse_stays, parse_timestamp, to_cell)
+                           group_trajectories, parse_stays, parse_timestamp,
+                           to_cell)
 from trajpriv.features import features_to_csv
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
@@ -758,6 +759,25 @@ class TestCli:
         assert capsys.readouterr().err == f"skipped {reason}\n"
         # the header and every stay but the bad one
         assert out.read_text().count("\n") == len(lines) - 2
+
+    @pytest.mark.parametrize("flags", [[], ["--skip-bad-rows"]])
+    def test_ingest_rejects_a_user_whose_stays_overlap(self, tmp_path,
+                                                       capsys, flags):
+        # rows that each parse, but a user's stays the loader rejects
+        raw = tmp_path / "raw.csv"
+        stay = "u1,16/09/2019 {}:00,28.0,113.0,16/09/2019 {}:00,28.0,113.0"
+        raw.write_text(
+            "ID,Start time,Start lat,Start lon,Stop time,Stop lat,Stop lon\n"
+            + stay.format("10:00", "11:00") + "\n"
+            + stay.format("10:30", "12:00") + "\n")
+        out = tmp_path / "stays.csv"
+        assert cli_main(["ingest", "--input", str(raw), "--out", str(out),
+                         *flags]) == 1
+        with pytest.raises(ValueError) as exc:
+            group_trajectories(parse_stays(raw.read_text()))
+        assert "overlaps" in str(exc.value)
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        assert not out.exists()
 
     def test_missing_input_exit_1(self, tmp_path, capsys):
         code = cli_main(["ingest", "--input", str(tmp_path / "nope.csv"),
