@@ -35,9 +35,6 @@ EPOCH_MONDAY = 1568592000  # 2019-09-16 00:00:00 UTC, a Monday
 # the one co-location config of the experiments: the attack's pair features,
 # the social labelling of mobility clusters and the release's social graph
 COLOCATION = CoLocationConfig()
-# users whose spatial mixtures share one stacked EM run: bounds the run's
-# (component, point) arrays, which grow with the block's largest stay count
-MODEL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -389,23 +386,24 @@ def coevent_participation(world):
 
 def fit_world_models(world, seed=0, m="auto"):
     """Fit and socially label a mobility model per user, the i-th user's
-    spatial mixture from seed + i. The spatial mixtures of each block of
-    MODEL_BLOCK users are fitted in one stacked EM run."""
+    spatial mixture from seed + i. Every user's spatial mixture is fitted
+    in one `fit_spatial` call, whose EM work queue fits each as it would be
+    fitted alone, so a user's mixture does not depend on the other users."""
+    for u in world.users:
+        n = len(world.trajectories[u])
+        if n == 0:
+            raise ValueError(f"user {u} has no stays")
+        if m != "auto" and m > n:
+            raise ValueError(f"user {u}: {m} components need at least "
+                             f"{m} stays, got {n}")
     participation = coevent_participation(world)
+    projected = [project_stays(world.trajectories[u]) for u in world.users]
+    fits = fit_spatial([X for _, X in projected], m,
+                       range(seed, seed + len(projected)))
     models = {}
-    for b in range(0, len(world.users), MODEL_BLOCK):
-        block = world.users[b:b + MODEL_BLOCK]
-        projected = [project_stays(world.trajectories[u]) for u in block]
-        for u, (_, X) in zip(block, projected):
-            if m != "auto" and m > len(X):
-                raise ValueError(f"user {u}: {m} components need at least "
-                                 f"{m} stays, got {len(X)}")
-        fits = fit_spatial([X for _, X in projected], m,
-                           range(seed + b, seed + b + len(block)))
-        for u, (proj, _), fit in zip(block, projected, fits):
-            models[u], _ = fit_mobility_model(world.trajectories[u],
-                                              world.grid, proj, fit,
-                                              participation[u])
+    for u, (proj, _), fit in zip(world.users, projected, fits):
+        models[u], _ = fit_mobility_model(world.trajectories[u], world.grid,
+                                          proj, fit, participation[u])
     return models
 
 

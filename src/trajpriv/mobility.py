@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,26 +78,49 @@ def _chol2(covs):
     return l00, l10, np.sqrt(v)
 
 
-def _component_log_joint(X, weights, means, covs):
-    """(m, n) matrix of log w_m + log N(x_n | mu_m, Sigma_m), one row per
-    component (see `mixture_log_joint`). X holds (n, d) points shared by
-    all components, or (m, n, d) points, one row of points per component."""
+def _log_joint_entries(Xt, weights, means, covs, spread, work):
+    """log w_c + log N(x | mu_c, Sigma_c) of (component c, point x) entries
+    (see `mixture_log_joint`), in work[0], and the entries' differences
+    x - mu_c, one dimension per row of work[1:d + 1]; work[d + 1:d + 3] is
+    scratch. `Xt` holds the entries' points, one row per dimension, and
+    `spread` lays a per-component array out over the entries. Returns
+    work[0] and work[1:d + 1]."""
+    d = len(Xt)
+    if covs.ndim == 3 and d != 2:
+        raise ValueError(f"full covariances need 2-D points, got d={d}")
+    log_joint, diffs, (u, v) = work[0], work[1:d + 1], work[d + 1:d + 3]
+    for x, mu, diff in zip(Xt, means.T, diffs):
+        np.subtract(x, spread(mu), out=diff)
     if covs.ndim == 2:
-        diff = X - means[:, None, :]        # (m, n, d)
+        # u = the Mahalanobis distance, one dimension at a time, halved
+        np.square(diffs[0], out=u)
+        u /= spread(covs[:, 0])
+        for diff, var in zip(diffs[1:], covs.T[1:]):
+            np.square(diff, out=v)
+            v /= spread(var)
+            u += v
+        u *= 0.5
         log_norm = 0.5 * np.sum(np.log(2 * np.pi * covs), axis=1)
-        maha = np.sum(diff ** 2 / covs[:, None, :], axis=2)
-    else:
-        if X.shape[-1] != 2:
-            raise ValueError(f"full covariances need 2-D points, got "
-                             f"d={X.shape[-1]}")
-        l00, l10, l11 = _chol2(covs)
-        # two triangular solves of L z = x - mu, one row of L at a time
-        z0 = (X[..., 0] - means[:, :1]) / l00[:, None]
-        z1 = (X[..., 1] - means[:, 1:] - l10[:, None] * z0) / l11[:, None]
-        log_norm = np.log(2 * np.pi) + (np.log(l00) + np.log(l11))
-        maha = z0 * z0 + z1 * z1
-    return np.log(weights + 1e-300)[:, None] + (-log_norm[:, None]
-                                                - 0.5 * maha)
+        np.subtract(-spread(log_norm), u, out=u)
+        np.add(spread(np.log(weights + 1e-300)), u, out=log_joint)
+        return log_joint, diffs
+    l00, l10, l11 = _chol2(covs)
+    # z = L^-1 (x - mu) / sqrt(2), so that half the Mahalanobis distance
+    # is z0^2 + z1^2: u = z0 = dx / l00 and v = z1 = (dy - l10 z0) / l11,
+    # scaled
+    h = math.sqrt(0.5)
+    dx, dy = diffs
+    np.multiply(dx, spread(h / l00), out=u)
+    np.multiply(dy, spread(h / l11), out=v)
+    np.multiply(dx, spread(h * l10 / (l00 * l11)), out=log_joint)
+    v -= log_joint
+    np.square(u, out=u)
+    np.square(v, out=v)
+    log_norm = np.log(2 * np.pi) + (np.log(l00) + np.log(l11))
+    np.subtract(spread(np.log(weights + 1e-300) - log_norm), u,
+                out=log_joint)
+    log_joint -= v
+    return log_joint, diffs
 
 
 def mixture_log_joint(X, weights, means, covs):
@@ -107,8 +130,10 @@ def mixture_log_joint(X, weights, means, covs):
     planar covariances (d = 2 only) or (m, d) diagonal variances.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.ascontiguousarray(
-        _component_log_joint(X, weights, means, covs).T)
+    work = np.empty((X.shape[1] + 3, len(weights), len(X)))
+    log_joint, _ = _log_joint_entries(X.T, weights, means, covs,
+                                      lambda a: a[:, None], work)
+    return np.ascontiguousarray(log_joint.T)
 
 
 def _floor_cov(covs, floor):
@@ -138,31 +163,135 @@ def _floor_cov(covs, floor):
     return _sym2(a + d_hi + t * (hi - a), b - t * b, c + d_hi + t * (hi - c))
 
 
+# em_mixtures lets the next set's starts join its stack while the
+# (component, point) entries of the running starts stay within this many:
+# the bound on the size of the kernel's arrays
+EM_ENTRIES = 20_000
+
+_Layout = namedtuple("_Layout",
+                     "m n off blocks K p j comp_len comp_start work")
+
+
+def _lay_out(m, n, points, buf):
+    """The ragged layout of starts with m components (`m`, in descending
+    order) on n points (`n`), given their (n, d) `points`, with its work
+    rows in the buffer `buf`.
+
+    The starts' points lie end to end, the one at position p at
+    off[p]:off[p + 1]. Row j of every start with m > j forms block j of the
+    entries; those starts come first, so block j holds the first points,
+    and `blocks` lists each block's slice and its length. Component c is
+    row j[c] of the start at position p[c]; its entries run comp_len[c]
+    from comp_start[c], and row j of the start at p is component K[j] + p.
+    `work` is the first columns of buf, one per entry; its first d rows
+    hold the point of each entry, one dimension per row.
+    """
+    off = np.concatenate([[0], np.cumsum(n)])
+    rows = (m > np.arange(m[0])[:, None]).sum(axis=1)   # starts with m > j
+    L = off[rows]
+    B = np.concatenate([[0], np.cumsum(L)])
+    p = np.concatenate([np.arange(r) for r in rows])
+    j = np.repeat(np.arange(len(rows)), rows)
+    work = buf[:, :B[-1]]
+    P = np.concatenate(points).T
+    np.concatenate([P[:, :l] for l in L.tolist()], axis=1,
+                   out=work[:len(P)])
+    return _Layout(m, n, off,
+                   [(slice(b, b + l), l) for b, l in zip(B.tolist(),
+                                                          L.tolist())],
+                   np.concatenate([[0], np.cumsum(rows)]), p, j, n[p],
+                   B[j] + off[p], work)
+
+
+def _moved(a, src, into):
+    """`a`'s rows `src` put at the rows `into` (a mask) of a new array of
+    into's length, zeros elsewhere."""
+    out = np.zeros((len(into), *a.shape[1:]), dtype=a.dtype)
+    out[into] = a[src]
+    return out
+
+
+def _point_sums(lay, log_joint, e):
+    """Per point of the layout, the max `mx` of its start's log-joint
+    entries and the sum `tot` of exp(entry - mx) over them, with `e`, the
+    exp(entry - mx) of each entry, written into the row `e`. Each is one
+    slice of each block."""
+    (first, _), *rest = lay.blocks
+    mx = log_joint[first].copy()
+    for blk, n in rest:
+        np.maximum(mx[:n], log_joint[blk], out=mx[:n])
+    for blk, n in lay.blocks:
+        np.subtract(log_joint[blk], mx[:n], out=e[blk])
+    np.exp(e, out=e)
+    tot = e[first].copy()
+    for blk, n in rest:
+        tot[:n] += e[blk]
+    return mx, tot
+
+
+def _m_step(lay, e, tot, diffs, means, full, floor, scratch):
+    """The M-step's means, covariances and weights of every component of
+    the layout, from the E-step's `e` and `tot` (see `_point_sums`) and its
+    differences d = x - mean, with two `scratch` rows; `e` is left holding
+    the responsibilities R = e / tot. The sums run over d: the new
+    mean, sum(R x) / nk, is mean + delta with delta = (sum(R d) - 1e-12
+    mean) / nk, and the new covariance is sum(R (d - delta)(d - delta)') /
+    nk."""
+    for blk, n in lay.blocks:
+        e[blk] /= tot[:n]
+    mass = np.add.reduceat(e, lay.comp_start)
+    u, v = scratch
+    # the second moments' dimensions (a, b), each a's in a row
+    a, b = ([0, 0, 1], [0, 1, 1]) if full else ([*range(len(diffs))],) * 2
+    S1, S2 = np.empty((len(diffs), len(mass))), np.empty((len(a), len(mass)))
+    for r, (i, j) in enumerate(zip(a, b)):
+        if r == 0 or i != a[r - 1]:
+            np.multiply(e, diffs[i], out=u)
+            S1[i] = np.add.reduceat(u, lay.comp_start)
+        np.multiply(u, diffs[j], out=v)
+        S2[r] = np.add.reduceat(v, lay.comp_start)
+    nk = mass + 1e-12
+    delta = (S1 - 1e-12 * means.T) / nk
+    S2 = (S2 - delta[a] * S1[b] - delta[b] * S1[a]
+          + delta[a] * delta[b] * mass) / nk
+    return (means + delta.T, _floor_cov(_sym2(*S2) if full else S2.T, floor),
+            nk / lay.comp_len)
+
+
 def em_mixtures(sets, starts, floor, max_iter, tol):
-    """EM fits of Gaussian mixtures of several point sets, stacked in one run.
+    """EM fits of Gaussian mixtures of several point sets, in one work queue.
 
     `sets` lists (X, cov0) pairs: (n, d) points and the covariance every
     start on them begins with, (2, 2) for a full-covariance mixture or a
     (d,) variance vector for a diagonal one. `starts` lists (set, m, seed)
     triples. Each start seeds its m means with points of its set drawn by
-    `default_rng(seed)`, with equal weights and the floored cov0. The
-    components of all running starts share each E- and M-step over a
-    (component, point) layout; the log-sum-exp, the trace and the stop
-    rule are per start. The trace is the per-point mean log-likelihood at
-    the parameters entering each iteration; the floored covariance update
-    is the constrained maximizer, so it never decreases. A start stops
-    after `max_iter` M-steps or once its trace moves by less than `tol`;
-    it is returned at its current parameters, with their log-joint and
-    total log-likelihood, and leaves the stack. Returns one MixtureFit per
-    start, in order; a single fit is the one-start case.
+    `default_rng(seed)`, with equal weights and the floored cov0. The trace
+    is the per-point mean log-likelihood at the parameters entering each
+    iteration; the floored covariance update is the constrained maximizer,
+    so it never decreases. A start stops after `max_iter` M-steps or once
+    its trace moves by less than `tol`; it is returned at its current
+    parameters, with their log-joint and total log-likelihood. Returns one
+    MixtureFit per start, in order; a single fit is the one-start case.
 
-    With several sets, each set is padded to the largest point count by
-    repeating its first point, and the padding is masked out of every sum.
-    Each log-joint entry is computed as alone, but a point sum over a
-    padded row adds in another order, so a start on a shorter set can
-    differ from its fit alone in the last bits; a start on a set of the
-    largest size gets the same floats in any stack as alone.
+    The running starts share each E- and M-step in one stack. Sets join
+    it in order, all of a set's starts at once, while the (component,
+    point) entries of the running starts stay within EM_ENTRIES; the first
+    set always joins. A start leaves the stack when it stops. Each
+    component's entries hold its own set's points and nothing else, and
+    every sum over points or over a start's components runs over that
+    start's entries only, so a start gets the same floats in any stack as
+    alone.
     """
+    fits = [None] * len(starts)
+    for _, done in _em_queue(sets, starts, floor, max_iter, tol):
+        for s, fit in done:
+            fits[s] = fit
+    return fits
+
+
+def _em_queue(sets, starts, floor, max_iter, tol):
+    """The run of `em_mixtures`, yielding (set, [(start, fit), ...]), the
+    set's starts in order, as soon as the set's last start stops."""
     sets = [(np.asarray(X, dtype=float), np.asarray(cov0, dtype=float))
             for X, cov0 in sets]
     ns = np.array([len(X) for X, _ in sets])
@@ -173,103 +302,136 @@ def em_mixtures(sets, starts, floor, max_iter, tol):
         raise ValueError(f"need starts with 1 <= m <= n, got "
                          f"m={sizes[bad].tolist()}, "
                          f"n={ns[set_of[bad]].tolist()}")
-    means = np.concatenate([
-        sets[i][0][np.random.default_rng(seed).choice(ns[i], size=m,
-                                                      replace=False)]
-        for i, m, seed in starts])
-    comp_set = np.repeat(set_of, sizes)
-    covs = np.concatenate([_floor_cov(cov0[None], floor)
-                           for _, cov0 in sets])[comp_set]
-    weights = np.repeat(1.0 / sizes, sizes)
-    N = ns.max()
-    padded = len(sets) > 1
-    if padded:      # (k, N, d): the points of each component's set
-        X = np.stack([np.concatenate([P, np.repeat(P[:1], N - len(P), 0)])
-                      for P, _ in sets])[comp_set]
-    else:
-        X = sets[0][0]
-    traces = np.empty((len(starts), max_iter))
-    it = 0          # the trace length of every running start
-    fits = [None] * len(starts)
-    live = np.arange(len(starts))       # the starts still running
+    cov0s = [_floor_cov(cov0[None], floor)[0] for _, cov0 in sets]
+    d = sets[set_of[0]][0].shape[1]
+    queue = {}              # set -> its starts, in order
+    for s, i in enumerate(set_of.tolist()):
+        queue.setdefault(i, []).append(s)
+    pending = deque(sorted(queue))
+    done = {i: [] for i in queue}
+    cost = {i: int(sizes[q].sum()) * int(ns[i]) for i, q in queue.items()}
+    # The stack: per start in layout order, its id, whether it still runs,
+    # its trace length and trace; per component, its parameters.
+    lay, ids, running = None, np.empty(0, dtype=int), np.empty(0, bool)
+    age, trace = np.empty(0, dtype=int), np.empty((0, max_iter))
+    means, weights = np.empty((0, d)), np.empty(0)
+    covs = np.empty((0, *cov0s[set_of[0]].shape))
+    # the work rows over the entries, their points and then the E-step's,
+    # as wide as the widest stack: a set joins an empty stack whatever its
+    # size, and no other set joins past EM_ENTRIES
+    buf = np.empty((2 * d + 3, min(sum(cost.values()),
+                                   max(EM_ENTRIES, *cost.values()))))
     while True:
-        first = np.cumsum(sizes[live]) - sizes[live]
-        seg = np.repeat(np.arange(len(live)), sizes[live])
-        n = ns[set_of[live]]
-        # (k, N), one row per component and a run of rows per start
-        log_joint = _component_log_joint(X, weights, means, covs)
-        mx = np.maximum.reduceat(log_joint, first, axis=0)
-        lse = mx + np.log(np.add.reduceat(np.exp(log_joint - mx[seg]),
-                                          first, axis=0))   # (starts, N)
-        ll = lse           # per-point log-likelihoods, padding at 0
-        if padded:
-            valid = np.arange(N) < n[:, None]
-            ll = np.where(valid, lse, 0.0)
-        mean_ll = ll.sum(axis=1) / n        # as lse.mean() per start
-        if it == max_iter:
-            running = np.zeros(len(live), dtype=bool)
-        else:
-            traces[live, it] = mean_ll
-            it += 1
-            running = (np.abs(mean_ll - traces[live, it - 2]) >= tol
-                       if it > 1 else np.ones(len(live), dtype=bool))
-        for i in np.flatnonzero(~running):
-            s = live[i]
-            comp = slice(first[i], first[i] + sizes[s])
-            fits[s] = MixtureFit(
-                means[comp], covs[comp], weights[comp],
-                traces[s, :it].tolist(),
-                np.ascontiguousarray(log_joint[comp, :n[i]].T),
-                float(ll[i].sum()))
+        live = int((lay.m * lay.n)[running].sum()) if lay else 0
+        joining = []
+        while pending and (live == 0
+                           or live + cost[pending[0]] <= EM_ENTRIES):
+            i = pending.popleft()
+            joining += queue[i]
+            live += cost[i]
+        # lay the stack out again when sets join, or to drop the stopped
+        # starts once they hold half its entries
+        if joining or 2 * live <= lay.work.shape[1]:
+            keep = np.flatnonzero(running)
+            new = np.concatenate([ids[keep], joining]).astype(int)
+            src = np.concatenate([keep, np.full(len(joining), -1)])
+            order = np.argsort(-sizes[new], kind="stable")
+            new, src = new[order], src[order]
+            old = lay
+            lay = _lay_out(sizes[new], ns[set_of[new]],
+                           [sets[set_of[s]][0] for s in new], buf)
+            kept = src >= 0
+            age = _moved(age, src[kept], kept)
+            trace = _moved(trace, src[kept], kept)
+            into = kept[lay.p]
+            comps = old.K[lay.j[into]] + src[lay.p[into]] if old else []
+            means, covs, weights = (_moved(a, comps, into)
+                                    for a in (means, covs, weights))
+            drawn = {}      # seed -> its generator and first state
+            for q in np.flatnonzero(~kept).tolist():
+                i, k, seed = starts[new[q]]
+                if seed in drawn:   # a set's starts often share a seed
+                    rng, state = drawn[seed]
+                    rng.bit_generator.state = state
+                else:
+                    rng = np.random.default_rng(seed)
+                    drawn[seed] = rng, rng.bit_generator.state
+                comps = lay.K[:k] + q
+                means[comps] = sets[i][0][rng.choice(ns[i], size=k,
+                                                     replace=False)]
+                covs[comps] = cov0s[i]
+                weights[comps] = 1.0 / k
+            ids, running = new, np.ones(len(new), dtype=bool)
+        log_joint, diffs = _log_joint_entries(
+            lay.work[:d], weights, means, covs,
+            lambda a: a.repeat(lay.comp_len), lay.work[d:])
+        e, spare = lay.work[-2:]     # the E-step's scratch rows
+        mx, tot = _point_sums(lay, log_joint, e)
+        loglik = np.add.reduceat(mx + np.log(tot), lay.off[:-1])
+        mean_ll = loglik / lay.n
+        run = np.flatnonzero(running)
+        spent = age[run] == max_iter
+        more = run[~spent]
+        it = age[more]
+        trace[more, it] = mean_ll[more]
+        age[more] = it + 1
+        moved = (it == 0) | (np.abs(mean_ll[more]
+                                    - trace[more, np.maximum(it - 1, 0)])
+                             >= tol)
+        stop = np.concatenate([run[spent], more[~moved]])
+        running[stop] = False
+        for q in stop.tolist():
+            s = ids[q]
+            comps = lay.K[:sizes[s]] + q
+            i = set_of[s]
+            done[i].append((s, MixtureFit(
+                means[comps], covs[comps], weights[comps],
+                trace[q, :age[q]].tolist(),
+                log_joint[lay.comp_start[comps]
+                          + np.arange(lay.n[q])[:, None]],
+                float(loglik[q]))))
+            if len(done[i]) == len(queue[i]):
+                yield i, sorted(done.pop(i), key=lambda f: f[0])
         if not running.any():
-            return fits
-        # (k, N) responsibilities of the running starts. Each reduction
-        # below runs along one component's row.
-        R = np.exp(log_joint - lse[seg])
-        if padded:
-            R *= valid[seg]
-        if not running.all():
-            keep = running[seg]
-            R, live = R[keep], live[running]
-            if padded:
-                X = X[keep]
-        nk = R.sum(axis=1) + 1e-12
-        weights = nk / np.repeat(ns[set_of[live]], sizes[live])
-        means = (R[:, None, :] @ X)[:, 0] / nk[:, None]
-        if covs.ndim == 2:
-            diff = X - means[:, None, :]
-            covs = np.sum(R[:, :, None] * diff ** 2, axis=1) / nk[:, None]
-        else:
-            dx, dy = X[..., 0] - means[:, :1], X[..., 1] - means[:, 1:]
-            Rdx = R * dx
-            covs = _sym2((Rdx * dx).sum(axis=1) / nk,
-                         (Rdx * dy).sum(axis=1) / nk,
-                         (R * dy * dy).sum(axis=1) / nk)
-        covs = _floor_cov(covs, floor)
+            if not pending:
+                return
+            continue
+        stepped = _m_step(lay, e, tot, diffs, means, covs.ndim == 3, floor,
+                          (spare, log_joint))
+        if running.all():
+            means, covs, weights = stepped
+        else:       # a stopped start keeps its parameters until dropped
+            alive = running[lay.p]
+            for a, b in zip((means, covs, weights), stepped):
+                a[alive] = b[alive]
 
 
 def fit_spatial(point_sets, m, seeds, m_range=range(1, 7), max_iter=200,
                 tol=1e-6):
-    """Full-covariance 2D mixture of each point set, all fitted in one
-    stacked EM run, the i-th set's starts from `seeds[i]`. With m="auto",
-    the fit of a set is the one of lowest BIC over the m in m_range that do
-    not exceed its points; only the chosen fits are returned, one per set.
+    """Full-covariance 2D mixture of each point set, the i-th set's starts
+    from `seeds[i]`, all fitted in one EM work queue (`em_mixtures`). With
+    m="auto", the fit of a set is the one of lowest BIC, the first m on a
+    tie, over the m in m_range that do not exceed its points; the set's
+    other fits are dropped as soon as its last start stops. Returns the
+    chosen fit of each set.
     """
     sets, starts = [], []
     for i, (points, seed) in enumerate(zip(point_sets, seeds)):
         X = np.asarray(points, dtype=float)
         n = len(X)
+        ms = list(m_range) if m == "auto" else [m]
+        if not any(k <= n for k in ms):
+            raise ValueError(f"point set {i} has {n} points, fewer than "
+                             f"any m of {ms}")
         sets.append((X, np.cov(X.T) if n > 1 else np.eye(2)))
-        starts += [(i, k, seed) for k in
-                   ([k for k in m_range if k <= n] if m == "auto" else [m])]
-    best = {}
-    for (i, k, _), fit in zip(starts, em_mixtures(sets, starts, VAR_FLOOR_M2,
-                                                   max_iter, tol)):
+        starts += [(i, k, seed) for k in ms if k <= n]
+    chosen = [None] * len(sets)
+    for i, fits in _em_queue(sets, starts, VAR_FLOOR_M2, max_iter, tol):
+        n = len(sets[i][0])
         # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
-        bic = (6 * k - 1) * np.log(len(sets[i][0])) - 2.0 * fit.loglik
-        if i not in best or bic < best[i][0]:
-            best[i] = (bic, fit)
-    return [best[i][1] for i in range(len(sets))]
+        chosen[i] = min((fit for _, fit in fits), key=lambda f: (
+            (6 * len(f.weights) - 1) * np.log(n) - 2.0 * f.loglik))
+    return chosen
 
 
 def fit_gmm(points, m, seed=0):

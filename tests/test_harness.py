@@ -347,7 +347,8 @@ def test_social_flags_are_the_per_stay_participation_fractions(small_world,
     participation = coevent_participation(small_world)
     flagged = 0
     for i, u in enumerate(small_world.users):
-        # each user fitted alone; fit_world_models stacks them in blocks
+        # each user fitted alone; fit_world_models fits them all in one
+        # work queue
         proj, X = project_stays(small_world.trajectories[u])
         fit, = fit_spatial([X], "auto", [3 + i])
         model, assign = fit_mobility_model(small_world.trajectories[u],
@@ -371,6 +372,30 @@ def test_fixed_m_above_a_users_stay_count_names_the_user():
     with pytest.raises(ValueError, match=r"^user b: 2 components need at "
                                          r"least 2 stays, got 1$"):
         fit_world_models(world, m=2)
+
+
+@pytest.mark.parametrize("m", ["auto", 1, 2])
+def test_a_user_without_stays_is_named(m):
+    world = hand_built_world({"a": [((1, 1), 0, 2), ((4, 4), 3, 5)],
+                              "b": [], "c": [((2, 2), 0, 2)]}, [])
+    with pytest.raises(ValueError, match=r"^user b has no stays$"):
+        fit_world_models(world, m=m)
+
+
+def test_a_users_mixture_does_not_depend_on_the_other_users():
+    # the first k users keep their indices, so their seeds; the social flags
+    # depend on the other users' stays, so only the mixture is compared
+    world = generate_world(WorldConfig(n_users=64, seed=42))
+    models = fit_world_models(world, seed=7)
+    for k in (5, 17):
+        users = world.users[:k]
+        sub = World(world.cfg, {u: world.trajectories[u] for u in users},
+                    set())
+        for u, model in fit_world_models(sub, seed=7).items():
+            for name in ("means", "covs", "weights"):
+                assert np.array_equal(getattr(model, name),
+                                      getattr(models[u], name)), (k, u, name)
+            assert model.ll_trace == models[u].ll_trace, (k, u)
 
 
 def scalar_social_influence(fm, point, slot, params):
