@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -94,6 +95,22 @@ def _load_world(world_dir):
     return World(cfg, trajectories, edges)
 
 
+def _output_dir(out, users):
+    """Make the directory `out` for files named by the user ids, once no
+    id holds a path separator, which would name a file outside it."""
+    for u in users:
+        if any(sep in u for sep in (os.sep, os.altsep) if sep):
+            raise ValueError(f"user {u}: an id with a path separator cannot "
+                             f"name a file in {out}")
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def auto_or_int(text):
+    return text if text == "auto" else int(text)
+
+
 def cmd_simulate(args):
     cfg = WorldConfig(n_users=args.users, n_days=args.days, seed=args.seed)
     world = generate_world(cfg)
@@ -141,10 +158,8 @@ def cmd_attack(args):
 
 def cmd_fit_mobility(args):
     world = _load_world(args.world)
-    m = "auto" if args.components == "auto" else int(args.components)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    models = fit_world_models(world, seed=args.seed, m=m)
+    out = _output_dir(args.out, world.users)
+    models = fit_world_models(world, seed=args.seed, m=args.components)
     for u, model in models.items():
         (out / f"{u}.json").write_text(model.to_json())
     print(f"fitted {len(models)} mobility models")
@@ -155,10 +170,9 @@ def cmd_anonymize(args):
     world = _load_world(args.world)
     policy = AnonymityPolicy(k=args.k, l=args.l,
                              stats=tuple(args.stats.split(",")))
+    out = _output_dir(args.out, world.users)
     models = fit_world_models(world, seed=args.seed)
     sets = k_anonymize_world(world, models, policy, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for u, aset in sets.items():
         (out / f"{u}.jsonl").write_text(aset.to_jsonl())
         (out / f"{u}.audit.json").write_text(report_json(aset.audit))
@@ -220,7 +234,7 @@ def build_parser():
 
     s = sub.add_parser("fit-mobility", help="fit per-user mobility models")
     s.add_argument("--world", required=True)
-    s.add_argument("--components", default="auto")
+    s.add_argument("--components", default="auto", type=auto_or_int)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_fit_mobility)
 

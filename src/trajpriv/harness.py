@@ -389,6 +389,9 @@ def fit_world_models(world, seed=0, m="auto"):
     spatial mixture from seed + i. Every user's spatial mixture is fitted
     in one `fit_spatial` call, whose EM work queue fits each as it would be
     fitted alone, so a user's mixture does not depend on the other users."""
+    if m != "auto" and not (isinstance(m, int) and m >= 1):
+        raise ValueError(f"the component count m must be 'auto' or a "
+                         f"positive integer, got {m!r}")
     for u in world.users:
         n = len(world.trajectories[u])
         if n == 0:

@@ -43,10 +43,8 @@ class LocalProjection:
         return lat, lon
 
 
-# One fit of em_mixtures: the fitted parameters, the log-likelihood trace,
-# and the log-joint and total log-likelihood at the returned parameters.
-MixtureFit = namedtuple("MixtureFit",
-                        "means covs weights trace log_joint loglik")
+# One fit of em_mixtures: its parameters, trace and final log-likelihood
+MixtureFit = namedtuple("MixtureFit", "means covs weights trace loglik")
 
 
 def _check_2x2(covs):
@@ -270,28 +268,18 @@ def em_mixtures(sets, starts, floor, max_iter, tol):
     iteration; the floored covariance update is the constrained maximizer,
     so it never decreases. A start stops after `max_iter` M-steps or once
     its trace moves by less than `tol`; it is returned at its current
-    parameters, with their log-joint and total log-likelihood. Returns one
-    MixtureFit per start, in order; a single fit is the one-start case.
+    parameters, with their total log-likelihood. Returns one MixtureFit
+    per start, in order; a single fit is the one-start case.
 
     The running starts share each E- and M-step in one stack. Sets join
     it in order, all of a set's starts at once, while the (component,
     point) entries of the running starts stay within EM_ENTRIES; the first
-    set always joins. A start leaves the stack when it stops. Each
-    component's entries hold its own set's points and nothing else, and
-    every sum over points or over a start's components runs over that
-    start's entries only, so a start gets the same floats in any stack as
-    alone.
+    set always joins. A stopped start leaves when the stack is next laid
+    out. Each component's entries hold its own set's points and nothing
+    else, and every sum over points or over a start's components runs over
+    that start's entries only, so a start gets the same floats in any stack
+    as alone.
     """
-    fits = [None] * len(starts)
-    for _, done in _em_queue(sets, starts, floor, max_iter, tol):
-        for s, fit in done:
-            fits[s] = fit
-    return fits
-
-
-def _em_queue(sets, starts, floor, max_iter, tol):
-    """The run of `em_mixtures`, yielding (set, [(start, fit), ...]), the
-    set's starts in order, as soon as the set's last start stops."""
     sets = [(np.asarray(X, dtype=float), np.asarray(cov0, dtype=float))
             for X, cov0 in sets]
     ns = np.array([len(X) for X, _ in sets])
@@ -308,8 +296,8 @@ def _em_queue(sets, starts, floor, max_iter, tol):
     for s, i in enumerate(set_of.tolist()):
         queue.setdefault(i, []).append(s)
     pending = deque(sorted(queue))
-    done = {i: [] for i in queue}
     cost = {i: int(sizes[q].sum()) * int(ns[i]) for i, q in queue.items()}
+    fits = [None] * len(starts)
     # The stack: per start in layout order, its id, whether it still runs,
     # its trace length and trace; per component, its parameters.
     lay, ids, running = None, np.empty(0, dtype=int), np.empty(0, bool)
@@ -380,30 +368,17 @@ def _em_queue(sets, starts, floor, max_iter, tol):
                              >= tol)
         stop = np.concatenate([run[spent], more[~moved]])
         running[stop] = False
-        for q in stop.tolist():
-            s = ids[q]
-            comps = lay.K[:sizes[s]] + q
-            i = set_of[s]
-            done[i].append((s, MixtureFit(
-                means[comps], covs[comps], weights[comps],
-                trace[q, :age[q]].tolist(),
-                log_joint[lay.comp_start[comps]
-                          + np.arange(lay.n[q])[:, None]],
-                float(loglik[q]))))
-            if len(done[i]) == len(queue[i]):
-                yield i, sorted(done.pop(i), key=lambda f: f[0])
-        if not running.any():
-            if not pending:
-                return
-            continue
-        stepped = _m_step(lay, e, tot, diffs, means, covs.ndim == 3, floor,
-                          (spare, log_joint))
-        if running.all():
-            means, covs, weights = stepped
-        else:       # a stopped start keeps its parameters until dropped
-            alive = running[lay.p]
-            for a, b in zip((means, covs, weights), stepped):
-                a[alive] = b[alive]
+        for q, s in zip(stop.tolist(), ids[stop].tolist()):
+            c = lay.K[:sizes[s]] + q
+            fits[s] = MixtureFit(means[c], covs[c], weights[c],
+                                 trace[q, :age[q]].tolist(), float(loglik[q]))
+        # a stopped start steps on in the stack, unread, until it is dropped
+        if running.any():
+            means, covs, weights = _m_step(lay, e, tot, diffs, means,
+                                           covs.ndim == 3, floor,
+                                           (spare, log_joint))
+        elif not pending:
+            return fits
 
 
 def fit_spatial(point_sets, m, seeds, m_range=range(1, 7), max_iter=200,
@@ -411,8 +386,7 @@ def fit_spatial(point_sets, m, seeds, m_range=range(1, 7), max_iter=200,
     """Full-covariance 2D mixture of each point set, the i-th set's starts
     from `seeds[i]`, all fitted in one EM work queue (`em_mixtures`). With
     m="auto", the fit of a set is the one of lowest BIC, the first m on a
-    tie, over the m in m_range that do not exceed its points; the set's
-    other fits are dropped as soon as its last start stops. Returns the
+    tie, over the m in m_range that do not exceed its points. Returns the
     chosen fit of each set.
     """
     sets, starts = [], []
@@ -425,13 +399,13 @@ def fit_spatial(point_sets, m, seeds, m_range=range(1, 7), max_iter=200,
                              f"any m of {ms}")
         sets.append((X, np.cov(X.T) if n > 1 else np.eye(2)))
         starts += [(i, k, seed) for k in ms if k <= n]
-    chosen = [None] * len(sets)
-    for i, fits in _em_queue(sets, starts, VAR_FLOOR_M2, max_iter, tol):
-        n = len(sets[i][0])
-        # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
-        chosen[i] = min((fit for _, fit in fits), key=lambda f: (
-            (6 * len(f.weights) - 1) * np.log(n) - 2.0 * f.loglik))
-    return chosen
+    fits = [[] for _ in sets]
+    for (i, _, _), fit in zip(starts, em_mixtures(sets, starts, VAR_FLOOR_M2,
+                                                  max_iter, tol)):
+        fits[i].append(fit)
+    # BIC; 6 parameters per component (2 mean, 3 cov, 1 weight) less one
+    return [min(own, key=lambda f: (6 * len(f.weights) - 1) * np.log(len(X))
+                - 2.0 * f.loglik) for (X, _), own in zip(sets, fits)]
 
 
 def fit_gmm(points, m, seed=0):
@@ -480,11 +454,18 @@ class MobilityModel3D:
     ll_trace: list = field(default_factory=list)
 
     def __post_init__(self):
-        m = len(self.weights)
+        m = np.size(self.weights)
         if self.social_flags is None:
             self.social_flags = np.zeros(m, dtype=bool)
         if self.visit_counts is None:
             self.visit_counts = np.zeros(m, dtype=int)
+        slots = np.shape(self.temporal_profile)[:1]
+        for name, shape in dict(weights=(m,), means=(m, 2), covs=(m, 2, 2),
+                                social_flags=(m,), visit_counts=(m,),
+                                temporal_profile=(*slots, m)).items():
+            a = getattr(self, name)
+            if np.shape(a) != shape or not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite, of shape {shape}")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
         rows = self.temporal_profile.sum(axis=1)
@@ -538,15 +519,16 @@ SOCIAL_THRESHOLD = 0.25
 
 def fit_mobility_model(traj, grid, projection, fit, participation):
     """Mobility model of one user's stays from their spatial mixture `fit`
-    (a MixtureFit of `fit_spatial` on the stays' points in `projection`),
-    with the temporal profile, visit counts and social flags of the hard
-    assignment. `participation` flags, per stay, whether it co-occurs with
-    another user's stay. Returns the model and the assignment.
+    (a MixtureFit of the stays' points in `projection`), with the temporal
+    profile, visit counts and social flags of the hard assignment, each
+    stay to its component of largest `mixture_log_joint`. `participation`
+    flags, per stay, whether it co-occurs with another user's stay.
+    Returns the model and the assignment.
     """
-    means, covs, weights, trace, log_joint, _ = fit
+    means, covs, weights, trace, _ = fit
     mm = len(weights)
-    # hard-assign each stay for the profile, visit counts and social flags
-    assign = log_joint.argmax(axis=1)
+    xy = projection.to_xy(traj.start_lat, traj.start_lon)
+    assign = mixture_log_joint(xy, weights, means, covs).argmax(axis=1)
     slots = time_slot(traj.start, grid)
     profile = np.zeros((grid.slots_per_day, mm))
     np.add.at(profile, (slots, assign), 1)

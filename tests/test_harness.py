@@ -374,6 +374,16 @@ def test_fixed_m_above_a_users_stay_count_names_the_user():
         fit_world_models(world, m=2)
 
 
+@pytest.mark.parametrize("m", [0, -1, "7x", 2.0, None])
+def test_an_invalid_component_count_is_named(m):
+    world = hand_built_world({"a": [((1, 1), 0, 2), ((4, 4), 3, 5)],
+                              "b": [((1, 1), 0, 2), ((2, 2), 3, 5)]}, [])
+    with pytest.raises(ValueError) as exc:
+        fit_world_models(world, m=m)
+    assert str(exc.value) == ("the component count m must be 'auto' or a "
+                              f"positive integer, got {m!r}")
+
+
 @pytest.mark.parametrize("m", ["auto", 1, 2])
 def test_a_user_without_stays_is_named(m):
     world = hand_built_world({"a": [((1, 1), 0, 2), ((4, 4), 3, 5)],
@@ -507,6 +517,41 @@ class TestCli:
         assert err == f"error: {exc.value}\n"
         assert err.startswith(f"error: user {exc.value.user_id}: accepted ")
         assert "acceptance rate" in err
+
+    @pytest.mark.parametrize("command", ["fit-mobility", "anonymize"])
+    def test_a_user_id_with_a_path_separator_writes_nothing(
+            self, tmp_path, capsys, command):
+        world = generate_world(small_cfg(n_users=16, n_days=5, seed=9))
+        names = {u: u for u in world.users}
+        names[world.users[3]] = "../escaped"
+        d = tmp_path / "w"
+        d.mkdir()
+        write_world_dir(mapped_world(world, names), d)
+        out = tmp_path / "runs" / "out"
+        assert cli_main([command, "--world", str(d), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: user ../escaped: an id with a path separator cannot "
+            f"name a file in {out}\n")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("value, code, error", [
+        ("0", 1, "error: the component count m must be 'auto' or a positive "
+                 "integer, got 0\n"),
+        ("-1", 1, "error: the component count m must be 'auto' or a "
+                  "positive integer, got -1\n"),
+        ("7x", 2, "argument --components: invalid auto_or_int value: "
+                  "'7x'\n")])
+    def test_an_invalid_component_count_is_named(self, tmp_path, capsys,
+                                                 value, code, error):
+        d = tmp_path / "w"
+        cli_main(["--seed", "9", "simulate", "--users", "16", "--days", "5",
+                  "--out", str(d)])
+        capsys.readouterr()
+        out = tmp_path / "models"
+        assert cli_main(["fit-mobility", "--world", str(d), "--components",
+                         value, "--out", str(out)]) == code
+        assert capsys.readouterr().err.endswith(error)
+        assert not any(out.glob("*.json"))
 
     @pytest.mark.parametrize("command", ["features", "report"])
     def test_overlapping_stays_name_the_user(self, tmp_path, capsys,

@@ -214,10 +214,9 @@ def test_em_loglik_never_decreases(seed, n, ms, d, diagonal, max_iter):
         assert len(fit.weights) == m
         assert 1 <= len(tr) <= max_iter
         assert all(b - a >= -1e-9 for a, b in zip(tr, tr[1:]))
-        # the returned log-joint and log-likelihood belong to the returned
-        # parameters, also when the iteration budget ran out
+        # the returned log-likelihood belongs to the returned parameters,
+        # also when the iteration budget ran out
         log_joint = mixture_log_joint(X, fit.weights, fit.means, fit.covs)
-        assert np.array_equal(fit.log_joint, log_joint)
         lse = np.logaddexp.reduce(log_joint, axis=1)
         assert np.isclose(fit.loglik, lse.sum(), rtol=1e-12)
         # a start fits as it would alone, bit for bit
@@ -259,8 +258,25 @@ def test_multi_set_starts_fit_as_on_their_set_alone(seed, ns, ms, diagonal,
         assert fit.trace == alone.trace and fit.loglik == alone.loglik
         for got, want in zip(fit, alone):
             assert np.array_equal(got, want)
-        assert np.array_equal(fit.log_joint, mixture_log_joint(
-            X, fit.weights, fit.means, fit.covs))
+
+
+@BOUNDED
+@given(seed=seeds, ns=st.lists(st.integers(1, 30), min_size=2, max_size=4),
+       max_iter=st.integers(1, 60), budget=st.integers(1, 400))
+def test_bic_choice_of_each_set_is_its_choice_alone(seed, ns, max_iter,
+                                                     budget):
+    rng = np.random.default_rng(seed)
+    sets = [clustered_points(rng, n, 2) * rng.uniform(1, 500) for n in ns]
+    set_seeds = [seed + i for i in range(len(sets))]
+    # a small budget makes later sets join the stack mid-run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mobility, "EM_ENTRIES", budget)
+        chosen = fit_spatial(sets, "auto", set_seeds, max_iter=max_iter)
+    for X, s, fit in zip(sets, set_seeds, chosen):
+        alone, = fit_spatial([X], "auto", [s], max_iter=max_iter)
+        assert len(fit) == len(alone)
+        for got, want in zip(fit, alone):
+            assert np.array_equal(got, want)
 
 
 @BOUNDED

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -80,18 +81,17 @@ class TestSocialLabeling:
     assigned stays that co-occur reaches SOCIAL_THRESHOLD (0.25)."""
 
     def fit_flags(self, assign, participation):
-        # a three-cluster fit whose log-joint hard-assigns stay i to assign[i]
-        log_joint = np.where(np.arange(3) == np.asarray(assign)[:, None],
-                             0.0, -10.0)
-        fit = MixtureFit(np.array([[0.0, 0], [1000, 0], [2000, 0]]),
-                         np.tile(np.eye(2) * 400, (3, 1, 1)),
-                         np.full(3, 1 / 3), [], log_joint, 0.0)
+        # a three-cluster fit, with stay i at the mean of cluster assign[i]
+        means = np.array([[0.0, 0], [1000, 0], [2000, 0]])
+        fit = MixtureFit(means, np.tile(np.eye(2) * 400, (3, 1, 1)),
+                         np.full(3, 1 / 3), [], 0.0)
+        proj = LocalProjection(28.0, 112.9)
+        lat, lon = proj.to_latlon(means[list(assign)])
         traj = Trajectory("u", [StayRecord("u", 3600 * i, 3600 * i + 600,
-                                           28.0, 112.9, 28.0, 112.9)
-                                for i in range(len(assign))])
-        model, got = fit_mobility_model(traj, GRID, LocalProjection(28.0,
-                                                                    112.9),
-                                        fit, participation)
+                                           *latlon, *latlon)
+                                for i, latlon in enumerate(zip(lat.tolist(),
+                                                               lon.tolist()))])
+        model, got = fit_mobility_model(traj, GRID, proj, fit, participation)
         assert got.tolist() == list(assign)
         return model.social_flags.tolist()
 
@@ -224,6 +224,35 @@ def test_model_json_roundtrip():
     assert np.allclose(clone.means, model.means)
     assert np.allclose(clone.temporal_profile, model.temporal_profile)
     assert clone.social_flags.tolist() == [True, False]
+
+
+def model_json_with(**fields):
+    """The JSON of a valid two-cluster model with `fields` replaced."""
+    cov = np.eye(2) * 400
+    model = make_model([[1, 2], [3, 4]], [cov, cov], [0.25, 0.75],
+                       np.tile([0.5, 0.5], (24, 1)), flags=[True, False])
+    return json.dumps({**json.loads(model.to_json()), **fields})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("means", [[1, 2], [3, 4], [5, 6]]),
+    ("means", [[1, 2], [3, math.inf]]),
+    ("means", [1, 2]),
+    ("covs", [np.eye(2).tolist()]),
+    ("covs", [[1, 0], [0, 1]]),
+    ("weights", [0.25, math.nan]),
+    ("weights", [[0.25, 0.75]]),
+    ("temporal_profile", [[0.5, 0.5]] * 23 + [[math.nan, 0.5]]),
+    ("temporal_profile", [[0.5, 0.25, 0.25]] * 24),
+    ("temporal_profile", [0.5, 0.5]),
+    ("social_flags", [1, 0, 1]),
+    ("visit_counts", [3]),
+])
+def test_model_file_of_mismatched_or_non_finite_arrays_names_the_field(
+        name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, of "
+                                         rf"shape \("):
+        MobilityModel3D.from_json(model_json_with(**{name: value}))
 
 
 def test_profile_row_sum_enforced():
