@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .colocation import CoLocationConfig
 from .core import Trajectory, snap_to_grid, time_slot
 from .mobility import LocationSampler, project_stays
 
@@ -58,7 +59,8 @@ class InsufficientCandidatesError(RuntimeError):
         self.user_id = user_id
 
 
-def trajectory_stats(traj, stats, model=None, alpha_d_m=250.0):
+def trajectory_stats(traj, stats, model=None,
+                     alpha_d_m=CoLocationConfig.alpha_d_m):
     """Evaluate the requested statistics on one trajectory."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")

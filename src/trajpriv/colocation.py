@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (EARTH_RADIUS_M, cell_codes, cells_of, pair_distances_m,
+from .core import (EARTH_RADIUS_M, cell_codes, cells_of, haversine_m,
                    segment_entropy, segment_sums, stacked, weekday)
 
 KERNELS = ("indicator", "exponential")
@@ -29,8 +29,11 @@ class CoLocationConfig:
     temporal_kernel: str = "indicator"
 
     def __post_init__(self):
-        if self.alpha_d_m <= 0 or self.alpha_t_s <= 0:
-            raise ValueError("thresholds must be positive")
+        for key in ("alpha_d_m", "alpha_t_s"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got "
+                                 f"{value!r}")
         if self.spatial_kernel not in KERNELS or self.temporal_kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
 
@@ -66,13 +69,11 @@ def _kernel_reach(alpha, kind):
 
 
 def _kernel_weights(x, alpha, kind):
-    """_kernel_weight of each value of an array, float for float: math.exp
-    per value, as np.exp differs from it in the last bit."""
+    """_kernel_weight of each value of an array: the exponential kernel
+    calls it per value, as np.exp differs from math.exp in the last bit."""
     if kind == "indicator":
         return np.where(x <= alpha, 1.0, 0.0)
-    reach, exp = 3.0 * alpha, math.exp
-    return np.array([0.0 if v > reach else exp(-v / alpha)
-                     for v in x.tolist()])
+    return np.array([_kernel_weight(v, alpha, kind) for v in x.tolist()])
 
 
 class _CoEventFields(NamedTuple):
@@ -305,34 +306,33 @@ def pair_events(events):
 
 
 # Relative half-width of the band around alpha_d in which the indicator
-# kernel's distance filter sends a pair to the exact `pair_distances_m`.
-# Both distances evaluate one formula on the same arguments (numpy forms
-# both sets of products and differences); only sin, cos, arcsin and the
-# squares differ, each within a few ulp of the true value. The terms of
-# the haversine `a` are non-negative, so `a` and its square root keep a
-# relative error of a few ulp, and arcsin at x = sin(t) magnifies a
-# relative error by tan(t) / t, below 4 / pi for t <= pi / 4. Distances
-# up to a quarter of the circumference thus agree to within some 30 ulp,
-# under 1e-14 relative (measured: at most 4.4e-16 over 400,000 pairs
-# from 0.1 m to 10,000 km); longer ones stay longer, arcsin being
-# increasing. For alpha_d up to a quarter circumference, a filtered
-# distance outside alpha_d (1 +- _RECHECK) is therefore on the same side
-# of alpha_d as the exact one; beyond it the bound is not shown, and
-# every pair takes the exact path.
+# kernel's distance filter sends a pair to the exact `haversine_m`. Both
+# distances evaluate one formula on the same arguments (numpy forms the
+# filter's products and differences, which round as Python's do); only
+# sin, cos, arcsin and the squares differ, each within a few ulp of the
+# true value. The terms of the haversine `a` are non-negative, so `a` and
+# its square root keep a relative error of a few ulp, and arcsin at
+# x = sin(t) magnifies a relative error by tan(t) / t, below 4 / pi for
+# t <= pi / 4. Distances up to a quarter of the circumference thus agree
+# to within some 30 ulp, under 1e-14 relative (measured: at most 4.4e-16
+# over 400,000 pairs from 0.1 m to 10,000 km); longer ones stay longer,
+# arcsin being increasing. For alpha_d up to a quarter circumference, a
+# filtered distance outside alpha_d (1 +- _RECHECK) is therefore on the
+# same side of alpha_d as the exact one; beyond it the bound is not
+# shown, and every pair takes the exact path.
 _RECHECK = 1e-9
 _FILTER_REACH_M = math.pi / 2.0 * EARTH_RADIUS_M
-_DEG_TO_RAD = math.pi / 180.0    # the factor pair_distances_m multiplies by
 
 
 def _filter_distances_m(lat, lon, i, j):
-    """The haversine of `pair_distances_m` with numpy's sin, cos and
-    arcsin: within 1e-14 relative of it (see `_RECHECK`), not float
-    for float."""
-    phi = lat * _DEG_TO_RAD
+    """The haversine of `haversine_m` for the stay pairs (i[k], j[k]), with
+    numpy's sin, cos and arcsin: within 1e-14 relative of it (see
+    `_RECHECK`), not float for float."""
+    phi = np.radians(lat)
     cos_phi = np.cos(phi)
     a = np.sin((phi[j] - phi[i]) / 2.0) ** 2
     a += (cos_phi[i] * cos_phi[j]
-          * np.sin((lon[j] - lon[i]) * _DEG_TO_RAD / 2.0) ** 2)
+          * np.sin(np.radians(lon[j] - lon[i]) / 2.0) ** 2)
     np.sqrt(a, out=a)
     np.minimum(a, 1.0, out=a)
     np.arcsin(a, out=a)
@@ -340,26 +340,26 @@ def _filter_distances_m(lat, lon, i, j):
     return a
 
 
+def _exact_distances_m(lat, lon, i, j):
+    """`haversine_m` of each stay pair (i[k], j[k]), as an array."""
+    return np.array(list(map(haversine_m, lat[i].tolist(), lon[i].tolist(),
+                             lat[j].tolist(), lon[j].tolist())))
+
+
 def _spatial_weights(lat, lon, i, j, cfg):
     """`_kernel_weights` of the haversine distances of the stay pairs
     (i[k], j[k]), float for float. The indicator kernel reads a distance
     only through d <= alpha_d: numpy's distances decide every pair outside
-    the band alpha_d (1 +- _RECHECK), and `pair_distances_m` the pairs in
-    it. The exponential kernel reads the value, so every pair takes the
-    exact path."""
+    the band alpha_d (1 +- _RECHECK), and `haversine_m` the pairs in it.
+    The exponential kernel reads the value, so every pair takes
+    `haversine_m`."""
     alpha = cfg.alpha_d_m
     if cfg.spatial_kernel != "indicator" or alpha > _FILTER_REACH_M:
-        return _kernel_weights(pair_distances_m(lat, lon, i, j), alpha,
+        return _kernel_weights(_exact_distances_m(lat, lon, i, j), alpha,
                                cfg.spatial_kernel)
     d = _filter_distances_m(lat, lon, i, j)
     near = np.flatnonzero(np.abs(d - alpha) <= _RECHECK * alpha)
-    if len(near):
-        # the band's pairs alone, as 2m points, so that only their
-        # endpoints' cosines are taken
-        m, a, b = len(near), i[near], j[near]
-        d[near] = pair_distances_m(np.concatenate((lat[a], lat[b])),
-                                   np.concatenate((lon[a], lon[b])),
-                                   np.arange(m), np.arange(m, 2 * m))
+    d[near] = _exact_distances_m(lat, lon, i[near], j[near])
     return _kernel_weights(d, alpha, "indicator")
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, islice, repeat
+from numbers import Real
 from operator import add
 from typing import NamedTuple
 
@@ -277,11 +278,41 @@ def segment_entropy(counts, bounds):
 
 
 @dataclass(frozen=True)
+class LocalProjection:
+    """Equirectangular lat/lon <-> planar meters around a reference point."""
+
+    ref_lat: float
+    ref_lon: float
+
+    def __post_init__(self):
+        for key in ("ref_lat", "ref_lon"):
+            value = getattr(self, key)
+            if not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got "
+                                 f"{value!r}")
+
+    def to_xy(self, lat, lon):
+        lat = np.asarray(lat, dtype=float)
+        lon = np.asarray(lon, dtype=float)
+        x = (np.radians(lon - self.ref_lon) * EARTH_RADIUS_M
+             * math.cos(math.radians(self.ref_lat)))
+        y = np.radians(lat - self.ref_lat) * EARTH_RADIUS_M
+        return np.stack([x, y], axis=-1)
+
+    def to_latlon(self, xy):
+        xy = np.asarray(xy, dtype=float)
+        lat = self.ref_lat + np.degrees(xy[..., 1] / EARTH_RADIUS_M)
+        lon = self.ref_lon + np.degrees(xy[..., 0] / (
+            EARTH_RADIUS_M * math.cos(math.radians(self.ref_lat))))
+        return lat, lon
+
+
+@dataclass(frozen=True)
 class GridSpec:
     """Uniform meter-scaled grid around an origin, plus a time slotting.
 
-    Cells are half-open intervals (lower edge inclusive) on a local
-    equirectangular projection centered on the origin.
+    Cells are half-open intervals (lower edge inclusive) on the local
+    equirectangular projection centered on the origin, `projection`.
     """
 
     origin_lat: float
@@ -306,6 +337,10 @@ class GridSpec:
     @property
     def slots_per_day(self):
         return 1440 // self.time_slot_minutes
+
+    @property
+    def projection(self):
+        return LocalProjection(self.origin_lat, self.origin_lon)
 
 
 class Cell(NamedTuple):
@@ -579,44 +614,9 @@ def haversine_m(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-_DEG_TO_RAD = math.pi / 180.0        # the factor math.radians multiplies by
-_RAD_TO_DEG = 180.0 / math.pi        # the factor math.degrees multiplies by
-
-
-def pair_distances_m(lat, lon, i, j):
-    """haversine_m(lat[i[k]], lon[i[k]], lat[j[k]], lon[j[k]]) for every k,
-    float for float.
-
-    numpy does the arithmetic, which rounds as Python's does; math takes
-    the sines, cosines and arcsines, and Python's ** the squares, one value
-    at a time, as numpy's sin, arcsin and exact squares differ from them in
-    the last bit. Cosines are taken once per point.
-    """
-    phi = np.asarray(lat, dtype=float) * _DEG_TO_RAD
-    lam = np.asarray(lon, dtype=float)
-    sin = math.sin
-    cos_phi = np.array(list(map(math.cos, phi.tolist())))
-    hav_phi = [sin(x) ** 2 for x in ((phi[j] - phi[i]) / 2.0).tolist()]
-    hav_lam = [sin(x) ** 2
-               for x in ((lam[j] - lam[i]) * _DEG_TO_RAD / 2.0).tolist()]
-    a = np.array(hav_phi) + cos_phi[i] * cos_phi[j] * np.array(hav_lam)
-    c = list(map(math.asin, np.minimum(1.0, np.sqrt(a)).tolist()))
-    return 2.0 * EARTH_RADIUS_M * np.array(c)
-
-
-def _grid_xy_m(lat, lon, grid):
-    # local equirectangular projection around the grid origin; written
-    # with one multiply in place of math.radians so that it also takes
-    # numpy arrays, with the same floats
-    x = ((lon - grid.origin_lon) * _DEG_TO_RAD * EARTH_RADIUS_M
-         * math.cos(math.radians(grid.origin_lat)))
-    y = (lat - grid.origin_lat) * _DEG_TO_RAD * EARTH_RADIUS_M
-    return x, y
-
-
 def to_cell(lat, lon, grid):
     """Map a coordinate to its half-open grid cell; raise when outside."""
-    x_m, y_m = _grid_xy_m(lat, lon, grid)
+    x_m, y_m = grid.projection.to_xy(lat, lon).tolist()
     x = math.floor(x_m / grid.cell_size_m)
     y = math.floor(y_m / grid.cell_size_m)
     if not (0 <= x < grid.n_x and 0 <= y < grid.n_y):
@@ -627,10 +627,7 @@ def to_cell(lat, lon, grid):
 def cell_codes(lat, lon, grid):
     """The grid cell of each point of two coordinate arrays as one int64,
     x * n_y + y, or -1 where the point lies outside the grid."""
-    x_m, y_m = _grid_xy_m(np.asarray(lat, dtype=float),
-                          np.asarray(lon, dtype=float), grid)
-    x = np.floor(x_m / grid.cell_size_m)
-    y = np.floor(y_m / grid.cell_size_m)
+    x, y = np.floor(grid.projection.to_xy(lat, lon) / grid.cell_size_m).T
     inside = (0 <= x) & (x < grid.n_x) & (0 <= y) & (y < grid.n_y)
     return np.where(inside, x * grid.n_y + y, -1.0).astype(np.int64)
 
@@ -647,24 +644,18 @@ def snap_to_grid(lat, lon, grid):
     """Cell-center coordinate of the containing cell, clamping to the grid:
     a point off the grid snaps to the nearest edge cell. Takes a point, or
     arrays of points for arrays of centers."""
-    x_m, y_m = _grid_xy_m(np.asarray(lat), np.asarray(lon), grid)
-    x = np.clip(np.floor(x_m / grid.cell_size_m), 0, grid.n_x - 1).astype(int)
-    y = np.clip(np.floor(y_m / grid.cell_size_m), 0, grid.n_y - 1).astype(int)
-    if x.ndim == 0:
-        return cell_center(Cell(int(x), int(y)), grid)
-    return cell_center(Cell(x, y), grid)
+    xy = np.floor(grid.projection.to_xy(lat, lon) / grid.cell_size_m)
+    return cell_center(np.clip(xy, 0, [grid.n_x - 1, grid.n_y - 1]).T, grid)
 
 
 def cell_center(cell, grid):
-    """(lat, lon) of a cell's center point; the cell may be a plain (x, y)
-    pair, and a Cell of index arrays gives arrays of centers."""
-    x, y = cell
-    x_m = (x + 0.5) * grid.cell_size_m
-    y_m = (y + 0.5) * grid.cell_size_m
-    # one multiply in place of math.degrees, so that arrays work too
-    lat = grid.origin_lat + y_m / EARTH_RADIUS_M * _RAD_TO_DEG
-    lon = grid.origin_lon + x_m / (
-        EARTH_RADIUS_M * math.cos(math.radians(grid.origin_lat))) * _RAD_TO_DEG
+    """(lat, lon) of a cell's center point, as two Python floats; the cell
+    may be a plain (x, y) pair, and a pair of index arrays gives arrays of
+    centers."""
+    lat, lon = grid.projection.to_latlon(
+        (np.asarray(cell).T + 0.5) * grid.cell_size_m)
+    if lat.ndim == 0:
+        return lat.item(), lon.item()
     return lat, lon
 
 

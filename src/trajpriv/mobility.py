@@ -15,33 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EARTH_RADIUS_M, time_slot
+from .core import LocalProjection, time_slot
 
 VAR_FLOOR_M2 = 25.0
-
-
-@dataclass(frozen=True)
-class LocalProjection:
-    """Equirectangular lat/lon <-> planar meters around a reference point."""
-
-    ref_lat: float
-    ref_lon: float
-
-    def to_xy(self, lat, lon):
-        lat = np.asarray(lat, dtype=float)
-        lon = np.asarray(lon, dtype=float)
-        x = (np.radians(lon - self.ref_lon) * EARTH_RADIUS_M
-             * math.cos(math.radians(self.ref_lat)))
-        y = np.radians(lat - self.ref_lat) * EARTH_RADIUS_M
-        return np.stack([x, y], axis=-1)
-
-    def to_latlon(self, xy):
-        xy = np.asarray(xy, dtype=float)
-        lat = self.ref_lat + np.degrees(xy[..., 1] / EARTH_RADIUS_M)
-        lon = self.ref_lon + np.degrees(
-            xy[..., 0] / (EARTH_RADIUS_M * math.cos(math.radians(self.ref_lat))))
-        return lat, lon
-
 
 # One fit of em_mixtures: its parameters, trace and final log-likelihood
 MixtureFit = namedtuple("MixtureFit", "means covs weights trace loglik")
@@ -67,12 +43,12 @@ def _chol2(covs):
     _check_2x2(covs)
     a = covs[:, 0, 0]
     if not (a > 0).all():
-        raise ValueError("covariances must be positive definite")
+        raise ValueError("covs must be positive definite")
     l00 = np.sqrt(a)
     l10 = covs[:, 1, 0] / l00
     v = covs[:, 1, 1] - l10 * l10
     if not (v > 0).all():
-        raise ValueError("covariances must be positive definite")
+        raise ValueError("covs must be positive definite")
     return l00, l10, np.sqrt(v)
 
 
@@ -466,6 +442,10 @@ class MobilityModel3D:
             a = getattr(self, name)
             if np.shape(a) != shape or not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite, of shape {shape}")
+        for name in ("weights", "temporal_profile", "visit_counts"):
+            if (getattr(self, name) < 0).any():
+                raise ValueError(f"{name} must be non-negative")
+        _chol2(self.covs)
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
         rows = self.temporal_profile.sum(axis=1)
@@ -491,17 +471,34 @@ class MobilityModel3D:
 
     @classmethod
     def from_json(cls, text):
+        """The model of a `to_json` text; a ValueError names the field that
+        is missing or holds anything but numbers."""
         d = json.loads(text)
-        return cls(
-            user_id=d["user_id"],
-            projection=LocalProjection(d["ref_lat"], d["ref_lon"]),
-            means=np.array(d["means"]),
-            covs=np.array(d["covs"]),
-            weights=np.array(d["weights"]),
-            temporal_profile=np.array(d["temporal_profile"]),
-            social_flags=np.array(d["social_flags"], dtype=bool),
-            visit_counts=np.array(d["visit_counts"], dtype=int),
-        )
+        try:
+            return cls(
+                user_id=d["user_id"],
+                projection=LocalProjection(d["ref_lat"], d["ref_lon"]),
+                means=_numbers(d, "means"),
+                covs=_numbers(d, "covs"),
+                weights=_numbers(d, "weights"),
+                temporal_profile=_numbers(d, "temporal_profile"),
+                social_flags=_numbers(d, "social_flags").astype(bool),
+                visit_counts=_numbers(d, "visit_counts").astype(int),
+            )
+        except KeyError as e:
+            raise ValueError(f"model file has no {e.args[0]}") from None
+
+
+def _numbers(d, key):
+    """The array d[key] of a model file; ValueError unless it holds numbers
+    only, nested as an array."""
+    try:
+        a = np.array(d[key])
+    except ValueError:          # rows of unequal lengths
+        a = None
+    if a is None or a.dtype.kind not in "biuf":
+        raise ValueError(f"{key} must hold numbers only")
+    return a
 
 
 def project_stays(traj):

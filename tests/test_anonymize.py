@@ -7,7 +7,7 @@ from trajpriv.anonymize import (AnonymityPolicy, InsufficientCandidatesError,
                                 _deviations, audit_anonymity_set,
                                 generate_dummy, k_anonymize, trajectory_stats)
 from trajpriv.core import (GridSpec, StayRecord, Trajectory, cell_center, Cell,
-                           cells_of, snap_to_grid, to_cell, _grid_xy_m)
+                           cells_of, snap_to_grid, to_cell)
 from trajpriv.harness import (WorldConfig, fit_world_models, generate_world,
                               k_anonymize_world)
 from trajpriv.mobility import LocalProjection, MobilityModel3D
@@ -149,7 +149,7 @@ class TestSnapToGrid:
             [cell] = cells_of([plat], [plon], GRID)
             if cell is None:            # clamped to the nearest edge cell
                 off_grid += 1
-                x_m, y_m = _grid_xy_m(plat, plon, GRID)
+                x_m, y_m = GRID.projection.to_xy(plat, plon).tolist()
                 cell = Cell(
                     min(max(math.floor(x_m / GRID.cell_size_m), 0), 39),
                     min(max(math.floor(y_m / GRID.cell_size_m), 0), 39))

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from trajpriv.core import (EARTH_RADIUS_M, GridSpec, OutOfGridError,
                            StayRecord, Trajectory, cell_center, Cell,
-                           haversine_m, pair_distances_m, to_cell)
+                           haversine_m, to_cell)
 from trajpriv.colocation import (KERNELS, CoEvent, CoLocationConfig,
                                  PairEvents, coevent_score, extract_coevents,
                                  extract_pair_coevents, pair_events,
                                  stay_participation, _RECHECK,
-                                 _candidate_pairs, _filter_distances_m,
-                                 _gather, _kernel_weight, _kernel_weights,
+                                 _candidate_pairs, _exact_distances_m,
+                                 _filter_distances_m, _gather,
+                                 _kernel_weight, _kernel_weights,
                                  _lexsort_by_pair_start, _spatial_weights)
 from trajpriv.features import (cell_visit_entropy, compute_features,
                                features_to_csv)
@@ -123,6 +124,17 @@ class TestExtraction:
         n_big = len(extract_pair_coevents(trajs["u0"], trajs["u1"],
                                           big, GRID))
         assert n_big >= n_small
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_d_m", math.nan), ("alpha_d_m", math.inf),
+        ("alpha_d_m", 0.0), ("alpha_t_s", math.nan),
+        ("alpha_t_s", math.inf), ("alpha_t_s", -1800.0)])
+    def test_non_finite_or_non_positive_threshold_is_named(self, key, value):
+        # a NaN alpha_t_s would give no events and a NaN or infinite
+        # alpha_d_m a bare error from the spatial hash
+        with pytest.raises(ValueError, match=rf"^{key} must be positive and "
+                                             rf"finite, got {value!r}$"):
+            CoLocationConfig(**{key: value})
 
 
 class TestScore:
@@ -327,8 +339,8 @@ def test_just_inside_reach_across_bins_at_70_degrees(bearing):
 # k-anonymity dummies sit on cell centres, and two vertically adjacent
 # centres lie 250 m apart up to rounding: exactly the indicator threshold.
 # The last bit of the distance decides whether such stays co-occur, so the
-# array forms must equal the scalar ones value for value, not within a
-# tolerance.
+# array kernels must give the scalar kernels' weights of `haversine_m`
+# value for value, not within a tolerance.
 
 def neighbour_pairs(grid, x, y):
     """Centre coordinates of every cell of column x and row y, and the
@@ -359,17 +371,16 @@ def test_array_kernel_equals_scalar_kernel_bit_for_bit(origin, x, y, points,
     ii, jj = np.divmod(np.arange(len(points) ** 2), len(points))
     i, j = np.r_[i, n + ii], np.r_[j, n + jj]
 
-    got = pair_distances_m(lat, lon, i, j)
     want = [haversine_m(lat[a], lon[a], lat[b], lon[b])
             for a, b in zip(i.tolist(), j.tolist())]
-    assert got.tolist() == want
     vertical = np.array(want[:grid.n_y - 1])
     assert (np.abs(vertical - 250.0) < 1e-6).all()
     assert (vertical < 250.0).any() and (vertical > 250.0).any()
 
     gaps = np.array(gaps, dtype=np.int64)
     for kind in KERNELS:
-        assert _kernel_weights(got, 250.0, kind).tolist() == [
+        cfg = CoLocationConfig(alpha_d_m=250.0, spatial_kernel=kind)
+        assert _spatial_weights(lat, lon, i, j, cfg).tolist() == [
             _kernel_weight(d, 250.0, kind) for d in want]
         assert _kernel_weights(gaps, 1800.0, kind).tolist() == [
             _kernel_weight(g, 1800.0, kind) for g in gaps.tolist()]
@@ -378,7 +389,7 @@ def test_array_kernel_equals_scalar_kernel_bit_for_bit(origin, x, y, points,
 # --- the indicator kernel's distance filter and its exact recheck --------
 #
 # numpy's sin, cos and arcsin decide every pair whose distance lies
-# outside alpha_d (1 +- _RECHECK); pair_distances_m decides the rest. The
+# outside alpha_d (1 +- _RECHECK); haversine_m decides the rest. The
 # weights must still equal the scalar kernel's, float for float.
 
 FILTER_ERROR = 1e-14      # the bound stated at colocation._RECHECK
@@ -421,7 +432,7 @@ def test_filter_bound_up_to_a_quarter_circumference():
     plat = np.r_[lat, [p[0] for p in far]]
     plon = np.r_[lon, [p[1] for p in far]]
     i = np.arange(n)
-    exact = pair_distances_m(plat, plon, i, i + n)
+    exact = _exact_distances_m(plat, plon, i, i + n)
     got = _filter_distances_m(plat, plon, i, i + n)
     assert (np.abs(got - exact) <= FILTER_ERROR * exact).all()
     assert _RECHECK >= 1000 * FILTER_ERROR
@@ -439,7 +450,8 @@ def test_recheck_decides_the_pairs_near_the_threshold(monkeypatch):
                                         rng.uniform(1, 100_000, n).tolist())]
     plat = np.r_[lat, [p[0] for p in far]]
     plon = np.r_[lon, [p[1] for p in far]]
-    exact = pair_distances_m(plat, plon, np.arange(n), np.arange(n, 2 * n))
+    exact = _exact_distances_m(plat, plon, np.arange(n),
+                               np.arange(n, 2 * n))
     for sign in (1.0, -1.0):
         monkeypatch.setattr(
             "trajpriv.colocation._filter_distances_m",
@@ -456,20 +468,19 @@ def test_recheck_decides_the_pairs_near_the_threshold(monkeypatch):
 def test_long_reach_takes_the_exact_distance_for_every_pair(monkeypatch):
     # beyond a quarter circumference the filter's bound is not shown
     seen = []
-    exact = pair_distances_m
 
-    def counting(lat, lon, i, j):
-        seen.append(len(i))
-        return exact(lat, lon, i, j)
+    def counting(*args):
+        seen.append(args)
+        return haversine_m(*args)
 
-    monkeypatch.setattr("trajpriv.colocation.pair_distances_m", counting)
+    monkeypatch.setattr("trajpriv.colocation.haversine_m", counting)
     lat, lon = np.array([0.0, 0.0, 10.0]), np.array([0.0, 100.0, -170.0])
     i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
     want = [_kernel_weight(haversine_m(lat[a], lon[a], lat[b], lon[b]),
                            1.2e7, "indicator") for a, b in zip(i, j)]
     cfg = CoLocationConfig(alpha_d_m=1.2e7)
     assert _spatial_weights(lat, lon, i, j, cfg).tolist() == want
-    assert seen == [3] and 0.0 in want and 1.0 in want
+    assert len(seen) == 3 and 0.0 in want and 1.0 in want
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

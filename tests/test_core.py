@@ -12,11 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from trajpriv import core
 from trajpriv.core import (CSV_HEADER, TIME_FORMAT, Cell, GridSpec,
-                           StayParseError, StayRecord, StayTable, Trajectory,
-                           cell_center, cells_of, group_trajectories,
-                           haversine_m, parse_stays, parse_timestamp,
-                           serialize_stays, time_slot, to_cell, weekday,
-                           OutOfGridError)
+                           LocalProjection, StayParseError, StayRecord,
+                           StayTable, Trajectory, cell_center, cells_of,
+                           group_trajectories, haversine_m, parse_stays,
+                           parse_timestamp, serialize_stays, snap_to_grid,
+                           time_slot, to_cell, weekday, OutOfGridError)
 from trajpriv.publish import top_cells
 
 SAMPLE_CSV = (
@@ -313,6 +313,24 @@ class TestCell:
     def test_cell_center_takes_a_cell_or_a_pair(self):
         for x, y in [(0, 0), (3, 4), (39, 17)]:
             assert cell_center(Cell(x, y), GRID) == cell_center((x, y), GRID)
+
+    def test_a_point_gives_python_floats(self):
+        # serialize_stays writes coordinates with repr, which must read
+        # back as numbers
+        lat, lon = GRID.origin_lat + 0.01, GRID.origin_lon + 0.01
+        for center in (cell_center((3, 4), GRID),
+                       cell_center((np.int64(3), np.int64(4)), GRID),
+                       snap_to_grid(lat, lon, GRID),
+                       snap_to_grid(GRID.origin_lat - 1.0, lon, GRID)):
+            assert [type(v) for v in center] == [float, float]
+        assert snap_to_grid(lat, lon, GRID) == cell_center(
+            to_cell(lat, lon, GRID), GRID)
+
+    def test_grid_projection_is_the_local_projection_at_its_origin(self):
+        proj = GRID.projection
+        assert proj == LocalProjection(GRID.origin_lat, GRID.origin_lon)
+        x, y = proj.to_xy(*cell_center((3, 4), GRID)) / GRID.cell_size_m
+        assert (x, y) == pytest.approx((3.5, 4.5), abs=1e-9)
 
     def test_top_cells_returns_cells(self):
         stays = [StayRecord("u", 1000 * i, 1000 * i + 500,

@@ -584,6 +584,19 @@ class TestCli:
                           seed=3, epochs=10)
         assert out.read_text() == report_json(rep["similarity"])
 
+    def test_publish_synth_stays_read_back_as_the_release(self, tmp_path):
+        d = tmp_path / "w"
+        cli_main(["--seed", "9", "simulate", "--users", "16", "--days", "5",
+                  "--out", str(d)])
+        out = tmp_path / "synth.csv"
+        assert cli_main(["--seed", "3", "publish", "synth", "--world",
+                         str(d), "--out", str(out)]) == 0
+        published, _ = publish_synthetic(_load_world(d), seed=3)
+        release = [s for u in sorted(published) for s in published[u]]
+        # Python floats, which serialize_stays writes as plain numbers
+        assert {type(v) for s in release for v in s[3:]} == {float}
+        assert parse_stays(out.read_text()) == release
+
     def test_load_world_round_trips_ids_with_commas(self, tmp_path):
         world = hand_built_world({"a,b": [((1, 1), 0, 2)],
                                   "c": [((2, 2), 0, 2)]}, [("a,b", "c")])

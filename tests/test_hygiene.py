@@ -2,7 +2,8 @@
 import used, no module importing another's private names, no public
 name that only unit tests use, and no name the benchmark tracer wraps
 that the package lacks, one co-location config for the whole package,
-no stay column rebuilt from rows outside core, no stay record built by
+one definition of each geometric formula on the earth's radius, no stay
+column rebuilt from rows outside core, no stay record built by
 the world loader and a bound on its heap peak, no csv.reader for plain
 stays text, no co-occurrence event
 object built by the all-pairs feature export, one metric pass for all its
@@ -85,7 +86,7 @@ def test_checks_catch_what_they_look_for(tmp_path):
         test_no_function_local_import(path)
     with pytest.raises(AssertionError):
         test_no_unused_import(path)
-    path.write_text("from .core import _grid_xy_m\n")
+    path.write_text("from .core import _typed\n")
     with pytest.raises(AssertionError):
         test_no_private_import_from_another_module(path)
 
@@ -181,6 +182,52 @@ def test_colocation_check_catches_a_second_call(tmp_path):
                    "    return colocation.CoLocationConfig(alpha_d_m=d)\n")
     assert colocation_configs([harness, cli]) == [("harness", "COLOCATION"),
                                                   ("cli", None)]
+
+
+# the module-level names that may read EARTH_RADIUS_M: the haversine, the
+# planar projection, the indicator kernel's numpy filter of the haversine
+# and the reach of its bound, and the spatial hash's bin size
+EARTH_RADIUS_READERS = ["colocation._FILTER_REACH_M",
+                        "colocation._candidate_pairs",
+                        "colocation._filter_distances_m",
+                        "core.LocalProjection", "core.haversine_m"]
+
+
+def earth_radius_readers(modules):
+    """module.name of every module-level function, class or assignment in
+    `modules` that reads EARTH_RADIUS_M, by name or as an attribute."""
+    found = []
+    for path in modules:
+        for stmt in parse(path).body:
+            targets = [t.id for t in getattr(stmt, "targets", [])
+                       if isinstance(t, ast.Name)]
+            reads = any(
+                isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                and n.id == "EARTH_RADIUS_M"
+                or isinstance(n, ast.Attribute) and n.attr == "EARTH_RADIUS_M"
+                for n in ast.walk(stmt))
+            if reads:
+                found += [f"{path.stem}.{name}" for name in
+                          targets or [getattr(stmt, "name", None)]]
+    return sorted(found)
+
+
+def test_one_definition_per_geometric_formula():
+    # the exact co-occurrence distance is haversine_m and the grid's plane
+    # is LocalProjection: no second copy of either formula
+    assert earth_radius_readers(MODULES) == EARTH_RADIUS_READERS
+
+
+def test_radius_check_catches_a_planted_copy(tmp_path):
+    core_copy = tmp_path / "core.py"
+    core_copy.write_text((MODULES[0].parent / "core.py").read_text()
+                         + "\n\ndef _grid_xy_m(lat, lon, grid):\n"
+                         "    return lat * EARTH_RADIUS_M\n")
+    other = tmp_path / "features.py"
+    other.write_text("from . import core\n\nSCALE = core.EARTH_RADIUS_M\n")
+    assert earth_radius_readers([core_copy, other]) == [
+        "core.LocalProjection", "core._grid_xy_m", "core.haversine_m",
+        "features.SCALE"]
 
 
 # what a stay row holds per stay; the user id is one per trajectory too
@@ -435,18 +482,19 @@ def test_pass_count_catches_a_per_pair_recomputation(world16, monkeypatch):
 
 def exact_distances_off_the_band(fn, alpha):
     """The number of distances that the co-occurrence engine takes with
-    the exact `pair_distances_m` while `fn()` runs and that lie outside
-    the recheck band alpha (1 +- colocation._RECHECK)."""
+    the exact `haversine_m` while `fn()` runs and that lie outside the
+    recheck band alpha (1 +- colocation._RECHECK)."""
     off = []
-    exact = colocation.pair_distances_m
+    exact = colocation.haversine_m
 
-    def counting(lat, lon, i, j):
-        d = exact(lat, lon, i, j)
-        off.extend(d[np.abs(d - alpha) > colocation._RECHECK * alpha])
+    def counting(*args):
+        d = exact(*args)
+        if abs(d - alpha) > colocation._RECHECK * alpha:
+            off.append(d)
         return d
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(colocation, "pair_distances_m", counting)
+        m.setattr(colocation, "haversine_m", counting)
         fn()
     return len(off)
 
@@ -463,7 +511,7 @@ def test_only_pairs_near_the_threshold_take_the_exact_distance(world16):
 def test_band_check_catches_an_all_pairs_exact_distance(world16,
                                                         monkeypatch):
     def all_exact(lat, lon, i, j, cfg):
-        return colocation._kernel_weights(colocation.pair_distances_m(
+        return colocation._kernel_weights(colocation._exact_distances_m(
             lat, lon, i, j), cfg.alpha_d_m, cfg.spatial_kernel)
 
     monkeypatch.setattr(colocation, "_spatial_weights", all_exact)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,37 @@ def test_model_file_of_mismatched_or_non_finite_arrays_names_the_field(
     with pytest.raises(ValueError, match=rf"^{name} must be finite, of "
                                          rf"shape \("):
         MobilityModel3D.from_json(model_json_with(**{name: value}))
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("covs", [[[1, 2], [2, 1]], np.eye(2).tolist()],
+     "covs must be positive definite"),
+    ("covs", [[[0, 0], [0, 0]], np.eye(2).tolist()],
+     "covs must be positive definite"),
+    ("weights", [1.5, -0.5], "weights must be non-negative"),
+    ("temporal_profile", [[1.5, -0.5]] * 24,
+     "temporal_profile must be non-negative"),
+    ("visit_counts", [-1, 3], "visit_counts must be non-negative"),
+    ("ref_lat", math.nan, "ref_lat must be a finite number, got nan"),
+    ("ref_lon", math.inf, "ref_lon must be a finite number, got inf"),
+    ("ref_lat", "28.0", "ref_lat must be a finite number, got '28.0'"),
+    ("means", [["a", "b"], ["c", "d"]], "means must hold numbers only"),
+    ("covs", [[[1, 0], [0, 1]], [[1, 0], [0]]], "covs must hold numbers only"),
+    ("weights", [0.5, None], "weights must hold numbers only"),
+    ("visit_counts", ["1", "2"], "visit_counts must hold numbers only"),
+])
+def test_model_file_of_invalid_values_names_the_field(name, value, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        MobilityModel3D.from_json(model_json_with(**{name: value}))
+
+
+@pytest.mark.parametrize("name", ["user_id", "ref_lat", "covs",
+                                  "visit_counts"])
+def test_model_file_without_a_field_names_it(name):
+    d = json.loads(model_json_with())
+    del d[name]
+    with pytest.raises(ValueError, match=rf"^model file has no {name}$"):
+        MobilityModel3D.from_json(json.dumps(d))
 
 
 def test_profile_row_sum_enforced():
