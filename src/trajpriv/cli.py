@@ -107,6 +107,21 @@ def _output_dir(out, users):
     return out
 
 
+def _check_out(out, directory=False):
+    """Refuse an --out path before a command does any work: for a file, a
+    directory or a path in no directory; for a `directory` of files, a path
+    that is or lies under a file."""
+    out = Path(out)
+    if directory:
+        near = next(p for p in (out, *out.parents) if p.exists())
+        if not near.is_dir():
+            raise ValueError(f"--out {out}: {near} is not a directory")
+    elif out.is_dir():
+        raise ValueError(f"--out {out}: is a directory")
+    elif not out.parent.is_dir():
+        raise ValueError(f"--out {out}: no directory {out.parent}")
+
+
 def auto_or_int(text):
     return text if text == "auto" else int(text)
 
@@ -182,7 +197,7 @@ def cmd_anonymize(args):
 
 def cmd_publish(args):
     world = _load_world(args.world)
-    published, _ = publish_synthetic(world, seed=args.seed)
+    published = publish_synthetic(world, seed=args.seed)
     if args.action == "synth":
         records = [s for u in sorted(published) for s in published[u]]
         Path(args.out).write_text(serialize_stays(records))
@@ -267,11 +282,13 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_out(args.out, directory=args.func in (
+            cmd_simulate, cmd_fit_mobility, cmd_anonymize))
         return args.func(args)
     except FileNotFoundError as e:
         print(f"error: missing input file: {e.filename}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -172,20 +172,24 @@ class DenseNet:
 _EPS = 1e-12
 
 
-def loss_value(net, X, Y, loss="cross_entropy"):
-    """Mean batch loss, or one per net of a stack. gan_minimax shares the
-    binary cross-entropy form: the adversarial direction is encoded in the
-    targets by the caller."""
-    P = net.forward(X)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss}")
-    if net.output_act == "softmax":
+def cross_entropy(P, Y, softmax=False):
+    """Mean cross-entropy of outputs P for targets Y; one per stacked net."""
+    if softmax:
         per_net = -np.mean(np.sum(Y * np.log(P + _EPS), axis=-1), axis=-1)
     else:
         per_net = -np.mean(Y * np.log(P + _EPS)
                            + (1 - Y) * np.log(1 - P + _EPS), axis=(-2, -1))
     return float(per_net) if per_net.ndim == 0 else per_net
+
+
+def loss_value(net, X, Y, loss="cross_entropy"):
+    """Mean batch loss, or one per net of a stack. gan_minimax shares the
+    binary cross-entropy form: the adversarial direction is encoded in the
+    targets by the caller."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss}")
+    return cross_entropy(net.forward(X), Y, net.output_act == "softmax")
 
 
 class Gradients(dict):
@@ -227,14 +231,15 @@ def sgd_step(net, grads, lr):
     net.theta -= grads.flat
 
 
-def _batch_grads(net, X, Y, grads):
-    """Gradients of the mean cross-entropy of a checked batch into grads."""
+def batch_grads(net, X, Y, grads):
+    """Gradients of the mean cross-entropy of a checked batch into grads;
+    returns its outputs P and backward's dZ1, for the input's gradient."""
     P, H = net._forward(X)
     # both cases reduce to (p - y) at the pre-activation, modulo the
     # sigmoid case using the per-unit Bernoulli form
-    P -= Y
-    P /= X.shape[-2]
-    backward(net, X, H, P, grads)
+    dZ2 = P - Y
+    dZ2 /= X.shape[-2]
+    return P, backward(net, X, H, dZ2, grads)
 
 
 def backprop_grads(net, X, Y, loss="cross_entropy"):
@@ -248,7 +253,7 @@ def backprop_grads(net, X, Y, loss="cross_entropy"):
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss}")
     grads = Gradients(net)
-    _batch_grads(net, X, Y, grads)
+    batch_grads(net, X, Y, grads)
     return grads
 
 
@@ -295,8 +300,8 @@ def train(nets, X, Y, cfg):
         X_epoch, Y_epoch = X.take(order, axis=1), Y.take(order, axis=0)
         for start in range(0, rows, cfg.batch_size):
             stop = start + cfg.batch_size
-            _batch_grads(stack, X_epoch[:, start:stop], Y_epoch[start:stop],
-                         grads)
+            batch_grads(stack, X_epoch[:, start:stop], Y_epoch[start:stop],
+                        grads)
             sgd_step(stack, grads, cfg.learning_rate)
         diverged = np.flatnonzero(~np.isfinite(stack.theta).all(axis=1))
         if diverged.size:

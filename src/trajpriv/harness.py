@@ -469,8 +469,8 @@ def publish_synthetic(world, gan_steps=500, seed=0):
     vecs = np.zeros((len(rows), L, 3 + top_n))
     for i, r in enumerate(rows):
         vecs[i, :len(r)] = r
-    gen, scaler, trace = train_toy_gan(vecs.reshape(len(rows), -1),
-                                       steps=gan_steps, seed=seed)
+    gen, scaler, _ = train_toy_gan(vecs.reshape(len(rows), -1),
+                                   steps=gan_steps, seed=seed)
     published = {}
     offset = 0
     for u in world.users:
@@ -479,7 +479,7 @@ def publish_synthetic(world, gan_steps=500, seed=0):
         offset += n
         published[u] = decode_days(samples.reshape(n, L, -1), list(days[u]),
                                    cells[u], world.grid, u)
-    return published, trace
+    return published
 
 
 def release_similarity(world, published, seed=0):
@@ -507,7 +507,7 @@ def run_defense(world, defense="k_anonymity", policy=None, seed=7,
         sets = k_anonymize_world(world, models, policy, seed=seed)
         published = publish_with_kanon(world, sets, seed=seed)
     elif defense == "publish_synthetic":
-        published, _ = publish_synthetic(world, seed=seed)
+        published = publish_synthetic(world, seed=seed)
         similarity = release_similarity(world, published, seed)
     else:
         raise ValueError(f"unknown defense {defense}")

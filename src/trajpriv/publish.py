@@ -16,8 +16,8 @@ from .core import (StayRecord, Trajectory, abs_slot, cell_center, cells_of,
                    stacked, time_slot, weekday)
 from .colocation import coevent_score, extract_coevents
 from .features import cell_visit_entropy
-from .fusion import (DenseNet, Gradients, backprop_grads, backward,
-                     loss_value, sgd_step)
+from .fusion import (DenseNet, Gradients, backward, batch_grads,
+                     cross_entropy, sgd_step)
 from .mobility import em_mixtures, mixture_log_joint
 
 
@@ -232,7 +232,8 @@ class MinMaxScaler:
 def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
                   lr=0.05, seed=0):
     """Alternating minimax training of a dense generator/discriminator pair
-    over min-max scaled vectors. Returns (generator, scaler, trace)."""
+    over min-max scaled vectors. Returns (generator, scaler, trace); the
+    trace's "disc_loss" and "gen_loss" are each half-step's pre-update loss."""
     real = np.asarray(real_vecs, dtype=float)
     if real.shape[0] == 0:
         raise ValueError("real set must be nonempty")
@@ -242,31 +243,28 @@ def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
     rng = np.random.default_rng(seed)
     disc = DenseNet.init((D, hidden, 1), "tanh", "sigmoid", seed=seed + 1)
     gen = DenseNet.init((z_dim, hidden, D), "tanh", "sigmoid", seed=seed + 2)
-    # filled anew by each generator step's two backward passes; the
-    # discriminator's parameter gradients there go unused
+    # filled anew by each half-step; the generator step's disc_grads go unused
     disc_grads, gen_grads = Gradients(disc), Gradients(gen)
+    n = min(batch, len(R))
+    ones = np.ones((n, 1))
+    Yd = np.vstack([ones, np.zeros_like(ones)])
     trace = {"disc_loss": [], "gen_loss": []}
     for step in range(steps):
-        idx = rng.choice(R.shape[0], size=min(batch, R.shape[0]),
-                         replace=False)
-        z = rng.standard_normal((len(idx), z_dim))
-        fake = gen.forward(z)
-        Xd = np.vstack([R[idx], fake])
-        ones = np.ones((len(idx), 1))
-        Yd = np.vstack([ones, np.zeros_like(ones)])
-        sgd_step(disc, backprop_grads(disc, Xd, Yd, "gan_minimax"), lr)
-        d_loss = loss_value(disc, Xd, Yd, "gan_minimax")
+        idx = rng.choice(len(R), size=n, replace=False)
+        z = rng.standard_normal((n, z_dim))
+        Xd = np.vstack([R[idx], gen.forward(z)])
+        P, _ = batch_grads(disc, Xd, Yd, disc_grads)
+        d_loss = cross_entropy(P, Yd)
+        sgd_step(disc, disc_grads, lr)
         # generator step: push disc(fake) toward 1, backpropagating the
         # discriminator's loss through its input into the generator
-        z = rng.standard_normal((len(idx), z_dim))
+        z = rng.standard_normal((n, z_dim))
         fake, Hg = gen.forward(z, return_hidden=True)
-        P, Hd = disc.forward(fake, return_hidden=True)
-        dfake = backward(disc, fake, Hd, (P - ones) / len(idx),
-                         disc_grads) @ disc.W1.T
+        P, dZ1 = batch_grads(disc, fake, ones, disc_grads)
+        g_loss = cross_entropy(P, ones)
         # the generator's output is a sigmoid
-        backward(gen, z, Hg, dfake * fake * (1.0 - fake), gen_grads)
+        backward(gen, z, Hg, dZ1 @ disc.W1.T * fake * (1.0 - fake), gen_grads)
         sgd_step(gen, gen_grads, lr)
-        g_loss = loss_value(disc, gen.forward(z), ones, "gan_minimax")
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
             raise RuntimeError(f"non-finite adversarial loss at step {step}")
         trace["disc_loss"].append(d_loss)

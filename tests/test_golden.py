@@ -1,4 +1,4 @@
-"""Golden digests of six pipeline outputs on a small simulated world, and
+"""Golden digests of seven pipeline outputs on a small simulated world, and
 of the stays.csv and edges.csv that `trajpriv simulate` writes for another.
 
 A change that claims byte-identical outputs must leave these digests as
@@ -74,6 +74,15 @@ def test_publish_synthetic_report(world):
     report = report_json(run_defense(world, "publish_synthetic", seed=SEED))
     assert sha256(report) == (
         "bd38e2d87c3dfe3bca2b78bd4a102698c14e184031376b4bac98ff269bd40e74")
+
+
+def test_publish_synth_stays(world_dir, tmp_path):
+    # pins the toy GAN's generator, whose samples are the released stays
+    out = tmp_path / "stays.csv"
+    assert cli_main(["--seed", str(SEED), "publish", "synth", "--world",
+                     str(world_dir), "--out", str(out)]) == 0
+    assert sha256(out.read_text()) == (
+        "4e7a1f1945bc0b18ca0a6e1c402c4108f5e23750a9f5e9b3283a3cc3c04f33e8")
 
 
 @pytest.mark.parametrize("name,digest", [

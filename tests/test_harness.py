@@ -310,7 +310,7 @@ def test_publish_synthetic_skips_stays_outside_grid():
         {"u0": [((1, 1), 0, 8), ((5, 5), 9, 17), ((1, 1), 24, 30)],
          "u1": [((2, 2), 0, 8), ((5, 5), 9, 17), (None, 30, 32)]},
         [("u0", "u1")])
-    published, _ = publish_synthetic(world, gan_steps=20, seed=0)
+    published = publish_synthetic(world, gan_steps=20, seed=0)
     assert sorted(published) == ["u0", "u1"]
     u1 = world.trajectories["u1"]
     in_grid = Trajectory("u1", u1.stays[:2])
@@ -471,7 +471,7 @@ def test_a_stay_before_the_world_epoch_keeps_its_own_day():
 
 def test_synthetic_release_publishes_trajectories():
     world = generate_world(WorldConfig(n_users=64, seed=42))
-    published, _ = publish_synthetic(world, seed=7)
+    published = publish_synthetic(world, seed=7)
     real = sum(len(t) for t in world.trajectories.values())
     assert sorted(published) == world.users
     assert all(len(published[u]) > 0 for u in world.users)
@@ -591,7 +591,7 @@ class TestCli:
         out = tmp_path / "synth.csv"
         assert cli_main(["--seed", "3", "publish", "synth", "--world",
                          str(d), "--out", str(out)]) == 0
-        published, _ = publish_synthetic(_load_world(d), seed=3)
+        published = publish_synthetic(_load_world(d), seed=3)
         release = [s for u in sorted(published) for s in published[u]]
         # Python floats, which serialize_stays writes as plain numbers
         assert {type(v) for s in release for v in s[3:]} == {float}
@@ -861,6 +861,40 @@ class TestCli:
         assert "overlaps" in str(exc.value)
         assert capsys.readouterr() == ("", f"error: {exc.value}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, out, reason", [
+        (["simulate", "--users", "8"], "a_file", "a_file is not a directory"),
+        (["ingest", "--input", "w/stays.csv"], "a_dir", "is a directory"),
+        (["features", "--world", "w"], "no_dir/x", "no directory no_dir"),
+        (["attack", "--world", "w"], "a_dir", "is a directory"),
+        (["fit-mobility", "--world", "w"], "a_file",
+         "a_file is not a directory"),
+        (["anonymize", "--world", "w"], "a_file/x",
+         "a_file is not a directory"),
+        (["publish", "synth", "--world", "w"], "a_dir", "is a directory"),
+        (["publish", "similarity", "--world", "w"], "no_dir/x",
+         "no directory no_dir"),
+        (["report", "--world", "w"], "a_dir", "is a directory")])
+    def test_an_unusable_out_is_named_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv, out, reason):
+        monkeypatch.chdir(tmp_path)
+        cli_main(["--seed", "9", "simulate", "--users", "16", "--days", "5",
+                  "--out", "w"])
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("taken\n")
+        capsys.readouterr()
+        assert cli_main(argv + ["--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: --out {out}: {reason}\n")
+        assert (tmp_path / "a_file").read_text() == "taken\n"
+        assert not any((tmp_path / "a_dir").iterdir())
+
+    def test_an_input_that_cannot_be_read_is_named(self, tmp_path, capsys):
+        # any OSError of a command is an error line, not a traceback
+        code = cli_main(["ingest", "--input", str(tmp_path),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
     def test_missing_input_exit_1(self, tmp_path, capsys):
         code = cli_main(["ingest", "--input", str(tmp_path / "nope.csv"),

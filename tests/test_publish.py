@@ -274,8 +274,8 @@ class TestToyGan:
     def test_generator_step_is_minus_lr_times_loss_gradient(self):
         real = np.random.default_rng(0).uniform(0, 10, (40, 3))
         z_dim, hidden, batch, lr, seed = 2, 4, 8, 0.05, 3
-        stepped, scaler, _ = train_toy_gan(real, z_dim, hidden, steps=1,
-                                           batch=batch, lr=lr, seed=seed)
+        stepped, scaler, trace = train_toy_gan(real, z_dim, hidden, steps=1,
+                                               batch=batch, lr=lr, seed=seed)
         # replay the first step's draws and discriminator step
         rng = np.random.default_rng(seed)
         disc = DenseNet.init((3, hidden, 1), "tanh", "sigmoid", seed=seed + 1)
@@ -285,9 +285,13 @@ class TestToyGan:
         fake = gen.forward(rng.standard_normal((batch, z_dim)))
         Xd = np.vstack([scaler.transform(real)[idx], fake])
         Yd = np.vstack([np.ones((batch, 1)), np.zeros((batch, 1))])
+        # the trace holds each half-step's loss at its entering parameters
+        assert trace["disc_loss"] == [loss_value(disc, Xd, Yd, "gan_minimax")]
         sgd_step(disc, backprop_grads(disc, Xd, Yd, "gan_minimax"), lr)
         z = rng.standard_normal((batch, z_dim))
         ones = np.ones((batch, 1))
+        assert trace["gen_loss"] == [loss_value(disc, gen.forward(z), ones,
+                                                "gan_minimax")]
         h = 1e-5
         for name in ("W1", "b1", "W2", "b2"):
             p = getattr(gen, name)
@@ -304,6 +308,22 @@ class TestToyGan:
             step = getattr(stepped, name) - p
             assert np.max(np.abs(step + lr * grad)) \
                 <= 1e-5 * np.max(np.abs(lr * grad)), name
+
+    def test_four_forward_passes_per_step(self, monkeypatch):
+        # the generator's fake batch and the discriminator's pass on it for
+        # each half-step; the trace's losses come from these passes
+        calls = []
+        forward = DenseNet._forward
+
+        def counted(net, X):
+            calls.append(X.shape)
+            return forward(net, X)
+
+        monkeypatch.setattr(DenseNet, "_forward", counted)
+        real = np.random.default_rng(0).uniform(0, 10, (20, 3))
+        _, _, trace = train_toy_gan(real, z_dim=2, hidden=4, steps=5, batch=4)
+        assert len(calls) == 4 * 5
+        assert len(trace["disc_loss"]) == len(trace["gen_loss"]) == 5
 
     def test_marginal_means_recovered(self):
         rng = np.random.default_rng(42)
