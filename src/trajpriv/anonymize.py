@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .colocation import CoLocationConfig
-from .core import Trajectory, snap_to_grid, time_slot
-from .mobility import LocationSampler, project_stays
+from .core import LocalProjection, Trajectory, snap_to_grid, time_slot
+from .mobility import LocationSampler
 
 STATISTICS = ("stay_count", "total_duration_h", "radius_of_gyration_m",
               "social_visit_fraction")
@@ -48,67 +48,93 @@ class AnonymityPolicy:
 
 
 class InsufficientCandidatesError(RuntimeError):
-    """Too few dummies of one user's trajectory passed the policy."""
+    """Too few dummies passed the policy, for one user's trajectory or for
+    several: `failures` lists each failing user as (user, accepted,
+    attempts), and `user_id` and `acceptance_rate` are the first one's."""
 
-    def __init__(self, accepted, needed, attempts, user_id=None):
-        rate = accepted / attempts if attempts else 0.0
-        super().__init__(
+    def __init__(self, needed, failures):
+        self.failures = list(failures)
+        rates = [accepted / attempts if attempts else 0.0
+                 for _, accepted, attempts in self.failures]
+        super().__init__("; ".join(
             f"user {user_id}: accepted {accepted}/{needed} dummies in "
-            f"{attempts} attempts (acceptance rate {rate:.3f})")
-        self.acceptance_rate = rate
-        self.user_id = user_id
+            f"{attempts} attempts (acceptance rate {rate:.3f})"
+            for (user_id, accepted, attempts), rate
+            in zip(self.failures, rates)))
+        self.user_id = self.failures[0][0]
+        self.acceptance_rate = rates[0]
 
 
-def trajectory_stats(traj, stats, model=None,
-                     alpha_d_m=CoLocationConfig.alpha_d_m):
-    """Evaluate the requested statistics on one trajectory."""
-    if len(traj) == 0:
+def block_stats(start, stop, lat, lon, stats, model=None,
+                alpha_d_m=CoLocationConfig.alpha_d_m):
+    """The requested statistics of c trajectories that share one time
+    skeleton (start, stop) and hold the (c, n) stay coordinates lat, lon,
+    as {name: (c,) array}."""
+    c, n = lat.shape
+    if n == 0:
         raise ValueError("empty trajectory")
     out = {}
     for name in stats:
         if name == "stay_count":
-            out[name] = float(len(traj))
+            out[name] = np.full(c, float(n))
         elif name == "total_duration_h":
-            out[name] = sum((traj.stop - traj.start).tolist()) / 3600.0
+            out[name] = np.full(c, sum((stop - start).tolist()) / 3600.0)
         elif name == "radius_of_gyration_m":
-            _, xy = project_stays(traj)
-            centroid = xy.mean(axis=0)
-            out[name] = float(np.sqrt(np.mean(np.sum((xy - centroid) ** 2,
-                                                     axis=1))))
+            xy = LocalProjection.centred_xy(lat, lon)
+            centroid = xy.mean(axis=1, keepdims=True)
+            out[name] = np.sqrt(np.mean(np.sum((xy - centroid) ** 2,
+                                               axis=2), axis=1))
         elif name == "social_visit_fraction":
             if model is None:
                 raise ValueError("social_visit_fraction needs a mobility model")
             centers = model.means[model.social_flags]
             if len(centers) == 0:
-                out[name] = 0.0
+                out[name] = np.zeros(c)
                 continue
-            xy = model.projection.to_xy(traj.start_lat, traj.start_lon)
-            dist = np.linalg.norm(xy[:, None, :] - centers[None], axis=2)
-            out[name] = int(np.sum(dist.min(axis=1) <= alpha_d_m)) / len(traj)
+            xy = model.projection.to_xy(lat, lon)
+            dist = np.linalg.norm(xy[:, :, None, :] - centers, axis=3)
+            out[name] = np.sum(dist.min(axis=2) <= alpha_d_m, axis=1) / n
         else:
             raise ValueError(f"unknown statistic {name}")
     return out
 
 
+def trajectory_stats(traj, stats, model=None,
+                     alpha_d_m=CoLocationConfig.alpha_d_m):
+    """Evaluate the requested statistics on one trajectory: row 0 of its
+    block of one."""
+    block = block_stats(traj.start, traj.stop, traj.start_lat[None],
+                        traj.start_lon[None], stats, model, alpha_d_m)
+    return {name: float(v[0]) for name, v in block.items()}
+
+
 def _dummy_sampler(model, template, grid, influence=None):
     """Draw function of dummies over the template's time skeleton: the
-    per-slot weights and Cholesky factors are prepared once."""
+    per-slot weights and Cholesky factors are prepared once. A draw of
+    `count` candidates returns their snapped (count, n) lat and lon, the
+    same floats as `count` successive one-candidate draws."""
     if len(template) == 0:
         raise ValueError("template trajectory is empty")
     sampler = LocationSampler(model, influence)
     slots = time_slot(template.start, grid)
 
-    def draw(rng):
-        lat, lon = model.projection.to_latlon(sampler.draw(slots, rng))
-        lat, lon = snap_to_grid(lat, lon, grid)
-        return Trajectory.from_columns(template.user_id, template.start,
-                                       template.stop, lat, lon, lat, lon)
+    def draw(rng, count):
+        lat, lon = model.projection.to_latlon(sampler.draws(slots, rng,
+                                                             count))
+        return snap_to_grid(lat, lon, grid)
     return draw
+
+
+def _dummy(template, lat, lon):
+    """The dummy at one candidate's coordinates over the template's times."""
+    return Trajectory.from_columns(template.user_id, template.start,
+                                   template.stop, lat, lon, lat, lon)
 
 
 def generate_dummy(model, template, grid, rng, influence=None):
     """Synthesize one dummy trajectory over the template's time skeleton."""
-    return _dummy_sampler(model, template, grid, influence)(rng)
+    lat, lon = _dummy_sampler(model, template, grid, influence)(rng, 1)
+    return _dummy(template, lat[0], lon[0])
 
 
 @dataclass
@@ -150,23 +176,30 @@ def _deviations(real_stats, cand_stats):
 
 
 def k_anonymize(real, model, policy, grid, seed=0, influence=None):
-    """Rejection-sample k-1 accepted dummies and shuffle the set."""
+    """Rejection-sample k-1 accepted dummies and shuffle the set.
+
+    Each round draws as many candidates as are still needed (within the
+    attempt budget) and scores them in one pass, so the candidates, and
+    the generator's state, are those of one draw per attempt."""
     rng = np.random.default_rng(seed)
     real_stats = trajectory_stats(real, policy.stats, model)
     draw = _dummy_sampler(model, real, grid, influence)
+    need = policy.k - 1
     dummies, deviations = [], []
     attempts = 0
-    while len(dummies) < policy.k - 1 and attempts < policy.max_attempts:
-        attempts += 1
-        cand = draw(rng)
-        cand_stats = trajectory_stats(cand, policy.stats, model)
-        dev = _deviations(real_stats, cand_stats)
-        if all(v <= policy.l for v in dev.values()):
-            dummies.append(cand)
-            deviations.append(dev)
-    if len(dummies) < policy.k - 1:
-        raise InsufficientCandidatesError(len(dummies), policy.k - 1, attempts,
-                                          real.user_id)
+    while len(dummies) < need and attempts < policy.max_attempts:
+        count = min(need - len(dummies), policy.max_attempts - attempts)
+        attempts += count
+        lat, lon = draw(rng, count)
+        dev = _deviations(real_stats, block_stats(
+            real.start, real.stop, lat, lon, policy.stats, model))
+        passed = np.logical_and.reduce([v <= policy.l for v in dev.values()])
+        for i in np.flatnonzero(passed).tolist():
+            dummies.append(_dummy(real, lat[i], lon[i]))
+            deviations.append({name: float(v[i]) for name, v in dev.items()})
+    if len(dummies) < need:
+        raise InsufficientCandidatesError(
+            need, [(real.user_id, len(dummies), attempts)])
     order = list(rng.permutation(policy.k).astype(int))
     audit = {
         "real_position": order.index(0),

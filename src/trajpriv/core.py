@@ -292,11 +292,29 @@ class LocalProjection:
                                  f"{value!r}")
 
     def to_xy(self, lat, lon):
-        lat = np.asarray(lat, dtype=float)
-        lon = np.asarray(lon, dtype=float)
-        x = (np.radians(lon - self.ref_lon) * EARTH_RADIUS_M
-             * math.cos(math.radians(self.ref_lat)))
-        y = np.radians(lat - self.ref_lat) * EARTH_RADIUS_M
+        return self._plane(np.asarray(lat, dtype=float),
+                           np.asarray(lon, dtype=float), self.ref_lat,
+                           self.ref_lon, math.cos(math.radians(self.ref_lat)))
+
+    @staticmethod
+    def centred_xy(lat, lon):
+        """Each row of (c, n) coordinate arrays in the projection centred on
+        that row's mean position, as (c, n, 2) points: row i holds the
+        floats of LocalProjection(lat[i].mean(), lon[i].mean()).to_xy of
+        the row."""
+        # C order, so that each row's mean is the pairwise sum of a lone row
+        lat = np.ascontiguousarray(lat, dtype=float)
+        lon = np.ascontiguousarray(lon, dtype=float)
+        ref_lat = lat.mean(axis=1, keepdims=True)
+        ref_lon = lon.mean(axis=1, keepdims=True)
+        cos_ref = np.array([[math.cos(math.radians(r))]
+                            for r in ref_lat[:, 0].tolist()])
+        return LocalProjection._plane(lat, lon, ref_lat, ref_lon, cos_ref)
+
+    @staticmethod
+    def _plane(lat, lon, ref_lat, ref_lon, cos_ref):
+        x = np.radians(lon - ref_lon) * EARTH_RADIUS_M * cos_ref
+        y = np.radians(lat - ref_lat) * EARTH_RADIUS_M
         return np.stack([x, y], axis=-1)
 
     def to_latlon(self, xy):

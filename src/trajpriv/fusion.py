@@ -210,12 +210,20 @@ def backward(net, X, H, dZ2, grads):
     gradient dZ1 at the hidden pre-activation; the input's gradient is
     dZ1 @ W1ᵀ."""
     stacked = X.ndim == 3
-    dZ1 = dZ2 @ _T(net.W2)
-    dZ1 *= _hidden_deriv(H, net.hidden_act)
+    dZ1 = _hidden_delta(net, H, dZ2)
     np.matmul(_T(X), dZ1, out=grads["W1"])
     np.add.reduce(dZ1, axis=-2, keepdims=stacked, out=grads["b1"])
     np.matmul(_T(H), dZ2, out=grads["W2"])
     np.add.reduce(dZ2, axis=-2, keepdims=stacked, out=grads["b2"])
+    return dZ1
+
+
+def _hidden_delta(net, H, dZ2):
+    """The gradient dZ1 at the hidden pre-activation of a loss whose
+    gradient at the output pre-activation is dZ2, H being the hidden
+    activations of the forward pass."""
+    dZ1 = dZ2 @ _T(net.W2)
+    dZ1 *= _hidden_deriv(H, net.hidden_act)
     return dZ1
 
 
@@ -231,15 +239,31 @@ def sgd_step(net, grads, lr):
     net.theta -= grads.flat
 
 
-def batch_grads(net, X, Y, grads):
-    """Gradients of the mean cross-entropy of a checked batch into grads;
-    returns its outputs P and backward's dZ1, for the input's gradient."""
+def _output_delta(net, X, Y):
+    """Outputs P, hidden activations H and the gradient dZ2 at the output
+    pre-activation of the mean cross-entropy of a checked batch."""
     P, H = net._forward(X)
     # both cases reduce to (p - y) at the pre-activation, modulo the
     # sigmoid case using the per-unit Bernoulli form
     dZ2 = P - Y
     dZ2 /= X.shape[-2]
-    return P, backward(net, X, H, dZ2, grads)
+    return P, H, dZ2
+
+
+def batch_grads(net, X, Y, grads):
+    """Gradients of the mean cross-entropy of a checked batch into grads;
+    returns its outputs P."""
+    P, H, dZ2 = _output_delta(net, X, Y)
+    backward(net, X, H, dZ2, grads)
+    return P
+
+
+def input_delta(net, X, Y):
+    """Outputs P and the hidden gradient dZ1 of the mean cross-entropy of a
+    checked batch, with no parameter gradient: the gradient at the input
+    is dZ1 @ W1ᵀ."""
+    P, H, dZ2 = _output_delta(net, X, Y)
+    return P, _hidden_delta(net, H, dZ2)
 
 
 def backprop_grads(net, X, Y, loss="cross_entropy"):

@@ -26,7 +26,8 @@ from .fusion import DenseNet, TrainConfig, evaluate, train
 from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
                        fit_spatial, project_stays, social_influence,
                        temporal_influence)
-from .anonymize import AnonymityPolicy, k_anonymize
+from .anonymize import (AnonymityPolicy, InsufficientCandidatesError,
+                        k_anonymize)
 from .publish import (decode_days, fit_semantic, gan_sample,
                       purpose_posteriors, semantic_feature, similarity_report,
                       stay_features, stay_rows, top_cells, train_toy_gan)
@@ -425,17 +426,24 @@ def compute_influence_map(model, friend_models, slot, params=None):
 
 def k_anonymize_world(world, models, policy, seed=0):
     """AnonymitySet per user, with social clusters reweighted by the
-    friends' influence at slot 19; deterministic given the seed."""
+    friends' influence at slot 19; deterministic given the seed. Every
+    user is tried: one InsufficientCandidatesError then names all the
+    users whose dummies failed the policy."""
     friends_of = {u: [] for u in world.users}
     for a, b in world.friend_edges:
         friends_of[a].append(b)
         friends_of[b].append(a)
-    sets = {}
+    sets, failures = {}, []
     for i, u in enumerate(world.users):
         inf = compute_influence_map(
             models[u], [models[f] for f in sorted(friends_of[u])], slot=19)
-        sets[u] = k_anonymize(world.trajectories[u], models[u], policy,
-                              world.grid, seed=seed + i, influence=inf)
+        try:
+            sets[u] = k_anonymize(world.trajectories[u], models[u], policy,
+                                  world.grid, seed=seed + i, influence=inf)
+        except InsufficientCandidatesError as e:
+            failures += e.failures
+    if failures:
+        raise InsufficientCandidatesError(policy.k - 1, failures)
     return sets
 
 

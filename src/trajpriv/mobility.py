@@ -575,10 +575,11 @@ class LocationSampler:
 
     Per slot, the cluster comes from the temporal profile with social
     clusters reweighted by 1 + influence, then the point from that
-    cluster's Gaussian. Each draw takes the same generator values, in the
-    same order and with the same arithmetic, as `rng.choice(m, p=w)`
-    followed by `cholesky(cov) @ rng.standard_normal(2)`: one uniform
-    searched in the slot's normalized cumulative weights, then two normals.
+    cluster's Gaussian. A draw over n slots takes two blocks from the
+    generator: n uniforms, then n pairs of normals. Each uniform is
+    searched in its slot's normalized cumulative weights, as
+    `rng.choice(m, p=w)` searches its one uniform, and the point is
+    `cholesky(cov) @ z` for the stay's pair of normals z.
     """
 
     def __init__(self, model, influence=None):
@@ -594,15 +595,20 @@ class LocationSampler:
 
     def draw(self, slots, rng):
         """(n, 2) planar points, one per slot, in order."""
+        return self.draws(slots, rng, 1)[0]
+
+    def draws(self, slots, rng, count):
+        """(count, n, 2) planar points: `count` successive draws over the
+        slots, each its uniform block, then its normal block."""
         n = len(slots)
-        u = np.empty(n)
-        z = np.empty((n, 2))
-        for i in range(n):             # the generator's order: u, then z
-            u[i] = rng.random()
-            rng.standard_normal(out=z[i])
+        u = np.empty((count, n))
+        z = np.empty((count, n, 2))
+        for c in range(count):
+            u[c] = rng.random(n)
+            z[c] = rng.standard_normal((n, 2))
         # searchsorted(cdf[slot], u, side="right") of each draw
-        j = np.sum(self.cdf[slots] <= u[:, None], axis=1)
-        return self.means[j] + (self.chol[j] @ z[:, :, None])[:, :, 0]
+        j = np.sum(self.cdf[slots] <= u[:, :, None], axis=2)
+        return self.means[j] + (self.chol[j] @ z[..., None])[..., 0]
 
 
 def sample_location(model, slot, rng, influence=None):

@@ -17,7 +17,7 @@ from .core import (StayRecord, Trajectory, abs_slot, cell_center, cells_of,
 from .colocation import coevent_score, extract_coevents
 from .features import cell_visit_entropy
 from .fusion import (DenseNet, Gradients, backward, batch_grads,
-                     cross_entropy, sgd_step)
+                     cross_entropy, input_delta, sgd_step)
 from .mobility import em_mixtures, mixture_log_joint
 
 
@@ -243,7 +243,7 @@ def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
     rng = np.random.default_rng(seed)
     disc = DenseNet.init((D, hidden, 1), "tanh", "sigmoid", seed=seed + 1)
     gen = DenseNet.init((z_dim, hidden, D), "tanh", "sigmoid", seed=seed + 2)
-    # filled anew by each half-step; the generator step's disc_grads go unused
+    # filled anew by each half-step
     disc_grads, gen_grads = Gradients(disc), Gradients(gen)
     n = min(batch, len(R))
     ones = np.ones((n, 1))
@@ -253,14 +253,14 @@ def train_toy_gan(real_vecs, z_dim=8, hidden=32, steps=500, batch=32,
         idx = rng.choice(len(R), size=n, replace=False)
         z = rng.standard_normal((n, z_dim))
         Xd = np.vstack([R[idx], gen.forward(z)])
-        P, _ = batch_grads(disc, Xd, Yd, disc_grads)
+        P = batch_grads(disc, Xd, Yd, disc_grads)
         d_loss = cross_entropy(P, Yd)
         sgd_step(disc, disc_grads, lr)
         # generator step: push disc(fake) toward 1, backpropagating the
         # discriminator's loss through its input into the generator
         z = rng.standard_normal((n, z_dim))
         fake, Hg = gen.forward(z, return_hidden=True)
-        P, dZ1 = batch_grads(disc, fake, ones, disc_grads)
+        P, dZ1 = input_delta(disc, fake, ones)
         g_loss = cross_entropy(P, ones)
         # the generator's output is a sigmoid
         backward(gen, z, Hg, dZ1 @ disc.W1.T * fake * (1.0 - fake), gen_grads)

@@ -192,7 +192,9 @@ class TestKAnonymize:
     def test_deterministic(self):
         model = simple_model([[0.0, 0.0], [800.0, 400.0]])
         real = fixture_trajectory()
-        policy = AnonymityPolicy(k=4, l=0.9)
+        # about 1% of this fixture's dummies pass, so the budget is wide
+        # enough that the set does not hang on a lucky draw order
+        policy = AnonymityPolicy(k=4, l=0.9, max_attempts=2000)
         a = k_anonymize(real, model, policy, GRID, seed=5)
         b = k_anonymize(real, model, policy, GRID, seed=5)
         assert a.order == b.order

@@ -4,9 +4,11 @@ on random models and templates."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from trajpriv.anonymize import (AnonymityPolicy, InsufficientCandidatesError,
-                                audit_anonymity_set, generate_dummy,
-                                k_anonymize, trajectory_stats)
+from trajpriv.anonymize import (STATISTICS, AnonymityPolicy,
+                                InsufficientCandidatesError, _deviations,
+                                _dummy_sampler, audit_anonymity_set,
+                                block_stats, generate_dummy, k_anonymize,
+                                trajectory_stats)
 from trajpriv.core import (GridSpec, StayRecord, Trajectory, snap_to_grid,
                            time_slot)
 from trajpriv.mobility import (LocalProjection, LocationSampler,
@@ -44,26 +46,44 @@ def random_template(rng, n):
         for t, d, a, b in zip(starts, rng.integers(1, 3, n), lat, lon)])
 
 
-def per_stay_location(model, slot, rng, influence=None):
-    """One location draw: `rng.choice` of the cluster, then the cluster's
-    Cholesky factor times two normals."""
+def slot_weights(model, slot, influence=None):
+    """The slot's cluster weights, social clusters reweighted by
+    1 + influence, normalized."""
     w = model.temporal_profile[slot].copy()
     if influence:
         for j, inf in influence.items():
             if model.social_flags[j]:
                 w[j] *= 1.0 + inf
-    w /= w.sum()
-    j = int(rng.choice(model.n_components, p=w))
+    return w / w.sum()
+
+
+def cluster_cdf(model, slot, influence=None):
+    """The slot's cumulative cluster weights as `Generator.choice` forms
+    them from p: the cumsum of the weights over its last."""
+    cdf = slot_weights(model, slot, influence).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def per_stay_location(model, slot, u, z, influence=None):
+    """One location of one uniform u and one pair of normals z: the cluster
+    `Generator.choice` picks with u (searchsorted, side="right"), then the
+    cluster's Cholesky factor times z."""
+    j = int(cluster_cdf(model, slot, influence).searchsorted(u, side="right"))
     L = np.linalg.cholesky(model.covs[j])
-    return model.means[j] + L @ rng.standard_normal(2)
+    return model.means[j] + L @ z
 
 
 def per_stay_dummy(model, template, grid, rng, influence=None):
-    """The dummy sampler as one draw per stay, then the snap."""
+    """The dummy sampler as one location per stay from the candidate's two
+    generator blocks, its n uniforms and then its n pairs of normals, then
+    the snap."""
+    u = rng.random(len(template))
+    z = rng.standard_normal((len(template), 2))
     stays = []
-    for s in template:
-        xy = per_stay_location(model, time_slot(s.start_time, grid), rng,
-                               influence)
+    for i, s in enumerate(template):
+        xy = per_stay_location(model, time_slot(s.start_time, grid), u[i],
+                               z[i], influence)
         lat, lon = model.projection.to_latlon(xy)
         lat, lon = snap_to_grid(float(lat), float(lon), grid)
         stays.append(StayRecord(template.user_id, s.start_time, s.stop_time,
@@ -88,10 +108,13 @@ def test_dummy_equals_per_stay_draws(seed, m, n, social, with_influence):
         for a, b in zip(got, want):         # the same floats, not just ==
             assert (a.lat.hex(), a.lon.hex()) == (b.lat.hex(), b.lon.hex())
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # the one-stay case: sample_location
+    # the one-stay case, sample_location, draws what rng.choice and then
+    # standard_normal(2) draw
     slot = int(rng.integers(GRID.slots_per_day))
     want_rng, got_rng = (np.random.default_rng(seed + 2) for _ in range(2))
-    want = per_stay_location(model, slot, want_rng, influence)
+    j = want_rng.choice(m, p=slot_weights(model, slot, influence))
+    want = (model.means[j] + np.linalg.cholesky(model.covs[j])
+            @ want_rng.standard_normal(2))
     got = sample_location(model, slot, got_rng, influence=influence)
     assert got.shape == (2,) and np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -100,8 +123,8 @@ def test_dummy_equals_per_stay_draws(seed, m, n, social, with_influence):
 class TiedUniforms(np.random.Generator):
     """A generator whose uniforms all equal 0.25, a cumulative weight."""
 
-    def random(self, *args, **kwargs):
-        return 0.25
+    def random(self, size=None, *args, **kwargs):
+        return 0.25 if size is None else np.full(size, 0.25)
 
 
 def test_uniform_equal_to_a_cumulative_weight_takes_the_next_cluster():
@@ -127,10 +150,13 @@ def test_many_draws_equal_per_draw_arithmetic():
     influence = {j: float(rng.uniform(0, 3)) for j in range(6)}
     slots = rng.integers(GRID.slots_per_day, size=20_000)
     want_rng, got_rng = (np.random.default_rng(6) for _ in range(2))
-    want = [per_stay_location(model, slot, want_rng, influence)
-            for slot in slots]
+    u = want_rng.random(len(slots))
+    z = want_rng.standard_normal((len(slots), 2))
+    want = [per_stay_location(model, slot, u[i], z[i], influence)
+            for i, slot in enumerate(slots)]
     got = LocationSampler(model, influence).draw(slots, got_rng)
     assert np.array_equal(got, np.array(want))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @BOUNDED
@@ -156,6 +182,89 @@ def test_audit_accepts_every_returned_set(seed, m, n, k, l, social,
         assert e.user_id == "u"
         return
     assert audit_anonymity_set(aset, policy, model)
+
+
+def hexed(stats):
+    return {name: float(v).hex() for name, v in stats.items()}
+
+
+@BOUNDED
+@given(seed=seeds, m=st.integers(1, 4), n=st.integers(1, 30),
+       k=st.integers(2, 6), l=st.floats(0.05, 0.9), social=st.booleans())
+def test_k_anonymize_takes_successive_dummy_draws(seed, m, n, k, l, social):
+    # rounds of candidates scored in one pass keep what one candidate at a
+    # time would: the accepted dummies of successive generate_dummy draws,
+    # the attempt count and, after them, the shuffle
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, m, social)
+    template = generate_dummy(model, random_template(rng, n), GRID, rng)
+    stats = STATISTICS if social else STATISTICS[:3]
+    policy = AnonymityPolicy(k=k, l=l, stats=stats, max_attempts=40)
+    influence = {j: float(rng.uniform(0, 2)) for j in range(m)}
+    real_stats = trajectory_stats(template, stats, model)
+    want_rng = np.random.default_rng(seed)
+    want, want_devs, attempts = [], [], 0
+    while len(want) < k - 1 and attempts < policy.max_attempts:
+        attempts += 1
+        cand = generate_dummy(model, template, GRID, want_rng, influence)
+        dev = _deviations(real_stats, trajectory_stats(cand, stats, model))
+        if all(v <= l for v in dev.values()):
+            want.append(cand)
+            want_devs.append(dev)
+    try:
+        aset = k_anonymize(template, model, policy, GRID, seed=seed,
+                           influence=influence)
+    except InsufficientCandidatesError as e:
+        assert len(want) < k - 1
+        assert e.failures == [("u", len(want), attempts)]
+        return
+    assert [d.stays for d in aset.dummies] == [d.stays for d in want]
+    assert [hexed(d) for d in aset.audit["deviations"]] == [
+        hexed(d) for d in want_devs]
+    assert aset.audit["acceptance_rate"] == (k - 1) / attempts
+    assert aset.order == list(want_rng.permutation(k).astype(int))
+
+
+@BOUNDED
+@given(seed=seeds, m=st.integers(1, 6), n=st.integers(1, 300),
+       c=st.integers(1, 6), drawn=st.booleans(),
+       alpha_d_m=st.floats(10.0, 3000.0))
+def test_block_stats_rows_equal_trajectory_stats(seed, m, n, c, drawn,
+                                                 alpha_d_m):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, m, social=True)
+    template = random_template(rng, n)
+    if drawn:               # snapped candidates, as k_anonymize scores them
+        lat, lon = _dummy_sampler(model, template, GRID)(rng, c)
+    else:
+        lat = 28.04 + rng.normal(0, 0.02, (c, n))
+        lon = 112.92 + rng.normal(0, 0.02, (c, n))
+    block = block_stats(template.start, template.stop, lat, lon, STATISTICS,
+                        model, alpha_d_m)
+    for i in range(c):
+        row = Trajectory.from_columns("u", template.start, template.stop,
+                                      lat[i], lon[i], lat[i], lon[i])
+        assert hexed({name: v[i] for name, v in block.items()}) == hexed(
+            trajectory_stats(row, STATISTICS, model, alpha_d_m))
+
+
+@BOUNDED
+@given(seed=seeds, m=st.integers(1, 4), n=st.integers(1, 100),
+       k=st.integers(2, 6), l=st.floats(0.1, 0.9))
+def test_recorded_deviations_equal_the_audits(seed, m, n, k, l):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, m, social=True)
+    template = generate_dummy(model, random_template(rng, n), GRID, rng)
+    policy = AnonymityPolicy(k=k, l=l, stats=STATISTICS, max_attempts=60)
+    try:
+        aset = k_anonymize(template, model, policy, GRID, seed=seed)
+    except InsufficientCandidatesError:
+        return
+    real_stats = trajectory_stats(template, STATISTICS, model)
+    assert [hexed(d) for d in aset.audit["deviations"]] == [
+        hexed(_deviations(real_stats,
+                          trajectory_stats(d, STATISTICS, model)))
+        for d in aset.dummies]
 
 
 def per_stay_social_visit_fraction(traj, model, alpha_d_m):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import mannwhitneyu
 
-from trajpriv import fusion, harness
+from trajpriv import anonymize, fusion, harness
 from trajpriv.anonymize import AnonymityPolicy, InsufficientCandidatesError
 from trajpriv.cli import _load_world, main as cli_main
 from trajpriv.colocation import CoLocationConfig, coevent_score, \
@@ -501,7 +501,8 @@ class TestCli:
                     == report_json(sets[u].audit))
             assert (out / f"{u}.jsonl").read_text() == sets[u].to_jsonl()
 
-    def test_anonymize_failure_names_the_user(self, tmp_path, capsys):
+    def test_anonymize_failure_names_the_user(self, tmp_path, capsys,
+                                              monkeypatch):
         d = tmp_path / "w"
         cli_main(["--seed", "2", "simulate", "--users", "16", "--days", "5",
                   "--out", str(d)])
@@ -509,6 +510,16 @@ class TestCli:
                          "--l", "0.003", "--out", str(tmp_path / "a")]) == 1
         err = capsys.readouterr().err
         world = _load_world(d)
+        failing = []
+
+        def k_anonymize(real, *args, **kwargs):
+            try:
+                return anonymize.k_anonymize(real, *args, **kwargs)
+            except InsufficientCandidatesError:
+                failing.append(real.user_id)
+                raise
+
+        monkeypatch.setattr(harness, "k_anonymize", k_anonymize)
         with pytest.raises(InsufficientCandidatesError) as exc:
             k_anonymize_world(world, fit_world_models(world, seed=3),
                               AnonymityPolicy(k=5, l=0.003), seed=3)
@@ -517,6 +528,13 @@ class TestCli:
         assert err == f"error: {exc.value}\n"
         assert err.startswith(f"error: user {exc.value.user_id}: accepted ")
         assert "acceptance rate" in err
+        # every user ran, and each failing one is named, in order
+        assert 1 < len(failing) < len(world.users)
+        assert [u for u, _, _ in exc.value.failures] == failing
+        assert exc.value.user_id == failing[0]
+        assert str(exc.value) == "; ".join(
+            f"user {u}: accepted {a}/4 dummies in {n} attempts (acceptance "
+            f"rate {a / n:.3f})" for u, a, n in exc.value.failures)
 
     @pytest.mark.parametrize("command", ["fit-mobility", "anonymize"])
     def test_a_user_id_with_a_path_separator_writes_nothing(

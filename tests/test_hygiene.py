@@ -9,8 +9,9 @@ stays text, no co-occurrence event
 object built by the all-pairs feature export, one metric pass for all its
 pairs and no metric row built by a Python __new__, no exact distance
 taken for a pair far from the indicator threshold, no scipy loaded by
-the package, and no bare np.unique nor numpy.ma loaded by the synthetic
-release's stay rows."""
+the package, no bare np.unique nor numpy.ma loaded by the synthetic
+release's stay rows, and two generator calls per dummy, whatever its
+stay count."""
 
 import ast
 import csv
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 
 import trajpriv
-from trajpriv import cli, colocation, core, harness
+from trajpriv import anonymize, cli, colocation, core, harness, mobility
 from trajpriv.colocation import CoEvent
 from trajpriv.core import StayRecord
 
@@ -607,3 +608,52 @@ def test_numpy_ma_check_catches_a_planted_unique(tmp_path):
     assert text.count(day) == 1
     publish.write_text(text.replace(day, "    np.unique(traj.start)\n" + day))
     assert "numpy.ma" in loaded_modules(tmp_path, STAY_ROWS)
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its `random` and `standard_normal` calls."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = {"random": 0, "standard_normal": 0}
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return super().random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls["standard_normal"] += 1
+        return super().standard_normal(*args, **kwargs)
+
+
+def dummy_generator_calls(n):
+    """The generator calls of one `generate_dummy` over n stays."""
+    model = mobility.MobilityModel3D(
+        "u", core.LocalProjection(28.04, 112.92),
+        np.array([[0.0, 0.0], [900.0, -400.0]]), np.tile(np.eye(2), (2, 1, 1)),
+        np.array([0.5, 0.5]), np.full((24, 2), 0.5))
+    t = 1568592000 + 3600 * np.arange(n)
+    lat, lon = np.full(n, 28.04), np.full(n, 112.92)
+    template = core.Trajectory.from_columns("u", t, t + 600, lat, lon, lat,
+                                            lon)
+    rng = CountingGenerator(n)
+    anonymize.generate_dummy(model, template, harness.WorldConfig().grid, rng)
+    return rng.calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 84, 500])
+def test_a_dummy_takes_two_generator_blocks(n):
+    # its n uniforms, then its n pairs of normals: no per-stay draw loop
+    assert dummy_generator_calls(n) == {"random": 1, "standard_normal": 1}
+
+
+def test_call_count_catches_a_per_stay_draw(monkeypatch):
+    def per_stay(self, slots, rng, count):
+        u = np.array([[rng.random() for _ in slots] for _ in range(count)])
+        z = np.array([[rng.standard_normal(2) for _ in slots]
+                      for _ in range(count)])
+        j = np.sum(self.cdf[slots] <= u[:, :, None], axis=2)
+        return self.means[j] + (self.chol[j] @ z[..., None])[..., 0]
+
+    monkeypatch.setattr(mobility.LocationSampler, "draws", per_stay)
+    assert dummy_generator_calls(84) == {"random": 84, "standard_normal": 84}
