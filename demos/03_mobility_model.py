@@ -2,14 +2,15 @@
 
 Fits a Gaussian mixture over one user's stay locations with BIC model
 selection, labels the clusters visited mostly through friend meetings as
-social, and evaluates the combined social/temporal influence over a day.
+social, and evaluates the friends' social/temporal pull on those clusters
+over a day.
 """
 
 import numpy as np
 
-from trajpriv import (InfluenceParams, WorldConfig, combined_influence,
-                      fit_world_models, generate_world, sample_location,
-                      social_influence, temporal_influence)
+from trajpriv import (WorldConfig, fit_world_models, friend_influence,
+                      generate_world, sample_location, social_influence,
+                      temporal_influence)
 
 
 def main():
@@ -20,16 +21,21 @@ def main():
     print(f"user {user}: {len(model.weights)} clusters, "
           f"{int(model.social_flags.sum())} labeled social")
 
-    params = InfluenceParams(pi1=1.0, pi2=1.0, omega_s=0.5, omega_t=0.5)
     point = model.means[0]
     for slot in (8, 12, 19, 23):
-        si = social_influence(model, point, slot, params)
+        si = social_influence(model, point, slot)
         ti = temporal_influence(model, slot)
-        print(f"slot {slot:2d}: social {si:.3f}, temporal {ti:.3f}, "
-              f"combined {combined_influence(si, ti, params):.3f}")
+        print(f"slot {slot:2d}: own social {si:.3f}, temporal {ti:.3f}")
+
+    friends = sorted({b if a == user else a for a, b in world.friend_edges
+                      if user in (a, b)})
+    pull = friend_influence(models, {user: friends}, 19)[user]
+    print(f"{len(friends)} friends' pull at slot 19 per cluster: "
+          f"{pull.round(3)}")
 
     rng = np.random.default_rng(0)
-    pts = np.array([sample_location(model, 19, rng) for _ in range(500)])
+    pts = np.array([sample_location(model, 19, rng, influence=pull)
+                    for _ in range(500)])
     print(f"500 samples at slot 19: centroid {pts.mean(axis=0).round(1)} m")
 
 

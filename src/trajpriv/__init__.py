@@ -10,9 +10,9 @@ from .colocation import (CoEvent, CoLocationConfig, PairEvents,
 from .features import (FEATURE_NAMES, PairFeatures, Standardizer,
                        cell_visit_entropy, compute_features, project)
 from .fusion import DenseNet, TrainConfig, backprop_grads, evaluate, train
-from .mobility import (InfluenceParams, MobilityModel3D, combined_influence,
-                       fit_gmm, fit_mobility_model, sample_location,
-                       social_influence, temporal_influence)
+from .mobility import (MobilityModel3D, fit_gmm, fit_mobility_model,
+                       friend_influence, sample_location, social_influence,
+                       temporal_influence)
 from .anonymize import (AnonymityPolicy, AnonymitySet, audit_anonymity_set,
                         generate_dummy, k_anonymize, trajectory_stats)
 from .publish import (SemanticModel, StayEmbedding, decode_embedding,

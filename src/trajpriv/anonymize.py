@@ -50,19 +50,15 @@ class AnonymityPolicy:
 class InsufficientCandidatesError(RuntimeError):
     """Too few dummies passed the policy, for one user's trajectory or for
     several: `failures` lists each failing user as (user, accepted,
-    attempts), and `user_id` and `acceptance_rate` are the first one's."""
+    attempts)."""
 
     def __init__(self, needed, failures):
         self.failures = list(failures)
-        rates = [accepted / attempts if attempts else 0.0
-                 for _, accepted, attempts in self.failures]
         super().__init__("; ".join(
             f"user {user_id}: accepted {accepted}/{needed} dummies in "
-            f"{attempts} attempts (acceptance rate {rate:.3f})"
-            for (user_id, accepted, attempts), rate
-            in zip(self.failures, rates)))
-        self.user_id = self.failures[0][0]
-        self.acceptance_rate = rates[0]
+            f"{attempts} attempts (acceptance rate "
+            f"{accepted / attempts if attempts else 0.0:.3f})"
+            for user_id, accepted, attempts in self.failures))
 
 
 def block_stats(start, stop, lat, lon, stats, model=None,
@@ -180,7 +176,8 @@ def k_anonymize(real, model, policy, grid, seed=0, influence=None):
 
     Each round draws as many candidates as are still needed (within the
     attempt budget) and scores them in one pass, so the candidates, and
-    the generator's state, are those of one draw per attempt."""
+    the generator's state, are those of one draw per attempt. `influence`
+    is the user's (m,) friend pull of `LocationSampler`, or None."""
     rng = np.random.default_rng(seed)
     real_stats = trajectory_stats(real, policy.stats, model)
     draw = _dummy_sampler(model, real, grid, influence)

@@ -23,9 +23,8 @@ from .colocation import (CoLocationConfig, extract_coevents,
 from .features import (Standardizer, cell_visit_entropy, compute_features,
                        project, resolve_subset)
 from .fusion import DenseNet, TrainConfig, evaluate, train
-from .mobility import (InfluenceParams, combined_influence, fit_mobility_model,
-                       fit_spatial, project_stays, social_influence,
-                       temporal_influence)
+from .mobility import (fit_mobility_model, fit_spatial, friend_influence,
+                       project_stays)
 from .anonymize import (AnonymityPolicy, InsufficientCandidatesError,
                         k_anonymize)
 from .publish import (decode_days, fit_semantic, gan_sample,
@@ -36,6 +35,8 @@ EPOCH_MONDAY = 1568592000  # 2019-09-16 00:00:00 UTC, a Monday
 # the one co-location config of the experiments: the attack's pair features,
 # the social labelling of mobility clusters and the release's social graph
 COLOCATION = CoLocationConfig()
+# the time slot at which friends pull a user's dummies to social clusters
+INFLUENCE_SLOT = 19
 
 
 @dataclass(frozen=True)
@@ -405,41 +406,30 @@ def fit_world_models(world, seed=0, m="auto"):
     fits = fit_spatial([X for _, X in projected], m,
                        range(seed, seed + len(projected)))
     models = {}
-    for u, (proj, _), fit in zip(world.users, projected, fits):
+    for u, (proj, X), fit in zip(world.users, projected, fits):
         models[u], _ = fit_mobility_model(world.trajectories[u], world.grid,
-                                          proj, fit, participation[u])
+                                          proj, X, fit, participation[u])
     return models
-
-
-def compute_influence_map(model, friend_models, slot, params=None):
-    """Cluster -> combined influence, averaged over the user's friends."""
-    params = params or InfluenceParams()
-    if not friend_models:
-        return {}
-    lat, lon = model.projection.to_latlon(model.means)
-    # (m, friends): each friend's influence on every cluster center
-    vals = np.stack([combined_influence(
-        social_influence(fm, fm.projection.to_xy(lat, lon), slot, params),
-        temporal_influence(fm, slot), params) for fm in friend_models], axis=1)
-    return {j: float(v) for j, v in enumerate(vals.mean(axis=1))}
 
 
 def k_anonymize_world(world, models, policy, seed=0):
     """AnonymitySet per user, with social clusters reweighted by the
-    friends' influence at slot 19; deterministic given the seed. Every
+    friends' influence at INFLUENCE_SLOT; deterministic given the seed. Every
     user is tried: one InsufficientCandidatesError then names all the
     users whose dummies failed the policy."""
     friends_of = {u: [] for u in world.users}
     for a, b in world.friend_edges:
         friends_of[a].append(b)
         friends_of[b].append(a)
+    influence = friend_influence(
+        models, {u: sorted(fs) for u, fs in friends_of.items()},
+        INFLUENCE_SLOT)
     sets, failures = {}, []
     for i, u in enumerate(world.users):
-        inf = compute_influence_map(
-            models[u], [models[f] for f in sorted(friends_of[u])], slot=19)
         try:
             sets[u] = k_anonymize(world.trajectories[u], models[u], policy,
-                                  world.grid, seed=seed + i, influence=inf)
+                                  world.grid, seed=seed + i,
+                                  influence=influence[u])
         except InsufficientCandidatesError as e:
             failures += e.failures
     if failures:

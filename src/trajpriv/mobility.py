@@ -396,25 +396,6 @@ def fit_gmm(points, m, seed=0):
     return fit_spatial([points], m, [seed])[0][:4]
 
 
-@dataclass(frozen=True)
-class InfluenceParams:
-    """Weights of the combined social/temporal influence measure."""
-
-    pi1: float = 1.0
-    pi2: float = 1.0
-    omega_s: float = 0.5
-    omega_t: float = 0.5
-    epsilon_d: float = 1.0
-
-    def __post_init__(self):
-        if self.pi1 <= 0 or self.pi2 <= 0 or self.epsilon_d <= 0:
-            raise ValueError("pi1, pi2, epsilon_d must be positive")
-        if self.omega_s < 0 or self.omega_t < 0:
-            raise ValueError("omegas must be nonnegative")
-        if abs(self.omega_s + self.omega_t - 1.0) > 1e-9:
-            raise ValueError("omega_s + omega_t must equal 1")
-
-
 @dataclass
 class MobilityModel3D:
     """Fitted 3D (space-time-social) mobility model of one user."""
@@ -512,20 +493,21 @@ def project_stays(traj):
 # a cluster is social once this fraction of its stays co-occur with
 # another user's stay
 SOCIAL_THRESHOLD = 0.25
+# the floor, in meters, of the distance that scales a friend's social pull
+INFLUENCE_EPSILON_M = 1.0
 
 
-def fit_mobility_model(traj, grid, projection, fit, participation):
+def fit_mobility_model(traj, grid, projection, points, fit, participation):
     """Mobility model of one user's stays from their spatial mixture `fit`
-    (a MixtureFit of the stays' points in `projection`), with the temporal
-    profile, visit counts and social flags of the hard assignment, each
-    stay to its component of largest `mixture_log_joint`. `participation`
-    flags, per stay, whether it co-occurs with another user's stay.
-    Returns the model and the assignment.
+    (a MixtureFit of the stays' (n, 2) `points` in `projection`), with the
+    temporal profile, visit counts and social flags of the hard assignment,
+    each stay to its component of largest `mixture_log_joint`.
+    `participation` flags, per stay, whether it co-occurs with another
+    user's stay. Returns the model and the assignment.
     """
     means, covs, weights, trace, _ = fit
     mm = len(weights)
-    xy = projection.to_xy(traj.start_lat, traj.start_lon)
-    assign = mixture_log_joint(xy, weights, means, covs).argmax(axis=1)
+    assign = mixture_log_joint(points, weights, means, covs).argmax(axis=1)
     slots = time_slot(traj.start, grid)
     profile = np.zeros((grid.slots_per_day, mm))
     np.add.at(profile, (slots, assign), 1)
@@ -541,11 +523,12 @@ def fit_mobility_model(traj, grid, projection, fit, participation):
                            visit_counts=counts, ll_trace=trace), assign
 
 
-def social_influence(friend_model, point_xy, slot, params):
+def social_influence(friend_model, point_xy, slot):
     """Pull of a friend's dominant place on a candidate location.
 
-    Decays with the candidate's distance to the friend's top cluster center,
-    scaled by how far that center sits from the friend's expected center at
+    exp(-|x - c1| / max(|c1 - c_slot|, INFLUENCE_EPSILON_M)): decays with
+    the candidate's distance to the friend's top cluster center c1, scaled
+    by how far that center sits from the friend's expected center c_slot at
     this time slot. `point_xy` is one (2,) point, giving a float, or
     (..., 2) points, giving an array of that leading shape.
     """
@@ -555,9 +538,9 @@ def social_influence(friend_model, point_xy, slot, params):
     # |d| per point; the stacked 1x2 @ 2x1 product is the dot product that
     # np.linalg.norm takes of one point
     num = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
-    den = max(float(np.linalg.norm(c1 - c_slot)), params.epsilon_d)
+    den = max(float(np.linalg.norm(c1 - c_slot)), INFLUENCE_EPSILON_M)
     # math.exp per value: np.exp differs from it in the last bit
-    si = [params.pi1 * math.exp(x) for x in np.ravel(-params.pi2 * num / den)]
+    si = [math.exp(x) for x in np.ravel(-num / den)]
     return si[0] if num.ndim == 0 else np.reshape(si, num.shape)
 
 
@@ -566,28 +549,56 @@ def temporal_influence(friend_model, slot):
     return float(friend_model.temporal_profile[slot][friend_model.social_flags].sum())
 
 
-def combined_influence(si, ti, params):
-    return params.omega_s * si + params.omega_t * ti
+def friend_influence(models, friends, slot):
+    """Each user's friends' pull on the user's clusters at the slot.
+
+    `friends` maps users to the friends they list (not necessarily
+    symmetric). A friend's pull on a cluster center is the mean of its
+    `social_influence` there and its `temporal_influence`. Returns, per
+    user of `friends`, the (m,) mean pull over the listed friends, zeros
+    for a user who lists none. Each friend model is evaluated once, on the
+    centers of every user who lists it, and a user's pulls are averaged as
+    one C-ordered (m, friends) block, in the listed order.
+    """
+    centers = {u: models[u].projection.to_latlon(models[u].means)
+               for u in friends}
+    listed = {}     # friend -> (user, column) of each listing
+    for u, fs in friends.items():
+        for col, f in enumerate(fs):
+            listed.setdefault(f, []).append((u, col))
+    pulls = {u: np.empty((models[u].n_components, len(fs)))
+             for u, fs in friends.items()}
+    for f, at in listed.items():
+        fm = models[f]
+        lat, lon = (np.concatenate([centers[u][i] for u, _ in at])
+                    for i in (0, 1))
+        pull = (0.5 * social_influence(fm, fm.projection.to_xy(lat, lon), slot)
+                + 0.5 * temporal_influence(fm, slot))
+        ends = np.cumsum([len(pulls[u]) for u, _ in at])
+        for (u, col), p in zip(at, np.split(pull, ends[:-1])):
+            pulls[u][:, col] = p
+    return {u: p.mean(axis=1) if p.shape[1] else np.zeros(len(p))
+            for u, p in pulls.items()}
 
 
 class LocationSampler:
     """Slot-conditioned location draws from one mobility model.
 
     Per slot, the cluster comes from the temporal profile with social
-    clusters reweighted by 1 + influence, then the point from that
-    cluster's Gaussian. A draw over n slots takes two blocks from the
-    generator: n uniforms, then n pairs of normals. Each uniform is
+    clusters reweighted by 1 + influence (an (m,) array, see
+    `friend_influence`; None leaves the profile as it is), then the point
+    from that cluster's Gaussian. A draw over n slots takes two blocks from
+    the generator: n uniforms, then n pairs of normals. Each uniform is
     searched in its slot's normalized cumulative weights, as
     `rng.choice(m, p=w)` searches its one uniform, and the point is
     `cholesky(cov) @ z` for the stay's pair of normals z.
     """
 
     def __init__(self, model, influence=None):
-        w = model.temporal_profile.copy()
-        for j, inf in (influence or {}).items():
-            if model.social_flags[j]:
-                w[:, j] *= 1.0 + inf
-        w /= w.sum(axis=1, keepdims=True)
+        w = model.temporal_profile
+        if influence is not None:
+            w = w * np.where(model.social_flags, 1.0 + influence, 1.0)
+        w = w / w.sum(axis=1, keepdims=True)
         self.cdf = np.cumsum(w, axis=1)
         self.cdf /= self.cdf[:, -1:]
         self.means = model.means

@@ -50,8 +50,8 @@ def slot_weights(model, slot, influence=None):
     """The slot's cluster weights, social clusters reweighted by
     1 + influence, normalized."""
     w = model.temporal_profile[slot].copy()
-    if influence:
-        for j, inf in influence.items():
+    if influence is not None:
+        for j, inf in enumerate(influence.tolist()):
             if model.social_flags[j]:
                 w[j] *= 1.0 + inf
     return w / w.sum()
@@ -98,8 +98,7 @@ def test_dummy_equals_per_stay_draws(seed, m, n, social, with_influence):
     rng = np.random.default_rng(seed)
     model = random_model(rng, m, social)
     template = random_template(rng, n)
-    influence = ({j: float(rng.uniform(0, 3)) for j in range(m)}
-                 if with_influence else None)
+    influence = rng.uniform(0, 3, m) if with_influence else None
     want_rng, got_rng = (np.random.default_rng(seed + 1) for _ in range(2))
     for _ in range(3):
         want = per_stay_dummy(model, template, GRID, want_rng, influence)
@@ -147,7 +146,7 @@ def test_uniform_equal_to_a_cumulative_weight_takes_the_next_cluster():
 def test_many_draws_equal_per_draw_arithmetic():
     rng = np.random.default_rng(5)
     model = random_model(rng, 6, social=True)
-    influence = {j: float(rng.uniform(0, 3)) for j in range(6)}
+    influence = rng.uniform(0, 3, 6)
     slots = rng.integers(GRID.slots_per_day, size=20_000)
     want_rng, got_rng = (np.random.default_rng(6) for _ in range(2))
     u = want_rng.random(len(slots))
@@ -174,12 +173,12 @@ def test_audit_accepts_every_returned_set(seed, m, n, k, l, social,
     if social:
         stats += ("social_visit_fraction",)
     policy = AnonymityPolicy(k=k, l=l, stats=stats, max_attempts=60)
-    influence = {j: float(rng.uniform(0, 2)) for j in range(m)}
+    influence = rng.uniform(0, 2, m)
     try:
         aset = k_anonymize(template, model, policy, GRID, seed=seed,
                            influence=influence)
     except InsufficientCandidatesError as e:
-        assert e.user_id == "u"
+        assert e.failures[0][0] == "u"
         return
     assert audit_anonymity_set(aset, policy, model)
 
@@ -200,7 +199,7 @@ def test_k_anonymize_takes_successive_dummy_draws(seed, m, n, k, l, social):
     template = generate_dummy(model, random_template(rng, n), GRID, rng)
     stats = STATISTICS if social else STATISTICS[:3]
     policy = AnonymityPolicy(k=k, l=l, stats=stats, max_attempts=40)
-    influence = {j: float(rng.uniform(0, 2)) for j in range(m)}
+    influence = rng.uniform(0, 2, m)
     real_stats = trajectory_stats(template, stats, model)
     want_rng = np.random.default_rng(seed)
     want, want_devs, attempts = [], [], 0

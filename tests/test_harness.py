@@ -22,14 +22,14 @@ from trajpriv.core import (EARTH_RADIUS_M, Cell, GridSpec, StayRecord,
 from trajpriv.features import features_to_csv
 from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
-                              compute_influence_map, fit_world_models,
+                              fit_world_models,
                               fit_world_semantic, generate_world,
                               k_anonymize_world, pair_dataset,
                               publish_synthetic, release_similarity,
                               report_json, report_rows_csv, run_attack,
                               run_defense, sample_negative_pairs)
-from trajpriv.mobility import (InfluenceParams, combined_influence,
-                               fit_mobility_model, fit_spatial, project_stays,
+from trajpriv.mobility import (fit_mobility_model, fit_spatial,
+                               friend_influence, project_stays,
                                temporal_influence)
 from trajpriv.publish import (embed_trajectory, similarity_report,
                               stay_rows, top_cells)
@@ -352,7 +352,7 @@ def test_social_flags_are_the_per_stay_participation_fractions(small_world,
         proj, X = project_stays(small_world.trajectories[u])
         fit, = fit_spatial([X], "auto", [3 + i])
         model, assign = fit_mobility_model(small_world.trajectories[u],
-                                           small_world.grid, proj, fit,
+                                           small_world.grid, proj, X, fit,
                                            participation[u])
         assert model.n_components == small_models[u].n_components
         hits = np.zeros(model.n_components)
@@ -408,33 +408,35 @@ def test_a_users_mixture_does_not_depend_on_the_other_users():
             assert model.ll_trace == models[u].ll_trace, (k, u)
 
 
-def scalar_social_influence(fm, point, slot, params):
+def scalar_social_influence(fm, point, slot):
     c1 = fm.means[int(np.argmax(fm.weights))]
     c_slot = fm.temporal_profile[slot] @ fm.means
     num = float(np.linalg.norm(np.asarray(point) - c1))
-    den = max(float(np.linalg.norm(c1 - c_slot)), params.epsilon_d)
-    return params.pi1 * math.exp(-params.pi2 * num / den)
+    den = max(float(np.linalg.norm(c1 - c_slot)), 1.0)
+    return math.exp(-num / den)
 
 
-@pytest.mark.parametrize("params", [None, InfluenceParams(
-    pi1=1.3, pi2=0.7, omega_s=0.4, omega_t=0.6, epsilon_d=50.0)])
-def test_influence_map_equals_the_cluster_by_friend_loop(small_world,
-                                                         small_models, params):
+def test_friend_influence_equals_the_cluster_by_friend_loop(small_world,
+                                                            small_models):
     users = small_world.users
-    p = params or InfluenceParams()
-    for i, u in enumerate(users):
-        model = small_models[u]
-        # 0 to 12 friends, so the mean runs over short and long rows
-        friends = [small_models[v] for v in (users[i + 1:] + users)[:i % 13]]
-        for slot in (0, 8, 19):
-            want = {}
-            for j in range(model.n_components * bool(friends)):
+    # 0 to 12 friends, listed one way only, so the mean runs over short
+    # and long rows
+    friends = {u: (users[i + 1:] + users)[:i % 13]
+               for i, u in enumerate(users)}
+    for slot in (0, 8, 19):
+        got = friend_influence(small_models, friends, slot)
+        assert list(got) == users
+        for u, fs in friends.items():
+            model = small_models[u]
+            want = [0.0] * model.n_components
+            for j in range(model.n_components * bool(fs)):
                 lat, lon = model.projection.to_latlon(model.means[j])
-                want[j] = float(np.mean([combined_influence(
-                    scalar_social_influence(fm, fm.projection.to_xy(lat, lon),
-                                            slot, p),
-                    temporal_influence(fm, slot), p) for fm in friends]))
-            assert compute_influence_map(model, friends, slot, params) == want
+                want[j] = float(np.mean([
+                    0.5 * scalar_social_influence(
+                        fm, fm.projection.to_xy(lat, lon), slot)
+                    + 0.5 * temporal_influence(fm, slot)
+                    for fm in (small_models[f] for f in fs)]))
+            assert got[u].tolist() == want, (slot, u)
 
 
 def test_participation_uses_the_cooccurrence_distance():
@@ -523,15 +525,15 @@ class TestCli:
         with pytest.raises(InsufficientCandidatesError) as exc:
             k_anonymize_world(world, fit_world_models(world, seed=3),
                               AnonymityPolicy(k=5, l=0.003), seed=3)
+        first = exc.value.failures[0][0]
         # not the first user, so the name comes from the failing one
-        assert exc.value.user_id not in (None, world.users[0])
+        assert first != world.users[0]
         assert err == f"error: {exc.value}\n"
-        assert err.startswith(f"error: user {exc.value.user_id}: accepted ")
+        assert err.startswith(f"error: user {first}: accepted ")
         assert "acceptance rate" in err
         # every user ran, and each failing one is named, in order
         assert 1 < len(failing) < len(world.users)
         assert [u for u, _, _ in exc.value.failures] == failing
-        assert exc.value.user_id == failing[0]
         assert str(exc.value) == "; ".join(
             f"user {u}: accepted {a}/4 dummies in {n} attempts (acceptance "
             f"rate {a / n:.3f})" for u, a, n in exc.value.failures)

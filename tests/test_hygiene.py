@@ -10,8 +10,9 @@ object built by the all-pairs feature export, one metric pass for all its
 pairs and no metric row built by a Python __new__, no exact distance
 taken for a pair far from the indicator threshold, no scipy loaded by
 the package, no bare np.unique nor numpy.ma loaded by the synthetic
-release's stay rows, and two generator calls per dummy, whatever its
-stay count."""
+release's stay rows, two generator calls per dummy, whatever its
+stay count, and one social pull per friend model in a world's
+k-anonymity run."""
 
 import ast
 import csv
@@ -657,3 +658,48 @@ def test_call_count_catches_a_per_stay_draw(monkeypatch):
 
     monkeypatch.setattr(mobility.LocationSampler, "draws", per_stay)
     assert dummy_generator_calls(84) == {"random": 84, "standard_normal": 84}
+
+
+def social_influence_calls(fn):
+    """The user of each friend model that `mobility.social_influence` is
+    called with while `fn()` runs, through any name the package holds it
+    by."""
+    users = []
+    orig = mobility.social_influence
+
+    def counting(friend_model, *args):
+        users.append(friend_model.user_id)
+        return orig(friend_model, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        for name, mod in list(sys.modules.items()):
+            if name == "trajpriv" or name.startswith("trajpriv."):
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        m.setattr(mod, attr, counting)
+        fn()
+    return users
+
+
+def k_anonymity_pulls(world):
+    models = harness.fit_world_models(world, seed=7)
+    policy = anonymize.AnonymityPolicy(l=0.9)
+    return social_influence_calls(
+        lambda: harness.k_anonymize_world(world, models, policy))
+
+
+def test_each_friend_model_pulls_once(world16):
+    # one pass over every user's cluster centers, not one call per
+    # (user, friend)
+    users = k_anonymity_pulls(world16)
+    assert 0 < len(users) == len(set(users))
+
+
+def test_pull_count_catches_a_per_user_pass(world16, monkeypatch):
+    def per_user(models, friends, slot):
+        return {u: mobility.friend_influence(models, {u: fs}, slot)[u]
+                for u, fs in friends.items()}
+
+    monkeypatch.setattr(harness, "friend_influence", per_user)
+    users = k_anonymity_pulls(world16)
+    assert len(users) > len(set(users))

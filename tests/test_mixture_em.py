@@ -296,7 +296,7 @@ def test_mobility_assignment_is_argmax_of_log_joint(seed, n, m):
     proj, X = project_stays(traj)
     fit, = fit_spatial([X], m if m == "auto" else min(m, n), [seed % 1000])
     hits = rng.random(n) < 0.4
-    model, assign = fit_mobility_model(traj, GRID, proj, fit, hits)
+    model, assign = fit_mobility_model(traj, GRID, proj, X, fit, hits)
     log_joint = mixture_log_joint(X, model.weights, model.means, model.covs)
     assert np.array_equal(assign, log_joint.argmax(axis=1))
     # a cluster is social once a quarter of its stays co-occur

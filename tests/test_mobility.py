@@ -7,9 +7,8 @@ import pytest
 from scipy.stats import chisquare
 
 from trajpriv.core import GridSpec, StayRecord, Trajectory
-from trajpriv.mobility import (SOCIAL_THRESHOLD, InfluenceParams,
-                               LocalProjection, MixtureFit, MobilityModel3D,
-                               combined_influence, fit_gmm,
+from trajpriv.mobility import (SOCIAL_THRESHOLD, LocalProjection,
+                               MixtureFit, MobilityModel3D, fit_gmm,
                                fit_mobility_model, sample_location,
                                social_influence, temporal_influence)
 
@@ -92,7 +91,9 @@ class TestSocialLabeling:
                                            *latlon, *latlon)
                                 for i, latlon in enumerate(zip(lat.tolist(),
                                                                lon.tolist()))])
-        model, got = fit_mobility_model(traj, GRID, proj, fit, participation)
+        model, got = fit_mobility_model(traj, GRID, proj,
+                                        proj.to_xy(lat, lon), fit,
+                                        participation)
         assert got.tolist() == list(assign)
         return model.social_flags.tolist()
 
@@ -115,16 +116,17 @@ class TestInfluence:
         profile = np.tile([0.7, 0.3], (24, 1))
         self.model = make_model([[0, 0], [2000, 0]], [cov, cov], [0.6, 0.4],
                                 profile, flags=[True, False])
-        self.params = InfluenceParams(pi1=1.0, pi2=1.0, omega_s=0.5,
-                                      omega_t=0.5, epsilon_d=1.0)
 
     def test_at_dominant_center(self):
-        si = social_influence(self.model, [0, 0], 0, self.params)
-        assert si == pytest.approx(self.params.pi1)
+        assert social_influence(self.model, [0, 0], 0) == 1.0
 
-    def test_large_pi2_vanishes(self):
-        params = InfluenceParams(pi1=1.0, pi2=500.0)
-        assert social_influence(self.model, [5000, 0], 0, params) < 1e-12
+    def test_far_point_vanishes(self):
+        # |c1 - c_slot| = 0.3 * 2000 = 600 m, so 300 km away is exp(-500)
+        si = [social_influence(self.model, [x, 0], 0)
+              for x in (0, 600, 6000, 300_000)]
+        assert si == sorted(si, reverse=True)
+        assert si[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert si[-1] < 1e-12
 
     def test_exp_minus_two(self):
         # numerator 2 km, denominator |c1 - c_slot| = 0.7*0 + 0.3*2000 = 600
@@ -133,18 +135,16 @@ class TestInfluence:
         model = make_model([[0, 0], [2000, 0]], [np.eye(2) * 400] * 2,
                            [0.6, 0.4], profile)
         # c_slot = (1000, 0), so d(c1, c_slot) = 1000; point 2 km from c1
-        si = social_influence(model, [2000, 0], 0,
-                              InfluenceParams(pi1=1.0, pi2=1.0))
+        si = social_influence(model, [2000, 0], 0)
         assert si == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_translation_invariance(self):
         shift = np.array([12345.0, -6789.0])
-        si0 = social_influence(self.model, [500, 300], 4, self.params)
+        si0 = social_influence(self.model, [500, 300], 4)
         shifted = make_model(self.model.means + shift, self.model.covs,
                              self.model.weights, self.model.temporal_profile,
                              flags=self.model.social_flags)
-        si1 = social_influence(shifted, np.array([500, 300]) + shift, 4,
-                               self.params)
+        si1 = social_influence(shifted, np.array([500, 300]) + shift, 4)
         assert si0 == pytest.approx(si1, rel=1e-12)
 
     def test_temporal_influence(self):
@@ -159,16 +159,6 @@ class TestInfluence:
                                  self.model.temporal_profile,
                                  flags=[False, False])
         assert temporal_influence(none_social, 0) == 0.0
-
-    def test_combined(self):
-        p = InfluenceParams(omega_s=1.0, omega_t=0.0)
-        assert combined_influence(0.3, 0.9, p) == pytest.approx(0.3)
-        p = InfluenceParams(omega_s=0.5, omega_t=0.5)
-        assert combined_influence(0.2, 0.6, p) == pytest.approx(0.4)
-
-    def test_omega_sum_enforced(self):
-        with pytest.raises(ValueError):
-            InfluenceParams(omega_s=0.7, omega_t=0.7)
 
 
 class TestSampling:
@@ -195,7 +185,7 @@ class TestSampling:
         profile = np.tile([0.5, 0.5], (24, 1))
         model = make_model([[0, 0], [50000, 0]], [cov, cov], [0.5, 0.5],
                            profile, flags=[True, False])
-        influence = {0: 1.0}     # social cluster reweighted by (1 + 1)
+        influence = np.array([1.0, 5.0])     # social cluster by (1 + 1)
         expected = np.array([0.5 * 2, 0.5])
         expected /= expected.sum()
         rng = np.random.default_rng(8)
@@ -213,7 +203,7 @@ class TestSampling:
         p1 = [sample_location(model, 0, np.random.default_rng(4))
               for _ in range(5)]
         p2 = [sample_location(model, 0, np.random.default_rng(4),
-                              influence={0: 0.0, 1: 0.0}) for _ in range(5)]
+                              influence=np.zeros(2)) for _ in range(5)]
         assert np.allclose(p1, p2)
 
 
