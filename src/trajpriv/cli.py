@@ -62,7 +62,10 @@ def _load_world(world_dir):
                 edges.add(pair)
         except csv.Error as e:      # raised reading the row after row i
             raise ValueError(f"edges.csv row {i + 1}: {e}") from None
-    config = json.loads((world_dir / "config.json").read_text())
+    try:
+        config = json.loads((world_dir / "config.json").read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"config.json: {e}") from None
     if type(config) is not dict:
         raise ValueError(f"config.json: expected an object, got {config!r}")
     types = {f.name: f.type for f in dataclasses.fields(WorldConfig)}

@@ -347,13 +347,17 @@ def _attack(datasets, subsets=("all",), seed=7, semantic=False, epochs=400):
     if semantic and any(sem is None for _, sem in datasets):
         raise ValueError("semantic attack on a dataset built without "
                          "semantic vectors")
-    labels = np.array([bool(f.label) for f in datasets[0][0]])
+    labels = np.array([bool(f.label) for f in datasets[0][0]], dtype=bool)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(labels))
     n_train = int(round(0.7 * len(labels)))
     train_idx, test_idx = order[:n_train], order[n_train:]
-    if labels[test_idx].sum() == 0 or (~labels[test_idx]).sum() == 0:
-        raise ValueError("degenerate split: test set lacks a class")
+    test = labels[test_idx]
+    if not test.any() or test.all():
+        raise ValueError(
+            f"degenerate split: the attack's {len(test)} test pairs hold no "
+            f"{'non-friend pair' if test.any() else 'friend edge'}; "
+            f"{labels.sum()} of its {len(labels)} pairs are friend edges")
     by_width = {}      # input width -> [(dataset, subset, standardized X)]
     for i, (rows_feat, sem_vectors) in enumerate(datasets):
         for j, subset in enumerate(subsets):

@@ -143,7 +143,7 @@ def _floor_cov(covs, floor):
 EM_ENTRIES = 20_000
 
 _Layout = namedtuple("_Layout",
-                     "m n off blocks K p j comp_len comp_start work")
+                     "m n off blocks p j comp_len comp_start work")
 
 
 def _lay_out(m, n, points, buf):
@@ -156,7 +156,7 @@ def _lay_out(m, n, points, buf):
     entries; those starts come first, so block j holds the first points,
     and `blocks` lists each block's slice and its length. Component c is
     row j[c] of the start at position p[c]; its entries run comp_len[c]
-    from comp_start[c], and row j of the start at p is component K[j] + p.
+    from comp_start[c].
     `work` is the first columns of buf, one per entry; its first d rows
     hold the point of each entry, one dimension per row.
     """
@@ -173,16 +173,8 @@ def _lay_out(m, n, points, buf):
     return _Layout(m, n, off,
                    [(slice(b, b + l), l) for b, l in zip(B.tolist(),
                                                           L.tolist())],
-                   np.concatenate([[0], np.cumsum(rows)]), p, j, n[p],
+                   p, j, n[p],
                    B[j] + off[p], work)
-
-
-def _moved(a, src, into):
-    """`a`'s rows `src` put at the rows `into` (a mask) of a new array of
-    into's length, zeros elsewhere."""
-    out = np.zeros((len(into), *a.shape[1:]), dtype=a.dtype)
-    out[into] = a[src]
-    return out
 
 
 def _point_sums(lay, log_joint, e):
@@ -274,12 +266,16 @@ def em_mixtures(sets, starts, floor, max_iter, tol):
     pending = deque(sorted(queue))
     cost = {i: int(sizes[q].sum()) * int(ns[i]) for i, q in queue.items()}
     fits = [None] * len(starts)
-    # The stack: per start in layout order, its id, whether it still runs,
-    # its trace length and trace; per component, its parameters.
+    # Every start's parameters, start s's components in the rows
+    # first[s]:first[s + 1], and its trace; a set's starts draw theirs when
+    # the set joins.
+    first = np.concatenate([[0], np.cumsum(sizes)])
+    means, weights = np.empty((first[-1], d)), np.empty(first[-1])
+    covs = np.empty((first[-1], *cov0s[set_of[0]].shape))
+    traces = [[] for _ in starts]
+    # The stack: its starts in layout order, whether each still runs, and
+    # the row of each of its components.
     lay, ids, running = None, np.empty(0, dtype=int), np.empty(0, bool)
-    age, trace = np.empty(0, dtype=int), np.empty((0, max_iter))
-    means, weights = np.empty((0, d)), np.empty(0)
-    covs = np.empty((0, *cov0s[set_of[0]].shape))
     # the work rows over the entries, their points and then the E-step's,
     # as wide as the widest stack: a set joins an empty stack whatever its
     # size, and no other set joins past EM_ENTRIES
@@ -293,66 +289,56 @@ def em_mixtures(sets, starts, floor, max_iter, tol):
             i = pending.popleft()
             joining += queue[i]
             live += cost[i]
+        drawn = {}          # seed -> its generator and first state
+        for s in joining:
+            i, k, seed = starts[s]
+            if seed in drawn:       # a set's starts often share a seed
+                rng, state = drawn[seed]
+                rng.bit_generator.state = state
+            else:
+                rng = np.random.default_rng(seed)
+                drawn[seed] = rng, rng.bit_generator.state
+            rows = slice(first[s], first[s + 1])
+            means[rows] = sets[i][0][rng.choice(ns[i], size=k, replace=False)]
+            covs[rows] = cov0s[i]
+            weights[rows] = 1.0 / k
         # lay the stack out again when sets join, or to drop the stopped
         # starts once they hold half its entries
         if joining or 2 * live <= lay.work.shape[1]:
-            keep = np.flatnonzero(running)
-            new = np.concatenate([ids[keep], joining]).astype(int)
-            src = np.concatenate([keep, np.full(len(joining), -1)])
-            order = np.argsort(-sizes[new], kind="stable")
-            new, src = new[order], src[order]
-            old = lay
-            lay = _lay_out(sizes[new], ns[set_of[new]],
-                           [sets[set_of[s]][0] for s in new], buf)
-            kept = src >= 0
-            age = _moved(age, src[kept], kept)
-            trace = _moved(trace, src[kept], kept)
-            into = kept[lay.p]
-            comps = old.K[lay.j[into]] + src[lay.p[into]] if old else []
-            means, covs, weights = (_moved(a, comps, into)
-                                    for a in (means, covs, weights))
-            drawn = {}      # seed -> its generator and first state
-            for q in np.flatnonzero(~kept).tolist():
-                i, k, seed = starts[new[q]]
-                if seed in drawn:   # a set's starts often share a seed
-                    rng, state = drawn[seed]
-                    rng.bit_generator.state = state
-                else:
-                    rng = np.random.default_rng(seed)
-                    drawn[seed] = rng, rng.bit_generator.state
-                comps = lay.K[:k] + q
-                means[comps] = sets[i][0][rng.choice(ns[i], size=k,
-                                                     replace=False)]
-                covs[comps] = cov0s[i]
-                weights[comps] = 1.0 / k
-            ids, running = new, np.ones(len(new), dtype=bool)
+            ids = np.concatenate([ids[running], joining]).astype(int)
+            ids = ids[np.argsort(-sizes[ids], kind="stable")]
+            lay = _lay_out(sizes[ids], ns[set_of[ids]],
+                           [sets[set_of[s]][0] for s in ids], buf)
+            comp = first[ids][lay.p] + lay.j
+            running = np.ones(len(ids), dtype=bool)
+        mu = means[comp]
         log_joint, diffs = _log_joint_entries(
-            lay.work[:d], weights, means, covs,
+            lay.work[:d], weights[comp], mu, covs[comp],
             lambda a: a.repeat(lay.comp_len), lay.work[d:])
         e, spare = lay.work[-2:]     # the E-step's scratch rows
         mx, tot = _point_sums(lay, log_joint, e)
         loglik = np.add.reduceat(mx + np.log(tot), lay.off[:-1])
-        mean_ll = loglik / lay.n
         run = np.flatnonzero(running)
-        spent = age[run] == max_iter
-        more = run[~spent]
-        it = age[more]
-        trace[more, it] = mean_ll[more]
-        age[more] = it + 1
-        moved = (it == 0) | (np.abs(mean_ll[more]
-                                    - trace[more, np.maximum(it - 1, 0)])
-                             >= tol)
-        stop = np.concatenate([run[spent], more[~moved]])
+        stop = []
+        for q, s, ll in zip(run.tolist(), ids[run].tolist(),
+                            (loglik[run] / lay.n[run]).tolist()):
+            trace = traces[s]
+            if len(trace) < max_iter:
+                trace.append(ll)
+                if len(trace) == 1 or abs(ll - trace[-2]) >= tol:
+                    continue
+            stop.append(q)
+            # copies: the stack's M-step writes these rows until it drops s
+            rows = slice(first[s], first[s + 1])
+            fits[s] = MixtureFit(means[rows].copy(), covs[rows].copy(),
+                                 weights[rows].copy(), trace,
+                                 float(loglik[q]))
         running[stop] = False
-        for q, s in zip(stop.tolist(), ids[stop].tolist()):
-            c = lay.K[:sizes[s]] + q
-            fits[s] = MixtureFit(means[c], covs[c], weights[c],
-                                 trace[q, :age[q]].tolist(), float(loglik[q]))
         # a stopped start steps on in the stack, unread, until it is dropped
         if running.any():
-            means, covs, weights = _m_step(lay, e, tot, diffs, means,
-                                           covs.ndim == 3, floor,
-                                           (spare, log_joint))
+            means[comp], covs[comp], weights[comp] = _m_step(
+                lay, e, tot, diffs, mu, covs.ndim == 3, floor,
+                (spare, log_joint))
         elif not pending:
             return fits
 

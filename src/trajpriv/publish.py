@@ -282,12 +282,11 @@ def gan_sample(gen, scaler, n, seed=0):
 # --- similarity report -----------------------------------------------------
 
 def _jsd_bits(p, q):
-    """Jensen-Shannon divergence (base 2) of two dicts of counts."""
+    """Jensen-Shannon divergence (base 2) of two non-empty dicts of
+    positive counts."""
     keys = sorted(set(p) | set(q), key=str)
     a = np.array([p.get(k, 0) for k in keys], dtype=float)
     b = np.array([q.get(k, 0) for k in keys], dtype=float)
-    if a.sum() == 0 or b.sum() == 0:
-        raise ValueError("empty distribution")
     a /= a.sum()
     b /= b.sum()
     m = 0.5 * (a + b)
@@ -307,7 +306,8 @@ def _edge_set(trajectories, grid, cfg):
 def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg):
     """Spatial/temporal/semantic JSD plus social Jaccard between two
     trajectory sets, a pair being an edge once its co-events score at
-    least 1. All four values lie in [0, 1]."""
+    least 1. All four values lie in [0, 1]. A ValueError names the measure
+    and the side that has no stay to count."""
     def dists(trajs):
         cells, slots, purposes = {}, {}, {}
         stay_cells, V = stay_features(trajs.values(), grid,
@@ -323,15 +323,16 @@ def similarity_report(real_trajs, synth_trajs, grid, semantic_model, cfg):
             purposes[lam] = purposes.get(lam, 0) + 1
         return cells, slots, purposes
 
-    rc, rs, rp = dists(real_trajs)
-    sc, ss, sp = dists(synth_trajs)
+    rep = {}
+    for name, real, synth in zip(("spatial", "temporal", "semantic"),
+                                 dists(real_trajs), dists(synth_trajs)):
+        what = "stay on the grid" if name == "spatial" else "stay"
+        for side, counts in (("real world", real), ("synthetic view", synth)):
+            if not counts:
+                raise ValueError(f"{name} JSD: the {side} has no {what}")
+        rep[f"{name}_jsd"] = _jsd_bits(real, synth)
     er = _edge_set(real_trajs, grid, cfg)
     es = _edge_set(synth_trajs, grid, cfg)
     union = er | es
-    jaccard = 1.0 if not union else len(er & es) / len(union)
-    return {
-        "spatial_jsd": _jsd_bits(rc, sc),
-        "temporal_jsd": _jsd_bits(rs, ss),
-        "semantic_jsd": _jsd_bits(rp, sp),
-        "social_jaccard": jaccard,
-    }
+    rep["social_jaccard"] = 1.0 if not union else len(er & es) / len(union)
+    return rep

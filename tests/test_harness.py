@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from trajpriv.core import (EARTH_RADIUS_M, Cell, GridSpec, StayRecord,
                            group_trajectories, parse_stays, parse_timestamp,
                            to_cell)
 from trajpriv.features import features_to_csv
-from trajpriv.harness import (EPOCH_MONDAY, World, WorldConfig,
+from trajpriv.harness import (DEFENSES, EPOCH_MONDAY, World, WorldConfig,
                               build_pair_dataset, coevent_participation,
                               fit_world_models,
                               fit_world_semantic, generate_world,
@@ -650,6 +653,8 @@ class TestCli:
          "config.json: n_days must be int, got 7.0"),
         ("config.json", '{"cell_size_m": "250"}',
          "config.json: cell_size_m must be float, got '250'"),
+        ("config.json", "",
+         "config.json: Expecting value: line 1 column 1 (char 0)"),
         ("config.json", '["n_users"]',
          "config.json: expected an object, got ['n_users']"),
         ("config.json", '{"origin_lat": NaN}',
@@ -667,7 +672,8 @@ class TestCli:
     ], ids=["edge-fields", "edge-user", "edge-self-loop", "edge-no-header",
             "edge-empty", "edge-unreadable-row", "edge-unreadable-header",
             "config-key", "config-str-int", "config-bool-int",
-            "config-float-int", "config-str-float", "config-list",
+            "config-float-int", "config-str-float", "config-empty",
+            "config-list",
             "config-nan", "config-inf", "config-neg-inf", "config-negative",
             "config-one-user", "config-retired-and-unknown"])
     def test_malformed_world_fails_with_row_error(self, tmp_path, capsys,
@@ -963,6 +969,34 @@ class TestCli:
                          str(tmp_path / "r9.json")]) == 0
         assert json.loads((tmp_path / "r9.json").read_text())["raw"]
 
+    def test_similarity_of_a_world_off_the_grid_names_the_measure(
+            self, tmp_path, capsys):
+        d = tmp_path / "w"
+        cli_main(["--seed", "3", "simulate", "--users", "12", "--days", "3",
+                  "--out", str(d)])
+        off_the_grid(d, stay_table(d), set(_load_world(d).users))
+        capsys.readouterr()
+        for argv in (["publish", "similarity"],
+                     ["report", "--defense", "publish_synthetic"]):
+            assert cli_main([*argv, "--world", str(d),
+                             "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == (
+                "error: spatial JSD: the real world has no stay on the "
+                "grid\n")
+
+    def test_an_attack_split_without_a_class_names_the_friend_edges(
+            self, tmp_path, capsys):
+        d = tmp_path / "w"
+        cli_main(["--seed", "0", "simulate", "--users", "9", "--days", "3",
+                  "--out", str(d)])
+        (d / "edges.csv").write_text("user_a,user_b\nu000,u001\n")
+        capsys.readouterr()
+        assert cli_main(["report", "--world", str(d), "--defense", "none",
+                         "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: degenerate split: the attack's 1 test pairs hold no "
+            "non-friend pair; 1 of its 2 pairs are friend edges\n")
+
     def test_missing_subcommand_exit_2(self, capsys):
         assert cli_main([]) == 2
 
@@ -1053,3 +1087,138 @@ def test_a_one_day_shift_changes_only_the_holiday_ratio(seed):
         got = columns(mapped_world(world, same, shift=days * 86400))
         assert [name for name in want if got[name] != want[name]] == [
             "f_hol"]
+
+
+# --- every command on a damaged world --------------------------------------
+
+WORLD_FILES = ("stays.csv", "edges.csv", "config.json")
+
+
+def stay_table(d):
+    return list(csv.reader(io.StringIO((d / "stays.csv").read_text())))
+
+
+def write_stay_table(d, rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    (d / "stays.csv").write_text(out.getvalue())
+
+
+def off_the_grid(d, rows, users):
+    """Move each stay of the users a degree of latitude north, off the
+    grid."""
+    for row in rows[1:]:
+        if row[0] in users:
+            row[2], row[5] = (repr(float(row[c]) + 1.0) for c in (2, 5))
+    write_stay_table(d, rows)
+
+
+def truncate(d, rows, draw):
+    path = d / draw(st.sampled_from(WORLD_FILES))
+    text = path.read_text()
+    path.write_text(text[:draw(st.integers(0, len(text) - 1))])
+
+
+def bad_coordinate(d, rows, draw):
+    row = rows[draw(st.integers(1, len(rows) - 1))]
+    row[draw(st.sampled_from([2, 3, 5, 6]))] = draw(st.sampled_from(
+        ["nan", "inf", "-inf", "91.0", "-181.0", "1e308", ""]))
+    write_stay_table(d, rows)
+
+
+def overlapping_stays(d, rows, draw):
+    # a user's stay then ends when the user's next stay ends
+    r = draw(st.sampled_from([r for r in range(1, len(rows) - 1)
+                              if rows[r][0] == rows[r + 1][0]]))
+    rows[r][4] = rows[r + 1][4]
+    write_stay_table(d, rows)
+
+
+def a_user(rows, draw):
+    return draw(st.sampled_from(sorted({row[0] for row in rows[1:]})))
+
+
+def one_stay(d, rows, draw):
+    u = a_user(rows, draw)
+    mine = [row for row in rows[1:] if row[0] == u]
+    write_stay_table(d, [row for row in rows if row[0] != u] + mine[:1])
+
+
+def unknown_config_key(d, rows, draw):
+    config = json.loads((d / "config.json").read_text())
+    config["colour"] = 1
+    (d / "config.json").write_text(json.dumps(config))
+
+
+WORLD_DAMAGES = {
+    "none": lambda d, rows, draw: None,
+    "truncated file": truncate,
+    "empty file": lambda d, rows, draw: (
+        d / draw(st.sampled_from(WORLD_FILES))).write_text(""),
+    "bad coordinate": bad_coordinate,
+    "overlapping stays": overlapping_stays,
+    "user with one stay": one_stay,
+    "user off the grid": lambda d, rows, draw: off_the_grid(
+        d, rows, {a_user(rows, draw)}),
+    "every stay off the grid": lambda d, rows, draw: off_the_grid(
+        d, rows, {r[0] for r in rows[1:]}),
+    "unknown config key": unknown_config_key,
+    # an --out that is the wrong kind of file, or lies under a file
+    "occupied out": None,
+    "out under a file": None,
+}
+
+# each subcommand's arguments before --out, on the world directory w, and
+# whether its --out is a directory
+COMMANDS = {
+    "simulate": (["simulate", "--users", "9", "--days", "3"], True),
+    "ingest": (["ingest", "--input", "w/stays.csv"], False),
+    "features": (["features", "--world", "w"], False),
+    "attack": (["attack", "--world", "w"], False),
+    "fit-mobility": (["fit-mobility", "--world", "w"], True),
+    "anonymize": (["anonymize", "--world", "w"], True),
+    "publish synth": (["publish", "synth", "--world", "w"], False),
+    "publish similarity": (["publish", "similarity", "--world", "w"], False),
+    **{f"report {defense}": (["report", "--world", "w", "--defense",
+                              defense], False) for defense in DEFENSES},
+}
+
+# what an error line names: a world file, the output, a row, a user, the
+# friend edges (edges.csv's content) or a similarity measure
+NAMED = re.compile(r"stays\.csv|edges\.csv|config\.json|--out |row \d+"
+                   r"|user \S+|friend edge|JSD")
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=world_sizes, damage=st.sampled_from(sorted(WORLD_DAMAGES)),
+       command=st.sampled_from(sorted(COMMANDS)), data=st.data())
+def test_every_command_on_a_damaged_world_exits_with_a_named_error(
+        size, damage, command, data):
+    argv, out_is_dir = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        d = Path("w")
+        d.mkdir()
+        write_world_dir(generate_world(WorldConfig(**size)), d)
+        out = "out"
+        if damage == "occupied out":
+            if out_is_dir:
+                Path(out).write_text("taken\n")
+            else:
+                Path(out).mkdir()
+        elif damage == "out under a file":
+            Path("a_file").write_text("taken\n")
+            out = "a_file/out"
+        else:
+            WORLD_DAMAGES[damage](d, stay_table(d), data.draw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli_main(["--seed", "7", *argv, "--out", out])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        line, = [e for e in err.splitlines() if e.startswith("error: ")]
+        assert NAMED.search(line), line

@@ -412,8 +412,8 @@ def test_world_load_heap_peak(tmp_path):
 
 def test_world_models_heap_peak():
     # The EM work queue keeps its (component, point) rows within
-    # mobility.EM_ENTRIES entries: 2.18 MB on this world. The bound leaves
-    # 0.82 MB (38%) above that and stays 1.19 MB under the 4.19 MB of the
+    # mobility.EM_ENTRIES entries: 2.19 MB on this world. The bound leaves
+    # 0.81 MB (37%) above that and stays 1.19 MB under the 4.19 MB of the
     # stacked blocks of 16 users it replaced.
     world = harness.generate_world(harness.WorldConfig(n_users=64, seed=42))
     harness.fit_world_models(world, seed=7)

@@ -231,10 +231,11 @@ def test_em_loglik_never_decreases(seed, n, ms, d, diagonal, max_iter):
 @given(seed=seeds, ns=st.lists(st.integers(1, 40), min_size=2, max_size=4),
        ms=st.lists(st.integers(1, 4), min_size=1, max_size=6),
        diagonal=st.booleans(), early_stop=st.booleans(),
-       max_iter=st.integers(1, 60), budget=st.integers(1, 400))
+       max_iter=st.integers(1, 60), budget=st.integers(1, 400),
+       shared_seed=st.booleans())
 def test_multi_set_starts_fit_as_on_their_set_alone(seed, ns, ms, diagonal,
                                                      early_stop, max_iter,
-                                                     budget):
+                                                     budget, shared_seed):
     rng = np.random.default_rng(seed)
     sets = []
     for n in ns:
@@ -245,8 +246,13 @@ def test_multi_set_starts_fit_as_on_their_set_alone(seed, ns, ms, diagonal,
     floor = 1e-3 if diagonal else 25.0
     tol = 1e-6 if early_stop else -1.0
     max_iter = 200 if early_stop else max_iter
-    starts = [(j % len(ns), min(m, ns[j % len(ns)]), seed + j)
-              for j, m in enumerate(ms)]
+    if shared_seed:
+        # starts of every set share one seed and list m ascending, so a
+        # relayout seeds several sets from one restored generator state
+        # and lays the starts out in another order than they are listed
+        ms = sorted(ms)
+    starts = [(j % len(ns), min(m, ns[j % len(ns)]),
+               seed if shared_seed else seed + j) for j, m in enumerate(ms)]
     # a small budget makes later sets join the stack mid-run
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mobility, "EM_ENTRIES", budget)
